@@ -142,25 +142,7 @@ def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng, chunk=20000):
 
 
 # ---------------------------------------------------------------------------
-# scalar summaries of the estimate models
-
-class _HopScalars:
-    """Traces, norms, and diagonals the closed forms consume."""
-
-    def __init__(self, model):
-        self.tr_hat = float(np.trace(model.receive_hat).real)
-        self.tr_err = float(np.trace(model.receive_err).real)
-        self.fro_hat = float(np.vdot(model.receive_hat, model.receive_hat).real)
-        self.cross = float(np.trace(model.receive_hat @ model.receive_err).real)
-        self.diag_hat = np.diag(model.receive_hat).real.copy()
-        self.diag_err = np.diag(model.receive_err).real.copy()
-        self.tx_hat = np.asarray(model.transmit_hat, dtype=np.complex128)
-        self.tx_hat_diag = np.diag(self.tx_hat).real.copy()
-        self.tx_err_diag = np.diag(model.transmit_err).real.copy()
-        self.gain = float(model.relay_gain)
-        self.n = model.receive_hat.shape[0]
-        self.k = self.tx_hat.shape[0]
-
+# moments from the per-model scalar summaries (EstimateModel.scalars)
 
 def _pair_moment_matrix(h2):
     """gm[k, i] = E{|g_hat_k^H g_hat_i|^2} / gain^2 from the separable moments."""
@@ -177,7 +159,7 @@ def _pair_moment_full(h2):
 
 def desired_signal_moment(hop1, hop2):
     """E{|g_hat_k^H G_hat F_hat^H f_hat_k|^2}, per user."""
-    h1, h2 = _HopScalars(hop1), _HopScalars(hop2)
+    h1, h2 = hop1.scalars, hop2.scalars
     bh = h1.tx_hat_diag
     gm = _pair_moment_matrix(h2)
     return h2.gain ** 2 * (np.diag(gm) * bh ** 2 * h1.tr_hat ** 2
@@ -186,7 +168,7 @@ def desired_signal_moment(hop1, hop2):
 
 def leakage_moment(hop1, hop2):
     """E{|B1|^2}: estimation-error leakage of the own-user chain, per user."""
-    h1, h2 = _HopScalars(hop1), _HopScalars(hop2)
+    h1, h2 = hop1.scalars, hop2.scalars
     bh, bt = h1.tx_hat_diag, h1.tx_err_diag
     gm = _pair_moment_matrix(h2)
     th = h2.tx_hat_diag
@@ -204,7 +186,7 @@ def cross_moment(hop1, hop2):
     Row k, column j gives the interference moment of user j's full channel
     through user k's combiners; the diagonal equals desired + leakage.
     """
-    h1, h2 = _HopScalars(hop1), _HopScalars(hop2)
+    h1, h2 = hop1.scalars, hop2.scalars
     bh, bt = h1.tx_hat_diag, h1.tx_err_diag
     gm = _pair_moment_matrix(h2)
     th = h2.tx_hat_diag
@@ -222,7 +204,7 @@ def cross_moment(hop1, hop2):
 
 def chain_norm_moment(hop1, hop2):
     """E{||g_hat_k^H G F_hat^H||^2}, per user."""
-    h1, h2 = _HopScalars(hop1), _HopScalars(hop2)
+    h1, h2 = hop1.scalars, hop2.scalars
     bh = h1.tx_hat_diag
     gm = _pair_moment_matrix(h2)
     th = h2.tx_hat_diag
@@ -232,7 +214,7 @@ def chain_norm_moment(hop1, hop2):
 
 def relay_quant_moment(hop1, hop2, adc1, data_power, relay_noise_var):
     """E{|g_hat_k^H G F_hat^H n_q1|^2}: relay quantization noise after combining."""
-    h1, h2 = _HopScalars(hop1), _HopScalars(hop2)
+    h1, h2 = hop1.scalars, hop2.scalars
     bh, bt = h1.tx_hat_diag, h1.tx_err_diag
     gmf = _pair_moment_full(h2)
     sum_bh = float(bh.sum())
@@ -249,13 +231,13 @@ def relay_quant_moment(hop1, hop2, adc1, data_power, relay_noise_var):
 
 def bs_vector_moment(hop2):
     """E{||g_hat_k||^2}, per user."""
-    h2 = _HopScalars(hop2)
+    h2 = hop2.scalars
     return h2.gain * h2.tx_hat_diag * h2.tr_hat
 
 
 def bs_quant_moment(hop2, adc2, relay_power, bs_noise_var):
     """E{|g_hat_k^H n_q2|^2}: destination quantization noise after combining."""
-    h2 = _HopScalars(hop2)
+    h2 = hop2.scalars
     k = h2.k
     th = h2.tx_hat_diag
     te = h2.tx_err_diag
@@ -276,7 +258,7 @@ def kappa_closed_form(hop1, adc1, data_power, relay_power, relay_noise_var):
     the combined first-hop signal: the matched-filtered signal energy, the
     quantization-noise energy, and the thermal-noise energy.
     """
-    h1 = _HopScalars(hop1)
+    h1 = hop1.scalars
     bh, bt = h1.tx_hat_diag, h1.tx_err_diag
     sum_bh = float(bh.sum())
     sum_bt = float(bt.sum())

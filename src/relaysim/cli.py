@@ -16,9 +16,8 @@ import numpy as np
 from . import __version__
 from . import config as cfg
 from . import estimation, link, validate
-from .analysis import power_scaling_limit, sum_rate_approx
+from .analysis import asymptotic_sum_rate, power_scaling_limit, sum_rate_approx
 from .channel import substream
-from .correlation import exponential_correlation, select_transmit_correlation
 from .errors import ConfigError, NumericalError
 from .quantizer import IDEAL, AdcSpec
 
@@ -116,9 +115,7 @@ def cmd_mse_sweep(args) -> int:
     trials = scn.trials
     gains = scn.user_gains()
     eta = scn.relay_gain()
-    recv1 = exponential_correlation(scn.r_R, scn.N)
-    recv2 = exponential_correlation(scn.r_B, scn.M)
-    tx2 = select_transmit_correlation(scn.r_R, scn.N, max(scn.K, 1))
+    recv1, recv2, tx2 = cfg.scenario_matrices(scn)
     rows = []
     for hop in hops:
         for bits in bits_grid:
@@ -175,29 +172,17 @@ def cmd_rate_vs_n(args) -> int:
     return 0
 
 
-def _limit_rate(scn, a, b):
-    """Sum-rate asymptote implied by the per-user SINR limits."""
-    limit = power_scaling_limit(
-        scn.user_gains(), scn.relay_gain(), scn.adc1, scn.adc2,
-        scn.sigma_R2, scn.sigma_B2, a, b, scn.E_U, scn.E_R, 0)
-    total = 0.0
-    for k in range(scn.K):
-        branch = power_scaling_limit(
-            scn.user_gains(), scn.relay_gain(), scn.adc1, scn.adc2,
-            scn.sigma_R2, scn.sigma_B2, a, b, scn.E_U, scn.E_R, k)
-        if branch.value == float("inf"):
-            return limit.regime, float("inf")
-        total += np.log2(1.0 + branch.value)
-    return limit.regime, scn.mu * total
-
-
 def cmd_power_scaling(args) -> int:
     scn = _base_scenario(args)
     n_values = _parse_list(args.n_values, int)
     exponents = _parse_pairs(args.exponents)
     rows = []
     for a, b in exponents:
-        regime, asymptote = _limit_rate(scn.with_updates(a=a, b=b), a, b)
+        limit = scn.with_updates(a=a, b=b)
+        regime = power_scaling_limit(
+            limit.user_gains(), limit.relay_gain(), limit.adc1, limit.adc2,
+            limit.sigma_R2, limit.sigma_B2, a, b, limit.E_U, limit.E_R, 0).regime
+        asymptote = asymptotic_sum_rate(limit)
         for n in n_values:
             point = scn.with_updates(N=n, a=a, b=b)
             closed, mc, ci = _rate_pair(point, args, args.workers)

@@ -30,8 +30,11 @@ def exponential_correlation(r, n):
 
     Returns
     -------
-    ndarray, shape (n, n), complex128
-        Hermitian PSD matrix with unit diagonal.
+    ndarray, shape (n, n)
+        Hermitian PSD matrix with unit diagonal: real symmetric float64 when
+        r has no imaginary part, complex128 otherwise. Keeping real inputs
+        real lets every eigendecomposition of the matrix run in real
+        arithmetic.
     """
     n = int(n)
     if n < 1:
@@ -41,6 +44,8 @@ def exponential_correlation(r, n):
         raise ValueError(f"correlation coefficient must satisfy |r| < 1, got |r| = {abs(r)}")
     idx = np.arange(n)
     lag = idx[None, :] - idx[:, None]          # j - i
+    if r.imag == 0.0:
+        return r.real ** np.abs(lag)
     upper = r ** np.abs(lag)
     return np.where(lag >= 0, upper, np.conj(upper))
 

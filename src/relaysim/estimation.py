@@ -11,10 +11,11 @@ Carlo trials both consume that equivalent form, via EstimateModel.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .channel import complex_normal, draw_first_hop, draw_second_hop
+from .channel import complex_normal, draw_first_hop, draw_second_hop, left_multiply
 from .correlation import psd_sqrt
 from .errors import DegenerateEstimateError, IllConditionedError
 from .quantizer import aqnm_quantize
@@ -65,9 +66,36 @@ def orthonormal_pilots(tau, n_users):
     return np.exp(-2j * np.pi * t * k / tau) / np.sqrt(tau)
 
 
+class _HopScalars:
+    """Traces, norms, and diagonals of one model's receive split, read off
+    its eigendata, plus its transmit side: every scalar the closed forms
+    consume."""
+
+    def __init__(self, model):
+        f, g = model.spectrum_hat, model.spectrum_err
+        self.tr_hat = float(f.sum())
+        self.fro_hat = float(f @ f)
+        self.cross = float(f @ g)         # tr(receive_hat @ receive_err)
+        self.diag_hat, self.diag_err = (np.abs(model.basis) ** 2
+                                        @ np.stack((f, g), axis=1)).T
+        self.tx_hat = model.transmit_hat
+        self.tx_hat_diag = np.diag(model.transmit_hat).real.copy()
+        self.tx_err_diag = np.diag(model.transmit_err).real.copy()
+        self.gain = float(model.relay_gain)
+        self.k = self.tx_hat.shape[0]
+
+
 @dataclass(frozen=True)
 class EstimateModel:
     """Equivalent-form description of an LMMSE channel estimate.
+
+    The true receive correlation R = U diag(lam) U^H splits in its own
+    eigenbasis: the estimate keeps receive_hat = U diag(f) U^H and the error
+    receive_err = U diag(g) U^H, with f + g = lam (f = lam and g = 0 under
+    genie CSI). The model stores R, U (basis), f (spectrum_hat) and g
+    (spectrum_err); receive_hat and receive_err are rebuilt on demand, and
+    `scalars` reads every trace, norm and diagonal the closed forms need
+    from the eigendata without an n x n product.
 
     The estimate is receive_hat^(1/2) @ H1 @ sqrt(transmit_hat) and the
     error receive_err^(1/2) @ H2 @ sqrt(transmit_err) with H1, H2 iid
@@ -76,11 +104,21 @@ class EstimateModel:
     (diagonal for the first hop, where they hold the per-user gains).
     """
 
-    receive_hat: np.ndarray
-    receive_err: np.ndarray
+    receive_corr: np.ndarray
+    basis: np.ndarray
+    spectrum_hat: np.ndarray
+    spectrum_err: np.ndarray
     transmit_hat: np.ndarray
     transmit_err: np.ndarray
     relay_gain: float = 1.0
+
+    @property
+    def receive_err(self):
+        return (self.basis * self.spectrum_err) @ self.basis.conj().T
+
+    @property
+    def receive_hat(self):
+        return self.receive_corr - self.receive_err
 
     @property
     def gains_hat(self):
@@ -90,17 +128,28 @@ class EstimateModel:
     def gains_err(self):
         return np.diag(self.transmit_err).real.copy()
 
+    @cached_property
+    def scalars(self):
+        return _HopScalars(self)
+
+    def receive_sqrt(self):
+        """(receive_hat^(1/2), receive_err^(1/2)) from the eigendata."""
+        u = self.basis
+        return tuple((u * np.sqrt(s)) @ u.conj().T
+                     for s in (self.spectrum_hat, self.spectrum_err))
+
     def validate(self, receive_corr, transmit_truth, rtol=1e-8):
         """Check the construction identities against the true statistics.
 
-        receive_hat + receive_err must reassemble the true receive
-        correlation, all four matrices must be PSD (within tolerance), and
-        the per-user energy split must be exact:
+        The eigendata must reassemble the true receive correlation
+        (U diag(f + g) U^H), all four matrices must be PSD (within
+        tolerance), and the per-user energy split must be exact:
         hat_gain * tr(receive_hat) + err_gain * tr(receive_err) equals
         n * true_gain entrywise (times relay_gain on the second hop).
         """
-        n = self.receive_hat.shape[0]
-        total = self.receive_hat + self.receive_err
+        n = self.basis.shape[0]
+        u = self.basis
+        total = (u * (self.spectrum_hat + self.spectrum_err)) @ u.conj().T
         if not np.allclose(total, receive_corr, atol=1e-10 * max(1.0, abs(np.trace(receive_corr)))):
             raise AssertionError("receive-side split does not sum to the true correlation")
         for mat in (self.receive_hat, self.receive_err, self.transmit_hat, self.transmit_err):
@@ -115,76 +164,65 @@ class EstimateModel:
             raise AssertionError("per-user energy split is not conserved")
 
 
-def observation_covariance_first_hop(recv_corr, gains, adc, tau, power, noise_var):
-    """Covariance of one despread pilot-observation column at the relay."""
-    gains = np.asarray(gains, dtype=np.float64)
-    total_gain = float(gains.sum())
-    n = recv_corr.shape[0]
-    k = gains.size
+def _observation_constants(adc, tau, power, noise_var, total_gain, n_users):
+    """(a, c) of one despread pilot-observation column's covariance a R + c I.
+
+    total_gain is sum(gains) on the first hop and the relay gain on the
+    second; the hops differ in nothing else.
+    """
     a = adc.alpha ** 2 * tau * power * total_gain
-    c = k * adc.alpha * ((1.0 - adc.alpha) * power * total_gain + noise_var)
-    return a * recv_corr + c * np.eye(n)
+    c = n_users * adc.alpha * ((1.0 - adc.alpha) * power * total_gain + noise_var)
+    return a, c
 
 
-def observation_covariance_second_hop(recv_corr, relay_gain, adc, tau, power, noise_var, n_users):
-    """Covariance of one despread pilot-observation column at the destination."""
-    m = recv_corr.shape[0]
-    a = adc.alpha ** 2 * tau * power * relay_gain
-    c = n_users * adc.alpha * ((1.0 - adc.alpha) * power * relay_gain + noise_var)
-    return a * recv_corr + c * np.eye(m)
-
-
-def _filter_from_eigs(w, u, scale, a, c):
-    """scale * recv_corr @ inv(a * recv_corr + c * I) in the eigenbasis."""
-    denom = a * w + c
+def _observation_eigenvalues(lam, a, c):
+    """a * lam + c, refused when its condition number is too large."""
+    denom = a * lam + c
     cond = float(denom.max() / denom.min()) if denom.size else 1.0
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise IllConditionedError(
             f"observation covariance condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
-    return (u * (scale * w / denom)) @ u.conj().T
+    return denom
+
+
+def _lmmse_filter(recv_corr, a, c, scale):
+    """scale * recv_corr @ inv(a * recv_corr + c * I) in the eigenbasis."""
+    w, u = np.linalg.eigh(recv_corr)
+    return (u * (scale * w / _observation_eigenvalues(w, a, c))) @ u.conj().T
 
 
 def lmmse_filter_first_hop(recv_corr, gains, adc, tau, power, noise_var):
     """LMMSE filter mapping despread observations to the channel estimate."""
     gains = np.asarray(gains, dtype=np.float64)
     total_gain = float(gains.sum())
-    k = gains.size
-    w, u = np.linalg.eigh(recv_corr)
-    a = adc.alpha ** 2 * tau * power * total_gain
-    c = k * adc.alpha * ((1.0 - adc.alpha) * power * total_gain + noise_var)
-    scale = adc.alpha * np.sqrt(tau * power) * total_gain
-    return _filter_from_eigs(w, u, scale, a, c)
+    a, c = _observation_constants(adc, tau, power, noise_var, total_gain, gains.size)
+    return _lmmse_filter(recv_corr, a, c, adc.alpha * np.sqrt(tau * power) * total_gain)
 
 
 def lmmse_filter_second_hop(recv_corr, relay_gain, adc, tau, power, noise_var, n_users):
-    w, u = np.linalg.eigh(recv_corr)
-    a = adc.alpha ** 2 * tau * power * relay_gain
-    c = n_users * adc.alpha * ((1.0 - adc.alpha) * power * relay_gain + noise_var)
-    scale = adc.alpha * np.sqrt(tau * power * n_users) * relay_gain
-    return _filter_from_eigs(w, u, scale, a, c)
+    a, c = _observation_constants(adc, tau, power, noise_var, relay_gain, n_users)
+    return _lmmse_filter(recv_corr, a, c,
+                         adc.alpha * np.sqrt(tau * power * n_users) * relay_gain)
+
+
+def _error_spectrum_sum(recv_corr, a, c):
+    """tr of the error receive matrix, sum(c lam / (a lam + c))."""
+    lam = np.linalg.eigvalsh(recv_corr)
+    return float(np.sum(c * lam / (a * lam + c)))
 
 
 def mse_first_hop_closed_form(recv_corr, gains, adc, tau, power, noise_var):
     """Total MSE E{||estimate - channel||_F^2} for the first hop."""
     gains = np.asarray(gains, dtype=np.float64)
     total_gain = float(gains.sum())
-    n = recv_corr.shape[0]
-    k = gains.size
-    lam = np.linalg.eigvalsh(recv_corr)
-    a = adc.alpha ** 2 * tau * power * total_gain
-    c = k * adc.alpha * ((1.0 - adc.alpha) * power * total_gain + noise_var)
-    captured = np.sum(a * lam ** 2 / (a * lam + c))
-    return float(total_gain * (n - captured))
+    a, c = _observation_constants(adc, tau, power, noise_var, total_gain, gains.size)
+    return total_gain * _error_spectrum_sum(recv_corr, a, c)
 
 
 def mse_second_hop_closed_form(recv_corr, relay_gain, adc, tau, power, noise_var, n_users):
     """Total MSE for the second hop (independent of the transmit-side correlation)."""
-    m = recv_corr.shape[0]
-    lam = np.linalg.eigvalsh(recv_corr)
-    a = adc.alpha ** 2 * tau * power * relay_gain
-    c = n_users * adc.alpha * ((1.0 - adc.alpha) * power * relay_gain + noise_var)
-    captured = np.sum(a * lam ** 2 / (a * lam + c))
-    return float(n_users * relay_gain * (m - captured))
+    a, c = _observation_constants(adc, tau, power, noise_var, relay_gain, n_users)
+    return n_users * relay_gain * _error_spectrum_sum(recv_corr, a, c)
 
 
 def simulate_pilot_first_hop(recv_corr, gains, adc, tau, power, noise_var, rng,
@@ -209,7 +247,7 @@ def simulate_pilot_first_hop(recv_corr, gains, adc, tau, power, noise_var, rng,
     row_power = power * np.sum(np.abs(chan) ** 2, axis=1) + noise_var
     quantized = aqnm_quantize(received, adc, row_power[:, None], rng)
     despread = quantized @ np.conj(pilots)
-    return chan, lmmse @ despread
+    return chan, left_multiply(lmmse, despread)
 
 
 def simulate_pilot_second_hop(recv_corr, tx_corr, relay_gain, adc, tau, power,
@@ -234,131 +272,106 @@ def simulate_pilot_second_hop(recv_corr, tx_corr, relay_gain, adc, tau, power,
     row_power = (power / k) * np.sum(np.abs(chan) ** 2, axis=1) + noise_var
     quantized = aqnm_quantize(received, adc, row_power[:, None], rng)
     despread = quantized @ np.conj(pilots)
-    return chan, lmmse @ despread
+    return chan, left_multiply(lmmse, despread)
 
 
-def _hermitize(mat):
-    return 0.5 * (mat + mat.conj().T)
+def _receive_split(recv_corr, a, c):
+    """Eigenbasis U of recv_corr, the estimate and error spectra
+    f = a lam^2 / (a lam + c) and g = c lam / (a lam + c), and the energy
+    sums (sum f, sum g, sum f h, sum g h) with h = a lam / (a lam + c).
+
+    The error sums come from g itself, never as a difference of large
+    numbers, so they stay accurate as pilot power grows without bound.
+    """
+    lam, u = np.linalg.eigh(recv_corr)
+    lam = np.clip(lam, 0.0, None)
+    denom = _observation_eigenvalues(lam, a, c)
+    h = a * lam / denom
+    f = h * lam
+    g = c * lam / denom
+    return u, f, g, (float(f.sum()), float(g.sum()), float(f @ h), float(g @ h))
+
+
+def _check_energies(sum_f, sum_g):
+    if sum_f <= 0.0:
+        raise DegenerateEstimateError("estimate energy collapsed to zero")
+    if sum_g <= 0.0:
+        raise DegenerateEstimateError("error energy collapsed to zero")
 
 
 def equivalent_form_first_hop(recv_corr, gains, adc, tau, power, noise_var):
     """Separable equivalent form of the first-hop estimate and its error.
 
-    The receive correlation splits spectrally: with recv_corr = U L U^H and
-    s = alpha^2 tau power sum(gains), the estimate part keeps
-    s L^2 / (s L + c) and the error part the remainder. Per-user gains are
-    rescaled so that estimate and error energies add up to the true
-    per-user energy exactly.
+    The receive correlation splits spectrally (see EstimateModel). With T =
+    sum(gains), the unnormalized per-user estimate energies are
+    gains * sum(f h) + (T / K) sum(g h) and the error energies their
+    complement n * gains minus that; both are rescaled so that estimate and
+    error energies add up to the true per-user energy exactly.
     """
     gains = np.asarray(gains, dtype=np.float64)
     total_gain = float(gains.sum())
-    n = recv_corr.shape[0]
     k = gains.size
     if k == 0:
         raise ValueError("need at least one user")
     if total_gain <= 0.0:
         raise DegenerateEstimateError("total large-scale gain is zero")
-    lam, u = np.linalg.eigh(recv_corr)
-    lam = np.clip(lam, 0.0, None)
-    ap = adc.alpha ** 2 * tau * power
-    a = ap * total_gain
-    c = k * adc.alpha * ((1.0 - adc.alpha) * power * total_gain + noise_var)
-    denom = a * lam + c
-    cond = float(denom.max() / denom.min()) if denom.size else 1.0
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise IllConditionedError(
-            f"observation covariance condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
-    f = a * lam ** 2 / denom
-    g = lam * c / denom
-    recv_hat = _hermitize((u * f) @ u.conj().T)
-    recv_err = _hermitize((u * g) @ u.conj().T)
-    # unnormalized estimate energies: E{||f_hat_i||^2}
-    s1 = float(np.sum(lam ** 3 / denom ** 2))
-    s2 = float(np.sum(lam ** 2 / denom ** 2))
-    noise_part = adc.alpha * ((1.0 - adc.alpha) * power * total_gain + noise_var)
-    bar = ap * total_gain ** 2 * (ap * s1 * gains + noise_part * s2)
-    bar_sum = float(bar.sum())
-    if bar_sum <= 0.0:
-        raise DegenerateEstimateError("estimate energy collapsed to zero")
-    gains_hat = (total_gain / bar_sum) * bar
-    check = n * gains - bar
-    check_sum = float(check.sum())
-    if check_sum <= 0.0:
-        raise DegenerateEstimateError("error energy collapsed to zero")
-    gains_err = (total_gain / check_sum) * check
-    return EstimateModel(receive_hat=recv_hat, receive_err=recv_err,
-                         transmit_hat=np.diag(gains_hat),
-                         transmit_err=np.diag(gains_err),
-                         relay_gain=1.0)
+    a, c = _observation_constants(adc, tau, power, noise_var, total_gain, k)
+    u, f, g, (sum_f, sum_g, sum_fh, sum_gh) = _receive_split(recv_corr, a, c)
+    _check_energies(sum_f, sum_g)
+    shared = (total_gain / k) * sum_gh
+    gains_hat = (gains * sum_fh + shared) / sum_f
+    gains_err = (gains * (sum_g + sum_gh) - shared) / sum_g
+    return EstimateModel(receive_corr=recv_corr, basis=u, spectrum_hat=f,
+                         spectrum_err=g, transmit_hat=np.diag(gains_hat),
+                         transmit_err=np.diag(gains_err), relay_gain=1.0)
 
 
 def equivalent_form_second_hop(recv_corr, tx_corr, relay_gain, adc, tau, power,
                                noise_var):
-    """Separable equivalent form of the second-hop estimate and its error."""
-    m = recv_corr.shape[0]
+    """Separable equivalent form of the second-hop estimate and its error.
+
+    Same split as the first hop, with the transmit correlation in place of
+    the per-user gains: the estimate's transmit matrix is proportional to
+    sum(f h) tx_corr + sum(g h) I and the error's to the remainder
+    m tx_corr minus that. The error side must stay PSD.
+    """
     k = tx_corr.shape[0]
     if relay_gain <= 0.0:
         raise DegenerateEstimateError("relay large-scale gain is zero")
-    lam, u = np.linalg.eigh(recv_corr)
-    lam = np.clip(lam, 0.0, None)
-    a = adc.alpha ** 2 * tau * power * relay_gain
-    c = k * adc.alpha * ((1.0 - adc.alpha) * power * relay_gain + noise_var)
-    denom = a * lam + c
-    cond = float(denom.max() / denom.min()) if denom.size else 1.0
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise IllConditionedError(
-            f"observation covariance condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
-    f = a * lam ** 2 / denom
-    g = lam * c / denom
-    recv_hat = _hermitize((u * f) @ u.conj().T)
-    recv_err = _hermitize((u * g) @ u.conj().T)
-    s1 = float(np.sum(lam ** 3 / denom ** 2))
-    s2 = float(np.sum(lam ** 2 / denom ** 2))
-    pref = adc.alpha ** 3 * tau * power * relay_gain ** 2
-    bar = pref * (adc.alpha * tau * power * relay_gain * s1 * tx_corr
-                  + k * ((1.0 - adc.alpha) * power * relay_gain + noise_var)
-                  * s2 * np.eye(k))
-    bar_tr = float(np.trace(bar).real)
-    if bar_tr <= 0.0:
-        raise DegenerateEstimateError("estimate energy collapsed to zero")
-    tx_hat = (k / bar_tr) * bar
-    check = m * relay_gain * tx_corr - bar
-    check_tr = float(np.trace(check).real)
-    if check_tr <= 0.0:
-        raise DegenerateEstimateError("error energy collapsed to zero")
-    w = np.linalg.eigvalsh(check)
+    a, c = _observation_constants(adc, tau, power, noise_var, relay_gain, k)
+    u, f, g, (sum_f, sum_g, sum_fh, sum_gh) = _receive_split(recv_corr, a, c)
+    _check_energies(sum_f, sum_g)
+    eye = np.eye(k)
+    tx_hat = (sum_fh * tx_corr + sum_gh * eye) / sum_f
+    tx_err = ((sum_g + sum_gh) * tx_corr - sum_gh * eye) / sum_g
+    w = np.linalg.eigvalsh(tx_err)
     if w[0] < -1e-10 * max(float(w[-1]), 1e-300):
         raise DegenerateEstimateError(
             "error-side transmit matrix is indefinite (min eigenvalue "
             f"{w[0]:.3e}); the separable error model needs weaker transmit "
             "correlation or more receive antennas per user")
-    tx_err = (k / check_tr) * check
-    return EstimateModel(receive_hat=recv_hat, receive_err=recv_err,
-                         transmit_hat=_hermitize(tx_hat),
-                         transmit_err=_hermitize(tx_err),
-                         relay_gain=float(relay_gain))
+    return EstimateModel(receive_corr=recv_corr, basis=u, spectrum_hat=f,
+                         spectrum_err=g, transmit_hat=tx_hat,
+                         transmit_err=tx_err, relay_gain=float(relay_gain))
+
+
+def _perfect_model(recv_corr, transmit, relay_gain):
+    """Genie CSI: the estimate is the truth and the error is zero."""
+    lam, u = np.linalg.eigh(recv_corr)
+    lam = np.clip(lam, 0.0, None)
+    k = transmit.shape[0]
+    return EstimateModel(receive_corr=recv_corr, basis=u, spectrum_hat=lam,
+                         spectrum_err=np.zeros_like(lam), transmit_hat=transmit,
+                         transmit_err=np.zeros((k, k)), relay_gain=float(relay_gain))
 
 
 def perfect_model_first_hop(recv_corr, gains):
     """EstimateModel for genie CSI: estimate equals truth, error is zero."""
-    gains = np.asarray(gains, dtype=np.float64)
-    n = recv_corr.shape[0]
-    k = gains.size
-    return EstimateModel(receive_hat=np.array(recv_corr, dtype=np.complex128),
-                         receive_err=np.zeros((n, n), dtype=np.complex128),
-                         transmit_hat=np.diag(gains).astype(np.complex128),
-                         transmit_err=np.zeros((k, k), dtype=np.complex128),
-                         relay_gain=1.0)
+    return _perfect_model(recv_corr, np.diag(np.asarray(gains, dtype=np.float64)), 1.0)
 
 
 def perfect_model_second_hop(recv_corr, tx_corr, relay_gain):
-    m = recv_corr.shape[0]
-    k = tx_corr.shape[0]
-    return EstimateModel(receive_hat=np.array(recv_corr, dtype=np.complex128),
-                         receive_err=np.zeros((m, m), dtype=np.complex128),
-                         transmit_hat=np.array(tx_corr, dtype=np.complex128),
-                         transmit_err=np.zeros((k, k), dtype=np.complex128),
-                         relay_gain=float(relay_gain))
+    return _perfect_model(recv_corr, tx_corr, relay_gain)
 
 
 def pilot_mse_first_hop(recv_corr, gains, adc, tau, power, noise_var, trials, rng):

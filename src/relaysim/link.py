@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis
 from . import config as cfg
-from .channel import complex_normal, substream
+from .channel import complex_normal, left_multiply, substream
 from .correlation import psd_sqrt
 
 
@@ -54,12 +54,12 @@ def prepare(scenario, models=None):
                                        scenario.P_R, scenario.sigma_R2)
     chi = (scenario.adc1.alpha ** 2 * scenario.adc2.alpha ** 2
            * kappa ** 2 * scenario.P_U)
+    sqrt_recv1_hat, sqrt_recv1_err = hop1.receive_sqrt()
+    sqrt_recv2_hat, sqrt_recv2_err = hop2.receive_sqrt()
     return PreparedScenario(
         scenario=scenario, hop1=hop1, hop2=hop2,
-        sqrt_recv1_hat=psd_sqrt(hop1.receive_hat),
-        sqrt_recv1_err=psd_sqrt(hop1.receive_err),
-        sqrt_recv2_hat=psd_sqrt(hop2.receive_hat),
-        sqrt_recv2_err=psd_sqrt(hop2.receive_err),
+        sqrt_recv1_hat=sqrt_recv1_hat, sqrt_recv1_err=sqrt_recv1_err,
+        sqrt_recv2_hat=sqrt_recv2_hat, sqrt_recv2_err=sqrt_recv2_err,
         sqrt_tx2_hat=psd_sqrt(hop2.transmit_hat),
         sqrt_tx2_err=psd_sqrt(hop2.transmit_err),
         kappa=kappa, chi=chi)
@@ -101,12 +101,12 @@ def run_trial(prep, rng, sample_quantization_noise=False):
     n = prep.sqrt_recv1_hat.shape[0]
     m = prep.sqrt_recv2_hat.shape[0]
     # draw order is fixed: estimate then error, first hop then second
-    f_hat = (prep.sqrt_recv1_hat @ complex_normal(rng, (n, k))) * np.sqrt(gains_hat)
-    f_err = (prep.sqrt_recv1_err @ complex_normal(rng, (n, k))) * np.sqrt(gains_err)
+    f_hat = left_multiply(prep.sqrt_recv1_hat, complex_normal(rng, (n, k))) * np.sqrt(gains_hat)
+    f_err = left_multiply(prep.sqrt_recv1_err, complex_normal(rng, (n, k))) * np.sqrt(gains_err)
     g_hat = np.sqrt(prep.hop2.relay_gain) * (
-        prep.sqrt_recv2_hat @ complex_normal(rng, (m, k)) @ prep.sqrt_tx2_hat)
+        left_multiply(prep.sqrt_recv2_hat, complex_normal(rng, (m, k))) @ prep.sqrt_tx2_hat)
     g_err = np.sqrt(prep.hop2.relay_gain) * (
-        prep.sqrt_recv2_err @ complex_normal(rng, (m, k)) @ prep.sqrt_tx2_err)
+        left_multiply(prep.sqrt_recv2_err, complex_normal(rng, (m, k))) @ prep.sqrt_tx2_err)
     f_full = f_hat + f_err
     g_full = g_hat + g_err
 
@@ -253,8 +253,8 @@ def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
     signal = quant = noise = 0.0
     for t in range(trials):
         rng = substream(seed, "amplification", t)
-        f_hat = (prep.sqrt_recv1_hat @ complex_normal(rng, (n, k))) * np.sqrt(gains_hat)
-        f_err = (prep.sqrt_recv1_err @ complex_normal(rng, (n, k))) * np.sqrt(gains_err)
+        f_hat = left_multiply(prep.sqrt_recv1_hat, complex_normal(rng, (n, k))) * np.sqrt(gains_hat)
+        f_err = left_multiply(prep.sqrt_recv1_err, complex_normal(rng, (n, k))) * np.sqrt(gains_err)
         f_full = f_hat + f_err
         cross = f_hat.conj().T @ f_full
         signal += float(np.vdot(cross, cross).real)

@@ -238,3 +238,48 @@ def test_asymptotic_sum_rate_propagates_infinity():
     scn = cfg.ScenarioConfig(N=128, K=4, betas=(1.0,) * 4, eta=1.0,
                              a=0.5, b=0.5)
     assert np.isinf(analysis.asymptotic_sum_rate(scn))
+
+
+# ---------------------------------------------------------------------------
+# edges of the input space
+
+def test_rate_converges_to_perfect_csi_as_pilot_power_grows():
+    base = cfg.table_defaults().with_updates(q1=IDEAL, q2=IDEAL)
+    perfect = analysis.sum_rate_perfect_csi(base).sum_rate
+    rates = {}
+    for exponent in range(2, 21, 2):
+        power = 10.0 ** exponent
+        rates[exponent] = analysis.sum_rate_approx(
+            base.with_updates(P1=power, P2=power)).sum_rate
+    assert all(rates[e] < rates[e + 2] for e in range(2, 10, 2))
+    assert abs(rates[20] - perfect) / perfect <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one spectral split per array
+
+def _count_eigh(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(mat, *args, **kwargs):
+        calls.append((np.asarray(mat).shape[0], np.iscomplexobj(mat)))
+        return original(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_closed_form_decomposes_each_receive_array_once(monkeypatch):
+    scn = cfg.table_defaults().with_updates(N=64)
+    calls = _count_eigh(monkeypatch)
+    analysis.sum_rate_approx(scn)
+    assert sorted(calls) == [(scn.N, False), (scn.M, False)]
+
+
+def test_prepare_reuses_the_models_eigendata(monkeypatch):
+    scn = cfg.table_defaults().with_updates(N=64)
+    models = cfg.scenario_models(scn)
+    calls = _count_eigh(monkeypatch)
+    link.prepare(scn, models=models)
+    assert all(size <= scn.K for size, _ in calls)

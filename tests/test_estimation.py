@@ -29,12 +29,13 @@ def test_pilot_config_checks_orthonormality():
                         phi=np.ones((4, 2)), theta=est.orthonormal_pilots(4, 2))
 
 
-def test_observation_covariance_identity_case():
+def test_lmmse_filter_identity_case():
     # T = I, single user with unit gain, tau = P = sigma^2 = 1, ideal ADC:
-    # a = 1 and c = 1, so the covariance is exactly 2 I
-    cov = est.observation_covariance_first_hop(
-        np.eye(3), [1.0], IDEAL_ADC, 1, 1.0, 1.0)
-    np.testing.assert_allclose(cov, 2.0 * np.eye(3), atol=1e-14)
+    # a = 1 and c = 1 on either hop, so the observation covariance is 2 I
+    # and the filter T (a T + c I)^-1 is exactly I / 2
+    for lmmse in (est.lmmse_filter_first_hop(np.eye(3), [1.0], IDEAL_ADC, 1, 1.0, 1.0),
+                  est.lmmse_filter_second_hop(np.eye(3), 1.0, IDEAL_ADC, 1, 1.0, 1.0, 1)):
+        np.testing.assert_allclose(lmmse, 0.5 * np.eye(3), atol=1e-14)
 
 
 def test_closed_form_mse_identity_case():
