@@ -14,7 +14,6 @@ import numpy as np
 
 from . import config as cfg
 from .channel import complex_normal
-from .correlation import exp_frobenius_sq, select_transmit_correlation
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +85,8 @@ def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng, chunk=20000):
     p_mat = np.asarray(p_mat, dtype=np.complex128)
     q_mat = np.asarray(q_mat, dtype=np.complex128)
     m = p_mat.shape[0]
-    inner_dim, n_cols = p_mat.shape[1], q_mat.shape[1]
-    del n_cols
+    inner_dim = p_mat.shape[1]
     s_inner = 0.0 + 0.0j
-    s_inner_sq = 0.0
     s_abs2 = 0.0
     s_abs2_sq = 0.0
     s_row = np.zeros(m, dtype=np.complex128)
@@ -105,7 +102,6 @@ def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng, chunk=20000):
         yj = y[:, :, j]
         inner = np.sum(np.conj(yi) * yj, axis=1)
         s_inner += inner.sum()
-        s_inner_sq += float(np.sum(np.abs(inner) ** 2))
         abs2 = np.abs(inner) ** 2
         s_abs2 += float(abs2.sum())
         s_abs2_sq += float(np.sum(abs2 ** 2))
@@ -128,7 +124,7 @@ def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng, chunk=20000):
         var = np.maximum(total_sq / n - mean ** 2, 0.0)
         return mean, np.sqrt(var / n)
 
-    inner_mean, inner_se = _se_complex(s_inner, s_inner_sq)
+    inner_mean, inner_se = _se_complex(s_inner, s_abs2)
     abs2_mean, abs2_se = _se_real(s_abs2, s_abs2_sq)
     row_mean = s_row / n
     row_var = np.maximum(s_row_sq / n - np.abs(row_mean) ** 2, 0.0)
@@ -363,7 +359,9 @@ def sum_rate_approx(scenario, models=None):
     """Closed-form ergodic sum-rate approximation for a scenario.
 
     Uses the scenario's CSI mode: LMMSE equivalent-form models by default,
-    genie models when scenario.csi == "perfect".
+    genie models when scenario.csi == "perfect". Genie models carry their
+    receive scalars in closed form, so perfect CSI stays cheap at antenna
+    counts in the thousands.
     """
     if scenario.K == 0:
         return _empty_report(scenario.mu, "closed-form")
@@ -376,62 +374,6 @@ def sum_rate_approx(scenario, models=None):
     terms, chi = rate_terms(hop1, hop2, scenario.adc1, scenario.adc2,
                             scenario.P_U, scenario.P_R, scenario.sigma_R2,
                             scenario.sigma_B2, kappa)
-    return report_from_terms(terms, scenario.mu, kappa, chi, "closed-form")
-
-
-def perfect_csi_terms(scenario):
-    """Genie-CSI per-user powers, evaluated without forming large matrices.
-
-    The receive-side quantities reduce to antenna counts and closed-form
-    Frobenius norms of the exponential model, so this stays cheap for
-    antenna counts in the thousands.
-    """
-    n = scenario.N
-    m = scenario.M
-    k = scenario.K
-    gains = scenario.user_gains()
-    eta = scenario.relay_gain()
-    a1 = scenario.adc1.alpha
-    a2 = scenario.adc2.alpha
-    p_u, p_r = scenario.P_U, scenario.P_R
-    fro_r = exp_frobenius_sq(scenario.r_R, n)
-    fro_b = exp_frobenius_sq(scenario.r_B, m)
-    tx = select_transmit_correlation(scenario.r_R, n, k)
-    tki2 = np.abs(tx) ** 2
-    sum_b = float(gains.sum())
-    # amplification: genie model means no estimation-error terms
-    signal_tr = float(np.sum(gains * (gains * n ** 2 + fro_r * sum_b)))
-    quant_tr = float(n * np.sum(gains * (gains + sum_b)))
-    noise_tr = float(n * sum_b)
-    denom = (a1 ** 2 * p_u * signal_tr
-             + a1 * (1.0 - a1) * p_u * quant_tr
-             + a1 * scenario.sigma_R2 * noise_tr)
-    kappa = float(np.sqrt(p_r / denom))
-    chi = a1 ** 2 * a2 ** 2 * kappa ** 2 * p_u
-    bracket = tki2 * m ** 2 + fro_b            # (k, i)
-    bracket_b = bracket @ gains
-    signal = chi * eta ** 2 * (gains ** 2 * (m ** 2 + fro_b) * n ** 2
-                               + gains * fro_r * bracket_b)
-    cross = (bracket * (gains ** 2)[None, :] * n ** 2
-             + np.outer(bracket_b, gains) * fro_r)
-    interference = chi * eta ** 2 * (cross.sum(axis=1) - np.diag(cross))
-    noise_relay = (a1 * (1.0 - a1) * a2 ** 2 * kappa ** 2 * p_u * eta ** 2 * n
-                   * (bracket @ (gains * (gains + sum_b)))
-                   + a1 * a2 ** 2 * kappa ** 2 * eta ** 2 * scenario.sigma_R2
-                   * n * bracket_b)
-    noise_bs = (a2 * (1.0 - a2) * p_r * eta ** 2
-                * (1.0 + tki2.sum(axis=1) / k) * m
-                + a2 * eta * scenario.sigma_B2 * m)
-    terms = RateTerms(signal=signal, interference=interference,
-                      noise_relay=noise_relay, noise_bs=noise_bs)
-    return terms, kappa, chi
-
-
-def sum_rate_perfect_csi(scenario):
-    """Closed-form sum rate under genie CSI."""
-    if scenario.K == 0:
-        return _empty_report(scenario.mu, "closed-form")
-    terms, kappa, chi = perfect_csi_terms(scenario)
     return report_from_terms(terms, scenario.mu, kappa, chi, "closed-form")
 
 

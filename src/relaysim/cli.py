@@ -19,7 +19,7 @@ from . import estimation, link, validate
 from .analysis import asymptotic_sum_rate, power_scaling_limit, sum_rate_approx
 from .channel import substream
 from .errors import ConfigError, NumericalError
-from .quantizer import IDEAL, AdcSpec
+from .quantizer import IDEAL, AdcSpec, bits_label
 
 
 def _format_value(value):
@@ -32,10 +32,6 @@ def _format_value(value):
     if value is None:
         return "ideal"
     return repr(float(value))
-
-
-def _bits_label(bits):
-    return "ideal" if bits is None else str(bits)
 
 
 def _parse_bits(token: str):
@@ -123,7 +119,7 @@ def cmd_mse_sweep(args) -> int:
             for power_db in powers_db:
                 power = 10.0 ** (power_db / 10.0)
                 rng = substream(scn.seed, "mse-sweep", hop,
-                                _bits_label(bits), f"{power_db:g}")
+                                bits_label(bits), f"{power_db:g}")
                 if hop == "first":
                     closed = estimation.mse_first_hop_closed_form(
                         recv1, gains, adc, scn.tau1, power, scn.sigma_R2)
@@ -138,7 +134,7 @@ def cmd_mse_sweep(args) -> int:
                     sim, stderr = estimation.pilot_mse_second_hop(
                         recv2, tx2, eta, adc, scn.tau2, power, scn.sigma_B2,
                         trials, rng)
-                rows.append((hop, power_db, _bits_label(bits), sim, stderr, closed))
+                rows.append((hop, power_db, bits_label(bits), sim, stderr, closed))
     header = ("hop", "axis_value", "q", "mse_sim", "mse_sim_stderr", "mse_closed")
     _emit(args, header, rows, scn, scn.seed, trials)
     return 0
@@ -165,7 +161,7 @@ def cmd_rate_vs_n(args) -> int:
             point = scn.with_updates(N=n, q1=bits, q2=bits)
             closed, mc, ci = _rate_pair(point, args, args.workers)
             gap = abs(mc - closed) / closed if closed == closed else float("nan")
-            rows.append((n, _bits_label(bits), _bits_label(bits),
+            rows.append((n, bits_label(bits), bits_label(bits),
                          mc, ci, closed, gap))
     header = ("N", "q1", "q2", "rate_mc", "rate_mc_ci", "rate_closed", "rel_gap")
     _emit(args, header, rows, scn, scn.seed, scn.trials)
@@ -221,7 +217,7 @@ def cmd_adc_impact(args) -> int:
             for n in n_values:
                 point = scn.with_updates(N=n, delta=delta, q1=q1, q2=q2)
                 closed, mc, ci = _rate_pair(point, args, args.workers)
-                rows.append((n, delta, _bits_label(q1), _bits_label(q2),
+                rows.append((n, delta, bits_label(q1), bits_label(q2),
                              closed, mc, ci))
     header = ("N", "delta", "q1", "q2", "rate_closed", "rate_mc", "rate_mc_ci")
     _emit(args, header, rows, scn, scn.seed, scn.trials)

@@ -7,9 +7,8 @@ three correlation matrices and the per-hop estimate models (LMMSE equivalent
 form, or genie CSI) that the analysis and Monte Carlo engines consume.
 """
 
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, replace, asdict
 import json
-import math
 
 import numpy as np
 
@@ -160,21 +159,23 @@ def scenario_matrices(scn):
     return t_rr, t_br, t_rt
 
 
-def scenario_models(scn, matrices=None):
-    """Per-hop EstimateModel pair for the scenario's CSI mode."""
-    if matrices is None:
-        matrices = scenario_matrices(scn)
-    t_rr, t_br, t_rt = matrices
+def scenario_models(scn):
+    """Per-hop EstimateModel pair for the scenario's CSI mode.
+
+    Genie models need only the K x K transmit correlation; no receive-size
+    matrix is built for them.
+    """
     gains = scn.user_gains()
     eta = scn.relay_gain()
     if scn.csi == "perfect":
-        hop1 = estimation.perfect_model_first_hop(t_rr, gains)
-        hop2 = estimation.perfect_model_second_hop(t_br, t_rt, eta)
-    else:
-        hop1 = estimation.equivalent_form_first_hop(
-            t_rr, gains, scn.adc1, scn.tau1, scn.P1, scn.sigma_R2)
-        hop2 = estimation.equivalent_form_second_hop(
-            t_br, t_rt, eta, scn.adc2, scn.tau2, scn.P2, scn.sigma_B2)
+        t_rt = select_transmit_correlation(scn.r_R, scn.N, max(scn.K, 1))
+        return (estimation.perfect_model_first_hop(scn.r_R, scn.N, gains),
+                estimation.perfect_model_second_hop(scn.r_B, scn.M, t_rt, eta))
+    t_rr, t_br, t_rt = scenario_matrices(scn)
+    hop1 = estimation.equivalent_form_first_hop(
+        t_rr, gains, scn.adc1, scn.tau1, scn.P1, scn.sigma_R2)
+    hop2 = estimation.equivalent_form_second_hop(
+        t_br, t_rt, eta, scn.adc2, scn.tau2, scn.P2, scn.sigma_B2)
     return hop1, hop2
 
 
@@ -270,9 +271,3 @@ def load_scenario_file(path, base=None):
 def table_defaults():
     """The measurement-campaign default scenario."""
     return ScenarioConfig()
-
-
-def _require_finite(value, what):
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} is not finite")
-    return value

@@ -7,8 +7,6 @@ of N antennas, equally spaced, which raises the effective neighbour
 coefficient to r**(N / K).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotPSDError
@@ -73,34 +71,6 @@ def select_transmit_correlation(r, n_total, n_selected):
     return exponential_correlation(r_eff, n_selected)
 
 
-@dataclass(frozen=True)
-class AntennaSelection:
-    """Equally spaced subset of a uniform array (relay transmit side)."""
-
-    total: int
-    selected: int
-    indices: tuple
-
-    @classmethod
-    def equally_spaced(cls, total, selected):
-        total = int(total)
-        selected = int(selected)
-        if not 1 <= selected <= total:
-            raise ValueError(
-                f"cannot select {selected} antennas out of {total}")
-        stride = total // selected
-        indices = tuple(int(i) for i in np.arange(selected) * stride)
-        return cls(total=total, selected=selected, indices=indices)
-
-    def __post_init__(self):
-        if len(self.indices) != self.selected:
-            raise ValueError("index count does not match selected count")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("selected indices must be distinct")
-        if any(i < 0 or i >= self.total for i in self.indices):
-            raise ValueError("selected indices out of range")
-
-
 def psd_sqrt(mat):
     """Hermitian PSD square root via eigendecomposition.
 
@@ -116,27 +86,6 @@ def psd_sqrt(mat):
             f"matrix is not PSD: min eigenvalue {w[0]:.3e} vs max {lam_max:.3e}")
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T
-
-
-def eigenvalues_desc(mat):
-    """Real eigenvalues of a Hermitian matrix, descending."""
-    return np.linalg.eigvalsh(np.asarray(mat))[::-1]
-
-
-def trace(mat):
-    return float(np.trace(np.asarray(mat)).real)
-
-
-def frobenius_sq(mat):
-    mat = np.asarray(mat)
-    return float(np.vdot(mat, mat).real)
-
-
-def spectral_norm(mat):
-    w = np.linalg.eigvalsh(np.asarray(mat))
-    if w.size == 0:
-        return 0.0
-    return float(np.max(np.abs(w)))
 
 
 def exp_frobenius_sq(r, n):

@@ -16,43 +16,13 @@ from functools import cached_property
 import numpy as np
 
 from .channel import complex_normal, draw_first_hop, draw_second_hop, left_multiply
-from .correlation import psd_sqrt
+from .correlation import exp_frobenius_sq, exponential_correlation, psd_sqrt
 from .errors import DegenerateEstimateError, IllConditionedError
 from .quantizer import aqnm_quantize
 
 # refuse to build LMMSE filters from observation covariances with a worse
 # spectral condition number than this
 MAX_CONDITION = 1e14
-
-
-@dataclass(frozen=True)
-class PilotConfig:
-    """Pilot lengths, powers, and the orthonormal pilot matrices."""
-
-    tau1: int
-    tau2: int
-    power1: float
-    power2: float
-    phi: np.ndarray       # tau1 x K, phi^H phi = I
-    theta: np.ndarray     # tau2 x K, theta^H theta = I
-
-    @classmethod
-    def build(cls, tau1, tau2, power1, power2, n_users):
-        return cls(tau1=int(tau1), tau2=int(tau2),
-                   power1=float(power1), power2=float(power2),
-                   phi=orthonormal_pilots(tau1, n_users),
-                   theta=orthonormal_pilots(tau2, n_users))
-
-    def __post_init__(self):
-        for name, mat, tau in (("phi", self.phi, self.tau1),
-                               ("theta", self.theta, self.tau2)):
-            if mat.shape[0] != tau:
-                raise ValueError(f"{name} must have {tau} rows, got {mat.shape[0]}")
-            gram = mat.conj().T @ mat
-            if not np.allclose(gram, np.eye(mat.shape[1]), atol=1e-12):
-                raise ValueError(f"{name} columns are not orthonormal")
-        if self.power1 <= 0.0 or self.power2 <= 0.0:
-            raise ValueError("pilot powers must be positive")
 
 
 def orthonormal_pilots(tau, n_users):
@@ -67,17 +37,29 @@ def orthonormal_pilots(tau, n_users):
 
 
 class _HopScalars:
-    """Traces, norms, and diagonals of one model's receive split, read off
-    its eigendata, plus its transmit side: every scalar the closed forms
-    consume."""
+    """Traces, norms, and diagonals of one model's receive split, plus its
+    transmit side: every scalar the closed forms consume.
+
+    LMMSE models read them off their eigendata. Genie models take them in
+    closed form from the exponential model (unit diagonal, trace n,
+    Frobenius norm exp_frobenius_sq, no error), so no receive-size matrix
+    is built.
+    """
 
     def __init__(self, model):
-        f, g = model.spectrum_hat, model.spectrum_err
-        self.tr_hat = float(f.sum())
-        self.fro_hat = float(f @ f)
-        self.cross = float(f @ g)         # tr(receive_hat @ receive_err)
-        self.diag_hat, self.diag_err = (np.abs(model.basis) ** 2
-                                        @ np.stack((f, g), axis=1)).T
+        if model.genie is None:
+            _, u, f, g = model.split
+            self.tr_hat = float(f.sum())
+            self.fro_hat = float(f @ f)
+            self.cross = float(f @ g)         # tr(receive_hat @ receive_err)
+            self.diag_hat, self.diag_err = (np.abs(u) ** 2
+                                            @ np.stack((f, g), axis=1)).T
+        else:
+            r, n = model.genie
+            self.tr_hat = float(n)
+            self.fro_hat = exp_frobenius_sq(r, n)
+            self.cross = 0.0
+            self.diag_hat, self.diag_err = np.ones(n), 0.0
         self.tx_hat = model.transmit_hat
         self.tx_hat_diag = np.diag(model.transmit_hat).real.copy()
         self.tx_err_diag = np.diag(model.transmit_err).real.copy()
@@ -91,11 +73,12 @@ class EstimateModel:
 
     The true receive correlation R = U diag(lam) U^H splits in its own
     eigenbasis: the estimate keeps receive_hat = U diag(f) U^H and the error
-    receive_err = U diag(g) U^H, with f + g = lam (f = lam and g = 0 under
-    genie CSI). The model stores R, U (basis), f (spectrum_hat) and g
-    (spectrum_err); receive_hat and receive_err are rebuilt on demand, and
-    `scalars` reads every trace, norm and diagonal the closed forms need
-    from the eigendata without an n x n product.
+    receive_err = U diag(g) U^H, with f + g = lam. An LMMSE model stores
+    split = (R, U, f, g). A genie-CSI model (estimate = truth, f = lam,
+    g = 0) stores only genie = (r, n) with R = exponential_correlation(r, n)
+    and builds its eigendata on first use. receive_hat and receive_err are
+    rebuilt on demand, and `scalars` holds every trace, norm and diagonal
+    the closed forms need, computed without an n x n product.
 
     The estimate is receive_hat^(1/2) @ H1 @ sqrt(transmit_hat) and the
     error receive_err^(1/2) @ H2 @ sqrt(transmit_err) with H1, H2 iid
@@ -104,21 +87,32 @@ class EstimateModel:
     (diagonal for the first hop, where they hold the per-user gains).
     """
 
-    receive_corr: np.ndarray
-    basis: np.ndarray
-    spectrum_hat: np.ndarray
-    spectrum_err: np.ndarray
     transmit_hat: np.ndarray
     transmit_err: np.ndarray
     relay_gain: float = 1.0
+    split: tuple = None
+    genie: tuple = None
+
+    @property
+    def eigendata(self):
+        """(R, U, f, g) of the receive split; a genie model builds it on first use."""
+        return self._genie_eigendata if self.split is None else self.split
+
+    @cached_property
+    def _genie_eigendata(self):
+        recv = exponential_correlation(*self.genie)
+        lam, u = np.linalg.eigh(recv)
+        lam = np.clip(lam, 0.0, None)
+        return recv, u, lam, np.zeros_like(lam)
 
     @property
     def receive_err(self):
-        return (self.basis * self.spectrum_err) @ self.basis.conj().T
+        _, u, _, g = self.eigendata
+        return (u * g) @ u.conj().T
 
     @property
     def receive_hat(self):
-        return self.receive_corr - self.receive_err
+        return self.eigendata[0] - self.receive_err
 
     @property
     def gains_hat(self):
@@ -134,9 +128,8 @@ class EstimateModel:
 
     def receive_sqrt(self):
         """(receive_hat^(1/2), receive_err^(1/2)) from the eigendata."""
-        u = self.basis
-        return tuple((u * np.sqrt(s)) @ u.conj().T
-                     for s in (self.spectrum_hat, self.spectrum_err))
+        _, u, f, g = self.eigendata
+        return tuple((u * np.sqrt(s)) @ u.conj().T for s in (f, g))
 
     def validate(self, receive_corr, transmit_truth, rtol=1e-8):
         """Check the construction identities against the true statistics.
@@ -147,9 +140,9 @@ class EstimateModel:
         hat_gain * tr(receive_hat) + err_gain * tr(receive_err) equals
         n * true_gain entrywise (times relay_gain on the second hop).
         """
-        n = self.basis.shape[0]
-        u = self.basis
-        total = (u * (self.spectrum_hat + self.spectrum_err)) @ u.conj().T
+        _, u, f, g = self.eigendata
+        n = u.shape[0]
+        total = (u * (f + g)) @ u.conj().T
         if not np.allclose(total, receive_corr, atol=1e-10 * max(1.0, abs(np.trace(receive_corr)))):
             raise AssertionError("receive-side split does not sum to the true correlation")
         for mat in (self.receive_hat, self.receive_err, self.transmit_hat, self.transmit_err):
@@ -321,9 +314,9 @@ def equivalent_form_first_hop(recv_corr, gains, adc, tau, power, noise_var):
     shared = (total_gain / k) * sum_gh
     gains_hat = (gains * sum_fh + shared) / sum_f
     gains_err = (gains * (sum_g + sum_gh) - shared) / sum_g
-    return EstimateModel(receive_corr=recv_corr, basis=u, spectrum_hat=f,
-                         spectrum_err=g, transmit_hat=np.diag(gains_hat),
-                         transmit_err=np.diag(gains_err), relay_gain=1.0)
+    return EstimateModel(transmit_hat=np.diag(gains_hat),
+                         transmit_err=np.diag(gains_err), relay_gain=1.0,
+                         split=(recv_corr, u, f, g))
 
 
 def equivalent_form_second_hop(recv_corr, tx_corr, relay_gain, adc, tau, power,
@@ -350,28 +343,25 @@ def equivalent_form_second_hop(recv_corr, tx_corr, relay_gain, adc, tau, power,
             "error-side transmit matrix is indefinite (min eigenvalue "
             f"{w[0]:.3e}); the separable error model needs weaker transmit "
             "correlation or more receive antennas per user")
-    return EstimateModel(receive_corr=recv_corr, basis=u, spectrum_hat=f,
-                         spectrum_err=g, transmit_hat=tx_hat,
-                         transmit_err=tx_err, relay_gain=float(relay_gain))
+    return EstimateModel(transmit_hat=tx_hat, transmit_err=tx_err,
+                         relay_gain=float(relay_gain), split=(recv_corr, u, f, g))
 
 
-def _perfect_model(recv_corr, transmit, relay_gain):
-    """Genie CSI: the estimate is the truth and the error is zero."""
-    lam, u = np.linalg.eigh(recv_corr)
-    lam = np.clip(lam, 0.0, None)
+def _perfect_model(r, n, transmit, relay_gain):
+    """Genie CSI on exponential_correlation(r, n): the estimate is the truth
+    and the error is zero."""
     k = transmit.shape[0]
-    return EstimateModel(receive_corr=recv_corr, basis=u, spectrum_hat=lam,
-                         spectrum_err=np.zeros_like(lam), transmit_hat=transmit,
-                         transmit_err=np.zeros((k, k)), relay_gain=float(relay_gain))
+    return EstimateModel(transmit_hat=transmit, transmit_err=np.zeros((k, k)),
+                         relay_gain=float(relay_gain), genie=(r, int(n)))
 
 
-def perfect_model_first_hop(recv_corr, gains):
-    """EstimateModel for genie CSI: estimate equals truth, error is zero."""
-    return _perfect_model(recv_corr, np.diag(np.asarray(gains, dtype=np.float64)), 1.0)
+def perfect_model_first_hop(r, n, gains):
+    """EstimateModel for genie CSI on n receive antennas with coefficient r."""
+    return _perfect_model(r, n, np.diag(np.asarray(gains, dtype=np.float64)), 1.0)
 
 
-def perfect_model_second_hop(recv_corr, tx_corr, relay_gain):
-    return _perfect_model(recv_corr, tx_corr, relay_gain)
+def perfect_model_second_hop(r, n, tx_corr, relay_gain):
+    return _perfect_model(r, n, tx_corr, relay_gain)
 
 
 def pilot_mse_first_hop(recv_corr, gains, adc, tau, power, noise_var, trials, rng):

@@ -35,14 +35,6 @@ class PreparedScenario:
     kappa: float
     chi: float
 
-    @property
-    def gains_hat(self):
-        return self.hop1.gains_hat
-
-    @property
-    def gains_err(self):
-        return self.hop1.gains_err
-
 
 def prepare(scenario, models=None):
     """Factor the scenario's estimate models for fast repeated sampling."""
@@ -96,8 +88,8 @@ def run_trial(prep, rng, sample_quantization_noise=False):
     """One Monte Carlo draw of all per-user SINR terms."""
     scn = prep.scenario
     k = scn.K
-    gains_hat = prep.gains_hat
-    gains_err = prep.gains_err
+    gains_hat = prep.hop1.gains_hat
+    gains_err = prep.hop1.gains_err
     n = prep.sqrt_recv1_hat.shape[0]
     m = prep.sqrt_recv2_hat.shape[0]
     # draw order is fixed: estimate then error, first hop then second
@@ -225,16 +217,6 @@ def ergodic_sum_rate_mc(scenario, trials=None, seed=None, workers=1,
         ci_halfwidth=ci, trials=trials)
 
 
-def amplification_factor_closed(scenario, models=None):
-    """Closed-form relay amplification factor for a scenario."""
-    if models is None:
-        hop1, _ = cfg.scenario_models(scenario)
-    else:
-        hop1, _ = models
-    return analysis.kappa_closed_form(hop1, scenario.adc1, scenario.P_U,
-                                      scenario.P_R, scenario.sigma_R2)
-
-
 def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
     """Monte Carlo estimate of the relay amplification factor.
 
@@ -247,8 +229,8 @@ def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
     scn = prep.scenario
     k = scn.K
     n = prep.sqrt_recv1_hat.shape[0]
-    gains_hat = prep.gains_hat
-    gains_err = prep.gains_err
+    gains_hat = prep.hop1.gains_hat
+    gains_err = prep.hop1.gains_err
     adc1 = scn.adc1
     signal = quant = noise = 0.0
     for t in range(trials):

@@ -17,6 +17,12 @@ from .errors import ConvergenceError
 # Ideal (infinite-resolution) ADC sentinel: distortion_factor(IDEAL) == 0.
 IDEAL = None
 
+
+def bits_label(bits):
+    """CSV and report label of a resolution: its bit count, or 'ideal'."""
+    return "ideal" if bits is IDEAL else str(bits)
+
+
 # Normalized MMSE distortion of the optimal scalar quantizer for a unit
 # variance Gaussian input, per resolution in bits. Beyond 5 bits the
 # asymptotic law (sqrt(3) pi / 2) * 2^(-2 q) takes over.

@@ -17,12 +17,9 @@ from . import config as cfg
 from . import estimation, link, quantizer
 from .channel import complex_normal, substream
 from .correlation import exponential_correlation
+from .quantizer import bits_label
 
 _TINY = 1e-300
-
-
-def _bits_label(bits):
-    return "ideal" if bits is None else str(bits)
 
 
 @dataclass(frozen=True)
@@ -156,14 +153,14 @@ def _check_mse(seed, table):
                 recv1, delta_gains, adc, tau, power, noise) / (n * k)
             dev = abs(sim - closed) / max(se, _TINY)
             if dev > worst:
-                worst, worst_tag = float(dev), f"hop1 q={_bits_label(bits)} P={power_db:g}dB"
+                worst, worst_tag = float(dev), f"hop1 q={bits_label(bits)} P={power_db:g}dB"
             sim, se = estimation.pilot_mse_second_hop(
                 recv2, tx2, eta, adc, tau, power, noise, 200, rng)
             closed = estimation.mse_second_hop_closed_form(
                 recv2, eta, adc, tau, power, noise, k) / (m * k)
             dev = abs(sim - closed) / max(se, _TINY)
             if dev > worst:
-                worst, worst_tag = float(dev), f"hop2 q={_bits_label(bits)} P={power_db:g}dB"
+                worst, worst_tag = float(dev), f"hop2 q={bits_label(bits)} P={power_db:g}dB"
     return worst, 3.0, f"worst at {worst_tag} (standard errors)"
 
 
@@ -173,7 +170,7 @@ def _check_energy_split(seed, table):
     for q1, q2 in ((1, 1), (3, 2), (quantizer.IDEAL, quantizer.IDEAL)):
         scn = cfg.ScenarioConfig(N=48, delta=1.5, K=6, q1=q1, q2=q2, seed=seed)
         t_rr, t_br, t_rt = cfg.scenario_matrices(scn)
-        hop1, hop2 = cfg.scenario_models(scn, matrices=(t_rr, t_br, t_rt))
+        hop1, hop2 = cfg.scenario_models(scn)
         hop1.validate(t_rr, np.diag(scn.user_gains()))
         hop2.validate(t_br, t_rt)
         total1 = (np.trace(hop1.receive_hat).real * np.trace(hop1.transmit_hat).real
@@ -184,7 +181,7 @@ def _check_energy_split(seed, table):
         dev2 = abs(total2 / (scn.M * scn.K) - 1.0)
         dev = max(dev1, dev2)
         if dev > worst:
-            worst, worst_tag = float(dev), f"q1={_bits_label(q1)} q2={_bits_label(q2)}"
+            worst, worst_tag = float(dev), f"q1={bits_label(q1)} q2={bits_label(q2)}"
     return worst, 1e-8, f"worst energy mismatch at {worst_tag} (relative)"
 
 

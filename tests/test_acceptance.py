@@ -151,15 +151,14 @@ def test_criterion_5_power_scaling_limits(acceptance_log):
                               E_U=1.0, E_R=10.0 ** 0.5, r_R=0.8, r_B=0.8)
     # matched scaling: the finite-system SINR approaches the joint limit
     matched = base.with_updates(N=1024, a=1.0, b=1.0)
-    terms, _, _ = analysis.perfect_csi_terms(matched)
-    sinr = float(terms.sinr()[0])
+    sinr = float(analysis.sum_rate_approx(matched).sinr()[0])
     limit = analysis.power_scaling_limit(
         matched.user_gains(), matched.relay_gain(), matched.adc1,
         matched.adc2, matched.sigma_R2, matched.sigma_B2, 1.0, 1.0,
         matched.E_U, matched.E_R, 0)
     dev = abs(sinr - limit.value) / limit.value
     # overdriven scaling: the rate must have collapsed by N = 1024
-    fast = {n: analysis.sum_rate_perfect_csi(
+    fast = {n: analysis.sum_rate_approx(
         base.with_updates(N=n, a=1.2, b=1.2)).sum_rate for n in (128, 1024)}
     ratio = fast[1024] / fast[128]
     elapsed = time.perf_counter() - start
@@ -219,9 +218,9 @@ def test_criterion_8_moment_growth_exponents(acceptance_log):
     interference_raw = []
     for n in n_values:
         scn = cfg.table_defaults().with_updates(N=int(n), csi="perfect")
-        terms, _, chi = analysis.perfect_csi_terms(scn)
-        signal_raw.append(terms.signal / chi)
-        interference_raw.append(terms.interference / chi)
+        report = analysis.sum_rate_approx(scn)
+        signal_raw.append(report.signal / report.chi)
+        interference_raw.append(report.interference / report.chi)
     log_n = np.log(n_values)
     s_slopes = np.array([np.polyfit(log_n, np.log([row[k] for row in signal_raw]), 1)[0]
                          for k in range(10)])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relaysim import analysis, config as cfg, link
+from relaysim import analysis, config as cfg, correlation as corr, estimation as est, link
 from relaysim.channel import substream
 from relaysim.quantizer import IDEAL, AdcSpec
 
@@ -92,40 +92,64 @@ def test_cross_moment_diagonal_decomposes():
 
 def test_amplification_closed_form_matches_sampling():
     scn = _MOMENT_SCENARIO
-    closed = link.amplification_factor_closed(scn)
+    closed = link.prepare(scn).kappa
     sampled = link.amplification_factor_mc(scn, trials=1500, seed=3)
     assert abs(sampled - closed) / closed < 0.02
 
 
 # ---------------------------------------------------------------------------
-# genie-CSI fast path
+# genie CSI: closed-form receive scalars, eigendata only on demand
 
-def test_perfect_csi_terms_collapse():
-    scn = cfg.ScenarioConfig(N=48, delta=1.5, K=5, q1=2, q2=1,
-                             betas=(1.0, 0.8, 1.2, 0.6, 1.1), eta=0.9,
-                             r_R=0.6, r_B=0.5, csi="perfect")
-    hop1, hop2 = cfg.scenario_models(scn)
-    kappa = analysis.kappa_closed_form(hop1, scn.adc1, scn.P_U, scn.P_R,
-                                       scn.sigma_R2)
-    terms, chi = analysis.rate_terms(hop1, hop2, scn.adc1, scn.adc2, scn.P_U,
-                                     scn.P_R, scn.sigma_R2, scn.sigma_B2, kappa)
-    fast_terms, fast_kappa, fast_chi = analysis.perfect_csi_terms(scn)
-    assert fast_kappa == pytest.approx(kappa, rel=1e-12)
-    assert fast_chi == pytest.approx(chi, rel=1e-12)
-    np.testing.assert_allclose(fast_terms.signal, terms.signal, rtol=1e-9)
-    np.testing.assert_allclose(fast_terms.interference, terms.interference,
-                               rtol=1e-9)
-    np.testing.assert_allclose(fast_terms.noise_relay, terms.noise_relay,
-                               rtol=1e-9)
-    np.testing.assert_allclose(fast_terms.noise_bs, terms.noise_bs, rtol=1e-9)
+_GENIE_SCENARIO = cfg.ScenarioConfig(N=48, delta=1.5, K=5, q1=2, q2=1,
+                                     betas=(1.0, 0.8, 1.2, 0.6, 1.1), eta=0.9,
+                                     r_R=0.6, r_B=0.5, csi="perfect", trials=400,
+                                     seed=13)
 
 
-def test_sum_rate_approx_uses_genie_models_in_perfect_mode():
-    scn = cfg.ScenarioConfig(N=64, K=6, betas=(1.0,) * 6, eta=1.0,
-                             csi="perfect")
-    via_models = analysis.sum_rate_approx(scn)
-    via_fast = analysis.sum_rate_perfect_csi(scn)
-    assert via_fast.sum_rate == pytest.approx(via_models.sum_rate, rel=1e-9)
+def test_genie_scalars_match_their_eigendata():
+    for scn in (_GENIE_SCENARIO,
+                _GENIE_SCENARIO.with_updates(r_R=0.5 + 0.3j, r_B=0.0)):
+        for model in cfg.scenario_models(scn):
+            scalars = model.scalars
+            _, u, lam, err = model.eigendata
+            assert not np.any(err)
+            assert scalars.tr_hat == pytest.approx(lam.sum(), rel=1e-12)
+            assert scalars.fro_hat == pytest.approx(lam @ lam, rel=1e-12)
+            assert scalars.cross == 0.0
+            np.testing.assert_allclose(scalars.diag_hat, np.abs(u) ** 2 @ lam,
+                                       rtol=1e-12)
+            assert np.all(scalars.diag_err == 0.0)
+
+
+def test_sum_rate_approx_uses_genie_models_in_perfect_mode(monkeypatch):
+    # genie models need only the K x K transmit correlation: no eigh and no
+    # receive-size correlation matrix, whatever the antenna counts
+    scn = cfg.table_defaults().with_updates(N=4096, csi="perfect")
+    calls = _count_eigh(monkeypatch)
+    sizes = []
+    original = corr.exponential_correlation
+
+    def counting(r, n):
+        sizes.append(n)
+        return original(r, n)
+
+    for module in (corr, cfg, est):
+        monkeypatch.setattr(module, "exponential_correlation", counting)
+    report = analysis.sum_rate_approx(scn)
+    assert calls == []
+    assert sizes and max(sizes) <= scn.K
+    assert np.isfinite(report.sum_rate) and report.sum_rate > 0.0
+
+
+def test_perfect_csi_closed_form_matches_simulation():
+    scn = _GENIE_SCENARIO
+    closed = analysis.sum_rate_approx(scn)
+    stacks = link.trial_outcomes(link.prepare(scn), scn.trials, scn.seed)
+    for name in ("signal", "interference", "noise_relay", "noise_bs"):
+        stack = stacks[name]
+        se = stack.std(axis=0, ddof=1) / np.sqrt(scn.trials)
+        dev = np.abs(stack.mean(axis=0) - getattr(closed, name)) / se
+        assert dev.max() < 5.0, f"{name}: worst deviation {dev.max():.2f} se"
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +252,7 @@ def test_joint_scaling_limit_is_approached():
     scn = cfg.ScenarioConfig(N=4096, K=10, q1=2, q2=2, csi="perfect",
                              betas=(1.0,) * 10, eta=1.0, E_U=1.0,
                              E_R=10.0 ** 0.5, a=1.0, b=1.0)
-    finite = analysis.sum_rate_perfect_csi(scn).sum_rate
+    finite = analysis.sum_rate_approx(scn).sum_rate
     limit = analysis.asymptotic_sum_rate(scn)
     assert np.isfinite(limit) and limit > 0.0
     assert _rel(finite, limit) < 0.02
@@ -245,7 +269,7 @@ def test_asymptotic_sum_rate_propagates_infinity():
 
 def test_rate_converges_to_perfect_csi_as_pilot_power_grows():
     base = cfg.table_defaults().with_updates(q1=IDEAL, q2=IDEAL)
-    perfect = analysis.sum_rate_perfect_csi(base).sum_rate
+    perfect = analysis.sum_rate_approx(base.with_updates(csi="perfect")).sum_rate
     rates = {}
     for exponent in range(2, 21, 2):
         power = 10.0 ** exponent

@@ -20,15 +20,6 @@ def test_pilots_are_orthonormal():
         np.testing.assert_allclose(phi.conj().T @ phi, np.eye(k), atol=1e-12)
 
 
-def test_pilot_config_checks_orthonormality():
-    pc = est.PilotConfig.build(tau1=10, tau2=12, power1=5.0, power2=7.0, n_users=4)
-    assert pc.phi.shape == (10, 4)
-    assert pc.theta.shape == (12, 4)
-    with pytest.raises(ValueError):
-        est.PilotConfig(tau1=4, tau2=4, power1=1.0, power2=1.0,
-                        phi=np.ones((4, 2)), theta=est.orthonormal_pilots(4, 2))
-
-
 def test_lmmse_filter_identity_case():
     # T = I, single user with unit gain, tau = P = sigma^2 = 1, ideal ADC:
     # a = 1 and c = 1 on either hop, so the observation covariance is 2 I
@@ -123,7 +114,7 @@ def test_equivalent_form_approaches_perfect_with_clean_pilots():
     recv = exponential_correlation(0.5, 24)
     gains = np.array([1.0, 0.8])
     model = est.equivalent_form_first_hop(recv, gains, IDEAL_ADC, 8, 1e9, 1.0)
-    perfect = est.perfect_model_first_hop(recv, gains)
+    perfect = est.perfect_model_first_hop(0.5, 24, gains)
     np.testing.assert_allclose(model.receive_hat, perfect.receive_hat, atol=1e-6)
     assert np.trace(model.receive_err).real < 1e-6
 
@@ -131,11 +122,11 @@ def test_equivalent_form_approaches_perfect_with_clean_pilots():
 def test_perfect_models():
     recv = exponential_correlation(0.6, 16)
     gains = np.array([1.0, 0.5])
-    model = est.perfect_model_first_hop(recv, gains)
+    model = est.perfect_model_first_hop(0.6, 16, gains)
     np.testing.assert_array_equal(model.receive_hat, recv)
     assert np.all(model.gains_err == 0.0)
     tx = select_transmit_correlation(0.6, 16, 2)
-    model2 = est.perfect_model_second_hop(recv, tx, 0.7)
+    model2 = est.perfect_model_second_hop(0.6, 16, tx, 0.7)
     model2.validate(recv, tx)
     assert model2.relay_gain == 0.7
 
