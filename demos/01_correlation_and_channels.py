@@ -10,9 +10,9 @@ second-order statistics.
 
 import numpy as np
 
-from relaysim.channel import draw_first_hop, draw_second_hop, substream
+from relaysim.channel import draw_hop, substream
 from relaysim.correlation import (exp_frobenius_sq, exponential_correlation,
-                                  select_transmit_correlation)
+                                  psd_sqrt, select_transmit_correlation)
 
 rng = substream(2024, "demo-correlation")
 
@@ -37,34 +37,27 @@ for r in (0.4, 0.8):
         print(f"  r = {r:.1f}, n = {size:>4}: {value:.4f}  (limit {limit:.4f})")
 
 # ---------------------------------------------------------------------------
-# sampled channels match the requested covariance
-corr = exponential_correlation(0.7, 12)
-gains = np.array([1.0, 0.5, 2.0])
+# sampled channels match the requested covariance on both sides: a hop
+# sqrt(gain) R^(1/2) H Theta^(1/2) has E{G G^H} = gain tr(Theta) R and
+# E{G^H G} = gain tr(R) Theta. The first hop's Theta holds the per-user
+# gains; the second hop is doubly correlated.
 draws = 4000
-acc = np.zeros((12, 12), dtype=np.complex128)
-for _ in range(draws):
-    f = draw_first_hop(corr, gains, rng)
-    acc += f[:, 1:2] @ f[:, 1:2].conj().T
-acc /= draws * gains[1]
-err = np.abs(acc - corr).max()
-print(f"\nfirst-hop sample covariance vs target, {draws} draws: "
-      f"max entry error {err:.3f} (expect ~{5 / np.sqrt(draws):.3f})")
-
-# second hop is doubly correlated; check both Gram matrices
-m, k, eta = 24, 4, 0.6
-recv = exponential_correlation(0.5, m)
-tx = exponential_correlation(0.3, k)
-left = np.zeros((m, m), dtype=np.complex128)
-right = np.zeros((k, k), dtype=np.complex128)
-for _ in range(draws):
-    g = draw_second_hop(eta, recv, tx, rng)
-    left += g @ g.conj().T
-    right += g.conj().T @ g
-left /= draws * eta * k
-right /= draws * eta * m
-print("second-hop Gram checks: "
-      f"receive side {np.abs(left - recv).max():.3f}, "
-      f"transmit side {np.abs(right - tx).max():.3f}")
+hops = (("first", exponential_correlation(0.7, 12), np.diag([1.0, 0.5, 2.0]), 1.0),
+        ("second", exponential_correlation(0.5, 24), exponential_correlation(0.3, 4), 0.6))
+print()
+for name, recv, tx, gain in hops:
+    recv_sqrt, tx_sqrt = psd_sqrt(recv), psd_sqrt(tx)
+    left = np.zeros(recv.shape, dtype=np.complex128)
+    right = np.zeros(tx.shape, dtype=np.complex128)
+    for _ in range(draws):
+        g = draw_hop(recv_sqrt, tx_sqrt, gain, rng)
+        left += g @ g.conj().T
+        right += g.conj().T @ g
+    left /= draws * gain * np.trace(tx).real
+    right /= draws * gain * np.trace(recv).real
+    print(f"{name}-hop Gram checks, {draws} draws: "
+          f"receive side {np.abs(left - recv).max():.3f}, "
+          f"transmit side {np.abs(right - tx).max():.3f}")
 
 # ---------------------------------------------------------------------------
 # the relay transmits from a widely spaced antenna subset, which raises

@@ -13,15 +13,11 @@ import numpy as np
 
 from relaysim import config as cfg
 from relaysim.channel import substream
-from relaysim.correlation import exponential_correlation, select_transmit_correlation
-from relaysim.estimation import (mse_first_hop_closed_form,
-                                 mse_second_hop_closed_form,
-                                 pilot_mse_first_hop, pilot_mse_second_hop)
+from relaysim.estimation import mse_closed_form, pilot_mse
 from relaysim.quantizer import IDEAL, AdcSpec
 
 scn = cfg.table_defaults()            # N = 128, M = 256, K = 10
-gains = scn.user_gains()
-recv1 = exponential_correlation(scn.r_R, scn.N)
+hop1, hop2 = cfg.scenario_hops(scn)   # one eigendecomposition per array
 trials = 150
 rng = substream(scn.seed, "demo-estimation")
 
@@ -37,10 +33,8 @@ for p_db in (0, 10, 20, 30, 40):
     cells = []
     for bits in (1, 2, IDEAL):
         adc = AdcSpec.from_bits(bits)
-        sim, _ = pilot_mse_first_hop(recv1, gains, adc, scn.tau1, power,
-                                     scn.sigma_R2, trials, rng)
-        closed = mse_first_hop_closed_form(
-            recv1, gains, adc, scn.tau1, power, scn.sigma_R2) / (scn.N * scn.K)
+        sim, _ = pilot_mse(hop1, adc, power, trials, rng)
+        closed = mse_closed_form(hop1, adc, power) / (scn.N * scn.K)
         cells.append(f"{sim:.5f} / {closed:.5f}")
         curves.setdefault(bits, {})[p_db] = closed
     print(f"{p_db:>7} " + " ".join(f"{c:>22}" for c in cells))
@@ -54,14 +48,9 @@ print("the one-bit ratio near 1 is the quantization floor")
 
 # ---------------------------------------------------------------------------
 # second hop, one operating point
-recv2 = exponential_correlation(scn.r_B, scn.M)
-tx2 = select_transmit_correlation(scn.r_R, scn.N, scn.K)
-eta = scn.relay_gain()
 adc = AdcSpec.from_bits(2)
-sim, se = pilot_mse_second_hop(recv2, tx2, eta, adc, scn.tau2, scn.P2,
-                               scn.sigma_B2, trials, rng)
-closed = mse_second_hop_closed_form(recv2, eta, adc, scn.tau2, scn.P2,
-                                    scn.sigma_B2, scn.K) / (scn.M * scn.K)
+sim, se = pilot_mse(hop2, adc, scn.P2, trials, rng)
+closed = mse_closed_form(hop2, adc, scn.P2) / (scn.M * scn.K)
 print(f"\nsecond hop at P2 = {10 * np.log10(scn.P2):.0f} dB, q = 2: "
       f"simulated {sim:.6f} vs closed form {closed:.6f} "
       f"({abs(sim - closed) / se:.2f} standard errors)")

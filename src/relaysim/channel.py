@@ -9,8 +9,6 @@ import zlib
 
 import numpy as np
 
-from .correlation import psd_sqrt
-
 
 def substream(seed, *tags):
     """Independent Generator for (seed, *tags).
@@ -62,35 +60,15 @@ def large_scale_gains(d_ref, distances, exponent):
     return np.array([path_loss(d_ref, d, exponent) for d in distances])
 
 
-def draw_first_hop(recv_corr, gains, rng, recv_sqrt=None):
-    """One realization of the user-to-relay channel matrix (N x K).
+def draw_hop(recv_sqrt, tx_sqrt, gain, rng):
+    """One realization of a hop's channel matrix (receive x transmit size).
 
-    Column k is sqrt(gain_k) * recv_corr^(1/2) @ h_k with h_k iid CN(0, I_N),
-    so E{f_k f_k^H} = gain_k * recv_corr.
+    Doubly correlated Rayleigh: sqrt(gain) * recv_sqrt @ H @ tx_sqrt with H
+    iid CN(0, 1), so E{G G^H} = gain * tr(tx) * recv and E{G^H G} = gain *
+    tr(recv) * tx for the squared factors recv and tx. A diagonal tx_sqrt
+    holds per-column amplitudes (the first hop's per-user gains).
     """
-    gains = np.asarray(gains, dtype=np.float64)
-    if np.any(gains < 0.0):
-        raise ValueError("large-scale gains must be non-negative")
-    if recv_sqrt is None:
-        recv_sqrt = psd_sqrt(recv_corr)
-    n = recv_sqrt.shape[0]
-    h = complex_normal(rng, (n, gains.size))
-    return left_multiply(recv_sqrt, h) * np.sqrt(gains)[None, :]
-
-
-def draw_second_hop(relay_gain, recv_corr, tx_corr, rng, recv_sqrt=None, tx_sqrt=None):
-    """One realization of the relay-to-destination channel matrix (M x K).
-
-    Doubly correlated Rayleigh: sqrt(relay_gain) * recv_corr^(1/2) @ H @
-    tx_corr^(1/2) with H iid CN(0, 1).
-    """
-    if relay_gain < 0.0:
-        raise ValueError(f"relay large-scale gain must be non-negative, got {relay_gain}")
-    if recv_sqrt is None:
-        recv_sqrt = psd_sqrt(recv_corr)
-    if tx_sqrt is None:
-        tx_sqrt = psd_sqrt(tx_corr)
-    m = recv_sqrt.shape[0]
-    k = tx_sqrt.shape[0]
-    h = complex_normal(rng, (m, k))
-    return np.sqrt(relay_gain) * (left_multiply(recv_sqrt, h) @ tx_sqrt)
+    if gain < 0.0:
+        raise ValueError(f"large-scale gain must be non-negative, got {gain}")
+    h = complex_normal(rng, (recv_sqrt.shape[0], tx_sqrt.shape[0]))
+    return np.sqrt(gain) * (left_multiply(recv_sqrt, h) @ tx_sqrt)

@@ -107,34 +107,21 @@ def cmd_mse_sweep(args) -> int:
     bits_grid = [_parse_bits(tok) for tok in args.bits.split(",") if tok.strip()]
     if not bits_grid:
         raise ConfigError("empty bits list")
-    hops = ("first", "second") if args.hop == "both" else (args.hop,)
+    names = ("first", "second") if args.hop == "both" else (args.hop,)
+    stats = dict(zip(("first", "second"), cfg.scenario_hops(scn)))
     trials = scn.trials
-    gains = scn.user_gains()
-    eta = scn.relay_gain()
-    recv1, recv2, tx2 = cfg.scenario_matrices(scn)
     rows = []
-    for hop in hops:
+    for name in names:
+        hop = stats[name]
         for bits in bits_grid:
             adc = AdcSpec.from_bits(bits)
             for power_db in powers_db:
                 power = 10.0 ** (power_db / 10.0)
-                rng = substream(scn.seed, "mse-sweep", hop,
+                rng = substream(scn.seed, "mse-sweep", name,
                                 bits_label(bits), f"{power_db:g}")
-                if hop == "first":
-                    closed = estimation.mse_first_hop_closed_form(
-                        recv1, gains, adc, scn.tau1, power, scn.sigma_R2)
-                    closed /= scn.N * scn.K
-                    sim, stderr = estimation.pilot_mse_first_hop(
-                        recv1, gains, adc, scn.tau1, power, scn.sigma_R2,
-                        trials, rng)
-                else:
-                    closed = estimation.mse_second_hop_closed_form(
-                        recv2, eta, adc, scn.tau2, power, scn.sigma_B2, scn.K)
-                    closed /= scn.M * scn.K
-                    sim, stderr = estimation.pilot_mse_second_hop(
-                        recv2, tx2, eta, adc, scn.tau2, power, scn.sigma_B2,
-                        trials, rng)
-                rows.append((hop, power_db, bits_label(bits), sim, stderr, closed))
+                closed = estimation.mse_closed_form(hop, adc, power) / (scn.K * hop.shape[0])
+                sim, stderr = estimation.pilot_mse(hop, adc, power, trials, rng)
+                rows.append((name, power_db, bits_label(bits), sim, stderr, closed))
     header = ("hop", "axis_value", "q", "mse_sim", "mse_sim_stderr", "mse_closed")
     _emit(args, header, rows, scn, scn.seed, trials)
     return 0

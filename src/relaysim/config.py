@@ -3,7 +3,7 @@
 ScenarioConfig is a plain, serializable record of one operating point:
 array sizes, frame and pilot structure, powers and their scaling exponents,
 ADC resolutions, correlation coefficients, and geometry. Helpers build the
-three correlation matrices and the per-hop estimate models (LMMSE equivalent
+per-hop channel statistics and the estimate models (LMMSE equivalent
 form, or genie CSI) that the analysis and Monte Carlo engines consume.
 """
 
@@ -151,12 +151,16 @@ class ScenarioConfig:
         return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def scenario_matrices(scn):
-    """(relay receive, destination receive, relay transmit) correlation matrices."""
-    t_rr = exponential_correlation(scn.r_R, scn.N)
-    t_br = exponential_correlation(scn.r_B, scn.M)
+def scenario_hops(scn):
+    """HopStatistics of the user-to-relay and relay-to-destination hops."""
     t_rt = select_transmit_correlation(scn.r_R, scn.N, max(scn.K, 1))
-    return t_rr, t_br, t_rt
+    hop1 = estimation.HopStatistics(
+        exponential_correlation(scn.r_R, scn.N), np.diag(scn.user_gains()),
+        scn.tau1, scn.sigma_R2)
+    hop2 = estimation.HopStatistics(
+        exponential_correlation(scn.r_B, scn.M), t_rt, scn.tau2, scn.sigma_B2,
+        gain=scn.relay_gain(), streams=t_rt.shape[0])
+    return hop1, hop2
 
 
 def scenario_models(scn):
@@ -165,18 +169,12 @@ def scenario_models(scn):
     Genie models need only the K x K transmit correlation; no receive-size
     matrix is built for them.
     """
-    gains = scn.user_gains()
-    eta = scn.relay_gain()
     if scn.csi == "perfect":
         t_rt = select_transmit_correlation(scn.r_R, scn.N, max(scn.K, 1))
-        return (estimation.perfect_model_first_hop(scn.r_R, scn.N, gains),
-                estimation.perfect_model_second_hop(scn.r_B, scn.M, t_rt, eta))
-    t_rr, t_br, t_rt = scenario_matrices(scn)
-    hop1 = estimation.equivalent_form_first_hop(
-        t_rr, gains, scn.adc1, scn.tau1, scn.P1, scn.sigma_R2)
-    hop2 = estimation.equivalent_form_second_hop(
-        t_br, t_rt, eta, scn.adc2, scn.tau2, scn.P2, scn.sigma_B2)
-    return hop1, hop2
+        return (estimation.perfect_model(scn.r_R, scn.N, np.diag(scn.user_gains())),
+                estimation.perfect_model(scn.r_B, scn.M, t_rt, scn.relay_gain()))
+    return tuple(estimation.equivalent_form(hop, adc, power) for hop, adc, power
+                 in zip(scenario_hops(scn), (scn.adc1, scn.adc2), (scn.P1, scn.P2)))
 
 
 _DB_PREFIXES = ("E_U", "E_R", "P1", "P2", "sigma_R2", "sigma_B2")

@@ -84,17 +84,25 @@ class TrialOutcome:
         return self.signal / (self.interference + self.noise_relay + self.noise_bs)
 
 
+def _draw_hop1(prep, rng):
+    """(estimate, error) of one first-hop draw from the equivalent form."""
+    scalars = prep.hop1.scalars
+    shape = (prep.sqrt_recv1_hat.shape[0], prep.scenario.K)
+    f_hat = (left_multiply(prep.sqrt_recv1_hat, complex_normal(rng, shape))
+             * np.sqrt(scalars.tx_hat_diag))
+    f_err = (left_multiply(prep.sqrt_recv1_err, complex_normal(rng, shape))
+             * np.sqrt(scalars.tx_err_diag))
+    return f_hat, f_err
+
+
 def run_trial(prep, rng, sample_quantization_noise=False):
     """One Monte Carlo draw of all per-user SINR terms."""
     scn = prep.scenario
     k = scn.K
-    gains_hat = prep.hop1.gains_hat
-    gains_err = prep.hop1.gains_err
     n = prep.sqrt_recv1_hat.shape[0]
     m = prep.sqrt_recv2_hat.shape[0]
     # draw order is fixed: estimate then error, first hop then second
-    f_hat = left_multiply(prep.sqrt_recv1_hat, complex_normal(rng, (n, k))) * np.sqrt(gains_hat)
-    f_err = left_multiply(prep.sqrt_recv1_err, complex_normal(rng, (n, k))) * np.sqrt(gains_err)
+    f_hat, f_err = _draw_hop1(prep, rng)
     g_hat = np.sqrt(prep.hop2.relay_gain) * (
         left_multiply(prep.sqrt_recv2_hat, complex_normal(rng, (m, k))) @ prep.sqrt_tx2_hat)
     g_err = np.sqrt(prep.hop2.relay_gain) * (
@@ -227,16 +235,10 @@ def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
     if prep is None:
         prep = prepare(scenario)
     scn = prep.scenario
-    k = scn.K
-    n = prep.sqrt_recv1_hat.shape[0]
-    gains_hat = prep.hop1.gains_hat
-    gains_err = prep.hop1.gains_err
     adc1 = scn.adc1
     signal = quant = noise = 0.0
     for t in range(trials):
-        rng = substream(seed, "amplification", t)
-        f_hat = left_multiply(prep.sqrt_recv1_hat, complex_normal(rng, (n, k))) * np.sqrt(gains_hat)
-        f_err = left_multiply(prep.sqrt_recv1_err, complex_normal(rng, (n, k))) * np.sqrt(gains_err)
+        f_hat, f_err = _draw_hop1(prep, substream(seed, "amplification", t))
         f_full = f_hat + f_err
         cross = f_hat.conj().T @ f_full
         signal += float(np.vdot(cross, cross).real)

@@ -134,33 +134,27 @@ def _check_mse(seed, table):
     rng = substream(seed, "validate-mse")
     n, k = 64, 5
     m = 96
-    delta_gains = np.array([1.0, 0.8, 1.3, 0.6, 1.1])
-    recv1 = exponential_correlation(0.6, n)
-    recv2 = exponential_correlation(0.5, m)
-    tx2 = exponential_correlation(0.6 ** (n / k), k)
-    eta = 0.9
     tau = 8
     noise = 1.3
+    hops = (("hop1", estimation.HopStatistics(
+                exponential_correlation(0.6, n),
+                np.diag([1.0, 0.8, 1.3, 0.6, 1.1]), tau, noise)),
+            ("hop2", estimation.HopStatistics(
+                exponential_correlation(0.5, m),
+                exponential_correlation(0.6 ** (n / k), k), tau, noise,
+                gain=0.9, streams=k)))
     worst = 0.0
     worst_tag = ""
     for bits in (1, quantizer.IDEAL):
         adc = quantizer.AdcSpec.from_bits(bits)
         for power_db in (10.0, 30.0):
             power = 10.0 ** (power_db / 10.0)
-            sim, se = estimation.pilot_mse_first_hop(
-                recv1, delta_gains, adc, tau, power, noise, 200, rng)
-            closed = estimation.mse_first_hop_closed_form(
-                recv1, delta_gains, adc, tau, power, noise) / (n * k)
-            dev = abs(sim - closed) / max(se, _TINY)
-            if dev > worst:
-                worst, worst_tag = float(dev), f"hop1 q={bits_label(bits)} P={power_db:g}dB"
-            sim, se = estimation.pilot_mse_second_hop(
-                recv2, tx2, eta, adc, tau, power, noise, 200, rng)
-            closed = estimation.mse_second_hop_closed_form(
-                recv2, eta, adc, tau, power, noise, k) / (m * k)
-            dev = abs(sim - closed) / max(se, _TINY)
-            if dev > worst:
-                worst, worst_tag = float(dev), f"hop2 q={bits_label(bits)} P={power_db:g}dB"
+            for name, hop in hops:
+                sim, se = estimation.pilot_mse(hop, adc, power, 200, rng)
+                closed = estimation.mse_closed_form(hop, adc, power) / (k * hop.shape[0])
+                dev = abs(sim - closed) / max(se, _TINY)
+                if dev > worst:
+                    worst, worst_tag = float(dev), f"{name} q={bits_label(bits)} P={power_db:g}dB"
     return worst, 3.0, f"worst at {worst_tag} (standard errors)"
 
 
@@ -169,19 +163,13 @@ def _check_energy_split(seed, table):
     worst_tag = ""
     for q1, q2 in ((1, 1), (3, 2), (quantizer.IDEAL, quantizer.IDEAL)):
         scn = cfg.ScenarioConfig(N=48, delta=1.5, K=6, q1=q1, q2=q2, seed=seed)
-        t_rr, t_br, t_rt = cfg.scenario_matrices(scn)
-        hop1, hop2 = cfg.scenario_models(scn)
-        hop1.validate(t_rr, np.diag(scn.user_gains()))
-        hop2.validate(t_br, t_rt)
-        total1 = (np.trace(hop1.receive_hat).real * np.trace(hop1.transmit_hat).real
-                  + np.trace(hop1.receive_err).real * np.trace(hop1.transmit_err).real)
-        dev1 = abs(total1 / (scn.N * scn.user_gains().sum()) - 1.0)
-        total2 = (np.trace(hop2.receive_hat).real * np.trace(hop2.transmit_hat).real
-                  + np.trace(hop2.receive_err).real * np.trace(hop2.transmit_err).real)
-        dev2 = abs(total2 / (scn.M * scn.K) - 1.0)
-        dev = max(dev1, dev2)
-        if dev > worst:
-            worst, worst_tag = float(dev), f"q1={bits_label(q1)} q2={bits_label(q2)}"
+        for hop, model in zip(cfg.scenario_hops(scn), cfg.scenario_models(scn)):
+            model.validate(hop)
+            total = (np.trace(model.receive_hat).real * np.trace(model.transmit_hat).real
+                     + np.trace(model.receive_err).real * np.trace(model.transmit_err).real)
+            dev = abs(total / (hop.shape[0] * hop.trace) - 1.0)
+            if dev > worst:
+                worst, worst_tag = float(dev), f"q1={bits_label(q1)} q2={bits_label(q2)}"
     return worst, 1e-8, f"worst energy mismatch at {worst_tag} (relative)"
 
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from relaysim import analysis, cli, config as cfg, estimation, link, quantizer
 from relaysim.channel import substream
-from relaysim.correlation import exponential_correlation, select_transmit_correlation
 from relaysim.quantizer import IDEAL, AdcSpec
 
 _TABLE = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009497, 5: 0.002499}
@@ -69,41 +68,25 @@ def test_criterion_2_product_moment_oracle(acceptance_log):
 def test_criterion_3_estimation_mse_grid(acceptance_log):
     start = time.perf_counter()
     scn = cfg.table_defaults()          # N=128, M=256, K=10
-    gains = scn.user_gains()
-    eta = scn.relay_gain()
-    recv1 = exponential_correlation(scn.r_R, scn.N)
-    recv2 = exponential_correlation(scn.r_B, scn.M)
-    tx2 = select_transmit_correlation(scn.r_R, scn.N, scn.K)
+    hops = dict(zip(("first", "second"), cfg.scenario_hops(scn)))
     trials = 200
     worst = 0.0
     one_bit_curves = {"first": {}, "second": {}}
-    for hop in ("first", "second"):
+    for name, hop in hops.items():
         for bits in (1, 2, 3, IDEAL):
             adc = AdcSpec.from_bits(bits)
             for p_db in (0.0, 10.0, 20.0, 30.0, 40.0):
                 power = 10.0 ** (p_db / 10.0)
-                rng = substream(scn.seed, "acceptance-mse", hop,
+                rng = substream(scn.seed, "acceptance-mse", name,
                                 "ideal" if bits is IDEAL else str(bits),
                                 f"{p_db:g}")
-                if hop == "first":
-                    sim, se = estimation.pilot_mse_first_hop(
-                        recv1, gains, adc, scn.tau1, power, scn.sigma_R2,
-                        trials, rng)
-                    closed = estimation.mse_first_hop_closed_form(
-                        recv1, gains, adc, scn.tau1, power, scn.sigma_R2) \
-                        / (scn.N * scn.K)
-                else:
-                    sim, se = estimation.pilot_mse_second_hop(
-                        recv2, tx2, eta, adc, scn.tau2, power, scn.sigma_B2,
-                        trials, rng)
-                    closed = estimation.mse_second_hop_closed_form(
-                        recv2, eta, adc, scn.tau2, power, scn.sigma_B2,
-                        scn.K) / (scn.M * scn.K)
+                sim, se = estimation.pilot_mse(hop, adc, power, trials, rng)
+                closed = estimation.mse_closed_form(hop, adc, power) / (
+                    scn.K * hop.shape[0])
                 worst = max(worst, abs(sim - closed) / se)
                 if bits == 1:
-                    one_bit_curves[hop][p_db] = sim
-    floors = [one_bit_curves[hop][40.0] / one_bit_curves[hop][30.0]
-              for hop in ("first", "second")]
+                    one_bit_curves[name][p_db] = sim
+    floors = [curve[40.0] / curve[30.0] for curve in one_bit_curves.values()]
     elapsed = time.perf_counter() - start
     ok = worst < 3.0 and min(floors) >= 0.9 and elapsed < 120.0
     _verdict(acceptance_log, ok, 3, "estimation-mse",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from relaysim import channel
-from relaysim.correlation import exponential_correlation
+from relaysim.correlation import exponential_correlation, psd_sqrt
+from relaysim.errors import NotPSDError
 
 
 def test_substream_reproducible():
@@ -56,9 +57,10 @@ def test_first_hop_column_covariance():
     recv = exponential_correlation(0.7, n)
     gains = np.array([1.0, 0.4, 2.2])
     rng = channel.substream(9, "first-hop-cov")
+    recv_sqrt, gains_sqrt = psd_sqrt(recv), np.diag(np.sqrt(gains))
     acc = np.zeros((k, n, n), dtype=np.complex128)
     for _ in range(draws):
-        f = channel.draw_first_hop(recv, gains, rng)
+        f = channel.draw_hop(recv_sqrt, gains_sqrt, 1.0, rng)
         for col in range(k):
             acc[col] += np.outer(f[:, col], f[:, col].conj())
     acc /= draws
@@ -74,10 +76,11 @@ def test_second_hop_gram_means():
     recv = exponential_correlation(0.5, m)
     tx = exponential_correlation(0.8, k)
     rng = channel.substream(10, "second-hop-cov")
+    recv_sqrt, tx_sqrt = psd_sqrt(recv), psd_sqrt(tx)
     left = np.zeros((m, m), dtype=np.complex128)
     right = np.zeros((k, k), dtype=np.complex128)
     for _ in range(draws):
-        g = channel.draw_second_hop(eta, recv, tx, rng)
+        g = channel.draw_hop(recv_sqrt, tx_sqrt, eta, rng)
         left += g @ g.conj().T
         right += g.conj().T @ g
     left /= draws
@@ -88,9 +91,10 @@ def test_second_hop_gram_means():
 
 
 def test_draw_guards():
-    recv = exponential_correlation(0.5, 4)
+    recv_sqrt = psd_sqrt(exponential_correlation(0.5, 4))
     rng = channel.substream(11, "guards")
     with pytest.raises(ValueError):
-        channel.draw_first_hop(recv, [-1.0, 0.5], rng)
-    with pytest.raises(ValueError):
-        channel.draw_second_hop(-0.1, recv, np.eye(2), rng)
+        channel.draw_hop(recv_sqrt, np.eye(2), -0.1, rng)
+    # a negative per-user gain has no square-root factor to draw with
+    with pytest.raises(NotPSDError):
+        psd_sqrt(np.diag([-1.0, 0.5]))

@@ -69,11 +69,12 @@ def test_empty_system_is_allowed():
 
 
 def test_scenario_matrices_shapes():
-    scn = cfg.ScenarioConfig(N=16, delta=1.5, K=4, betas=(1.0,) * 4)
-    t_rr, t_br, t_rt = cfg.scenario_matrices(scn)
-    assert t_rr.shape == (16, 16)
-    assert t_br.shape == (24, 24)
-    assert t_rt.shape == (4, 4)
+    scn = cfg.ScenarioConfig(N=16, delta=1.5, K=4, betas=(1.0,) * 4, eta=0.9)
+    hop1, hop2 = cfg.scenario_hops(scn)
+    assert hop1.recv_corr.shape == (16, 16) and hop1.transmit.shape == (4, 4)
+    assert hop2.recv_corr.shape == (24, 24) and hop2.transmit.shape == (4, 4)
+    assert (hop1.gain, hop1.streams, hop1.tau) == (1.0, 1, scn.tau1)
+    assert (hop2.gain, hop2.streams, hop2.tau) == (0.9, 4, scn.tau2)
 
 
 def test_scenario_models_modes():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from relaysim import config as cfg, link
+from relaysim import analysis, config as cfg, link
 from relaysim.channel import substream
+from relaysim.errors import DegenerateEstimateError
 
 _SCN = cfg.ScenarioConfig(N=20, delta=1.5, K=3, tau1=6, tau2=6, q1=2, q2=2,
                           betas=(1.0, 0.7, 1.2), eta=0.9, r_R=0.5, r_B=0.4,
@@ -113,3 +114,13 @@ def test_amplification_mc_is_deterministic():
     one = link.amplification_factor_mc(_SCN, trials=50, seed=4)
     two = link.amplification_factor_mc(_SCN, trials=50, seed=4)
     assert one == two
+
+
+def test_indefinite_first_hop_error_model_is_refused_by_both_engines():
+    # the weak user's error gain would be negative (about -0.30): neither
+    # the closed form nor the sampler may run on that non-distribution
+    scn = cfg.ScenarioConfig(N=64, K=2, betas=(1.0, 0.1), trials=10)
+    with pytest.raises(DegenerateEstimateError, match="indefinite"):
+        analysis.sum_rate_approx(scn)
+    with pytest.raises(DegenerateEstimateError, match="indefinite"):
+        link.ergodic_sum_rate_mc(scn)
