@@ -17,7 +17,7 @@ from relaysim.estimation import mse_closed_form, pilot_mse
 from relaysim.quantizer import IDEAL, AdcSpec
 
 scn = cfg.table_defaults()            # N = 128, M = 256, K = 10
-hop1, hop2 = cfg.scenario_hops(scn)   # one eigendecomposition per array
+hop1, hop2 = cfg.scenario_hops(scn)   # one closed-form spectrum per array
 trials = 150
 rng = substream(scn.seed, "demo-estimation")
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import estimation
 from .channel import large_scale_gains, path_loss
-from .correlation import exponential_correlation, select_transmit_correlation
+from .correlation import select_transmit_correlation
 from .errors import ConfigError
 from .quantizer import IDEAL, AdcSpec
 
@@ -152,14 +152,16 @@ class ScenarioConfig:
 
 
 def scenario_hops(scn):
-    """HopStatistics of the user-to-relay and relay-to-destination hops."""
+    """HopStatistics of the user-to-relay and relay-to-destination hops.
+
+    Only the K x K transmit sides are built here; each receive array is
+    described by its (r, n).
+    """
     t_rt = select_transmit_correlation(scn.r_R, scn.N, max(scn.K, 1))
-    hop1 = estimation.HopStatistics(
-        exponential_correlation(scn.r_R, scn.N), np.diag(scn.user_gains()),
-        scn.tau1, scn.sigma_R2)
-    hop2 = estimation.HopStatistics(
-        exponential_correlation(scn.r_B, scn.M), t_rt, scn.tau2, scn.sigma_B2,
-        gain=scn.relay_gain(), streams=t_rt.shape[0])
+    hop1 = estimation.HopStatistics(scn.r_R, scn.N, np.diag(scn.user_gains()),
+                                    scn.tau1, scn.sigma_R2)
+    hop2 = estimation.HopStatistics(scn.r_B, scn.M, t_rt, scn.tau2, scn.sigma_B2,
+                                    gain=scn.relay_gain(), streams=t_rt.shape[0])
     return hop1, hop2
 
 
@@ -169,12 +171,12 @@ def scenario_models(scn):
     Genie models need only the K x K transmit correlation; no receive-size
     matrix is built for them.
     """
+    hops = scenario_hops(scn)
     if scn.csi == "perfect":
-        t_rt = select_transmit_correlation(scn.r_R, scn.N, max(scn.K, 1))
-        return (estimation.perfect_model(scn.r_R, scn.N, np.diag(scn.user_gains())),
-                estimation.perfect_model(scn.r_B, scn.M, t_rt, scn.relay_gain()))
+        return tuple(estimation.perfect_model(hop.r, hop.n, hop.transmit, hop.gain)
+                     for hop in hops)
     return tuple(estimation.equivalent_form(hop, adc, power) for hop, adc, power
-                 in zip(scenario_hops(scn), (scn.adc1, scn.adc2), (scn.P1, scn.P2)))
+                 in zip(hops, (scn.adc1, scn.adc2), (scn.P1, scn.P2)))
 
 
 _DB_PREFIXES = ("E_U", "E_R", "P1", "P2", "sigma_R2", "sigma_B2")

@@ -2,9 +2,10 @@
 
 The antenna arrays at both ends of each hop follow the exponential
 correlation model: entry (i, j) equals r**(j - i) above the diagonal and the
-conjugate mirror below it, with |r| < 1. The relay transmit side uses K out
-of N antennas, equally spaced, which raises the effective neighbour
-coefficient to r**(N / K).
+conjugate mirror below it, with |r| < 1. Its eigendecomposition is known in
+closed form (exponential_spectrum), so no receive array is ever handed to a
+dense eigensolver. The relay transmit side uses K out of N antennas, equally
+spaced, which raises the effective neighbour coefficient to r**(N / K).
 """
 
 import numpy as np
@@ -14,6 +15,17 @@ from .errors import NotPSDError
 # eigenvalues below -PSD_RTOL * max(eig) mean "not PSD"; anything in
 # [-tol, 0) is clamped to zero before taking square roots
 PSD_RTOL = 1e-10
+
+
+def _checked(r, n):
+    """(complex r, int n) of an exponential array, refusing n < 1 and |r| >= 1."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"matrix size must be >= 1, got {n}")
+    r = complex(r)
+    if abs(r) >= 1.0:
+        raise ValueError(f"correlation coefficient must satisfy |r| < 1, got |r| = {abs(r)}")
+    return r, n
 
 
 def exponential_correlation(r, n):
@@ -34,18 +46,69 @@ def exponential_correlation(r, n):
         real lets every eigendecomposition of the matrix run in real
         arithmetic.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"matrix size must be >= 1, got {n}")
-    r = complex(r)
-    if abs(r) >= 1.0:
-        raise ValueError(f"correlation coefficient must satisfy |r| < 1, got |r| = {abs(r)}")
+    r, n = _checked(r, n)
     idx = np.arange(n)
     lag = idx[None, :] - idx[:, None]          # j - i
     if r.imag == 0.0:
         return r.real ** np.abs(lag)
     upper = r ** np.abs(lag)
     return np.where(lag >= 0, upper, np.conj(upper))
+
+
+def _sinusoid_phase(theta, a):
+    """phi(theta) = atan2(a sin theta, 1 - a cos theta) and sin(theta / 2).
+
+    1 - a cos theta is formed as (1 - a) + 2 a sin^2(theta / 2), free of
+    cancellation as a -> 1 and theta -> 0.
+    """
+    half = np.sin(0.5 * theta)
+    return np.arctan2(a * np.sin(theta), (1.0 - a) + 2.0 * a * half * half), half
+
+
+def exponential_spectrum(r, n):
+    """Ascending (lam, U) of exponential_correlation(r, n), in closed form.
+
+    With a = |r|, the matrix a**|i - j| has a tridiagonal inverse, so its
+    eigenvectors are the sinusoids x_k = sin(k theta + phi(theta)),
+    k = 1..n (phi as in _sinusoid_phase), and its eigenvalues are
+    lam = (1 - a^2) / ((1 - a)^2 + 4 a sin^2(theta / 2)); the n angles are
+    the roots of (n + 1) theta + 2 phi(theta) = j pi, j = 1..n (Kac,
+    Murdock and Szego, 1953). The left side increases with slope >= n and
+    root j lies in [(j - 1) pi, j pi] / (n + 1), where 30 vectorised
+    bisection steps narrow it to 1e-9 of that width before three Newton
+    steps polish it to rounding level. A complex or negative r only
+    rotates the basis, U = diag(exp(-i k arg r)) V, which stays real for
+    real r.
+
+    Agrees with numpy.linalg.eigh of the dense matrix to about n * 1e-16
+    (tested to 1e-12 for |r| <= 0.999999 and n <= 300) at O(n^2) cost.
+    """
+    r, n = _checked(r, n)
+    a = abs(r)
+    # eigenvalues fall as theta grows, so descending j gives ascending lam
+    target = np.pi * np.arange(n, 0, -1, dtype=np.float64)
+    lo, hi = (target - np.pi) / (n + 1), target / (n + 1)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        below = (n + 1) * mid + 2.0 * _sinusoid_phase(mid, a)[0] < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    theta = 0.5 * (lo + hi)
+    for _ in range(3):
+        phi, half = _sinusoid_phase(theta, a)
+        gap = (1.0 - a) ** 2 + 4.0 * a * half * half
+        slope = (n + 1) + 2.0 * a * (np.cos(theta) - a) / gap
+        theta = theta - ((n + 1) * theta + 2.0 * phi - target) / slope
+    phi, half = _sinusoid_phase(theta, a)
+    lam = (1.0 - a) * (1.0 + a) / ((1.0 - a) ** 2 + 4.0 * a * half * half)
+    u = np.outer(np.arange(1, n + 1, dtype=np.float64), theta)
+    u += phi
+    np.sin(u, out=u)
+    u /= np.sqrt(np.einsum("ij,ij->j", u, u))
+    if r.imag != 0.0:
+        return lam, np.exp(-1j * np.angle(r) * np.arange(n))[:, None] * u
+    if r.real < 0.0:
+        u[1::2] *= -1.0
+    return lam, u
 
 
 def select_transmit_correlation(r, n_total, n_selected):

@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .channel import complex_normal, draw_hop, left_multiply
-from .correlation import exp_frobenius_sq, exponential_correlation, psd_sqrt
+from .correlation import (exp_frobenius_sq, exponential_correlation,
+                          exponential_spectrum, psd_sqrt)
 from .errors import DegenerateEstimateError, IllConditionedError
 from .quantizer import aqnm_quantize
 
@@ -42,20 +43,23 @@ def orthonormal_pilots(tau, n_users):
 class HopStatistics:
     """True second-order statistics of one hop and its pilot phase.
 
-    The channel is sqrt(gain) * recv_corr^(1/2) @ H @ transmit^(1/2) with H
-    iid CN(0, 1): transmit is diag(per-user gains) on the first hop (gain 1)
-    and the relay's transmit correlation on the second (gain eta). Pilots
-    of length tau carry power / streams per stream: streams is 1 on the
-    first hop, where each user has its own budget, and K on the second,
-    where the relay splits its budget over K antennas. noise_var is the
-    receiver's thermal noise variance.
+    The channel is sqrt(gain) * R^(1/2) @ H @ transmit^(1/2) with H iid
+    CN(0, 1) and R = exponential_correlation(r, n) the receive correlation:
+    transmit is diag(per-user gains) on the first hop (gain 1) and the
+    relay's transmit correlation on the second (gain eta). Pilots of length
+    tau carry power / streams per stream: streams is 1 on the first hop,
+    where each user has its own budget, and K on the second, where the
+    relay splits its budget over K antennas. noise_var is the receiver's
+    thermal noise variance.
 
-    The one eigendecomposition of recv_corr (spectrum) serves the LMMSE
+    The closed-form eigendecomposition of R (spectrum) serves the LMMSE
     filter, the closed-form MSE, the equivalent form and the square-root
-    factor the pilot simulation draws with.
+    factor the pilot simulation draws with; R itself (recv_corr) is built
+    only when asked for.
     """
 
-    recv_corr: np.ndarray
+    r: complex
+    n: int
     transmit: np.ndarray
     tau: int
     noise_var: float
@@ -65,7 +69,7 @@ class HopStatistics:
     @property
     def shape(self):
         """(receive antennas, K) of the channel matrix."""
-        return self.recv_corr.shape[0], self.transmit.shape[0]
+        return self.n, self.transmit.shape[0]
 
     @property
     def trace(self):
@@ -77,11 +81,14 @@ class HopStatistics:
         energy: sum of the user gains on the first hop, eta on the second."""
         return self.gain * (self.trace / self.streams)
 
+    @property
+    def recv_corr(self):
+        return exponential_correlation(self.r, self.n)
+
     @cached_property
     def spectrum(self):
-        """(lam, U) of recv_corr, eigenvalues clipped at zero."""
-        lam, u = np.linalg.eigh(self.recv_corr)
-        return np.clip(lam, 0.0, None), u
+        """(lam, U) of the receive correlation."""
+        return exponential_spectrum(self.r, self.n)
 
     @cached_property
     def recv_sqrt(self):
@@ -108,15 +115,15 @@ class _HopScalars:
     """
 
     def __init__(self, model):
-        if model.genie is None:
-            _, u, f, g = model.split
+        if model.split is not None:
+            u, f, g = model.split
             self.tr_hat = float(f.sum())
             self.fro_hat = float(f @ f)
             self.cross = float(f @ g)         # tr(receive_hat @ receive_err)
             self.diag_hat, self.diag_err = (np.abs(u) ** 2
                                             @ np.stack((f, g), axis=1)).T
         else:
-            r, n = model.genie
+            r, n = model.recv
             self.tr_hat = float(n)
             self.fro_hat = exp_frobenius_sq(r, n)
             self.cross = 0.0
@@ -132,14 +139,14 @@ class _HopScalars:
 class EstimateModel:
     """Equivalent-form description of an LMMSE channel estimate.
 
-    The true receive correlation R = U diag(lam) U^H splits in its own
-    eigenbasis: the estimate keeps receive_hat = U diag(f) U^H and the error
-    receive_err = U diag(g) U^H, with f + g = lam. An LMMSE model stores
-    split = (R, U, f, g). A genie-CSI model (estimate = truth, f = lam,
-    g = 0) stores only genie = (r, n) with R = exponential_correlation(r, n)
-    and builds its eigendata on first use. receive_hat and receive_err are
-    rebuilt on demand, and `scalars` holds every trace, norm and diagonal
-    the closed forms need, computed without an n x n product.
+    The true receive correlation R = exponential_correlation(*recv) =
+    U diag(lam) U^H splits in its own eigenbasis: the estimate keeps
+    receive_hat = U diag(f) U^H and the error receive_err = U diag(g) U^H,
+    with f + g = lam. An LMMSE model stores split = (U, f, g). A genie-CSI
+    model (estimate = truth, f = lam, g = 0) has no split and takes its
+    eigendata from exponential_spectrum on first use. R, receive_hat and
+    receive_err are built on demand, and `scalars` holds every trace, norm
+    and diagonal the closed forms need, computed without an n x n product.
 
     The estimate is receive_hat^(1/2) @ H1 @ sqrt(transmit_hat) and the
     error receive_err^(1/2) @ H2 @ sqrt(transmit_err) with H1, H2 iid
@@ -150,30 +157,28 @@ class EstimateModel:
 
     transmit_hat: np.ndarray
     transmit_err: np.ndarray
+    recv: tuple
     relay_gain: float = 1.0
     split: tuple = None
-    genie: tuple = None
 
     @property
     def eigendata(self):
-        """(R, U, f, g) of the receive split; a genie model builds it on first use."""
+        """(U, f, g) of the receive split; a genie model builds it on first use."""
         return self._genie_eigendata if self.split is None else self.split
 
     @cached_property
     def _genie_eigendata(self):
-        recv = exponential_correlation(*self.genie)
-        lam, u = np.linalg.eigh(recv)
-        lam = np.clip(lam, 0.0, None)
-        return recv, u, lam, np.zeros_like(lam)
+        lam, u = exponential_spectrum(*self.recv)
+        return u, lam, np.zeros_like(lam)
 
     @property
     def receive_err(self):
-        _, u, _, g = self.eigendata
+        u, _, g = self.eigendata
         return (u * g) @ u.conj().T
 
     @property
     def receive_hat(self):
-        return self.eigendata[0] - self.receive_err
+        return exponential_correlation(*self.recv) - self.receive_err
 
     @cached_property
     def scalars(self):
@@ -181,7 +186,7 @@ class EstimateModel:
 
     def receive_sqrt(self):
         """(receive_hat^(1/2), receive_err^(1/2)) from the eigendata."""
-        _, u, f, g = self.eigendata
+        u, f, g = self.eigendata
         return tuple((u * np.sqrt(s)) @ u.conj().T for s in (f, g))
 
     def validate(self, hop, rtol=1e-8):
@@ -193,7 +198,7 @@ class EstimateModel:
         (hat_transmit * tr(receive_hat) + err_transmit * tr(receive_err))
         * relay_gain equals n * gain * transmit entrywise.
         """
-        _, u, f, g = self.eigendata
+        u, f, g = self.eigendata
         n = u.shape[0]
         total = (u * (f + g)) @ u.conj().T
         recv = hop.recv_corr
@@ -325,8 +330,8 @@ def equivalent_form(hop, adc, power):
             "error-side transmit matrix is indefinite (min eigenvalue "
             f"{w[0]:.3e}); the separable error model needs a flatter "
             "transmit-side spectrum or more receive antennas per stream")
-    return EstimateModel(transmit_hat=tx_hat, transmit_err=tx_err,
-                         relay_gain=float(hop.gain), split=(hop.recv_corr, u, f, g))
+    return EstimateModel(transmit_hat=tx_hat, transmit_err=tx_err, recv=(hop.r, hop.n),
+                         relay_gain=float(hop.gain), split=(u, f, g))
 
 
 def perfect_model(r, n, transmit, relay_gain=1.0):
@@ -334,4 +339,4 @@ def perfect_model(r, n, transmit, relay_gain=1.0):
     estimate is the truth and the error is zero."""
     k = transmit.shape[0]
     return EstimateModel(transmit_hat=transmit, transmit_err=np.zeros((k, k)),
-                         relay_gain=float(relay_gain), genie=(r, int(n)))
+                         recv=(r, int(n)), relay_gain=float(relay_gain))

@@ -21,17 +21,21 @@ from .correlation import psd_sqrt
 
 @dataclass(frozen=True)
 class PreparedScenario:
-    """Scenario plus the factored matrices trials need."""
+    """Scenario plus exactly what trials read: the receive square-root
+    factors of both hops, the first hop's per-user amplitudes, the second
+    hop's transmit square roots and relay gain, kappa and chi. It is what
+    every pool block is handed, so it carries no eigendata."""
 
     scenario: object
-    hop1: object
-    hop2: object
     sqrt_recv1_hat: np.ndarray
     sqrt_recv1_err: np.ndarray
+    amp1_hat: np.ndarray
+    amp1_err: np.ndarray
     sqrt_recv2_hat: np.ndarray
     sqrt_recv2_err: np.ndarray
     sqrt_tx2_hat: np.ndarray
     sqrt_tx2_err: np.ndarray
+    relay_gain: float
     kappa: float
     chi: float
 
@@ -49,12 +53,14 @@ def prepare(scenario, models=None):
     sqrt_recv1_hat, sqrt_recv1_err = hop1.receive_sqrt()
     sqrt_recv2_hat, sqrt_recv2_err = hop2.receive_sqrt()
     return PreparedScenario(
-        scenario=scenario, hop1=hop1, hop2=hop2,
+        scenario=scenario,
         sqrt_recv1_hat=sqrt_recv1_hat, sqrt_recv1_err=sqrt_recv1_err,
+        amp1_hat=np.sqrt(hop1.scalars.tx_hat_diag),
+        amp1_err=np.sqrt(hop1.scalars.tx_err_diag),
         sqrt_recv2_hat=sqrt_recv2_hat, sqrt_recv2_err=sqrt_recv2_err,
         sqrt_tx2_hat=psd_sqrt(hop2.transmit_hat),
         sqrt_tx2_err=psd_sqrt(hop2.transmit_err),
-        kappa=kappa, chi=chi)
+        relay_gain=hop2.relay_gain, kappa=kappa, chi=chi)
 
 
 @dataclass(frozen=True)
@@ -86,12 +92,9 @@ class TrialOutcome:
 
 def _draw_hop1(prep, rng):
     """(estimate, error) of one first-hop draw from the equivalent form."""
-    scalars = prep.hop1.scalars
     shape = (prep.sqrt_recv1_hat.shape[0], prep.scenario.K)
-    f_hat = (left_multiply(prep.sqrt_recv1_hat, complex_normal(rng, shape))
-             * np.sqrt(scalars.tx_hat_diag))
-    f_err = (left_multiply(prep.sqrt_recv1_err, complex_normal(rng, shape))
-             * np.sqrt(scalars.tx_err_diag))
+    f_hat = left_multiply(prep.sqrt_recv1_hat, complex_normal(rng, shape)) * prep.amp1_hat
+    f_err = left_multiply(prep.sqrt_recv1_err, complex_normal(rng, shape)) * prep.amp1_err
     return f_hat, f_err
 
 
@@ -103,9 +106,9 @@ def run_trial(prep, rng, sample_quantization_noise=False):
     m = prep.sqrt_recv2_hat.shape[0]
     # draw order is fixed: estimate then error, first hop then second
     f_hat, f_err = _draw_hop1(prep, rng)
-    g_hat = np.sqrt(prep.hop2.relay_gain) * (
+    g_hat = np.sqrt(prep.relay_gain) * (
         left_multiply(prep.sqrt_recv2_hat, complex_normal(rng, (m, k))) @ prep.sqrt_tx2_hat)
-    g_err = np.sqrt(prep.hop2.relay_gain) * (
+    g_err = np.sqrt(prep.relay_gain) * (
         left_multiply(prep.sqrt_recv2_err, complex_normal(rng, (m, k))) @ prep.sqrt_tx2_err)
     f_full = f_hat + f_err
     g_full = g_hat + g_err
@@ -113,7 +116,7 @@ def run_trial(prep, rng, sample_quantization_noise=False):
     gram_g = g_hat.conj().T @ g_full            # k x k: g_hat_k^H g_j
     gram_g_hat = g_hat.conj().T @ g_hat
     chain_est = gram_g_hat @ (f_hat.conj().T @ f_hat)   # desired amplitudes on diag
-    half_chain = g_hat.conj().T @ g_full @ f_hat.conj().T   # k x n
+    half_chain = gram_g @ f_hat.conj().T         # k x n
     chain_full = half_chain @ f_full             # k x k: g_hat_k^H G F_hat^H f_j
 
     desired_raw = np.abs(np.diag(chain_est)) ** 2

@@ -82,8 +82,8 @@ def _check_lemma1(seed, table):
 _ORACLE_SCENARIO = dict(N=32, delta=1.5, K=5, q1=2, q2=1, trials=1200)
 
 
-def _moment_predictions(prep, scn):
-    hop1, hop2 = prep.hop1, prep.hop2
+def _moment_predictions(models, scn):
+    hop1, hop2 = models
     cross = analysis.cross_moment(hop1, hop2)
     return {
         "desired": analysis.desired_signal_moment(hop1, hop2),
@@ -106,8 +106,9 @@ _MOMENT_FIELDS = {"desired": "desired_raw", "leakage": "leakage_raw",
 
 def _check_moment_oracles(seed, table):
     scn = cfg.ScenarioConfig(seed=seed, **_ORACLE_SCENARIO)
-    prep = link.prepare(scn)
-    predicted = _moment_predictions(prep, scn)
+    models = cfg.scenario_models(scn)
+    prep = link.prepare(scn, models=models)
+    predicted = _moment_predictions(models, scn)
     stacks = link.trial_outcomes(prep, scn.trials, seed)
     worst = 0.0
     worst_tag = ""
@@ -137,11 +138,9 @@ def _check_mse(seed, table):
     tau = 8
     noise = 1.3
     hops = (("hop1", estimation.HopStatistics(
-                exponential_correlation(0.6, n),
-                np.diag([1.0, 0.8, 1.3, 0.6, 1.1]), tau, noise)),
+                0.6, n, np.diag([1.0, 0.8, 1.3, 0.6, 1.1]), tau, noise)),
             ("hop2", estimation.HopStatistics(
-                exponential_correlation(0.5, m),
-                exponential_correlation(0.6 ** (n / k), k), tau, noise,
+                0.5, m, exponential_correlation(0.6 ** (n / k), k), tau, noise,
                 gain=0.9, streams=k)))
     worst = 0.0
     worst_tag = ""

@@ -60,19 +60,20 @@ _MOMENT_SCENARIO = cfg.ScenarioConfig(
 
 def test_moment_oracles_match_simulation():
     scn = _MOMENT_SCENARIO
-    prep = link.prepare(scn)
-    outcomes = link.trial_outcomes(prep, scn.trials, scn.seed)
-    cross = analysis.cross_moment(prep.hop1, prep.hop2)
+    hop1, hop2 = cfg.scenario_models(scn)
+    outcomes = link.trial_outcomes(link.prepare(scn, models=(hop1, hop2)),
+                                   scn.trials, scn.seed)
+    cross = analysis.cross_moment(hop1, hop2)
     predictions = {
-        "desired_raw": analysis.desired_signal_moment(prep.hop1, prep.hop2),
-        "leakage_raw": analysis.leakage_moment(prep.hop1, prep.hop2),
+        "desired_raw": analysis.desired_signal_moment(hop1, hop2),
+        "leakage_raw": analysis.leakage_moment(hop1, hop2),
         "cross_raw": cross.sum(axis=1) - np.diag(cross),
-        "chain_raw": analysis.chain_norm_moment(prep.hop1, prep.hop2),
+        "chain_raw": analysis.chain_norm_moment(hop1, hop2),
         "relay_quant_raw": analysis.relay_quant_moment(
-            prep.hop1, prep.hop2, scn.adc1, scn.P_U, scn.sigma_R2),
-        "bs_vector_raw": analysis.bs_vector_moment(prep.hop2),
+            hop1, hop2, scn.adc1, scn.P_U, scn.sigma_R2),
+        "bs_vector_raw": analysis.bs_vector_moment(hop2),
         "bs_quant_raw": analysis.bs_quant_moment(
-            prep.hop2, scn.adc2, scn.P_R, scn.sigma_B2),
+            hop2, scn.adc2, scn.P_R, scn.sigma_B2),
     }
     for name, predicted in predictions.items():
         stack = outcomes[name]
@@ -111,7 +112,7 @@ def test_genie_scalars_match_their_eigendata():
                 _GENIE_SCENARIO.with_updates(r_R=0.5 + 0.3j, r_B=0.0)):
         for model in cfg.scenario_models(scn):
             scalars = model.scalars
-            _, u, lam, err = model.eigendata
+            u, lam, err = model.eigendata
             assert not np.any(err)
             assert scalars.tr_hat == pytest.approx(lam.sum(), rel=1e-12)
             assert scalars.fro_hat == pytest.approx(lam @ lam, rel=1e-12)
@@ -122,10 +123,12 @@ def test_genie_scalars_match_their_eigendata():
 
 
 def test_sum_rate_approx_uses_genie_models_in_perfect_mode(monkeypatch):
-    # genie models need only the K x K transmit correlation: no eigh and no
-    # receive-size correlation matrix, whatever the antenna counts
+    # genie models need only the K x K transmit correlation: no eigh, no
+    # spectrum and no receive-size correlation matrix, whatever the
+    # antenna counts
     scn = cfg.table_defaults().with_updates(N=4096, csi="perfect")
     calls = _count_eigh(monkeypatch)
+    spectra = _count_spectra(monkeypatch)
     sizes = []
     original = corr.exponential_correlation
 
@@ -133,10 +136,10 @@ def test_sum_rate_approx_uses_genie_models_in_perfect_mode(monkeypatch):
         sizes.append(n)
         return original(r, n)
 
-    for module in (corr, cfg, est):
+    for module in (corr, est):
         monkeypatch.setattr(module, "exponential_correlation", counting)
     report = analysis.sum_rate_approx(scn)
-    assert calls == []
+    assert calls == [] and spectra == []
     assert sizes and max(sizes) <= scn.K
     assert np.isfinite(report.sum_rate) and report.sum_rate > 0.0
 
@@ -280,25 +283,43 @@ def test_rate_converges_to_perfect_csi_as_pilot_power_grows():
 
 
 # ---------------------------------------------------------------------------
-# one spectral split per array
+# one closed-form spectrum per receive array, no dense eigensolver
 
 def _count_eigh(monkeypatch):
+    """(size, complex) of every numpy eigh / eigvalsh call."""
     calls = []
-    original = np.linalg.eigh
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
 
-    def counting(mat, *args, **kwargs):
-        calls.append((np.asarray(mat).shape[0], np.iscomplexobj(mat)))
-        return original(mat, *args, **kwargs)
+        def counting(mat, *args, _original=original, **kwargs):
+            calls.append((np.asarray(mat).shape[0], np.iscomplexobj(mat)))
+            return _original(mat, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+def _count_spectra(monkeypatch):
+    """Array size of every exponential_spectrum call."""
+    sizes = []
+    original = corr.exponential_spectrum
+
+    def counting(r, n, *args, **kwargs):
+        sizes.append(int(n))
+        return original(r, n, *args, **kwargs)
+
+    for module in (corr, est):
+        monkeypatch.setattr(module, "exponential_spectrum", counting)
+    return sizes
 
 
 def test_closed_form_decomposes_each_receive_array_once(monkeypatch):
     scn = cfg.table_defaults().with_updates(N=64)
     calls = _count_eigh(monkeypatch)
+    spectra = _count_spectra(monkeypatch)
     analysis.sum_rate_approx(scn)
-    assert sorted(calls) == [(scn.N, False), (scn.M, False)]
+    assert sorted(spectra) == [scn.N, scn.M]
+    assert [size for size, _ in calls if size > scn.K] == []
 
 
 def test_prepare_reuses_the_models_eigendata(monkeypatch):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relaysim import correlation as corr
 from relaysim.errors import NotPSDError
@@ -96,3 +97,32 @@ def test_transmit_selection_coefficient():
     # uncorrelated input stays uncorrelated regardless of the ratio
     np.testing.assert_allclose(corr.select_transmit_correlation(0.0, n, k),
                                np.eye(k), atol=0.0)
+
+
+# the closed-form spectrum against numpy's dense eigensolver: real,
+# negative, complex and purely imaginary coefficients up to |r| = 0.999999
+_MAX_ABS = 0.999999
+_coefficients = st.one_of(
+    st.floats(-_MAX_ABS, _MAX_ABS),
+    st.builds(lambda a, angle: a * np.exp(1j * angle),
+              st.floats(0.0, _MAX_ABS), st.floats(-np.pi, np.pi)),
+    st.builds(lambda a: 1j * a, st.floats(-_MAX_ABS, _MAX_ABS)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=_coefficients, n=st.integers(1, 300))
+@example(r=0.0, n=1)
+@example(r=0.0, n=300)
+@example(r=_MAX_ABS, n=300)
+@example(r=-_MAX_ABS, n=300)
+@example(r=-1j * _MAX_ABS, n=300)
+def test_exponential_spectrum_matches_dense_eigh(r, n):
+    mat = corr.exponential_correlation(r, n)
+    lam, u = corr.exponential_spectrum(r, n)
+    oracle = np.linalg.eigh(mat)[0]
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.abs(lam - oracle).max() <= 1e-12 * oracle[-1]
+    assert np.abs((u * lam) @ u.conj().T - mat).max() <= 1e-12
+    assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-12
+    assert np.iscomplexobj(u) == (complex(r).imag != 0.0)

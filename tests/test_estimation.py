@@ -14,13 +14,13 @@ TWO_BIT = AdcSpec.from_bits(2)
 ONE_BIT = AdcSpec.from_bits(1)
 
 
-def _first_hop(recv, gains, tau, noise_var):
-    return est.HopStatistics(recv, np.diag(np.asarray(gains, dtype=np.float64)),
+def _first_hop(r, n, gains, tau, noise_var):
+    return est.HopStatistics(r, n, np.diag(np.asarray(gains, dtype=np.float64)),
                              tau, noise_var)
 
 
-def _second_hop(recv, tx, relay_gain, tau, noise_var):
-    return est.HopStatistics(recv, tx, tau, noise_var, gain=relay_gain,
+def _second_hop(r, n, tx, relay_gain, tau, noise_var):
+    return est.HopStatistics(r, n, tx, tau, noise_var, gain=relay_gain,
                              streams=tx.shape[0])
 
 
@@ -34,8 +34,8 @@ def test_lmmse_filter_identity_case():
     # T = I, single user with unit gain, tau = P = sigma^2 = 1, ideal ADC:
     # a = 1 and c = 1 on either hop, so the observation covariance is 2 I
     # and the filter T (a T + c I)^-1 is exactly I / 2
-    for hop in (_first_hop(np.eye(3), [1.0], 1, 1.0),
-                _second_hop(np.eye(3), np.eye(1), 1.0, 1, 1.0)):
+    for hop in (_first_hop(0.0, 3, [1.0], 1, 1.0),
+                _second_hop(0.0, 3, np.eye(1), 1.0, 1, 1.0)):
         np.testing.assert_allclose(est.lmmse_filter(hop, IDEAL_ADC, 1.0),
                                    0.5 * np.eye(3), atol=1e-14)
 
@@ -43,12 +43,12 @@ def test_lmmse_filter_identity_case():
 def test_closed_form_mse_identity_case():
     # same setting with N = 4: every eigenvalue contributes a/(a+c) = 1/2,
     # so the total MSE is beta * (N - 2) = 2
-    mse = est.mse_closed_form(_first_hop(np.eye(4), [1.0], 1, 1.0), IDEAL_ADC, 1.0)
+    mse = est.mse_closed_form(_first_hop(0.0, 4, [1.0], 1, 1.0), IDEAL_ADC, 1.0)
     assert mse == pytest.approx(2.0, rel=1e-12)
 
 
 def test_mse_decreases_with_power_and_resolution():
-    hop = _first_hop(exponential_correlation(0.6, 32), [1.0, 0.7, 1.4], 8, 1.5)
+    hop = _first_hop(0.6, 32, [1.0, 0.7, 1.4], 8, 1.5)
     grid = [est.mse_closed_form(hop, TWO_BIT, p) for p in (1.0, 10.0, 100.0)]
     assert grid[0] > grid[1] > grid[2]
     coarse = est.mse_closed_form(hop, ONE_BIT, 10.0)
@@ -66,16 +66,15 @@ def test_one_bit_mse_floor_value():
     s = alpha * tau / (k * (1.0 - alpha))
     lam = np.linalg.eigvalsh(recv)
     floor = gains.sum() * (24 - np.sum(s * lam ** 2 / (s * lam + 1.0)))
-    at_big_power = est.mse_closed_form(_first_hop(recv, gains, tau, 1.0), ONE_BIT, 1e8)
+    at_big_power = est.mse_closed_form(_first_hop(0.7, 24, gains, tau, 1.0), ONE_BIT, 1e8)
     assert at_big_power == pytest.approx(floor, rel=1e-3)
 
 
 @pytest.mark.parametrize("hop, seed, cases", [
-    pytest.param(_first_hop(exponential_correlation(0.6, 48), [1.0, 0.5, 1.5, 0.8], 8, 1.2),
+    pytest.param(_first_hop(0.6, 48, [1.0, 0.5, 1.5, 0.8], 8, 1.2),
                  (31, "mse-hop1"),
                  ((ONE_BIT, 10.0), (TWO_BIT, 100.0), (IDEAL_ADC, 100.0)), id="first"),
-    pytest.param(_second_hop(exponential_correlation(0.5, 40),
-                             select_transmit_correlation(0.6, 40, 4), 0.8, 8, 1.1),
+    pytest.param(_second_hop(0.5, 40, select_transmit_correlation(0.6, 40, 4), 0.8, 8, 1.1),
                  (32, "mse-hop2"), ((ONE_BIT, 10.0), (IDEAL_ADC, 50.0)), id="second"),
 ])
 def test_simulated_mse_matches_closed_form(hop, seed, cases):
@@ -88,10 +87,9 @@ def test_simulated_mse_matches_closed_form(hop, seed, cases):
 
 
 @pytest.mark.parametrize("hop, power", [
-    pytest.param(_first_hop(exponential_correlation(0.8, 32), [1.0, 0.6, 1.3], 8, 1.5),
+    pytest.param(_first_hop(0.8, 32, [1.0, 0.6, 1.3], 8, 1.5),
                  50.0, id="first"),
-    pytest.param(_second_hop(exponential_correlation(0.7, 36),
-                             select_transmit_correlation(0.7, 36, 4), 0.9, 8, 1.2),
+    pytest.param(_second_hop(0.7, 36, select_transmit_correlation(0.7, 36, 4), 0.9, 8, 1.2),
                  40.0, id="second"),
 ])
 def test_equivalent_form_invariants(hop, power):
@@ -106,7 +104,7 @@ def test_equivalent_form_invariants(hop, power):
 
 def test_equivalent_form_approaches_perfect_with_clean_pilots():
     gains = np.array([1.0, 0.8])
-    hop = _first_hop(exponential_correlation(0.5, 24), gains, 8, 1.0)
+    hop = _first_hop(0.5, 24, gains, 8, 1.0)
     model = est.equivalent_form(hop, IDEAL_ADC, 1e9)
     perfect = est.perfect_model(0.5, 24, np.diag(gains))
     np.testing.assert_allclose(model.receive_hat, perfect.receive_hat, atol=1e-6)
@@ -121,34 +119,35 @@ def test_perfect_models():
     assert np.all(model.scalars.tx_err_diag == 0.0)
     tx = select_transmit_correlation(0.6, 16, 2)
     model2 = est.perfect_model(0.6, 16, tx, 0.7)
-    model2.validate(_second_hop(recv, tx, 0.7, 2, 1.0))
+    model2.validate(_second_hop(0.6, 16, tx, 0.7, 2, 1.0))
     assert model2.relay_gain == 0.7
 
 
 def test_degenerate_error_model_raises():
     # too few receive antennas per user with strong transmit correlation:
     # the residual error matrix stops being PSD and the model must refuse
-    recv = exponential_correlation(0.8, 32)
     tx = select_transmit_correlation(0.8, 32, 10)
     with pytest.raises(DegenerateEstimateError, match="indefinite"):
-        est.equivalent_form(_second_hop(recv, tx, 1.0, 10, 1.4), TWO_BIT, 316.0)
+        est.equivalent_form(_second_hop(0.8, 32, tx, 1.0, 10, 1.4), TWO_BIT, 316.0)
     # the first hop's counterpart: a user far below the mean gain
-    hop = _first_hop(exponential_correlation(0.8, 64), [1.0, 0.1], 10, 10.0 ** 0.22)
+    hop = _first_hop(0.8, 64, [1.0, 0.1], 10, 10.0 ** 0.22)
     with pytest.raises(DegenerateEstimateError, match="indefinite"):
         est.equivalent_form(hop, TWO_BIT, 100.0)
 
 
 def test_singular_observation_covariance_raises():
-    hop = _first_hop(np.diag([1.0, 1e-20, 1.0, 1.0]), [1.0], 4, 0.0)
+    # noiseless ideal-ADC pilots observe a R alone; at r = 1 - 1e-13 its
+    # smallest eigenvalue (1 - r) / (1 + r) puts the condition number near
+    # 1e15, past MAX_CONDITION
+    hop = _first_hop(1.0 - 1e-13, 64, [1.0], 4, 0.0)
     with pytest.raises(IllConditionedError):
         est.equivalent_form(hop, IDEAL_ADC, 1.0)
 
 
 def test_pilot_simulation_shapes():
-    recv = exponential_correlation(0.5, 12)
     rng = substream(33, "shapes")
-    hops = (_first_hop(recv, [1.0, 0.9, 1.1], 6, 1.0),
-            _second_hop(recv, select_transmit_correlation(0.5, 12, 3), 0.8, 6, 1.0))
+    hops = (_first_hop(0.5, 12, [1.0, 0.9, 1.1], 6, 1.0),
+            _second_hop(0.5, 12, select_transmit_correlation(0.5, 12, 3), 0.8, 6, 1.0))
     for hop in hops:
         chan, estimate = est.simulate_pilot(hop, TWO_BIT, 10.0, rng)
         assert chan.shape == (12, 3) and estimate.shape == (12, 3)

@@ -1,6 +1,7 @@
 """Estimation MSE pinned to values recorded from the reference
 implementation, which kept one estimation routine per hop, plus the
-mechanism that lets an MSE sweep decompose each receive array once.
+mechanism that gives an MSE sweep one closed-form spectrum per receive
+array and no dense eigendecomposition of it.
 
 The closed forms must reproduce the pins to 1e-12 relative; the pilot
 simulations consume the same random stream, so they do too.
@@ -9,9 +10,9 @@ simulations consume the same random stream, so they do too.
 import numpy as np
 import pytest
 
-from relaysim import cli, config as cfg, estimation as est
+from relaysim import cli, config as cfg, correlation as corr, estimation as est
 from relaysim.channel import substream
-from relaysim.correlation import exponential_correlation, select_transmit_correlation
+from relaysim.correlation import select_transmit_correlation
 from relaysim.quantizer import IDEAL, AdcSpec
 
 RTOL = 1e-12
@@ -45,9 +46,8 @@ CLOSED_PINS = [
 
 def _hops(r, n, m):
     tx = select_transmit_correlation(r, n, K)
-    return (est.HopStatistics(exponential_correlation(r, n), np.diag(GAINS), TAU, NOISE),
-            est.HopStatistics(exponential_correlation(r, m), tx, TAU, NOISE,
-                              gain=ETA, streams=K))
+    return (est.HopStatistics(r, n, np.diag(GAINS), TAU, NOISE),
+            est.HopStatistics(r, m, tx, TAU, NOISE, gain=ETA, streams=K))
 
 
 @pytest.mark.parametrize("r, bits, power, first, second", CLOSED_PINS,
@@ -70,17 +70,20 @@ def test_pilot_mse_matches_pinned_values():
 
 def test_mse_sweep_decomposes_each_receive_array_once(monkeypatch, tmp_path):
     # default grid: 2 hops x 4 resolutions x 5 pilot powers share the two
-    # receive-side eigendecompositions of the hop records
-    calls = {"eigh": [], "eigvalsh": []}
-    for name in calls:
-        original = getattr(np.linalg, name)
+    # closed-form receive spectra of the hop records; no receive array
+    # reaches a dense eigensolver
+    calls = {"eigh": [], "eigvalsh": [], "exponential_spectrum": []}
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                         (corr, "exponential_spectrum"), (est, "exponential_spectrum")):
+        original = getattr(module, name)
 
-        def counting(mat, *args, _name=name, _original=original, **kwargs):
-            calls[_name].append(np.asarray(mat).shape[0])
-            return _original(mat, *args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(module, name, counting)
     assert cli.main(["mse-sweep", "--trials", "4", "--out", str(tmp_path / "mse.csv")]) == 0
     scn = cfg.table_defaults()
-    assert sorted(n for n in calls["eigh"] if n > scn.K) == [scn.N, scn.M]
+    assert sorted(n for _, n in calls["exponential_spectrum"]) == [scn.N, scn.M]
+    assert [mat.shape for mat, *_ in calls["eigh"] if len(mat) > scn.K] == []
     assert calls["eigvalsh"] == []
