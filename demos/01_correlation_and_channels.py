@@ -12,7 +12,7 @@ import numpy as np
 
 from relaysim.channel import draw_hop, substream
 from relaysim.correlation import (exp_frobenius_sq, exponential_correlation,
-                                  exponential_spectrum, psd_sqrt,
+                                  exponential_eigenvalues, psd_sqrt,
                                   select_transmit_correlation)
 
 rng = substream(2024, "demo-correlation")
@@ -23,7 +23,7 @@ n = 64
 print("eigenvalue spread of the exponential model, n = 64")
 print(f"{'r':>6} {'largest':>10} {'smallest':>10} {'top-8 share':>12}")
 for r in (0.0, 0.4, 0.8, 0.95):
-    lam = exponential_spectrum(r, n)[0][::-1]
+    lam = exponential_eigenvalues(r, n)[0][::-1]
     share = lam[:8].sum() / lam.sum()
     print(f"{r:>6.2f} {lam[0]:>10.3f} {lam[-1]:>10.2e} {share:>12.3f}")
 

@@ -47,8 +47,18 @@ def _parse_bits(token: str):
     return bits
 
 
+def _convert(kind, token):
+    """kind(token), with an unreadable token reported as a ConfigError."""
+    try:
+        return kind(token)
+    except ConfigError:
+        raise
+    except ValueError:
+        raise ConfigError(f"unreadable sweep value {token.strip()!r}")
+
+
 def _parse_list(text, kind=float):
-    values = [kind(tok) for tok in text.split(",") if tok.strip()]
+    values = [_convert(kind, tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ConfigError("empty sweep value list")
     return values
@@ -63,7 +73,7 @@ def _parse_pairs(text, kind=float, sep=":"):
         left, _, right = tok.partition(sep)
         if not right:
             raise ConfigError(f"expected left{sep}right pair, got {tok!r}")
-        pairs.append((kind(left), kind(right)))
+        pairs.append((_convert(kind, left), _convert(kind, right)))
     if not pairs:
         raise ConfigError("empty sweep pair list")
     return pairs
@@ -128,12 +138,17 @@ def cmd_mse_sweep(args) -> int:
 
 
 def _rate_pair(scn, args, workers):
-    """(closed rate, mc rate, mc ci) honoring the engine selection flags."""
+    """(closed rate, mc rate, mc ci) honoring the engine selection flags.
+
+    Both engines share one pair of estimate models.
+    """
     closed = mc = ci = float("nan")
+    models = cfg.scenario_models(scn) if scn.K else None
     if not args.mc_only:
-        closed = sum_rate_approx(scn).sum_rate
+        closed = sum_rate_approx(scn, models=models).sum_rate
     if not args.closed_form_only:
-        report = link.ergodic_sum_rate_mc(scn, workers=workers)
+        prep = link.prepare(scn, models=models) if models else None
+        report = link.ergodic_sum_rate_mc(scn, workers=workers, prep=prep)
         mc, ci = report.sum_rate, report.ci_halfwidth
     return closed, mc, ci
 

@@ -168,13 +168,12 @@ def scenario_hops(scn):
 def scenario_models(scn):
     """Per-hop EstimateModel pair for the scenario's CSI mode.
 
-    Genie models need only the K x K transmit correlation; no receive-size
-    matrix is built for them.
+    Both modes read each receive array through its eigenvalues alone; no
+    receive-size matrix is built.
     """
     hops = scenario_hops(scn)
     if scn.csi == "perfect":
-        return tuple(estimation.perfect_model(hop.r, hop.n, hop.transmit, hop.gain)
-                     for hop in hops)
+        return tuple(estimation.perfect_model(hop) for hop in hops)
     return tuple(estimation.equivalent_form(hop, adc, power) for hop, adc, power
                  in zip(hops, (scn.adc1, scn.adc2), (scn.P1, scn.P2)))
 
@@ -183,18 +182,21 @@ _DB_PREFIXES = ("E_U", "E_R", "P1", "P2", "sigma_R2", "sigma_B2")
 
 
 def _parse_adc_bits(value, key):
-    if value is IDEAL:
+    if value is IDEAL or (isinstance(value, str)
+                          and value.strip().lower() in ("ideal", "inf", "none")):
         return IDEAL
-    if isinstance(value, str):
-        if value.strip().lower() in ("ideal", "inf", "none"):
-            return IDEAL
-        try:
-            value = int(value)
-        except ValueError:
-            raise ConfigError(f"field {key}: expected integer bits or 'ideal', got {value!r}")
-    if isinstance(value, float) and value != int(value):
-        raise ConfigError(f"field {key}: expected integer bits or 'ideal', got {value!r}")
-    return int(value)
+    return _parse_int(value, key, "integer bits or 'ideal'")
+
+
+def _parse_int(value, key, expected="an integer"):
+    """int(value), refusing anything int() cannot read or would truncate."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise ConfigError(f"field {key}: expected {expected}, got {value!r}")
+    return number
 
 
 def scenario_from_mapping(mapping, base=None):
@@ -227,10 +229,7 @@ def scenario_from_mapping(mapping, base=None):
                 value = tuple(float(v) for v in value)
             updates[key] = value
         elif key in ("N", "K", "T", "tau1", "tau2", "trials", "seed"):
-            try:
-                updates[key] = int(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"field {key}: expected an integer, got {value!r}")
+            updates[key] = _parse_int(value, key)
         elif key in ("r_R", "r_B"):
             if isinstance(value, (list, tuple)) and len(value) == 2:
                 updates[key] = complex(float(value[0]), float(value[1]))

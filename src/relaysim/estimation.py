@@ -18,8 +18,9 @@ from functools import cached_property
 import numpy as np
 
 from .channel import complex_normal, draw_hop, left_multiply
-from .correlation import (exp_frobenius_sq, exponential_correlation,
-                          exponential_spectrum, psd_sqrt)
+from .correlation import (exponential_basis, exponential_correlation,
+                          exponential_eigenvalues, exponential_split_diagonals,
+                          psd_sqrt)
 from .errors import DegenerateEstimateError, IllConditionedError
 from .quantizer import aqnm_quantize
 
@@ -52,10 +53,10 @@ class HopStatistics:
     relay splits its budget over K antennas. noise_var is the receiver's
     thermal noise variance.
 
-    The closed-form eigendecomposition of R (spectrum) serves the LMMSE
-    filter, the closed-form MSE, the equivalent form and the square-root
-    factor the pilot simulation draws with; R itself (recv_corr) is built
-    only when asked for.
+    The closed-form eigenvalues of R (spectrum) serve the closed-form MSE
+    and the equivalent form in O(n). Its eigenvectors (basis), O(n^2), are
+    built only for the LMMSE filter and the square-root factor the pilot
+    simulation draws with, and R itself (recv_corr) only when asked for.
     """
 
     r: complex
@@ -87,13 +88,19 @@ class HopStatistics:
 
     @cached_property
     def spectrum(self):
-        """(lam, U) of the receive correlation."""
-        return exponential_spectrum(self.r, self.n)
+        """(lam, theta): ascending eigenvalues of the receive correlation
+        and their angles."""
+        return exponential_eigenvalues(self.r, self.n)
+
+    @cached_property
+    def basis(self):
+        """Eigenvectors U of the receive correlation, one per eigenvalue."""
+        return exponential_basis(self.r, self.spectrum[1])
 
     @cached_property
     def recv_sqrt(self):
-        lam, u = self.spectrum
-        return (u * np.sqrt(lam)) @ u.conj().T
+        u = self.basis
+        return (u * np.sqrt(self.spectrum[0])) @ u.conj().T
 
     @cached_property
     def tx_sqrt(self):
@@ -106,70 +113,63 @@ class HopStatistics:
 
 class _HopScalars:
     """Traces, norms, and diagonals of one model's receive split, plus its
-    transmit side: every scalar the closed forms consume.
-
-    LMMSE models read them off their eigendata. Genie models take them in
-    closed form from the exponential model (unit diagonal, trace n,
-    Frobenius norm exp_frobenius_sq, no error), so no receive-size matrix
-    is built.
-    """
+    transmit side: every scalar the closed forms consume, from the
+    eigenvalues and one O(n) pivot sweep, never from the eigenvectors."""
 
     def __init__(self, model):
-        if model.split is not None:
-            u, f, g = model.split
-            self.tr_hat = float(f.sum())
-            self.fro_hat = float(f @ f)
-            self.cross = float(f @ g)         # tr(receive_hat @ receive_err)
-            self.diag_hat, self.diag_err = (np.abs(u) ** 2
-                                            @ np.stack((f, g), axis=1)).T
-        else:
-            r, n = model.recv
-            self.tr_hat = float(n)
-            self.fro_hat = exp_frobenius_sq(r, n)
-            self.cross = 0.0
-            self.diag_hat, self.diag_err = np.ones(n), 0.0
+        f, g = model.split
+        self.tr_hat = float(f.sum())
+        self.fro_hat = float(f @ f)
+        self.cross = float(f @ g)             # tr(receive_hat @ receive_err)
+        self.diag_hat, self.diag_err = exponential_split_diagonals(
+            model.hop.r, model.hop.n, *model.obs)
         self.tx_hat = model.transmit_hat
         self.tx_hat_diag = np.diag(model.transmit_hat).real.copy()
         self.tx_err_diag = np.diag(model.transmit_err).real.copy()
-        self.gain = float(model.relay_gain)
+        self.gain = model.relay_gain
         self.k = self.tx_hat.shape[0]
 
 
 @dataclass(frozen=True)
 class EstimateModel:
-    """Equivalent-form description of an LMMSE channel estimate.
+    """Equivalent-form description of a channel estimate of one hop.
 
-    The true receive correlation R = exponential_correlation(*recv) =
+    The hop's true receive correlation R = hop.recv_corr =
     U diag(lam) U^H splits in its own eigenbasis: the estimate keeps
     receive_hat = U diag(f) U^H and the error receive_err = U diag(g) U^H,
-    with f + g = lam. An LMMSE model stores split = (U, f, g). A genie-CSI
-    model (estimate = truth, f = lam, g = 0) has no split and takes its
-    eigendata from exponential_spectrum on first use. R, receive_hat and
-    receive_err are built on demand, and `scalars` holds every trace, norm
-    and diagonal the closed forms need, computed without an n x n product.
+    with f = a lam^2 / (a lam + c) and g = c lam / (a lam + c), so
+    f + g = lam. obs = (a, c) are the constants of the pilot observation
+    covariance a R + c I; genie CSI (estimate = truth) is c = 0, which
+    gives f = lam and g = 0 exactly. `scalars` holds every trace, norm and
+    diagonal the closed forms need, computed from lam and obs alone; U
+    (eigendata), R, receive_hat and receive_err are built on demand.
 
     The estimate is receive_hat^(1/2) @ H1 @ sqrt(transmit_hat) and the
     error receive_err^(1/2) @ H2 @ sqrt(transmit_err) with H1, H2 iid
-    CN(0, 1) and independent; relay_gain multiplies the second hop only
-    (1.0 for the first hop). transmit_hat / transmit_err are K x K
-    (diagonal for the first hop, where they hold the per-user gains).
+    CN(0, 1) and independent; relay_gain (the hop's gain) multiplies the
+    second hop only (1.0 for the first hop). transmit_hat / transmit_err
+    are K x K (diagonal for the first hop, where they hold the per-user
+    gains).
     """
 
+    hop: HopStatistics
     transmit_hat: np.ndarray
     transmit_err: np.ndarray
-    recv: tuple
-    relay_gain: float = 1.0
-    split: tuple = None
+    obs: tuple = (1.0, 0.0)
+
+    @property
+    def relay_gain(self):
+        return float(self.hop.gain)
+
+    @cached_property
+    def split(self):
+        """(f, g): estimate and error spectra of the receive split."""
+        return _spectral_split(self.hop.spectrum[0], *self.obs)[:2]
 
     @property
     def eigendata(self):
-        """(U, f, g) of the receive split; a genie model builds it on first use."""
-        return self._genie_eigendata if self.split is None else self.split
-
-    @cached_property
-    def _genie_eigendata(self):
-        lam, u = exponential_spectrum(*self.recv)
-        return u, lam, np.zeros_like(lam)
+        """(U, f, g) of the receive split; U is the hop's basis."""
+        return (self.hop.basis,) + self.split
 
     @property
     def receive_err(self):
@@ -178,7 +178,7 @@ class EstimateModel:
 
     @property
     def receive_hat(self):
-        return exponential_correlation(*self.recv) - self.receive_err
+        return self.hop.recv_corr - self.receive_err
 
     @cached_property
     def scalars(self):
@@ -189,7 +189,7 @@ class EstimateModel:
         u, f, g = self.eigendata
         return tuple((u * np.sqrt(s)) @ u.conj().T for s in (f, g))
 
-    def validate(self, hop, rtol=1e-8):
+    def validate(self, rtol=1e-8):
         """Check the construction identities against the hop's true statistics.
 
         The eigendata must reassemble the true receive correlation
@@ -198,8 +198,8 @@ class EstimateModel:
         (hat_transmit * tr(receive_hat) + err_transmit * tr(receive_err))
         * relay_gain equals n * gain * transmit entrywise.
         """
+        hop = self.hop
         u, f, g = self.eigendata
-        n = u.shape[0]
         total = (u * (f + g)) @ u.conj().T
         recv = hop.recv_corr
         if not np.allclose(total, recv, atol=1e-10 * max(1.0, abs(np.trace(recv)))):
@@ -210,7 +210,7 @@ class EstimateModel:
                 raise AssertionError("estimate-model matrix is not PSD")
         lhs = (np.trace(self.receive_hat).real * self.transmit_hat
                + np.trace(self.receive_err).real * self.transmit_err) * self.relay_gain
-        rhs = n * hop.gain * hop.transmit
+        rhs = hop.n * hop.gain * hop.transmit
         scale = max(float(np.abs(rhs).max()), 1e-300)
         if not np.allclose(lhs, rhs, atol=rtol * scale):
             raise AssertionError("per-user energy split is not conserved")
@@ -234,26 +234,31 @@ def _observation_eigenvalues(lam, a, c):
     return denom
 
 
-def _receive_split(hop, adc, power):
-    """Eigenbasis U of the receive correlation, the estimate and error
-    spectra f = a lam^2 / (a lam + c) and g = c lam / (a lam + c), and the
-    filter gains h = a lam / (a lam + c).
+def _spectral_split(lam, a, c):
+    """Estimate and error spectra f = a lam^2 / (a lam + c) and
+    g = c lam / (a lam + c), and the filter gains h = a lam / (a lam + c).
 
     The error spectrum is formed directly, never as a difference of large
     numbers, so it stays accurate as pilot power grows without bound.
     """
-    a, c = _observation_constants(hop, adc, power)
-    lam, u = hop.spectrum
-    denom = _observation_eigenvalues(lam, a, c)
+    denom = a * lam + c
     h = a * lam / denom
-    return u, h * lam, c * lam / denom, h
+    return h * lam, c * lam / denom, h
+
+
+def _receive_split(hop, a, c):
+    """Split (f, g, h) of the hop's receive spectrum for an observation
+    covariance a R + c I, refused when that is ill conditioned."""
+    lam = hop.spectrum[0]
+    _observation_eigenvalues(lam, a, c)
+    return _spectral_split(lam, a, c)
 
 
 def lmmse_filter(hop, adc, power):
     """LMMSE filter mapping despread observations to the channel estimate,
     scale * R @ inv(a R + c I) applied in the eigenbasis of R."""
     a, c = _observation_constants(hop, adc, power)
-    lam, u = hop.spectrum
+    lam, u = hop.spectrum[0], hop.basis
     scale = adc.alpha * np.sqrt(hop.tau * power * hop.streams) * hop.total_gain
     return (u * (scale * lam / _observation_eigenvalues(lam, a, c))) @ u.conj().T
 
@@ -264,7 +269,7 @@ def mse_closed_form(hop, adc, power):
     Equals gain tr(transmit) sum(g): it does not depend on the transmit
     matrix beyond its trace.
     """
-    g = _receive_split(hop, adc, power)[2]
+    g = _receive_split(hop, *_observation_constants(hop, adc, power))[1]
     return hop.total_gain * hop.streams * float(g.sum())
 
 
@@ -315,7 +320,8 @@ def equivalent_form(hop, adc, power):
     k = hop.shape[1]
     if hop.total_gain <= 0.0:
         raise DegenerateEstimateError("large-scale gain is zero")
-    u, f, g, h = _receive_split(hop, adc, power)
+    a, c = _observation_constants(hop, adc, power)
+    f, g, h = _receive_split(hop, a, c)
     sum_f, sum_g, sum_fh, sum_gh = float(f.sum()), float(g.sum()), float(f @ h), float(g @ h)
     if sum_f <= 0.0:
         raise DegenerateEstimateError("estimate energy collapsed to zero")
@@ -330,13 +336,11 @@ def equivalent_form(hop, adc, power):
             "error-side transmit matrix is indefinite (min eigenvalue "
             f"{w[0]:.3e}); the separable error model needs a flatter "
             "transmit-side spectrum or more receive antennas per stream")
-    return EstimateModel(transmit_hat=tx_hat, transmit_err=tx_err, recv=(hop.r, hop.n),
-                         relay_gain=float(hop.gain), split=(u, f, g))
+    return EstimateModel(hop, tx_hat, tx_err, obs=(a, c))
 
 
-def perfect_model(r, n, transmit, relay_gain=1.0):
-    """EstimateModel for genie CSI on exponential_correlation(r, n): the
-    estimate is the truth and the error is zero."""
-    k = transmit.shape[0]
-    return EstimateModel(transmit_hat=transmit, transmit_err=np.zeros((k, k)),
-                         recv=(r, int(n)), relay_gain=float(relay_gain))
+def perfect_model(hop):
+    """EstimateModel for genie CSI on the hop: the estimate is the truth
+    and the error is zero (c = 0)."""
+    k = hop.shape[1]
+    return EstimateModel(hop, hop.transmit, np.zeros((k, k)))

@@ -163,7 +163,7 @@ def _check_energy_split(seed, table):
     for q1, q2 in ((1, 1), (3, 2), (quantizer.IDEAL, quantizer.IDEAL)):
         scn = cfg.ScenarioConfig(N=48, delta=1.5, K=6, q1=q1, q2=q2, seed=seed)
         for hop, model in zip(cfg.scenario_hops(scn), cfg.scenario_models(scn)):
-            model.validate(hop)
+            model.validate()
             total = (np.trace(model.receive_hat).real * np.trace(model.transmit_hat).real
                      + np.trace(model.receive_err).real * np.trace(model.transmit_err).real)
             dev = abs(total / (hop.shape[0] * hop.trace) - 1.0)

@@ -1,5 +1,7 @@
 """Closed-form moment and rate checks against analytic cases and Monte Carlo."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ def test_amplification_closed_form_matches_sampling():
 
 
 # ---------------------------------------------------------------------------
-# genie CSI: closed-form receive scalars, eigendata only on demand
+# genie CSI: the same receive scalars with c = 0, eigenvectors only on demand
 
 _GENIE_SCENARIO = cfg.ScenarioConfig(N=48, delta=1.5, K=5, q1=2, q2=1,
                                      betas=(1.0, 0.8, 1.2, 0.6, 1.1), eta=0.9,
@@ -108,24 +110,27 @@ _GENIE_SCENARIO = cfg.ScenarioConfig(N=48, delta=1.5, K=5, q1=2, q2=1,
 
 
 def test_genie_scalars_match_their_eigendata():
+    # the genie split is f = lam and g = 0 exactly, and the pivot sweep
+    # returns the unit diagonal exactly; the eigenvectors only confirm it
     for scn in (_GENIE_SCENARIO,
                 _GENIE_SCENARIO.with_updates(r_R=0.5 + 0.3j, r_B=0.0)):
-        for model in cfg.scenario_models(scn):
+        for model, hop in zip(cfg.scenario_models(scn), cfg.scenario_hops(scn)):
             scalars = model.scalars
             u, lam, err = model.eigendata
+            np.testing.assert_array_equal(lam, hop.spectrum[0])
             assert not np.any(err)
-            assert scalars.tr_hat == pytest.approx(lam.sum(), rel=1e-12)
-            assert scalars.fro_hat == pytest.approx(lam @ lam, rel=1e-12)
+            assert scalars.tr_hat == pytest.approx(hop.n, rel=1e-12)
+            assert scalars.fro_hat == pytest.approx(corr.exp_frobenius_sq(hop.r, hop.n),
+                                                    rel=1e-12)
             assert scalars.cross == 0.0
-            np.testing.assert_allclose(scalars.diag_hat, np.abs(u) ** 2 @ lam,
-                                       rtol=1e-12)
-            assert np.all(scalars.diag_err == 0.0)
+            assert np.all(scalars.diag_hat == 1.0) and np.all(scalars.diag_err == 0.0)
+            np.testing.assert_allclose(np.abs(u) ** 2 @ lam, scalars.diag_hat, rtol=1e-12)
 
 
 def test_sum_rate_approx_uses_genie_models_in_perfect_mode(monkeypatch):
-    # genie models need only the K x K transmit correlation: no eigh, no
-    # spectrum and no receive-size correlation matrix, whatever the
-    # antenna counts
+    # genie models read each receive array through its eigenvalues alone:
+    # no eigh, no eigenvectors and no receive-size correlation matrix,
+    # whatever the antenna counts
     scn = cfg.table_defaults().with_updates(N=4096, csi="perfect")
     calls = _count_eigh(monkeypatch)
     spectra = _count_spectra(monkeypatch)
@@ -139,7 +144,8 @@ def test_sum_rate_approx_uses_genie_models_in_perfect_mode(monkeypatch):
     for module in (corr, est):
         monkeypatch.setattr(module, "exponential_correlation", counting)
     report = analysis.sum_rate_approx(scn)
-    assert calls == [] and spectra == []
+    assert calls == []
+    assert sorted(spectra["eigenvalues"]) == [scn.N, scn.M] and spectra["basis"] == []
     assert sizes and max(sizes) <= scn.K
     assert np.isfinite(report.sum_rate) and report.sum_rate > 0.0
 
@@ -283,7 +289,8 @@ def test_rate_converges_to_perfect_csi_as_pilot_power_grows():
 
 
 # ---------------------------------------------------------------------------
-# one closed-form spectrum per receive array, no dense eigensolver
+# closed-form eigenvalues once per receive array, eigenvectors only where
+# something is drawn, no dense eigensolver
 
 def _count_eigh(monkeypatch):
     """(size, complex) of every numpy eigh / eigvalsh call."""
@@ -300,16 +307,17 @@ def _count_eigh(monkeypatch):
 
 
 def _count_spectra(monkeypatch):
-    """Array size of every exponential_spectrum call."""
-    sizes = []
-    original = corr.exponential_spectrum
+    """Array size of every call to the eigenvalue part and the basis part
+    of the closed-form spectrum."""
+    sizes = {"eigenvalues": [], "basis": []}
+    for part, name, size in (("eigenvalues", "exponential_eigenvalues", int),
+                             ("basis", "exponential_basis", len)):
+        def counting(r, arg, _original=getattr(corr, name), _part=part, _size=size):
+            sizes[_part].append(_size(arg))
+            return _original(r, arg)
 
-    def counting(r, n, *args, **kwargs):
-        sizes.append(int(n))
-        return original(r, n, *args, **kwargs)
-
-    for module in (corr, est):
-        monkeypatch.setattr(module, "exponential_spectrum", counting)
+        for module in (corr, est):
+            monkeypatch.setattr(module, name, counting)
     return sizes
 
 
@@ -318,13 +326,36 @@ def test_closed_form_decomposes_each_receive_array_once(monkeypatch):
     calls = _count_eigh(monkeypatch)
     spectra = _count_spectra(monkeypatch)
     analysis.sum_rate_approx(scn)
-    assert sorted(spectra) == [scn.N, scn.M]
+    assert sorted(spectra["eigenvalues"]) == [scn.N, scn.M]
+    assert spectra["basis"] == []
     assert [size for size, _ in calls if size > scn.K] == []
 
 
 def test_prepare_reuses_the_models_eigendata(monkeypatch):
+    # Monte Carlo draws with the square-root factors, so prepare builds the
+    # eigenvectors once per array and reuses the models' eigenvalues
     scn = cfg.table_defaults().with_updates(N=64)
     models = cfg.scenario_models(scn)
     calls = _count_eigh(monkeypatch)
+    spectra = _count_spectra(monkeypatch)
     link.prepare(scn, models=models)
+    assert spectra["eigenvalues"] == []
+    assert sorted(spectra["basis"]) == [scn.N, scn.M]
     assert all(size <= scn.K for size, _ in calls)
+
+
+def test_large_closed_form_builds_no_eigenvectors(monkeypatch):
+    # at N = 4096 (M = 8192) one eigenvector basis would take 512 MiB; the
+    # closed form reads eigenvalues and pivot sweeps in O(N) memory
+    scn = cfg.table_defaults().with_updates(N=4096)
+    spectra = _count_spectra(monkeypatch)
+    tracemalloc.start()
+    try:
+        report = analysis.sum_rate_approx(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectra["basis"] == []
+    assert sorted(spectra["eigenvalues"]) == [scn.N, scn.M]
+    assert peak < 4 * 2 ** 20
+    assert np.isfinite(report.sum_rate) and report.sum_rate > 0.0

@@ -124,6 +124,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert _run(["mse-sweep", "--powers-db", ""]) == 1
     assert _run(["rate-vs-n", "--closed-form-only", "--mc-only"]) == 1
     assert _run(["mse-sweep", "--bits", "0"]) == 1
+    # non-numeric sweep values
+    assert _run(["rate-vs-n", "--n-values", "1.5"]) == 1
+    assert _run(["mse-sweep", "--powers-db", "abc"]) == 1
+    assert _run(["power-scaling", "--exponents", "1:x"]) == 1
+    assert _run(["correlation-impact", "--deltas", "two"]) == 1
+    assert _run(["correlation-impact", "--coefficients", "0:0.8,x:0"]) == 1
+    assert _run(["adc-impact", "--deltas", "0.5,?"]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert _run(["rate-vs-n", "--config", str(bad)]) == 1

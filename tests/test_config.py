@@ -119,6 +119,12 @@ def test_mapping_rejects_unknown_and_malformed_fields():
         cfg.scenario_from_mapping({"q1": "three"})
     with pytest.raises(ConfigError, match="N"):
         cfg.scenario_from_mapping({"N": "many"})
+    # integer fields refuse what int() would truncate
+    for key in ("N", "K", "T", "tau1", "tau2", "trials", "seed", "q1", "q2"):
+        for value in (12.7, "12.7", float("inf"), float("nan"), [3]):
+            with pytest.raises(ConfigError, match=f"field {key}:"):
+                cfg.scenario_from_mapping({key: value})
+    assert cfg.scenario_from_mapping({"N": 64.0, "trials": "20"}).N == 64
 
 
 def test_mapping_handles_complex_coefficients_and_base():

@@ -1,5 +1,6 @@
 """Correlation-matrix construction and linear-algebra helper checks."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -119,10 +120,85 @@ _coefficients = st.one_of(
 @example(r=-1j * _MAX_ABS, n=300)
 def test_exponential_spectrum_matches_dense_eigh(r, n):
     mat = corr.exponential_correlation(r, n)
-    lam, u = corr.exponential_spectrum(r, n)
+    lam, theta = corr.exponential_eigenvalues(r, n)
+    u = corr.exponential_basis(r, theta)
     oracle = np.linalg.eigh(mat)[0]
     assert np.all(np.diff(lam) >= 0.0)
     assert np.abs(lam - oracle).max() <= 1e-12 * oracle[-1]
     assert np.abs((u * lam) @ u.conj().T - mat).max() <= 1e-12
     assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-12
     assert np.iscomplexobj(u) == (complex(r).imag != 0.0)
+
+
+# diagonals of the LMMSE split E = c (a I + c R^-1)^-1 and R - E: a
+# 50-digit oracle built from the Kac-Murdock-Szego inverse of R, and the
+# eigenvector path |U|^2 @ f, |U|^2 @ g they replace
+
+def _kms_inverse(rho, n):
+    """Diagonal and off-diagonal of R^-1 for R = rho**|i - j|, checked
+    against R (run inside mpmath.workdps)."""
+    rho = mpmath.mpf(rho)
+    s = 1 - rho ** 2
+    diag = [(1 + rho ** 2) / s] * n
+    diag[0] = diag[-1] = 1 / s if n > 1 else mpmath.mpf(1)
+    off = -rho / s
+    recv = [[rho ** abs(i - j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            row = diag[i] * recv[i][j]
+            row += off * (recv[i - 1][j] if i > 0 else 0)
+            row += off * (recv[i + 1][j] if i < n - 1 else 0)
+            assert abs(row - (i == j)) < mpmath.mpf(10) ** -40
+    return diag, off
+
+
+def _split_diagonals_oracle(inverse, a, c):
+    """(diag(R - E), diag(E)) from the leading and trailing principal
+    minors of the tridiagonal a I + c R^-1 (Usmani's formula)."""
+    diag, off = inverse
+    n = len(diag)
+    a, c = mpmath.mpf(a), mpmath.mpf(c)
+    d = [a + c * x for x in diag]
+    e2 = (c * off) ** 2
+    lead = [mpmath.mpf(1), d[0]]
+    for i in range(1, n):
+        lead.append(d[i] * lead[-1] - e2 * lead[-2])
+    trail = [mpmath.mpf(1), d[-1]]
+    for i in range(n - 2, -1, -1):
+        trail.append(d[i] * trail[-1] - e2 * trail[-2])
+    trail = trail[::-1]                          # trail[i]: rows i..n-1
+    err = [c * lead[i] * trail[i + 1] / lead[n] for i in range(n)]
+    return [float(1 - x) for x in err], [float(x) for x in err]
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.8, 0.99, 0.999999])
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_split_diagonals_match_high_precision_oracle(rho, n):
+    # a / c from 1e-10 to 1e10, then genie CSI (c = 0), against 50 digits;
+    # the phase of r does not enter, so the oracle runs at the |r| the
+    # sweep sees
+    r = rho * np.exp(0.3j)
+    with mpmath.workdps(50):
+        inverse = _kms_inverse(abs(r), n)
+        for a, c in [(10.0 ** p, 1.0) for p in range(-10, 11)] + [(1.0, 0.0)]:
+            hat, err = corr.exponential_split_diagonals(r, n, a, c)
+            want_hat, want_err = _split_diagonals_oracle(inverse, a, c)
+            np.testing.assert_allclose(hat, want_hat, rtol=2e-15, atol=0.0)
+            np.testing.assert_allclose(err, want_err, rtol=2e-15, atol=0.0)
+    hat, err = corr.exponential_split_diagonals(r, n, 1.0, 0.0)
+    assert np.all(hat == 1.0) and np.all(err == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=_coefficients, n=st.integers(1, 300),
+       log_a=st.floats(-10.0, 10.0), log_c=st.floats(-5.0, 5.0))
+@example(r=_MAX_ABS, n=300, log_a=0.0, log_c=-3.0)
+@example(r=-0.5 + 0.5j, n=300, log_a=-10.0, log_c=0.0)
+def test_split_diagonals_match_the_eigenvector_path(r, n, log_a, log_c):
+    a, c = 10.0 ** log_a, 10.0 ** log_c
+    lam, theta = corr.exponential_eigenvalues(r, n)
+    weights = np.abs(corr.exponential_basis(r, theta)) ** 2
+    f, g = a * lam ** 2 / (a * lam + c), c * lam / (a * lam + c)
+    hat, err = corr.exponential_split_diagonals(r, n, a, c)
+    np.testing.assert_allclose(hat, weights @ f, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(err, weights @ g, rtol=1e-12, atol=0.0)

@@ -94,7 +94,7 @@ def test_simulated_mse_matches_closed_form(hop, seed, cases):
 ])
 def test_equivalent_form_invariants(hop, power):
     model = est.equivalent_form(hop, TWO_BIT, power)
-    model.validate(hop)
+    model.validate()
     # captured energy matches the closed-form MSE through the split
     mse = est.mse_closed_form(hop, TWO_BIT, power)
     err_energy = (model.relay_gain * np.trace(model.receive_err).real
@@ -106,7 +106,7 @@ def test_equivalent_form_approaches_perfect_with_clean_pilots():
     gains = np.array([1.0, 0.8])
     hop = _first_hop(0.5, 24, gains, 8, 1.0)
     model = est.equivalent_form(hop, IDEAL_ADC, 1e9)
-    perfect = est.perfect_model(0.5, 24, np.diag(gains))
+    perfect = est.perfect_model(hop)
     np.testing.assert_allclose(model.receive_hat, perfect.receive_hat, atol=1e-6)
     assert np.trace(model.receive_err).real < 1e-6
 
@@ -114,12 +114,12 @@ def test_equivalent_form_approaches_perfect_with_clean_pilots():
 def test_perfect_models():
     recv = exponential_correlation(0.6, 16)
     gains = np.array([1.0, 0.5])
-    model = est.perfect_model(0.6, 16, np.diag(gains))
+    model = est.perfect_model(_first_hop(0.6, 16, gains, 2, 1.0))
     np.testing.assert_array_equal(model.receive_hat, recv)
     assert np.all(model.scalars.tx_err_diag == 0.0)
     tx = select_transmit_correlation(0.6, 16, 2)
-    model2 = est.perfect_model(0.6, 16, tx, 0.7)
-    model2.validate(_second_hop(0.6, 16, tx, 0.7, 2, 1.0))
+    model2 = est.perfect_model(_second_hop(0.6, 16, tx, 0.7, 2, 1.0))
+    model2.validate()
     assert model2.relay_gain == 0.7
 
 

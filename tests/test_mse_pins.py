@@ -1,7 +1,7 @@
 """Estimation MSE pinned to values recorded from the reference
 implementation, which kept one estimation routine per hop, plus the
-mechanism that gives an MSE sweep one closed-form spectrum per receive
-array and no dense eigendecomposition of it.
+mechanism that gives an MSE sweep one closed-form spectrum (eigenvalues,
+then eigenvectors) per receive array and no dense eigendecomposition of it.
 
 The closed forms must reproduce the pins to 1e-12 relative; the pilot
 simulations consume the same random stream, so they do too.
@@ -70,11 +70,13 @@ def test_pilot_mse_matches_pinned_values():
 
 def test_mse_sweep_decomposes_each_receive_array_once(monkeypatch, tmp_path):
     # default grid: 2 hops x 4 resolutions x 5 pilot powers share the two
-    # closed-form receive spectra of the hop records; no receive array
-    # reaches a dense eigensolver
-    calls = {"eigh": [], "eigvalsh": [], "exponential_spectrum": []}
+    # closed-form receive spectra of the hop records: eigenvalues for the
+    # closed form, eigenvectors for the LMMSE filter and the pilot draws,
+    # each once per array; no receive array reaches a dense eigensolver
+    parts = ("exponential_eigenvalues", "exponential_basis")
+    calls = {name: [] for name in ("eigh", "eigvalsh") + parts}
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                         (corr, "exponential_spectrum"), (est, "exponential_spectrum")):
+                         *((module, part) for module in (corr, est) for part in parts)):
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -84,6 +86,7 @@ def test_mse_sweep_decomposes_each_receive_array_once(monkeypatch, tmp_path):
         monkeypatch.setattr(module, name, counting)
     assert cli.main(["mse-sweep", "--trials", "4", "--out", str(tmp_path / "mse.csv")]) == 0
     scn = cfg.table_defaults()
-    assert sorted(n for _, n in calls["exponential_spectrum"]) == [scn.N, scn.M]
+    assert sorted(n for _, n in calls["exponential_eigenvalues"]) == [scn.N, scn.M]
+    assert sorted(len(theta) for _, theta in calls["exponential_basis"]) == [scn.N, scn.M]
     assert [mat.shape for mat, *_ in calls["eigh"] if len(mat) > scn.K] == []
     assert calls["eigvalsh"] == []
