@@ -114,9 +114,7 @@ def _base_scenario(args):
 def cmd_mse_sweep(args) -> int:
     scn = _base_scenario(args)
     powers_db = _parse_list(args.powers_db)
-    bits_grid = [_parse_bits(tok) for tok in args.bits.split(",") if tok.strip()]
-    if not bits_grid:
-        raise ConfigError("empty bits list")
+    bits_grid = _parse_list(args.bits, _parse_bits)
     names = ("first", "second") if args.hop == "both" else (args.hop,)
     stats = dict(zip(("first", "second"), cfg.scenario_hops(scn)))
     trials = scn.trials
@@ -156,7 +154,7 @@ def _rate_pair(scn, args, workers):
 def cmd_rate_vs_n(args) -> int:
     scn = _base_scenario(args)
     n_values = _parse_list(args.n_values, int)
-    bits_grid = [_parse_bits(tok) for tok in args.bits.split(",") if tok.strip()]
+    bits_grid = _parse_list(args.bits, _parse_bits)
     rows = []
     for n in n_values:
         for bits in bits_grid:

@@ -8,8 +8,8 @@ channel draw (quadratic forms against the diagonal AQNM covariances);
 sample_quantization_noise=True instead draws the quantization noise.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+import sys
 
 import numpy as np
 
@@ -188,13 +188,26 @@ def trial_outcomes(prep, trials, seed, workers=1, sample_quantization_noise=Fals
     else:
         n_blocks = min(workers * 4, trials)
         splits = np.array_split(np.asarray(indices), n_blocks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # looked up on the module, which imports it here on first use
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             futures = [pool.submit(_trial_block, prep, seed, list(split),
                                    sample_quantization_noise)
                        for split in splits if len(split)]
             blocks = [f.result() for f in futures]
     return {name: np.concatenate([b[name] for b in blocks], axis=0)
             for name in _TRIAL_FIELDS}
+
+
+def __getattr__(name):
+    """Import the process pool on first use, so that a serial run never
+    loads multiprocessing; once imported it stays a module attribute that
+    callers may replace."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def ergodic_sum_rate_mc(scenario, trials=None, seed=None, workers=1,

@@ -1,6 +1,9 @@
 """End-to-end command-line checks: CSV shape, determinism, exit codes."""
 
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -124,6 +127,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert _run(["mse-sweep", "--powers-db", ""]) == 1
     assert _run(["rate-vs-n", "--closed-form-only", "--mc-only"]) == 1
     assert _run(["mse-sweep", "--bits", "0"]) == 1
+    # empty or unreadable ADC resolution lists, in both commands that take one
+    assert _run(["rate-vs-n", "--bits", ",", "--closed-form-only"]) == 1
+    assert _run(["rate-vs-n", "--bits", "", "--closed-form-only"]) == 1
+    assert _run(["rate-vs-n", "--bits", "2,two", "--closed-form-only"]) == 1
+    assert _run(["mse-sweep", "--bits", ","]) == 1
     # non-numeric sweep values
     assert _run(["rate-vs-n", "--n-values", "1.5"]) == 1
     assert _run(["mse-sweep", "--powers-db", "abc"]) == 1
@@ -161,3 +169,25 @@ def test_validate_subcommand_detects_failures(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL lloydmax-table" in out
     assert "0/1 checks passed" in out
+
+
+_COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[2])
+import relaysim.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy imported"
+assert relaysim.cli.main(["rate-vs-n", "--n-values", "48", "--bits", "2",
+                          "--trials", "8", "--out", sys.argv[1]]) == 0
+assert "concurrent.futures.process" not in sys.modules, "pool imported"
+assert "multiprocessing" not in sys.modules, "multiprocessing imported"
+import concurrent.futures
+assert relaysim.link.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+"""
+
+
+def test_cold_start_imports_no_scipy_and_serial_runs_no_pool(tmp_path):
+    # a fresh interpreter, because this test session has imported both
+    package_parent = pathlib.Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path / "out.csv"),
+                           str(package_parent)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -41,6 +41,36 @@ def test_worker_count_does_not_change_results():
         np.testing.assert_array_equal(stack, parallel[name])
 
 
+def test_pool_class_is_looked_up_on_the_module(monkeypatch):
+    # link imports its pool on first use; a class set on the module
+    # (as a tracing harness does) must still be the one trial_outcomes runs
+    from concurrent.futures import Future
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(link, "ProcessPoolExecutor", InlinePool)
+    prep = link.prepare(_SCN)
+    serial = link.trial_outcomes(prep, 12, seed=9, workers=1)
+    pooled = link.trial_outcomes(prep, 12, seed=9, workers=2)
+    assert opened == [2]
+    for name, stack in serial.items():
+        np.testing.assert_array_equal(stack, pooled[name])
+
+
 def test_trials_are_keyed_by_index_not_position():
     # the first trials of a long run must replay a short run exactly
     prep = link.prepare(_SCN)

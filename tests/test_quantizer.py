@@ -1,10 +1,14 @@
 """Quantizer model checks: distortion table, AQNM statistics, Lloyd-Max."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 from relaysim import quantizer as qz
 from relaysim.channel import substream
+from relaysim.errors import ConvergenceError
 
 
 def test_distortion_table_entries():
@@ -85,3 +89,63 @@ def test_lloyd_max_tracks_table():
     for bits in (2, 4):
         assert qz.lloyd_max_distortion(bits) == pytest.approx(
             qz.DISTORTION_TABLE[bits], abs=1e-3)
+
+
+# recorded with the plain Lloyd iteration on scipy.special's erf/erfinv
+_LLOYD_MAX_PINS = {
+    1: 0.3633802276324186,
+    2: 0.11748184782932924,
+    3: 0.03454776078850408,
+    4: 0.009501008008191869,
+    5: 0.002504668355674866,
+    6: 0.0006442396653176807,
+}
+
+
+def test_lloyd_max_matches_pinned_values():
+    for bits, pinned in _LLOYD_MAX_PINS.items():
+        assert qz.lloyd_max_distortion(bits) == pytest.approx(pinned, rel=0, abs=1e-14)
+
+
+def test_lloyd_max_converges_at_high_resolution():
+    # plain Lloyd needs 25 643 and 92 677 steps here; these are its values
+    assert qz.lloyd_max_distortion(7, max_iter=10) == pytest.approx(
+        1.6347822998030725e-4, rel=1e-10)
+    assert qz.lloyd_max_distortion(8, max_iter=10) == pytest.approx(
+        4.118508286721223e-5, rel=1e-10)
+    # far cells hold ~1e-7 of the mass at 12 bits
+    assert qz.lloyd_max_distortion(12, max_iter=10) == pytest.approx(
+        math.sqrt(3.0) * math.pi / 2.0 * 4.0 ** -12, rel=1e-3)
+    # the high-resolution law (sqrt(3) pi / 2) 4^-q is approached from below
+    ratios = [qz.lloyd_max_distortion(bits) / (math.sqrt(3.0) * math.pi / 2.0 * 4.0 ** -bits)
+              for bits in (6, 7, 8)]
+    assert ratios == pytest.approx([0.970, 0.984, 0.992], abs=5e-4)
+    assert ratios[0] < ratios[1] < ratios[2] < 1.0
+
+
+def test_lloyd_max_guards(monkeypatch):
+    for bad in (0, 1.5, -2):
+        with pytest.raises(ValueError):
+            qz.lloyd_max_distortion(bad)
+    with pytest.raises(ConvergenceError, match="within 2 iterations"):
+        qz.lloyd_max_distortion(3, max_iter=2)
+    with pytest.raises(ConvergenceError, match="within 0 iterations"):
+        qz.lloyd_max_distortion(3, max_iter=0)
+    # a normal law without tails leaves the outer cells empty
+    monkeypatch.setattr(qz, "_std_normal_cdf", np.zeros_like)
+    with pytest.raises(ConvergenceError, match="zero probability"):
+        qz.lloyd_max_distortion(2)
+
+
+def test_std_normal_cdf_matches_high_precision_oracle():
+    x = np.linspace(-10.0, 10.0, 4001)
+    with mpmath.workdps(50):
+        exact = np.array([float(mpmath.ncdf(mpmath.mpf(v))) for v in x])
+    got = qz._std_normal_cdf(x)
+    assert np.max(np.abs(got - exact)) <= 4e-16
+    # relative accuracy in the lower tail, which far quantizer cells need
+    lower = x <= 0.0
+    assert np.max(np.abs(got[lower] / exact[lower] - 1.0)) <= 5e-14
+    assert qz._std_normal_cdf(-np.inf) == 0.0
+    assert qz._std_normal_cdf(np.inf) == 1.0
+    assert qz._std_normal_cdf(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
