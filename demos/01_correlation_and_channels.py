@@ -12,8 +12,9 @@ import numpy as np
 
 from relaysim.channel import draw_hop, substream
 from relaysim.correlation import (exp_frobenius_sq, exponential_correlation,
-                                  exponential_eigenvalues, psd_sqrt,
+                                  exponential_eigenvalues,
                                   select_transmit_correlation)
+from relaysim.estimation import HopStatistics
 
 rng = substream(2024, "demo-correlation")
 
@@ -41,17 +42,19 @@ for r in (0.4, 0.8):
 # sampled channels match the requested covariance on both sides: a hop
 # sqrt(gain) R^(1/2) H Theta^(1/2) has E{G G^H} = gain tr(Theta) R and
 # E{G^H G} = gain tr(R) Theta. The first hop's Theta holds the per-user
-# gains; the second hop is doubly correlated.
+# gains; the second hop is doubly correlated. Each hop record holds both
+# square-root factors (pilot length and noise play no part here).
 draws = 4000
-hops = (("first", exponential_correlation(0.7, 12), np.diag([1.0, 0.5, 2.0]), 1.0),
-        ("second", exponential_correlation(0.5, 24), exponential_correlation(0.3, 4), 0.6))
+hops = (("first", HopStatistics(0.7, 12, np.diag([1.0, 0.5, 2.0]), 3, 1.0)),
+        ("second", HopStatistics(0.5, 24, exponential_correlation(0.3, 4), 4, 1.0,
+                                 gain=0.6, streams=4)))
 print()
-for name, recv, tx, gain in hops:
-    recv_sqrt, tx_sqrt = psd_sqrt(recv), psd_sqrt(tx)
+for name, hop in hops:
+    recv, tx, gain = hop.recv_corr, hop.transmit, hop.gain
     left = np.zeros(recv.shape, dtype=np.complex128)
     right = np.zeros(tx.shape, dtype=np.complex128)
     for _ in range(draws):
-        g = draw_hop(recv_sqrt, tx_sqrt, gain, rng)
+        g = draw_hop(hop.recv_sqrt, hop.tx_sqrt, gain, rng)
         left += g @ g.conj().T
         right += g.conj().T @ g
     left /= draws * gain * np.trace(tx).real

@@ -2,7 +2,7 @@
 
 Library layout:
 
-- correlation: exponential correlation matrices, PSD square roots, norms
+- correlation: exponential correlation matrices, closed-form spectra, norms
 - channel:     path loss and correlated Rayleigh sampling, RNG substreams
 - quantizer:   AQNM constants, quantization map, Lloyd-Max reference
 - estimation:  LMMSE pilot estimation, closed-form MSE, equivalent forms

@@ -8,7 +8,7 @@ diagonals of the model matrices. The same identities double as Monte Carlo
 oracles for the trial engine.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -276,20 +276,6 @@ def kappa_closed_form(hop1, adc1, data_power, relay_power, relay_noise_var):
 # per-user SINR terms and reports
 
 @dataclass(frozen=True)
-class RateTerms:
-    """Per-user powers entering the SINR, plus the raw moments behind them."""
-
-    signal: np.ndarray
-    interference: np.ndarray
-    noise_relay: np.ndarray
-    noise_bs: np.ndarray
-    moments: dict = field(default_factory=dict, repr=False)
-
-    def sinr(self):
-        return self.signal / (self.interference + self.noise_relay + self.noise_bs)
-
-
-@dataclass(frozen=True)
 class RateReport:
     """Sum-rate result with its per-user decomposition and provenance."""
 
@@ -312,8 +298,9 @@ class RateReport:
 
 
 def rate_terms(hop1, hop2, adc1, adc2, data_power, relay_power,
-               relay_noise_var, bs_noise_var, kappa):
-    """Assemble the four per-user powers from the separable moments."""
+               relay_noise_var, bs_noise_var, kappa, mu):
+    """Closed-form report: the four per-user powers from the separable
+    moments, and the rates their SINR gives at pre-log factor mu."""
     a1, a2 = adc1.alpha, adc2.alpha
     chi = a1 ** 2 * a2 ** 2 * kappa ** 2 * data_power
     desired = desired_signal_moment(hop1, hop2)
@@ -329,23 +316,11 @@ def rate_terms(hop1, hop2, adc1, adc2, data_power, relay_power,
     noise_relay = (a1 ** 2 * a2 ** 2 * kappa ** 2 * relay_noise_var * chain
                    + a2 ** 2 * kappa ** 2 * rq)
     noise_bs = a2 ** 2 * bs_noise_var * vec + bq
-    moments = {"desired": desired, "leakage": leak, "cross": cross,
-               "chain_norm": chain, "relay_quant": rq, "bs_vector": vec,
-               "bs_quant": bq}
-    return RateTerms(signal=signal, interference=interference,
-                     noise_relay=noise_relay, noise_bs=noise_bs,
-                     moments=moments), chi
-
-
-def report_from_terms(terms, mu, kappa, chi, provenance,
-                      ci_halfwidth=0.0, trials=0):
-    sinr = terms.sinr()
-    per_user = mu * np.log2(1.0 + sinr)
-    return RateReport(signal=terms.signal, interference=terms.interference,
-                      noise_relay=terms.noise_relay, noise_bs=terms.noise_bs,
+    per_user = mu * np.log2(1.0 + signal / (interference + noise_relay + noise_bs))
+    return RateReport(signal=signal, interference=interference,
+                      noise_relay=noise_relay, noise_bs=noise_bs,
                       per_user_rate=per_user, sum_rate=float(per_user.sum()),
-                      mu=mu, kappa=kappa, chi=chi, provenance=provenance,
-                      ci_halfwidth=ci_halfwidth, trials=trials)
+                      mu=mu, kappa=kappa, chi=chi, provenance="closed-form")
 
 
 def _empty_report(mu, provenance):
@@ -371,10 +346,9 @@ def sum_rate_approx(scenario, models=None):
         hop1, hop2 = models
     kappa = kappa_closed_form(hop1, scenario.adc1, scenario.P_U,
                               scenario.P_R, scenario.sigma_R2)
-    terms, chi = rate_terms(hop1, hop2, scenario.adc1, scenario.adc2,
-                            scenario.P_U, scenario.P_R, scenario.sigma_R2,
-                            scenario.sigma_B2, kappa)
-    return report_from_terms(terms, scenario.mu, kappa, chi, "closed-form")
+    return rate_terms(hop1, hop2, scenario.adc1, scenario.adc2, scenario.P_U,
+                      scenario.P_R, scenario.sigma_R2, scenario.sigma_B2, kappa,
+                      scenario.mu)
 
 
 # ---------------------------------------------------------------------------

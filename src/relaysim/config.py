@@ -100,6 +100,12 @@ class ScenarioConfig:
         if self.betas is not None and len(self.betas) != self.K:
             raise ConfigError(
                 f"betas must have K = {self.K} entries, got {len(self.betas)}")
+        # a gain that is not positive and finite is bad input (exit 1), not a
+        # numerical failure of the model built from it (exit 2)
+        if self.betas is not None and not all(0.0 < b < np.inf for b in self.betas):
+            raise ConfigError(f"betas must be positive and finite, got {self.betas}")
+        if self.eta is not None and not 0.0 < self.eta < np.inf:
+            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
 
     @property
     def M(self):
@@ -199,6 +205,23 @@ def _parse_int(value, key, expected="an integer"):
     return number
 
 
+def _parse_field(key, value):
+    """value of a ScenarioConfig field converted from its mapping form."""
+    if key in ("q1", "q2"):
+        return _parse_adc_bits(value, key)
+    if key in ("N", "K", "T", "tau1", "tau2", "trials", "seed"):
+        return _parse_int(value, key)
+    if key == "csi":
+        return str(value)
+    if value is None and key in ("d_users", "betas", "eta"):
+        return None
+    if key in ("d_users", "betas"):
+        return tuple(float(v) for v in value)
+    if key in ("r_R", "r_B") and isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(float(value[0]), float(value[1]))
+    return float(value)
+
+
 def scenario_from_mapping(mapping, base=None):
     """Build a ScenarioConfig from a flat mapping (config file or CLI overrides).
 
@@ -222,28 +245,12 @@ def scenario_from_mapping(mapping, base=None):
             continue
         if key not in valid:
             raise ConfigError(f"unknown config field {key!r}")
-        if key in ("q1", "q2"):
-            updates[key] = _parse_adc_bits(value, key)
-        elif key in ("d_users", "betas"):
-            if value is not None:
-                value = tuple(float(v) for v in value)
-            updates[key] = value
-        elif key in ("N", "K", "T", "tau1", "tau2", "trials", "seed"):
-            updates[key] = _parse_int(value, key)
-        elif key in ("r_R", "r_B"):
-            if isinstance(value, (list, tuple)) and len(value) == 2:
-                updates[key] = complex(float(value[0]), float(value[1]))
-            else:
-                updates[key] = float(value)
-        elif key == "csi":
-            updates[key] = str(value)
-        elif key == "eta":
-            updates[key] = None if value is None else float(value)
-        else:
-            try:
-                updates[key] = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"field {key}: expected a number, got {value!r}")
+        try:
+            updates[key] = _parse_field(key, value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError):
+            raise ConfigError(f"field {key}: expected a number, got {value!r}")
     try:
         return base.with_updates(**updates)
     except ConfigError:

@@ -1,4 +1,4 @@
-"""Spatial correlation matrices and the small linear-algebra helpers built on them.
+"""Spatial correlation matrices, their closed-form spectra and norms.
 
 The antenna arrays at both ends of each hop follow the exponential
 correlation model: entry (i, j) equals r**(j - i) above the diagonal and the
@@ -12,12 +12,6 @@ to r**(N / K).
 """
 
 import numpy as np
-
-from .errors import NotPSDError
-
-# eigenvalues below -PSD_RTOL * max(eig) mean "not PSD"; anything in
-# [-tol, 0) is clamped to zero before taking square roots
-PSD_RTOL = 1e-10
 
 
 def _checked(r, n):
@@ -184,23 +178,6 @@ def select_transmit_correlation(r, n_total, n_selected):
     else:
         r_eff = r ** (n_total / n_selected)
     return exponential_correlation(r_eff, n_selected)
-
-
-def psd_sqrt(mat):
-    """Hermitian PSD square root via eigendecomposition.
-
-    Eigenvalues in [-PSD_RTOL * lam_max, 0) are clamped to zero; anything
-    more negative raises NotPSDError.
-    """
-    mat = np.asarray(mat)
-    w, u = np.linalg.eigh(mat)
-    lam_max = float(w[-1]) if w.size else 0.0
-    floor = -PSD_RTOL * max(lam_max, 0.0)
-    if w.size and float(w[0]) < floor:
-        raise NotPSDError(
-            f"matrix is not PSD: min eigenvalue {w[0]:.3e} vs max {lam_max:.3e}")
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.conj().T
 
 
 def exp_frobenius_sq(r, n):

@@ -15,10 +15,6 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed despite valid inputs."""
 
 
-class NotPSDError(NumericalError):
-    """A matrix required to be positive semi-definite is not."""
-
-
 class ConvergenceError(NumericalError):
     """An iterative routine failed to converge within its budget."""
 

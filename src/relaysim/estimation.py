@@ -19,14 +19,19 @@ import numpy as np
 
 from .channel import complex_normal, draw_hop, left_multiply
 from .correlation import (exponential_basis, exponential_correlation,
-                          exponential_eigenvalues, exponential_split_diagonals,
-                          psd_sqrt)
+                          exponential_eigenvalues, exponential_split_diagonals)
 from .errors import DegenerateEstimateError, IllConditionedError
 from .quantizer import aqnm_quantize
 
 # refuse to build LMMSE filters from observation covariances with a worse
 # spectral condition number than this
 MAX_CONDITION = 1e14
+
+
+def _root(s, u):
+    """u diag(sqrt(s)) u^H: the square root of the Hermitian matrix with
+    eigenvalues s and orthonormal eigenvectors u."""
+    return (u * np.sqrt(s)) @ u.conj().T
 
 
 def orthonormal_pilots(tau, n_users):
@@ -57,6 +62,9 @@ class HopStatistics:
     and the equivalent form in O(n). Its eigenvectors (basis), O(n^2), are
     built only for the LMMSE filter and the square-root factor the pilot
     simulation draws with, and R itself (recv_corr) only when asked for.
+    The K x K transmit matrix is decomposed once (tx_spectrum); its
+    eigenbasis also diagonalizes the estimate and error transmit matrices
+    of the equivalent form.
     """
 
     r: complex
@@ -98,13 +106,18 @@ class HopStatistics:
         return exponential_basis(self.r, self.spectrum[1])
 
     @cached_property
+    def tx_spectrum(self):
+        """(mu, V): ascending eigenvalues and eigenvectors of the transmit
+        matrix."""
+        return np.linalg.eigh(self.transmit)
+
+    @cached_property
     def recv_sqrt(self):
-        u = self.basis
-        return (u * np.sqrt(self.spectrum[0])) @ u.conj().T
+        return _root(self.spectrum[0], self.basis)
 
     @cached_property
     def tx_sqrt(self):
-        return psd_sqrt(self.transmit)
+        return _root(*self.tx_spectrum)
 
     @cached_property
     def pilots(self):
@@ -187,7 +200,17 @@ class EstimateModel:
     def receive_sqrt(self):
         """(receive_hat^(1/2), receive_err^(1/2)) from the eigendata."""
         u, f, g = self.eigendata
-        return tuple((u * np.sqrt(s)) @ u.conj().T for s in (f, g))
+        return _root(f, u), _root(g, u)
+
+    def transmit_sqrt(self):
+        """(transmit_hat^(1/2), transmit_err^(1/2)) in the eigenbasis V of
+        the hop's transmit matrix, which diagonalizes both: their spectra
+        are diag(V^H T V), with rounding below zero on the error side
+        clamped."""
+        v = self.hop.tx_spectrum[1]
+        spectra = (np.einsum("ij,ij->j", v.conj(), t @ v).real
+                   for t in (self.transmit_hat, self.transmit_err))
+        return tuple(_root(np.maximum(s, 0.0), v) for s in spectra)
 
     def validate(self, rtol=1e-8):
         """Check the construction identities against the hop's true statistics.
@@ -312,10 +335,13 @@ def equivalent_form(hop, adc, power):
     transmit matrix is sum(f h) Theta + (tr(Theta) / K) sum(g h) I and the
     error's its complement (sum(g) + sum(g h)) Theta minus the same shared
     term; each is normalized by its receive trace, so estimate and error
-    energies add up to the true per-user energy exactly. The error side
-    must stay PSD: a weak user (first hop) or strong transmit correlation
-    (second hop) with few receive antennas per stream can push it
-    indefinite, and then no separable error model exists.
+    energies add up to the true per-user energy exactly. Both share
+    Theta's eigenvectors, and the error side is PSD exactly when
+    margin = mu_min(Theta) / (tr(Theta) / K) - sum(g h) / (sum(g) + sum(g h))
+    is non-negative: a weak user (first hop, Theta = diag(beta)) or strong
+    transmit correlation (second hop) with few receive antennas per
+    stream can push it negative, and then no separable error model
+    exists.
     """
     k = hop.shape[1]
     if hop.total_gain <= 0.0:
@@ -327,15 +353,16 @@ def equivalent_form(hop, adc, power):
         raise DegenerateEstimateError("estimate energy collapsed to zero")
     if sum_g <= 0.0:
         raise DegenerateEstimateError("error energy collapsed to zero")
-    shared = (hop.trace / k) * sum_gh * np.eye(k)
+    mean_gain = hop.trace / k
+    margin = hop.tx_spectrum[0][0] / mean_gain - sum_gh / (sum_g + sum_gh)
+    if margin < 0.0:
+        raise DegenerateEstimateError(
+            f"error-side transmit matrix is indefinite (margin {margin:.3e}); "
+            "the separable error model needs a flatter transmit-side "
+            "spectrum or more receive antennas per stream")
+    shared = mean_gain * sum_gh * np.eye(k)
     tx_hat = (sum_fh * hop.transmit + shared) / sum_f
     tx_err = ((sum_g + sum_gh) * hop.transmit - shared) / sum_g
-    w = np.linalg.eigvalsh(tx_err)
-    if w[0] < -1e-10 * max(float(w[-1]), 1e-300):
-        raise DegenerateEstimateError(
-            "error-side transmit matrix is indefinite (min eigenvalue "
-            f"{w[0]:.3e}); the separable error model needs a flatter "
-            "transmit-side spectrum or more receive antennas per stream")
     return EstimateModel(hop, tx_hat, tx_err, obs=(a, c))
 
 

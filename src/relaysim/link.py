@@ -16,7 +16,6 @@ import numpy as np
 from . import analysis
 from . import config as cfg
 from .channel import complex_normal, left_multiply, substream
-from .correlation import psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,14 @@ def prepare(scenario, models=None):
            * kappa ** 2 * scenario.P_U)
     sqrt_recv1_hat, sqrt_recv1_err = hop1.receive_sqrt()
     sqrt_recv2_hat, sqrt_recv2_err = hop2.receive_sqrt()
+    sqrt_tx2_hat, sqrt_tx2_err = hop2.transmit_sqrt()
     return PreparedScenario(
         scenario=scenario,
         sqrt_recv1_hat=sqrt_recv1_hat, sqrt_recv1_err=sqrt_recv1_err,
         amp1_hat=np.sqrt(hop1.scalars.tx_hat_diag),
         amp1_err=np.sqrt(hop1.scalars.tx_err_diag),
         sqrt_recv2_hat=sqrt_recv2_hat, sqrt_recv2_err=sqrt_recv2_err,
-        sqrt_tx2_hat=psd_sqrt(hop2.transmit_hat),
-        sqrt_tx2_err=psd_sqrt(hop2.transmit_err),
+        sqrt_tx2_hat=sqrt_tx2_hat, sqrt_tx2_err=sqrt_tx2_err,
         relay_gain=hop2.relay_gain, kappa=kappa, chi=chi)
 
 

@@ -135,7 +135,10 @@ def lloyd_max_distortion(bits, tol=1e-10, max_iter=10000):
     two edges only, so the Jacobian is tridiagonal and diagonally dominant.
     From the equal-probability start Newton takes at most 7 steps for
     1..16 bits. Stops when the largest centroid shift |T(c) - c| falls
-    below tol, then returns E{(x - Q(x))^2} = 1 - sum_i p_i T_i(c)^2.
+    below tol, then returns E{(x - Q(x))^2} = 1 - sum_i p_i T_i(c)^2. The
+    shift falls at every step until it reaches its rounding floor (about
+    6e-15 at 6 bits, 3e-14 at 8), so a step that does not lower it raises
+    ConvergenceError at once: a tol below that floor cannot be met.
     """
     if bits != int(bits) or bits < 1:
         raise ValueError(f"resolution must be a positive integer, got {bits!r}")
@@ -160,9 +163,13 @@ def lloyd_max_distortion(bits, tol=1e-10, max_iter=10000):
         # integral of x phi(x) over each cell: phi(lower) - phi(upper)
         mapped = (np.append(0.0, pdf) - np.append(pdf, 0.0)) / cell_prob
         shift = mapped - centroids
-        largest = float(np.max(np.abs(shift)))
+        previous, largest = largest, float(np.max(np.abs(shift)))
         if largest < tol:
             return float(1.0 - np.sum(cell_prob * mapped ** 2))
+        if largest >= previous:
+            raise ConvergenceError(
+                f"Lloyd-Max iteration stalled at shift {largest:.3e}, not "
+                f"below tol {tol:.3e}")
         # dT_i/d(edge) is phi(edge) (T_i - edge) / p_i up to sign, for the
         # cell above and the cell below each edge; an edge moves by half of
         # either neighbouring centroid's move

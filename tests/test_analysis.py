@@ -293,13 +293,13 @@ def test_rate_converges_to_perfect_csi_as_pilot_power_grows():
 # something is drawn, no dense eigensolver
 
 def _count_eigh(monkeypatch):
-    """(size, complex) of every numpy eigh / eigvalsh call."""
+    """(name, size, complex) of every numpy eigh / eigvalsh call."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counting(mat, *args, _original=original, **kwargs):
-            calls.append((np.asarray(mat).shape[0], np.iscomplexobj(mat)))
+        def counting(mat, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, np.asarray(mat).shape[0], np.iscomplexobj(mat)))
             return _original(mat, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
@@ -322,18 +322,21 @@ def _count_spectra(monkeypatch):
 
 
 def test_closed_form_decomposes_each_receive_array_once(monkeypatch):
+    # closed-form eigenvalues per receive array, one K-size eigh per
+    # transmit matrix (its refusal margin), and no eigvalsh
     scn = cfg.table_defaults().with_updates(N=64)
     calls = _count_eigh(monkeypatch)
     spectra = _count_spectra(monkeypatch)
     analysis.sum_rate_approx(scn)
     assert sorted(spectra["eigenvalues"]) == [scn.N, scn.M]
     assert spectra["basis"] == []
-    assert [size for size, _ in calls if size > scn.K] == []
+    assert calls == [("eigh", scn.K, False)] * 2
 
 
 def test_prepare_reuses_the_models_eigendata(monkeypatch):
     # Monte Carlo draws with the square-root factors, so prepare builds the
-    # eigenvectors once per array and reuses the models' eigenvalues
+    # receive eigenvectors once per array, reuses the models' eigenvalues
+    # and takes the transmit roots in the eigenbasis the models refused by
     scn = cfg.table_defaults().with_updates(N=64)
     models = cfg.scenario_models(scn)
     calls = _count_eigh(monkeypatch)
@@ -341,7 +344,7 @@ def test_prepare_reuses_the_models_eigendata(monkeypatch):
     link.prepare(scn, models=models)
     assert spectra["eigenvalues"] == []
     assert sorted(spectra["basis"]) == [scn.N, scn.M]
-    assert all(size <= scn.K for size, _ in calls)
+    assert calls == []
 
 
 def test_large_closed_form_builds_no_eigenvectors(monkeypatch):

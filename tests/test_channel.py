@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from relaysim import channel
-from relaysim.correlation import exponential_correlation, psd_sqrt
-from relaysim.errors import NotPSDError
+from relaysim import channel, config as cfg
+from relaysim.correlation import exponential_correlation
+from relaysim.errors import ConfigError
+from relaysim.estimation import HopStatistics
 
 
 def test_substream_reproducible():
@@ -57,7 +58,8 @@ def test_first_hop_column_covariance():
     recv = exponential_correlation(0.7, n)
     gains = np.array([1.0, 0.4, 2.2])
     rng = channel.substream(9, "first-hop-cov")
-    recv_sqrt, gains_sqrt = psd_sqrt(recv), np.diag(np.sqrt(gains))
+    hop = HopStatistics(0.7, n, np.diag(gains), k, 1.0)
+    recv_sqrt, gains_sqrt = hop.recv_sqrt, hop.tx_sqrt
     acc = np.zeros((k, n, n), dtype=np.complex128)
     for _ in range(draws):
         f = channel.draw_hop(recv_sqrt, gains_sqrt, 1.0, rng)
@@ -76,7 +78,8 @@ def test_second_hop_gram_means():
     recv = exponential_correlation(0.5, m)
     tx = exponential_correlation(0.8, k)
     rng = channel.substream(10, "second-hop-cov")
-    recv_sqrt, tx_sqrt = psd_sqrt(recv), psd_sqrt(tx)
+    hop = HopStatistics(0.5, m, tx, k, 1.0, gain=eta, streams=k)
+    recv_sqrt, tx_sqrt = hop.recv_sqrt, hop.tx_sqrt
     left = np.zeros((m, m), dtype=np.complex128)
     right = np.zeros((k, k), dtype=np.complex128)
     for _ in range(draws):
@@ -91,10 +94,11 @@ def test_second_hop_gram_means():
 
 
 def test_draw_guards():
-    recv_sqrt = psd_sqrt(exponential_correlation(0.5, 4))
+    recv_sqrt = HopStatistics(0.5, 4, np.eye(2), 2, 1.0).recv_sqrt
     rng = channel.substream(11, "guards")
     with pytest.raises(ValueError):
         channel.draw_hop(recv_sqrt, np.eye(2), -0.1, rng)
-    # a negative per-user gain has no square-root factor to draw with
-    with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([-1.0, 0.5]))
+    # a negative per-user gain has no square-root factor to draw with, so
+    # the scenario refuses it before any hop is built
+    with pytest.raises(ConfigError, match="betas"):
+        cfg.ScenarioConfig(K=2, betas=(-1.0, 0.5))

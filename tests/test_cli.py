@@ -142,6 +142,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert _run(["rate-vs-n", "--config", str(bad)]) == 1
+    # gains that are not positive and finite are configuration errors, not
+    # numerical failures of the model built from them
+    for text in ('{"K": 2, "betas": [-1.0, 0.5]}', '{"K": 2, "betas": [NaN, 0.5]}',
+                 '{"eta": -0.5}'):
+        bad.write_text(text)
+        assert _run(["rate-vs-n", "--n-values", "64", "--closed-form-only",
+                     "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err
 

@@ -57,6 +57,14 @@ def test_with_updates_keeps_frozen_semantics():
     dict(csi="oracle"),
     dict(trials=0),
     dict(K=3, betas=(1.0, 2.0)),          # wrong betas length
+    dict(K=2, betas=(-1.0, 0.5)),         # gains must be positive and finite
+    dict(K=2, betas=(0.0, 0.5)),
+    dict(K=2, betas=(float("nan"), 0.5)),
+    dict(K=2, betas=(float("inf"), 0.5)),
+    dict(eta=-0.5),
+    dict(eta=0.0),
+    dict(eta=float("nan")),
+    dict(eta=float("inf")),
 ])
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ConfigError):
@@ -125,6 +133,11 @@ def test_mapping_rejects_unknown_and_malformed_fields():
             with pytest.raises(ConfigError, match=f"field {key}:"):
                 cfg.scenario_from_mapping({key: value})
     assert cfg.scenario_from_mapping({"N": 64.0, "trials": "20"}).N == 64
+    # unreadable gains, distances and coefficients name their field too
+    for key, value in (("betas", ["a", 1.0]), ("betas", 5), ("d_users", [1.0, "a"]),
+                       ("eta", "x"), ("r_R", "x"), ("r_B", [0.1, "y"]), ("r_B", None)):
+        with pytest.raises(ConfigError, match=f"field {key}:"):
+            cfg.scenario_from_mapping({key: value})
 
 
 def test_mapping_handles_complex_coefficients_and_base():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relaysim import correlation as corr
-from relaysim.errors import NotPSDError
 
 
 def test_zero_coefficient_gives_identity():
@@ -44,26 +43,6 @@ def test_coefficient_magnitude_must_be_subunit():
         corr.exponential_correlation(1.0, 4)
     with pytest.raises(ValueError):
         corr.exponential_correlation(-1.2, 4)
-
-
-def test_psd_sqrt_roundtrip():
-    rng = np.random.default_rng(5)
-    for r in (0.0, 0.6, 0.95):
-        mat = corr.exponential_correlation(r, 24)
-        root = corr.psd_sqrt(mat)
-        np.testing.assert_allclose(root @ root, mat, atol=1e-10)
-        np.testing.assert_allclose(root, root.conj().T, atol=1e-10)
-    # a generic random PSD matrix should also round-trip
-    g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    psd = g @ g.conj().T
-    root = corr.psd_sqrt(psd)
-    np.testing.assert_allclose(root @ root, psd, atol=1e-8 * np.abs(psd).max())
-
-
-def test_psd_sqrt_rejects_indefinite():
-    mat = np.diag([1.0, -0.5])
-    with pytest.raises(NotPSDError):
-        corr.psd_sqrt(mat)
 
 
 def test_closed_form_frobenius_matches_matrix():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relaysim import estimation as est
+from relaysim import config as cfg, estimation as est
 from relaysim.channel import substream
 from relaysim.correlation import exponential_correlation, select_transmit_correlation
 from relaysim.errors import DegenerateEstimateError, IllConditionedError
@@ -28,6 +28,21 @@ def test_pilots_are_orthonormal():
     for tau, k in ((10, 10), (16, 5), (7, 7)):
         phi = est.orthonormal_pilots(tau, k)
         np.testing.assert_allclose(phi.conj().T @ phi, np.eye(k), atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.6, 0.95, -0.7, 0.3 + 0.4j])
+def test_hop_square_roots_roundtrip(r):
+    # recv_sqrt comes from the closed-form spectrum, tx_sqrt from the
+    # transmit eigenbasis; both are Hermitian square roots
+    hops = (_first_hop(r, 24, [1.0, 0.05, 2.5], 3, 1.0),
+            _second_hop(r, 24, select_transmit_correlation(r, 24, 6), 0.8, 6, 1.0))
+    for hop in hops:
+        for root, mat in ((hop.recv_sqrt, hop.recv_corr), (hop.tx_sqrt, hop.transmit)):
+            np.testing.assert_allclose(root @ root, mat, atol=1e-12 * np.abs(mat).max())
+            np.testing.assert_allclose(root, root.conj().T, atol=1e-14)
+    # a diagonal transmit matrix has the elementwise root
+    np.testing.assert_allclose(hops[0].tx_sqrt, np.diag(np.sqrt([1.0, 0.05, 2.5])),
+                               atol=1e-15)
 
 
 def test_lmmse_filter_identity_case():
@@ -133,6 +148,18 @@ def test_degenerate_error_model_raises():
     hop = _first_hop(0.8, 64, [1.0, 0.1], 10, 10.0 ** 0.22)
     with pytest.raises(DegenerateEstimateError, match="indefinite"):
         est.equivalent_form(hop, TWO_BIT, 100.0)
+
+
+@pytest.mark.parametrize("r, smallest", [
+    (0.0, 10), (0.5, 13), (0.8, 36), (0.9, 71), (0.95, 140)])
+def test_smallest_accepted_antenna_count(r, smallest):
+    # README's table: the default scenario with r_R = r_B = r accepts N from
+    # `smallest` upward and refuses N - 1 (r = 0 is accepted at N = K)
+    base = cfg.table_defaults().with_updates(r_R=r, r_B=r)
+    cfg.scenario_models(base.with_updates(N=smallest))
+    if smallest > base.K:
+        with pytest.raises(DegenerateEstimateError, match="margin"):
+            cfg.scenario_models(base.with_updates(N=smallest - 1))
 
 
 def test_singular_observation_covariance_raises():

@@ -1,11 +1,15 @@
 """Monte Carlo engine checks: bookkeeping, determinism, and consistency."""
 
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from relaysim import analysis, config as cfg, link
+from relaysim import analysis, config as cfg, estimation as est, link
 from relaysim.channel import substream
 from relaysim.errors import DegenerateEstimateError
+from relaysim.quantizer import IDEAL
 
 _SCN = cfg.ScenarioConfig(N=20, delta=1.5, K=3, tau1=6, tau2=6, q1=2, q2=2,
                           betas=(1.0, 0.7, 1.2), eta=0.9, r_R=0.5, r_B=0.4,
@@ -154,3 +158,65 @@ def test_indefinite_first_hop_error_model_is_refused_by_both_engines():
         analysis.sum_rate_approx(scn)
     with pytest.raises(DegenerateEstimateError, match="indefinite"):
         link.ergodic_sum_rate_mc(scn)
+
+
+_coefficient = st.one_of(
+    st.floats(-0.95, 0.95),
+    st.builds(cmath.rect, st.floats(0.0, 0.95), st.floats(-np.pi, np.pi)))
+
+
+@st.composite
+def _scenarios(draw):
+    """Valid small scenarios on both sides of the indefinite-error boundary:
+    weak users, strong correlation and few antennas per stream."""
+    k = draw(st.integers(1, 6))
+    tau = k + draw(st.integers(0, 4))
+    return cfg.ScenarioConfig(
+        N=draw(st.integers(k, 48)), K=k, delta=draw(st.sampled_from((1.0, 1.5, 2.0))),
+        tau1=tau, tau2=tau, q1=draw(st.sampled_from((1, 2, 3, IDEAL))),
+        q2=draw(st.sampled_from((1, 2, 3, IDEAL))),
+        P1=draw(st.sampled_from((1.0, 100.0, 1e4))),
+        P2=draw(st.sampled_from((1.0, 10.0 ** 2.5, 1e4))),
+        r_R=draw(_coefficient), r_B=draw(_coefficient),
+        betas=tuple(draw(st.lists(st.floats(0.02, 3.0), min_size=k, max_size=k))),
+        eta=draw(st.floats(0.05, 2.0)), trials=1)
+
+
+def _error_transmit_eigenvalues(hop, adc, power):
+    """Eigenvalues of the error transmit matrix as equivalent_form would
+    build it, by a dense eigensolver and without its refusal."""
+    f, g, h = est._receive_split(hop, *est._observation_constants(hop, adc, power))
+    k = hop.shape[1]
+    shared = (hop.trace / k) * float(g @ h) * np.eye(k)
+    return np.linalg.eigvalsh(((g.sum() + g @ h) * hop.transmit - shared) / g.sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(scn=_scenarios())
+def test_engines_refuse_together_and_accepted_models_factor(scn):
+    outcomes = []
+    for engine in (analysis.sum_rate_approx, link.prepare):
+        try:
+            engine(scn)
+            outcomes.append("accepted")
+        except DegenerateEstimateError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    refused = False
+    hops = cfg.scenario_hops(scn)
+    for hop, adc, power in zip(hops, (scn.adc1, scn.adc2), (scn.P1, scn.P2)):
+        try:
+            model = est.equivalent_form(hop, adc, power)
+        except DegenerateEstimateError:
+            # the margin refused: the dense error spectrum dips below zero
+            assert _error_transmit_eigenvalues(hop, adc, power)[0] < 0.0
+            refused = True
+            continue
+        assert _error_transmit_eigenvalues(hop, adc, power)[0] > -1e-12
+        model.validate()
+        for root, mat in zip(model.transmit_sqrt(), (model.transmit_hat, model.transmit_err)):
+            scale = max(1.0, float(np.abs(mat).max()))
+            np.testing.assert_allclose(root @ root, mat, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(root, root.conj().T, rtol=0, atol=1e-12 * scale)
+    event("refused" if refused else "accepted")
+    assert (outcomes[0] == "accepted") == (not refused)

@@ -1,6 +1,7 @@
 """Quantizer model checks: distortion table, AQNM statistics, Lloyd-Max."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -135,6 +136,27 @@ def test_lloyd_max_guards(monkeypatch):
     monkeypatch.setattr(qz, "_std_normal_cdf", np.zeros_like)
     with pytest.raises(ConvergenceError, match="zero probability"):
         qz.lloyd_max_distortion(2)
+
+
+def test_lloyd_max_stops_when_the_shift_stalls(monkeypatch):
+    # a tol below the rounding floor of the shift (about 6e-15 at 6 bits,
+    # 3e-14 at 8) cannot be met; the Newton loop must notice within a few
+    # steps instead of running all max_iter of them
+    steps = []
+    solve = qz._solve_tridiagonal
+
+    def counting(*args):
+        steps.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(qz, "_solve_tridiagonal", counting)
+    for bits, tol in ((6, 1e-15), (8, 1e-14)):
+        steps.clear()
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="stalled"):
+            qz.lloyd_max_distortion(bits, tol=tol)
+        assert time.perf_counter() - start < 0.1
+        assert len(steps) <= 12
 
 
 def test_std_normal_cdf_matches_high_precision_oracle():
