@@ -313,6 +313,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "closed_form_only", False) and getattr(args, "mc_only", False):
             raise ConfigError("--closed-form-only and --mc-only exclude each other")
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import complex_normal, draw_hop, left_multiply
+from .channel import (chunk_size, complex_stack, draw_hop, left_multiply,
+                      normals_per_trial, split_normals)
 from .correlation import (exponential_basis, exponential_correlation,
                           exponential_eigenvalues, exponential_split_diagonals)
 from .errors import DegenerateEstimateError, IllConditionedError
@@ -296,35 +297,73 @@ def mse_closed_form(hop, adc, power):
     return hop.total_gain * hop.streams * float(g.sum())
 
 
-def simulate_pilot(hop, adc, power, rng, lmmse=None):
-    """Draw a channel, run the quantized pilot phase, return (channel, estimate).
+def _pilot_draws(hop, adc):
+    """Shapes of what one pilot trial draws, in stream order: the channel's
+    iid part H and the receiver noise, then the quantization noise unless
+    the ADC is ideal; each real parts first, then imaginary parts."""
+    n, k = hop.shape
+    return [(n, k)] * 2 + [(n, hop.tau)] * (2 if adc.is_ideal else 4)
 
-    The per-antenna variance fed to the quantizer is the realized
-    time-averaged pilot power (power / streams) * ||row||^2 + noise_var,
-    constant over the pilot block because the pilot columns are
-    orthonormal.
+
+def _sum_abs2(x, kept):
+    """Sums of |x|^2 over the axes of a three-axis complex stack that the
+    einsum labels kept (of "ijk") leave out, read as real and imaginary
+    parts."""
+    parts = x.view(np.float64)
+    return np.einsum(f"ijk,ijk->{kept}", parts, parts)
+
+
+def simulate_pilot(hop, adc, power, normals, lmmse=None):
+    """Run the quantized pilot phase on a chunk of trials and return the
+    (channel, estimate) stacks, each (b, n, k).
+
+    normals holds one row of standard normals per trial, laid out as one
+    trial draws them (_pilot_draws). The per-antenna variance fed to the
+    quantizer is the realized time-averaged pilot power (power / streams)
+    * ||row||^2 + noise_var, constant over the pilot block because the
+    pilot columns are orthonormal. The chunk runs in the (n, b, .) layout
+    of complex_stack: each receive factor (the channel's square root and
+    the LMMSE filter) meets it as one GEMM, and so do the pilots.
     """
     if lmmse is None:
         lmmse = lmmse_filter(hop, adc, power)
+    n, k = hop.shape
     pilots = hop.pilots
-    chan = draw_hop(hop.recv_sqrt, hop.tx_sqrt, hop.gain, rng)
-    received = (np.sqrt(hop.tau * power / hop.streams) * chan @ pilots.T
-                + complex_normal(rng, (hop.shape[0], hop.tau), hop.noise_var))
-    row_power = (power / hop.streams) * np.sum(np.abs(chan) ** 2, axis=1) + hop.noise_var
-    quantized = aqnm_quantize(received, adc, row_power[:, None], rng)
-    despread = quantized @ np.conj(pilots)
-    return chan, left_multiply(lmmse, despread)
+    h_re, h_im, w_re, w_im, *quant = split_normals(normals, *_pilot_draws(hop, adc))
+    chan = draw_hop(hop.recv_sqrt, hop.tx_sqrt, hop.gain, h=complex_stack(h_re, h_im))
+    received = ((np.sqrt(hop.tau * power / hop.streams) * chan).reshape(-1, k) @ pilots.T
+                ).reshape(n, -1, hop.tau)
+    received += complex_stack(w_re, w_im, np.sqrt(hop.noise_var / 2.0))
+    row_power = (power / hop.streams) * _sum_abs2(chan, "ij") + hop.noise_var
+    quantized = aqnm_quantize(received, adc, row_power[..., None],
+                              normals=[q.transpose(1, 0, 2) for q in quant] or None)
+    despread = (quantized.reshape(-1, hop.tau) @ np.conj(pilots)).reshape(n, -1, k)
+    return chan.transpose(1, 0, 2), left_multiply(lmmse, despread).transpose(1, 0, 2)
 
 
 def pilot_mse(hop, adc, power, trials, rng):
-    """Simulated per-element MSE of the hop's estimator, with stderr."""
+    """Simulated per-element MSE of the hop's estimator, with its standard
+    error (NaN for a single trial).
+
+    Trials run in chunks of channel.chunk_size. rng fills each chunk's
+    normals in one call, row by row, so every trial sees the numbers it
+    would draw on its own; the last chunk is padded with rows of zeros, so
+    no trial's arithmetic depends on how many trials follow it.
+    """
     n, k = hop.shape
     lmmse = lmmse_filter(hop, adc, power)
+    draws = _pilot_draws(hop, adc)
+    size = chunk_size(draws)
+    normals = np.empty((size, normals_per_trial(draws)))
     errs = np.empty(trials)
-    for t in range(trials):
-        chan, est = simulate_pilot(hop, adc, power, rng, lmmse=lmmse)
-        errs[t] = np.sum(np.abs(est - chan) ** 2) / (n * k)
-    return float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(trials))
+    for start in range(0, trials, size):
+        count = min(size, trials - start)
+        rng.standard_normal(out=normals[:count])
+        normals[count:] = 0.0
+        chan, est = simulate_pilot(hop, adc, power, normals, lmmse=lmmse)
+        errs[start:start + count] = _sum_abs2(est[:count] - chan[:count], "i") / (n * k)
+    stderr = errs.std(ddof=1) / np.sqrt(trials) if trials > 1 else np.nan
+    return float(errs.mean()), float(stderr)
 
 
 def equivalent_form(hop, adc, power):

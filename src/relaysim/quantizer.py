@@ -75,7 +75,7 @@ class AdcSpec:
         return self.rho == 0.0
 
 
-def aqnm_quantize(y, adc, signal_var, rng):
+def aqnm_quantize(y, adc, signal_var, rng=None, normals=None):
     """Apply the AQNM map alpha * y + n_q elementwise.
 
     Parameters
@@ -88,16 +88,28 @@ def aqnm_quantize(y, adc, signal_var, rng):
         variance is alpha * (1 - alpha) * signal_var per element, split
         evenly between real and imaginary parts.
     rng : numpy.random.Generator
+        Draws the noise's standard normals, real parts then imaginary.
+    normals : (array, array), optional
+        Those real and imaginary standard normals, each of y's shape,
+        already drawn (a stacked pilot chain draws a chunk at once); rng is
+        then not used.
     """
     y = np.asarray(y, dtype=np.complex128)
-    var = np.broadcast_to(np.asarray(signal_var, dtype=np.float64), y.shape)
+    var = np.asarray(signal_var, dtype=np.float64)
+    np.broadcast_to(var, y.shape)       # refuses a shape that does not fit y
     if np.any(var < 0.0):
         raise ValueError("signal variances must be non-negative")
     if adc.is_ideal:
         return y.copy()
+    if normals is None:
+        normals = (rng.standard_normal(y.shape), rng.standard_normal(y.shape))
+    # the noise is scale * (re + 1j im), assembled part by part
     scale = np.sqrt(adc.alpha * adc.rho * var / 2.0)
-    noise = scale * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    return adc.alpha * y + noise
+    out = np.empty(y.shape, dtype=np.complex128)
+    np.multiply(scale, normals[0], out=out.real)
+    np.multiply(scale, normals[1], out=out.imag)
+    out += adc.alpha * y
+    return out
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)

@@ -38,6 +38,15 @@ def test_mse_sweep_csv_shape(tmp_path):
     assert config["N"] == 128
 
 
+def test_single_trial_mse_sweep_writes_nan_stderr(tmp_path):
+    out = tmp_path / "one.csv"
+    assert _run(["mse-sweep", "--powers-db", "10", "--bits", "1,ideal",
+                 "--trials", "1", "--out", str(out)]) == 0
+    header, rows, _ = _read_csv(out)
+    assert [row[header.index("mse_sim_stderr")] for row in rows] == ["nan"] * 4
+    assert all(float(row[header.index("mse_sim")]) > 0.0 for row in rows)
+
+
 def test_runs_are_byte_identical(tmp_path):
     argv = ["rate-vs-n", "--n-values", "48", "--bits", "2", "--trials", "16"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -126,6 +135,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert _run(["no-such-command"]) == 1
     assert _run(["mse-sweep", "--powers-db", ""]) == 1
     assert _run(["rate-vs-n", "--closed-form-only", "--mc-only"]) == 1
+    # worker counts below one are refused, not run serially
+    assert _run(["rate-vs-n", "--workers", "0"]) == 1
+    assert _run(["rate-vs-n", "--workers", "-3"]) == 1
     assert _run(["mse-sweep", "--bits", "0"]) == 1
     # empty or unreadable ADC resolution lists, in both commands that take one
     assert _run(["rate-vs-n", "--bits", ",", "--closed-form-only"]) == 1

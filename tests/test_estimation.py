@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from relaysim import config as cfg, estimation as est
+from relaysim import channel, config as cfg, estimation as est
 from relaysim.channel import substream
 from relaysim.correlation import exponential_correlation, select_transmit_correlation
 from relaysim.errors import DegenerateEstimateError, IllConditionedError
-from relaysim.quantizer import IDEAL, AdcSpec
+from relaysim.quantizer import IDEAL, AdcSpec, aqnm_quantize
 
 IDEAL_ADC = AdcSpec.from_bits(IDEAL)
 TWO_BIT = AdcSpec.from_bits(2)
@@ -176,6 +176,64 @@ def test_pilot_simulation_shapes():
     hops = (_first_hop(0.5, 12, [1.0, 0.9, 1.1], 6, 1.0),
             _second_hop(0.5, 12, select_transmit_correlation(0.5, 12, 3), 0.8, 6, 1.0))
     for hop in hops:
-        chan, estimate = est.simulate_pilot(hop, TWO_BIT, 10.0, rng)
-        assert chan.shape == (12, 3) and estimate.shape == (12, 3)
+        draws = est._pilot_draws(hop, TWO_BIT)
+        normals = rng.standard_normal((5, channel.normals_per_trial(draws)))
+        chan, estimate = est.simulate_pilot(hop, TWO_BIT, 10.0, normals)
+        assert chan.shape == (5, 12, 3) and estimate.shape == (5, 12, 3)
 
+
+def _pilot_trial(hop, adc, power, rng, lmmse):
+    """One pilot trial drawn the documented way, one draw after another:
+    the channel (draw_hop), the receiver noise (complex_normal), then the
+    quantization noise (aqnm_quantize)."""
+    chan = channel.draw_hop(hop.recv_sqrt, hop.tx_sqrt, hop.gain, rng)
+    received = (np.sqrt(hop.tau * power / hop.streams) * chan @ hop.pilots.T
+                + channel.complex_normal(rng, (hop.shape[0], hop.tau), hop.noise_var))
+    row_power = (power / hop.streams) * np.sum(np.abs(chan) ** 2, axis=1) + hop.noise_var
+    quantized = aqnm_quantize(received, adc, row_power[:, None], rng)
+    return chan, lmmse @ (quantized @ np.conj(hop.pilots))
+
+
+_ORACLE_HOPS = [
+    pytest.param(_first_hop(0.6, 20, [1.0, 0.5, 1.5], 6, 1.2), id="first"),
+    pytest.param(_second_hop(0.5 + 0.3j, 24, select_transmit_correlation(0.5 + 0.3j, 24, 3),
+                             0.8, 6, 1.1), id="second-complex-r"),
+]
+
+
+@pytest.mark.parametrize("trials_per_chunk", [None, 7])
+@pytest.mark.parametrize("adc", [ONE_BIT, IDEAL_ADC], ids=["1bit", "ideal"])
+@pytest.mark.parametrize("hop", _ORACLE_HOPS)
+def test_stacked_pilot_chain_follows_the_stream_order(monkeypatch, hop, adc, trials_per_chunk):
+    # the stacked chain must consume the shared stream exactly as trials
+    # drawn one at a time do, in one chunk or in several (the last ragged)
+    trials, power = 30, 20.0
+    if trials_per_chunk is not None:
+        draws = est._pilot_draws(hop, adc)
+        monkeypatch.setattr(channel, "CHUNK_BYTES",
+                            8 * channel.normals_per_trial(draws) * trials_per_chunk)
+    lmmse = est.lmmse_filter(hop, adc, power)
+    rng = substream(12, "oracle")
+    n, k = hop.shape
+    errs = np.array([np.sum(np.abs(est_ - chan) ** 2) / (n * k) for chan, est_ in
+                     (_pilot_trial(hop, adc, power, rng, lmmse) for _ in range(trials))])
+    stacked = est.pilot_mse(hop, adc, power, trials, substream(12, "oracle"))
+    oracle = (errs.mean(), errs.std(ddof=1) / np.sqrt(trials))
+    assert stacked == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_single_trial_pilot_chunks_agree_with_default_chunks(monkeypatch):
+    hop = _second_hop(0.7, 24, select_transmit_correlation(0.7, 24, 3), 0.9, 6, 1.0)
+    default = est.pilot_mse(hop, TWO_BIT, 30.0, 40, substream(8, "chunks"))
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 1)
+    single = est.pilot_mse(hop, TWO_BIT, 30.0, 40, substream(8, "chunks"))
+    assert single == pytest.approx(default, rel=1e-12, abs=0.0)
+
+
+def test_single_pilot_trial_has_nan_stderr_and_no_warning():
+    # pytest turns RuntimeWarnings into errors: a one-trial spread must be
+    # NaN by construction, not by numpy's degrees-of-freedom warning
+    hop = _first_hop(0.5, 12, [1.0, 0.9], 4, 1.0)
+    mse, stderr = est.pilot_mse(hop, TWO_BIT, 10.0, 1, substream(2, "one"))
+    assert np.isfinite(mse) and mse > 0.0
+    assert np.isnan(stderr)

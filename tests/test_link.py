@@ -1,14 +1,15 @@
 """Monte Carlo engine checks: bookkeeping, determinism, and consistency."""
 
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from relaysim import analysis, config as cfg, estimation as est, link
+from relaysim import analysis, channel, config as cfg, estimation as est, link
 from relaysim.channel import substream
-from relaysim.errors import DegenerateEstimateError
+from relaysim.errors import ConfigError, DegenerateEstimateError
 from relaysim.quantizer import IDEAL
 
 _SCN = cfg.ScenarioConfig(N=20, delta=1.5, K=3, tau1=6, tau2=6, q1=2, q2=2,
@@ -20,21 +21,33 @@ def test_trial_bookkeeping_identities():
     prep = link.prepare(_SCN)
     scn = prep.scenario
     a1, a2 = scn.adc1.alpha, scn.adc2.alpha
-    out = link.run_trial(prep, substream(scn.seed, "rate-trial", 0))
-    np.testing.assert_allclose(out.signal, prep.chi * out.desired_raw,
+    out = link.trial_outcomes(prep, 7, scn.seed)
+    np.testing.assert_allclose(out["signal"], prep.chi * out["desired_raw"],
                                rtol=1e-12)
     np.testing.assert_allclose(
-        out.interference, prep.chi * (out.leakage_raw + out.cross_raw),
+        out["interference"], prep.chi * (out["leakage_raw"] + out["cross_raw"]),
         rtol=1e-12)
     np.testing.assert_allclose(
-        out.noise_relay,
-        a1 ** 2 * a2 ** 2 * prep.kappa ** 2 * scn.sigma_R2 * out.chain_raw
-        + a2 ** 2 * prep.kappa ** 2 * out.relay_quant_raw, rtol=1e-12)
+        out["noise_relay"],
+        a1 ** 2 * a2 ** 2 * prep.kappa ** 2 * scn.sigma_R2 * out["chain_raw"]
+        + a2 ** 2 * prep.kappa ** 2 * out["relay_quant_raw"], rtol=1e-12)
     np.testing.assert_allclose(
-        out.noise_bs,
-        a2 ** 2 * scn.sigma_B2 * out.bs_vector_raw + out.bs_quant_raw,
+        out["noise_bs"],
+        a2 ** 2 * scn.sigma_B2 * out["bs_vector_raw"] + out["bs_quant_raw"],
         rtol=1e-12)
-    assert np.all(out.sinr() > 0.0)
+    sinr = out["signal"] / (out["interference"] + out["noise_relay"] + out["noise_bs"])
+    assert np.all(sinr > 0.0)
+
+
+def _trial_size(prep):
+    return channel.chunk_size(link._trial_draws(prep))
+
+
+def _budget_for(monkeypatch, prep, trials_per_chunk):
+    """Shrink the chunk budget so that a chunk holds trials_per_chunk trials."""
+    per_trial = channel.normals_per_trial(link._trial_draws(prep))
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 8 * per_trial * trials_per_chunk)
+    assert _trial_size(prep) == trials_per_chunk
 
 
 def test_worker_count_does_not_change_results():
@@ -43,6 +56,37 @@ def test_worker_count_does_not_change_results():
     parallel = link.trial_outcomes(prep, 24, seed=9, workers=3)
     for name, stack in serial.items():
         np.testing.assert_array_equal(stack, parallel[name])
+
+
+def test_chunk_boundaries_do_not_follow_the_worker_split(monkeypatch):
+    # 37 trials in chunks of 4: ten chunks, the last one ragged, dealt out
+    # to 1, 2, 3 and 5 processes in whole chunks
+    prep = link.prepare(_SCN)
+    _budget_for(monkeypatch, prep, 4)
+    serial = link.trial_outcomes(prep, 37, seed=9, workers=1)
+    for workers in (2, 3, 5):
+        pooled = link.trial_outcomes(prep, 37, seed=9, workers=workers)
+        for name, stack in serial.items():
+            assert stack.shape == (37, _SCN.K)
+            np.testing.assert_array_equal(stack, pooled[name])
+
+
+def test_single_trial_chunks_agree_with_default_chunks(monkeypatch):
+    prep = link.prepare(_SCN)
+    assert _trial_size(prep) > 30
+    default = link.trial_outcomes(prep, 30, seed=9)
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 1)
+    assert _trial_size(prep) == 1
+    single = link.trial_outcomes(prep, 30, seed=9)
+    for name, stack in default.items():
+        np.testing.assert_allclose(single[name], stack, rtol=1e-12, atol=0.0)
+
+
+def test_worker_count_below_one_is_refused():
+    prep = link.prepare(_SCN)
+    for workers in (0, -3):
+        with pytest.raises(ConfigError, match="at least 1"):
+            link.trial_outcomes(prep, 8, seed=9, workers=workers)
 
 
 def test_pool_class_is_looked_up_on_the_module(monkeypatch):
@@ -68,6 +112,8 @@ def test_pool_class_is_looked_up_on_the_module(monkeypatch):
 
     monkeypatch.setattr(link, "ProcessPoolExecutor", InlinePool)
     prep = link.prepare(_SCN)
+    # a pool opens only for more than one chunk of trials
+    _budget_for(monkeypatch, prep, 5)
     serial = link.trial_outcomes(prep, 12, seed=9, workers=1)
     pooled = link.trial_outcomes(prep, 12, seed=9, workers=2)
     assert opened == [2]
@@ -82,6 +128,73 @@ def test_trials_are_keyed_by_index_not_position():
     long = link.trial_outcomes(prep, 16, seed=9)
     for name, stack in short.items():
         np.testing.assert_array_equal(stack, long[name][:8])
+
+
+def test_trials_are_keyed_by_index_across_chunks(monkeypatch):
+    # the same with a ragged last chunk on both sides: the short run's last
+    # chunk is padded, not narrowed, so its trials see the same arithmetic
+    prep = link.prepare(_SCN)
+    _budget_for(monkeypatch, prep, 5)
+    short = link.trial_outcomes(prep, 8, seed=9)
+    long = link.trial_outcomes(prep, 13, seed=9)
+    for name, stack in short.items():
+        np.testing.assert_array_equal(stack, long[name][:8])
+
+
+_PERFECT = _SCN.with_updates(csi="perfect")
+
+
+def test_perfect_csi_error_stacks_are_exactly_zero():
+    prep = link.prepare(_PERFECT)
+    assert prep.sqrt_recv1_err is None and prep.sqrt_recv2_err is None
+    draws = link._trial_draws(prep)
+    normals = substream(3, "normals").standard_normal((4, channel.normals_per_trial(draws)))
+    f_hat, f_err, g_hat, g_err = link._channel_stacks(
+        prep, channel.split_normals(normals, *draws))
+    assert f_err.shape == f_hat.shape == (4, _SCN.N, _SCN.K)
+    assert g_err.shape == g_hat.shape == (4, _SCN.M, _SCN.K)
+    assert np.all(f_err == 0.0) and np.all(g_err == 0.0)
+    assert np.all(f_hat != 0.0) and np.all(g_hat != 0.0)
+
+
+def test_skipped_error_products_equal_products_with_zero():
+    # the skipped GEMMs give exactly what multiplying the normals by the
+    # all-zero error factors gives; the normals are drawn either way
+    prep = link.prepare(_PERFECT)
+    hop1, hop2 = cfg.scenario_models(_PERFECT)
+    zeros = dataclasses.replace(prep, sqrt_recv1_err=hop1.receive_sqrt()[1],
+                                sqrt_recv2_err=hop2.receive_sqrt()[1])
+    assert not zeros.sqrt_recv1_err.any() and not zeros.sqrt_recv2_err.any()
+    for sampled in (False, True):
+        skipped = link.trial_outcomes(prep, 12, seed=4, sample_quantization_noise=sampled)
+        multiplied = link.trial_outcomes(zeros, 12, seed=4, sample_quantization_noise=sampled)
+        for name, stack in skipped.items():
+            np.testing.assert_array_equal(stack, multiplied[name])
+
+
+@pytest.mark.parametrize("scn, per_chunk", [(_SCN, 4), (_PERFECT, 2)],
+                         ids=["estimated", "perfect"])
+def test_receive_gemms_per_chunk(monkeypatch, scn, per_chunk):
+    # every receive square root meets a chunk as one GEMM; the perfect-CSI
+    # error factors are zero and meet it not at all
+    prep = link.prepare(scn)
+    _budget_for(monkeypatch, prep, 4)
+    calls = []
+    original = channel.left_multiply
+
+    def counting(mat, x):
+        calls.append((mat.shape, x.shape))
+        return original(mat, x)
+
+    monkeypatch.setattr(channel, "left_multiply", counting)
+    monkeypatch.setattr(link, "left_multiply", counting)
+    link.trial_outcomes(prep, 10, seed=9)
+    assert len(calls) == 3 * per_chunk
+    assert all(x_shape[1] == 4 for _, x_shape in calls)
+    calls.clear()
+    link.amplification_factor_mc(scn, trials=12, seed=9, prep=prep)
+    chunks = -(-12 // channel.chunk_size(link._trial_draws(prep)[:4]))
+    assert len(calls) == chunks * per_chunk // 2
 
 
 def test_report_fields_and_reproducibility():

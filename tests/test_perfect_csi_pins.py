@@ -4,11 +4,15 @@ hand from antenna counts and exp_frobenius_sq.
 
 sum_rate_approx with csi="perfect" must reproduce them to 1e-10 relative:
 sum, per-user rates, kappa and chi.
+
+The perfect-CSI Monte Carlo rates are pinned too, to 1e-12 relative, as
+recorded from the one-trial-at-a-time engine that still multiplied the
+normals by the all-zero error factors.
 """
 
 import pytest
 
-from relaysim import analysis, config as cfg
+from relaysim import analysis, config as cfg, link
 
 RTOL = 1e-10
 
@@ -61,3 +65,42 @@ def test_perfect_csi_matches_pinned_values(scn, sum_rate, kappa, chi, per_user):
     assert report.kappa == pytest.approx(kappa, rel=RTOL, abs=0.0)
     assert report.chi == pytest.approx(chi, rel=RTOL, abs=0.0)
     assert list(report.per_user_rate) == pytest.approx(per_user, rel=RTOL, abs=0.0)
+
+
+_MC_SMALL = cfg.ScenarioConfig(N=20, delta=1.5, K=3, tau1=6, tau2=6, q1=2, q2=2,
+                               betas=(1.0, 0.7, 1.2), eta=0.9, r_R=0.5, r_B=0.4,
+                               trials=60, seed=5, csi="perfect")
+
+# (id, scenario, sum rate, 95% halfwidth, per-user rates, sum rate over
+# the first 12 trials with sampled quantization noise)
+MC_PINS = [
+    ("small", _MC_SMALL, 2.8533724781143364, 0.1549570328041967,
+     [0.9800428721174668, 0.7012548148409047, 1.1720747911559652],
+     2.7751306597550762),
+    ("table-N64", _TABLE.with_updates(N=64, trials=40),
+     3.4242693763902636, 0.14405982999831807,
+     [0.5242553499568652, 0.2780822802029836, 0.39829538594282154,
+      0.24363673990909765, 0.43778683448865596, 0.42375380164729315,
+      0.33907905307602326, 0.248027228955505, 0.30566398386880667,
+      0.22568871834221166],
+     3.3610403350763605),
+    ("table-complex-r", _TABLE.with_updates(N=48, r_R=0.5 + 0.3j, r_B=0.4 - 0.2j,
+                                            trials=30, seed=3),
+     5.497979203334852, 0.17522980183072884,
+     [0.798136817964791, 0.45500657700385966, 0.6091912684376586,
+      0.4386672294646625, 0.6641849691101831, 0.6863394352778192,
+      0.5208271629552467, 0.4235938465970602, 0.48483197132010647,
+      0.4171999252034649],
+     5.646019889670541),
+]
+
+
+@pytest.mark.parametrize("scn, sum_rate, ci, per_user, sampled",
+                         [p[1:] for p in MC_PINS], ids=[p[0] for p in MC_PINS])
+def test_perfect_csi_monte_carlo_matches_pinned_values(scn, sum_rate, ci, per_user, sampled):
+    report = link.ergodic_sum_rate_mc(scn)
+    assert report.sum_rate == pytest.approx(sum_rate, rel=1e-12, abs=0.0)
+    assert report.ci_halfwidth == pytest.approx(ci, rel=1e-12, abs=0.0)
+    assert list(report.per_user_rate) == pytest.approx(per_user, rel=1e-12, abs=0.0)
+    drawn = link.ergodic_sum_rate_mc(scn, trials=12, sample_quantization_noise=True)
+    assert drawn.sum_rate == pytest.approx(sampled, rel=1e-12, abs=0.0)
