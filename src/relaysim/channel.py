@@ -2,7 +2,7 @@
 
 Every random draw in the package comes from a substream keyed by the master
 seed plus string tags (and indices such as the trial number), so results do
-not depend on scheduling order or on how work is split across processes.
+not depend on scheduling order or on how work is split across threads.
 """
 
 import math

@@ -259,8 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the Monte Carlo engine")
         p.add_argument("--mc-only", action="store_true",
                        help="skip the closed-form engine")
+
+    def rate(p):
+        common(p)
         p.add_argument("--workers", type=int, default=1,
-                       help="processes for Monte Carlo trials")
+                       help="threads for Monte Carlo trials")
 
     p = sub.add_parser("mse-sweep", help="estimation MSE vs pilot power")
     common(p)
@@ -270,21 +273,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mse_sweep)
 
     p = sub.add_parser("rate-vs-n", help="sum rate vs antenna count")
-    common(p)
+    rate(p)
     p.add_argument("--n-values", default="64,128,256")
     p.add_argument("--bits", default="1,2,ideal",
                    help="resolutions applied to both hops")
     p.set_defaults(func=cmd_rate_vs_n)
 
     p = sub.add_parser("power-scaling", help="rate vs N under scaled powers")
-    common(p)
+    rate(p)
     p.add_argument("--n-values", default="128,256,512,1024")
     p.add_argument("--exponents", default="1:1",
                    help="comma-separated a:b exponent pairs")
     p.set_defaults(func=cmd_power_scaling)
 
     p = sub.add_parser("correlation-impact", help="rate vs correlation split")
-    common(p)
+    rate(p)
     p.add_argument("--n-values", default="200")
     p.add_argument("--deltas", default="0.5,2")
     p.add_argument("--coefficients", default="0:0.8,0.8:0",
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_correlation_impact)
 
     p = sub.add_parser("adc-impact", help="rate vs per-hop ADC resolution")
-    common(p)
+    rate(p)
     p.add_argument("--n-values", default="200")
     p.add_argument("--deltas", default="0.5,2")
     p.add_argument("--bits-pairs", default="3:1,1:3",

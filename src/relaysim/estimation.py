@@ -21,7 +21,7 @@ from .channel import (chunk_size, complex_stack, draw_hop, left_multiply,
                       normals_per_trial, split_normals)
 from .correlation import (exponential_basis, exponential_correlation,
                           exponential_eigenvalues, exponential_split_diagonals)
-from .errors import DegenerateEstimateError, IllConditionedError
+from .errors import ConfigError, DegenerateEstimateError, IllConditionedError
 from .quantizer import aqnm_quantize
 
 # refuse to build LMMSE filters from observation covariances with a worse
@@ -350,6 +350,8 @@ def pilot_mse(hop, adc, power, trials, rng):
     would draw on its own; the last chunk is padded with rows of zeros, so
     no trial's arithmetic depends on how many trials follow it.
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     n, k = hop.shape
     lmmse = lmmse_filter(hop, adc, power)
     draws = _pilot_draws(hop, adc)

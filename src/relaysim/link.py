@@ -18,7 +18,6 @@ its index alone, never on the trial count or on the worker count.
 """
 
 from dataclasses import dataclass
-import sys
 
 import numpy as np
 
@@ -33,10 +32,10 @@ from .errors import ConfigError
 class PreparedScenario:
     """Scenario plus exactly what trials read: the receive square-root
     factors of both hops, the first hop's per-user amplitudes, the second
-    hop's transmit square roots and relay gain, kappa and chi. It is what
-    every pool block is handed, so it carries no eigendata. An error's
-    receive factor is None where that error is exactly zero (genie CSI):
-    trials still draw its normals, but multiply nothing by zero."""
+    hop's transmit square roots and relay gain, kappa and chi; it carries
+    no eigendata. An error's receive factor is None where that error is
+    exactly zero (genie CSI): trials still draw its normals, but multiply
+    nothing by zero."""
 
     scenario: object
     sqrt_recv1_hat: np.ndarray
@@ -199,7 +198,7 @@ _TRIAL_FIELDS = ("desired_raw", "leakage_raw", "cross_raw", "chain_raw",
 
 def _trial_block(prep, seed, trials, size, starts, sample_quantization_noise):
     """Outcome arrays of the chunks of size trials that begin at starts, out
-    of trials in all (worker entry point)."""
+    of trials in all (one pool block)."""
     draws = _trial_draws(prep, sample_quantization_noise)
     normals = np.empty((size, normals_per_trial(draws)))
     rows = sum(min(size, trials - start) for start in starts)
@@ -221,8 +220,11 @@ def trial_outcomes(prep, trials, seed, workers=1, sample_quantization_noise=Fals
     Trials are keyed by their index through the RNG substream contract, and
     run in fixed chunks that begin at multiples of the chunk size; pool
     blocks are runs of whole chunks, reassembled in index order, so
-    splitting across processes cannot change any result.
+    splitting across threads cannot change any result. The threads share
+    prep and numpy's BLAS; the normal draws and the GEMMs release the GIL.
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ConfigError(f"worker count must be at least 1, got {workers}")
     size = chunk_size(_trial_draws(prep, sample_quantization_noise))
@@ -230,27 +232,15 @@ def trial_outcomes(prep, trials, seed, workers=1, sample_quantization_noise=Fals
     if workers == 1 or len(starts) < 2:
         blocks = [_trial_block(prep, seed, trials, size, starts, sample_quantization_noise)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         splits = np.array_split(np.asarray(starts), min(workers * 4, len(starts)))
-        # looked up on the module, which imports it here on first use
-        pool_class = sys.modules[__name__].ProcessPoolExecutor
-        with pool_class(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_trial_block, prep, seed, trials, size,
                                    split.tolist(), sample_quantization_noise)
                        for split in splits]
             blocks = [f.result() for f in futures]
     return {name: np.concatenate([b[name] for b in blocks], axis=0)
             for name in _TRIAL_FIELDS}
-
-
-def __getattr__(name):
-    """Import the process pool on first use, so that a serial run never
-    loads multiprocessing; once imported it stays a module attribute that
-    callers may replace."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
 
 
 def ergodic_sum_rate_mc(scenario, trials=None, seed=None, workers=1,
@@ -292,6 +282,8 @@ def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
     chunks like trial_outcomes (trial t draws from (seed, "amplification",
     t)).
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     seed = scenario.seed if seed is None else int(seed)
     if prep is None:
         prep = prepare(scenario)

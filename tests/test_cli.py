@@ -138,6 +138,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     # worker counts below one are refused, not run serially
     assert _run(["rate-vs-n", "--workers", "0"]) == 1
     assert _run(["rate-vs-n", "--workers", "-3"]) == 1
+    # the pilot sweep runs no trial pool, so it takes no worker count
+    assert _run(["mse-sweep", "--workers", "2"]) == 1
     assert _run(["mse-sweep", "--bits", "0"]) == 1
     # empty or unreadable ADC resolution lists, in both commands that take one
     assert _run(["rate-vs-n", "--bits", ",", "--closed-form-only"]) == 1
@@ -192,21 +194,25 @@ def test_validate_subcommand_detects_failures(capsys, monkeypatch):
 
 _COLD_START = """
 import sys
-sys.path.insert(0, sys.argv[2])
+sys.path.insert(0, sys.argv[3])
 import relaysim.cli
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy imported"
-assert relaysim.cli.main(["rate-vs-n", "--n-values", "48", "--bits", "2",
-                          "--trials", "8", "--out", sys.argv[1]]) == 0
-assert "concurrent.futures.process" not in sys.modules, "pool imported"
-assert "multiprocessing" not in sys.modules, "multiprocessing imported"
-import concurrent.futures
-assert relaysim.link.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+pools = ("concurrent.futures.thread", "concurrent.futures.process", "multiprocessing")
+argv = ["rate-vs-n", "--n-values", "48", "--bits", "2", "--trials", "40"]
+assert relaysim.cli.main(argv + ["--out", sys.argv[1]]) == 0
+assert not [m for m in pools if m in sys.modules], "serial run imported a pool"
+assert relaysim.cli.main(argv + ["--workers", "2", "--out", sys.argv[2]]) == 0
+# 40 trials at N = 48 are several chunks, so two workers open a pool
+assert "concurrent.futures.thread" in sys.modules, "no thread pool opened"
+assert not [m for m in pools[1:] if m in sys.modules], "parallel run forked"
 """
 
 
 def test_cold_start_imports_no_scipy_and_serial_runs_no_pool(tmp_path):
-    # a fresh interpreter, because this test session has imported both
+    # a fresh interpreter, because this test session has imported all of them
     package_parent = pathlib.Path(cli.__file__).resolve().parent.parent
-    done = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path / "out.csv"),
+    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
+    done = subprocess.run([sys.executable, "-c", _COLD_START, str(serial), str(threaded),
                            str(package_parent)], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert threaded.read_bytes() == serial.read_bytes()

@@ -6,7 +6,7 @@ import pytest
 from relaysim import channel, config as cfg, estimation as est
 from relaysim.channel import substream
 from relaysim.correlation import exponential_correlation, select_transmit_correlation
-from relaysim.errors import DegenerateEstimateError, IllConditionedError
+from relaysim.errors import ConfigError, DegenerateEstimateError, IllConditionedError
 from relaysim.quantizer import IDEAL, AdcSpec, aqnm_quantize
 
 IDEAL_ADC = AdcSpec.from_bits(IDEAL)
@@ -237,3 +237,10 @@ def test_single_pilot_trial_has_nan_stderr_and_no_warning():
     mse, stderr = est.pilot_mse(hop, TWO_BIT, 10.0, 1, substream(2, "one"))
     assert np.isfinite(mse) and mse > 0.0
     assert np.isnan(stderr)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_pilot_trial_count_below_one_is_refused(trials):
+    hop = _first_hop(0.5, 12, [1.0, 0.9], 4, 1.0)
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        est.pilot_mse(hop, TWO_BIT, 10.0, trials, substream(2, "none"))

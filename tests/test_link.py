@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_worker_count_does_not_change_results():
 
 def test_chunk_boundaries_do_not_follow_the_worker_split(monkeypatch):
     # 37 trials in chunks of 4: ten chunks, the last one ragged, dealt out
-    # to 1, 2, 3 and 5 processes in whole chunks
+    # to 1, 2, 3 and 5 threads in whole chunks
     prep = link.prepare(_SCN)
     _budget_for(monkeypatch, prep, 4)
     serial = link.trial_outcomes(prep, 37, seed=9, workers=1)
@@ -68,6 +69,24 @@ def test_chunk_boundaries_do_not_follow_the_worker_split(monkeypatch):
         pooled = link.trial_outcomes(prep, 37, seed=9, workers=workers)
         for name, stack in serial.items():
             assert stack.shape == (37, _SCN.K)
+            np.testing.assert_array_equal(stack, pooled[name])
+
+
+def test_many_threads_switching_often_match_serial(monkeypatch):
+    # more threads than cores, switching every microsecond: blocks that
+    # shared a buffer or lost a write would not reproduce the serial bytes
+    # (one such run in two or three shows it, so ten runs are made)
+    prep = link.prepare(_SCN)
+    _budget_for(monkeypatch, prep, 8)
+    serial = link.trial_outcomes(prep, 200, seed=9, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [link.trial_outcomes(prep, 200, seed=9, workers=8) for _ in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
+    for pooled in runs:
+        for name, stack in serial.items():
             np.testing.assert_array_equal(stack, pooled[name])
 
 
@@ -89,36 +108,45 @@ def test_worker_count_below_one_is_refused():
             link.trial_outcomes(prep, 8, seed=9, workers=workers)
 
 
-def test_pool_class_is_looked_up_on_the_module(monkeypatch):
-    # link imports its pool on first use; a class set on the module
-    # (as a tracing harness does) must still be the one trial_outcomes runs
-    from concurrent.futures import Future
-    opened = []
+@pytest.mark.parametrize("trials", [0, -2])
+def test_rate_trial_count_below_one_is_refused(trials):
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        link.ergodic_sum_rate_mc(_SCN, trials=trials)
 
-    class InlinePool:
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_amplification_trial_count_below_one_is_refused(trials):
+    with pytest.raises(ConfigError, match="trials must be >= 1"):
+        link.amplification_factor_mc(_SCN, trials=trials)
+
+
+def test_pool_opens_only_for_several_chunks(monkeypatch):
+    # trial_outcomes imports its thread pool when it opens one, so a
+    # recording subclass set on concurrent.futures sees every pool it runs
+    import concurrent.futures
+    opened, blocks = [], []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            super().__init__(max_workers=max_workers)
 
         def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+            blocks.append(args[4])
+            return super().submit(fn, *args)
 
-    monkeypatch.setattr(link, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     prep = link.prepare(_SCN)
-    # a pool opens only for more than one chunk of trials
     _budget_for(monkeypatch, prep, 5)
     serial = link.trial_outcomes(prep, 12, seed=9, workers=1)
+    single_chunk = link.trial_outcomes(prep, 5, seed=9, workers=2)
+    assert opened == []
     pooled = link.trial_outcomes(prep, 12, seed=9, workers=2)
-    assert opened == [2]
+    # three chunks of at most five trials, one block each, in index order
+    assert opened == [2] and blocks == [[0], [5], [10]]
     for name, stack in serial.items():
         np.testing.assert_array_equal(stack, pooled[name])
+        np.testing.assert_array_equal(stack[:5], single_chunk[name])
 
 
 def test_trials_are_keyed_by_index_not_position():
