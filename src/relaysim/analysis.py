@@ -140,140 +140,106 @@ def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng, chunk=20000):
 # ---------------------------------------------------------------------------
 # moments from the per-model scalar summaries (EstimateModel.scalars)
 
-def _pair_moment_matrix(h2):
-    """gm[k, i] = E{|g_hat_k^H g_hat_i|^2} / gain^2 from the separable moments."""
-    abs_sq = np.abs(h2.tx_hat) ** 2
-    outer = np.outer(h2.tx_hat_diag, h2.tx_hat_diag)
-    return abs_sq * h2.tr_hat ** 2 + outer * h2.fro_hat
+def moments(hop1, hop2, scenario):
+    """The seven per-user moments of the post-combining SINR: the
+    expectations over the channel of the trial engine's raw fields of the
+    same names (link._combine), with A_k = g_hat_k^H G F_hat^H:
 
+      desired_raw     E{|g_hat_k^H G_hat F_hat^H f_hat_k|^2}
+      leakage_raw     E{|A_k f_k - g_hat_k^H G_hat F_hat^H f_hat_k|^2}
+      cross_raw       sum over j != k of E{|A_k f_j|^2}
+      chain_raw       E{||A_k||^2}
+      relay_quant_raw E{|A_k n_q1|^2}, relay quantization noise
+      bs_vector_raw   E{||g_hat_k||^2}
+      bs_quant_raw    E{|g_hat_k^H n_q2|^2}, destination quantization noise
 
-def _pair_moment_full(h2):
-    """Same with the true (estimate + error) column on the right side."""
-    gm = _pair_moment_matrix(h2)
-    return gm + np.outer(h2.tx_hat_diag, h2.tx_err_diag) * h2.cross
-
-
-def desired_signal_moment(hop1, hop2):
-    """E{|g_hat_k^H G_hat F_hat^H f_hat_k|^2}, per user."""
-    h1, h2 = hop1.scalars, hop2.scalars
-    bh = h1.tx_hat_diag
-    gm = _pair_moment_matrix(h2)
-    return h2.gain ** 2 * (np.diag(gm) * bh ** 2 * h1.tr_hat ** 2
-                           + bh * h1.fro_hat * (gm @ bh))
-
-
-def leakage_moment(hop1, hop2):
-    """E{|B1|^2}: estimation-error leakage of the own-user chain, per user."""
-    h1, h2 = hop1.scalars, hop2.scalars
-    bh, bt = h1.tx_hat_diag, h1.tx_err_diag
-    gm = _pair_moment_matrix(h2)
-    th = h2.tx_hat_diag
-    te = h2.tx_err_diag
-    err_mix = float(te @ bh)
-    return h2.gain ** 2 * (
-        bt * h1.cross * (gm @ bh)
-        + th * h2.cross * (te * bh ** 2 * h1.tr_hat ** 2 + bh * h1.fro_hat * err_mix)
-        + th * bt * h2.cross * h1.cross * err_mix)
-
-
-def cross_moment(hop1, hop2):
-    """E{|g_hat_k^H G F_hat^H f_j|^2} as a K x K matrix over (k, j).
-
-    Row k, column j gives the interference moment of user j's full channel
-    through user k's combiners; the diagonal equals desired + leakage.
+    The hop-2 pair matrix pair[k, i] = E{|g_hat_k^H g_hat_i|^2} / gain^2 is
+    formed once. The cross matrix E{|A_k f_j|^2} over (k, j) is the sum of
+    an own part, from the estimates alone, and an error part, from the
+    estimation errors of either hop; their diagonals are the desired signal
+    and the leakage.
     """
     h1, h2 = hop1.scalars, hop2.scalars
     bh, bt = h1.tx_hat_diag, h1.tx_err_diag
-    gm = _pair_moment_matrix(h2)
-    th = h2.tx_hat_diag
-    te = h2.tx_err_diag
-    err_mix = float(te @ bh)
-    gm_b = gm @ bh
-    own = gm * (bh ** 2)[None, :] * h1.tr_hat ** 2
-    shared = np.outer(gm_b, bh) * h1.fro_hat
-    err_f = np.outer(gm_b, bt) * h1.cross
-    err_g = np.outer(th, te * bh ** 2) * h2.cross * h1.tr_hat ** 2 \
-        + np.outer(th, bh) * h2.cross * h1.fro_hat * err_mix
-    err_both = np.outer(th, bt) * h2.cross * h1.cross * err_mix
-    return h2.gain ** 2 * (own + shared + err_f + err_g + err_both)
-
-
-def chain_norm_moment(hop1, hop2):
-    """E{||g_hat_k^H G F_hat^H||^2}, per user."""
-    h1, h2 = hop1.scalars, hop2.scalars
-    bh = h1.tx_hat_diag
-    gm = _pair_moment_matrix(h2)
-    th = h2.tx_hat_diag
-    te = h2.tx_err_diag
-    return h2.gain ** 2 * h1.tr_hat * (gm @ bh + th * h2.cross * float(te @ bh))
-
-
-def relay_quant_moment(hop1, hop2, adc1, data_power, relay_noise_var):
-    """E{|g_hat_k^H G F_hat^H n_q1|^2}: relay quantization noise after combining."""
-    h1, h2 = hop1.scalars, hop2.scalars
-    bh, bt = h1.tx_hat_diag, h1.tx_err_diag
-    gmf = _pair_moment_full(h2)
-    sum_bh = float(bh.sum())
-    sum_bt = float(bt.sum())
-    s_hh = float(np.sum(h1.diag_hat ** 2))
-    s_he = float(np.sum(h1.diag_hat * h1.diag_err))
-    per_user = (s_hh * (gmf @ (bh * (bh + sum_bh)))
-                + s_he * sum_bt * (gmf @ bh))
-    bracket = h2.gain ** 2 * per_user
-    chain = chain_norm_moment(hop1, hop2)
-    return adc1.alpha * (1.0 - adc1.alpha) * (data_power * bracket
-                                              + relay_noise_var * chain)
-
-
-def bs_vector_moment(hop2):
-    """E{||g_hat_k||^2}, per user."""
-    h2 = hop2.scalars
-    return h2.gain * h2.tx_hat_diag * h2.tr_hat
-
-
-def bs_quant_moment(hop2, adc2, relay_power, bs_noise_var):
-    """E{|g_hat_k^H n_q2|^2}: destination quantization noise after combining."""
-    h2 = hop2.scalars
-    k = h2.k
-    th = h2.tx_hat_diag
-    te = h2.tx_err_diag
+    th, te = h2.tx_hat_diag, h2.tx_err_diag
+    g2 = h2.gain ** 2
     abs_sq = np.abs(h2.tx_hat) ** 2
-    s_bb = float(np.sum(h2.diag_hat ** 2))
-    s_be = float(np.sum(h2.diag_hat * h2.diag_err))
-    inner = abs_sq.sum(axis=1) + th * th.sum()
-    per_user = h2.gain ** 2 * (s_bb * inner + th * s_be * float(te.sum()))
-    vec = bs_vector_moment(hop2)
-    return adc2.alpha * (1.0 - adc2.alpha) * ((relay_power / k) * per_user
-                                              + bs_noise_var * vec)
+    pair = abs_sq * h2.tr_hat ** 2 + np.outer(th, th) * h2.fro_hat
+    pair_full = pair + np.outer(th, te) * h2.cross     # true g_i on the right
+    pair_b = pair @ bh
+    pair_full_b = pair_full @ bh
+    err_mix = float(te @ bh)
+    own = g2 * (pair * bh ** 2 * h1.tr_hat ** 2 + np.outer(pair_b, bh) * h1.fro_hat)
+    err = g2 * (np.outer(pair_b, bt) * h1.cross
+                + np.outer(th, te * bh ** 2 * h1.tr_hat ** 2
+                           + (bh * h1.fro_hat + bt * h1.cross) * err_mix) * h2.cross)
+    cross = own + err
+    chain = g2 * h1.tr_hat * pair_full_b
+    relay_quant = g2 * (h1.diag_sq * (pair_full @ (bh * (bh + bh.sum())))
+                        + h1.diag_mix * bt.sum() * pair_full_b)
+    bs_vector = h2.gain * th * h2.tr_hat
+    bs_quant = g2 * (h2.diag_sq * (abs_sq.sum(axis=1) + th * th.sum())
+                     + th * h2.diag_mix * te.sum())
+    a1, a2 = scenario.adc1.alpha, scenario.adc2.alpha
+    return dict(
+        desired_raw=np.diag(own), leakage_raw=np.diag(err),
+        cross_raw=cross.sum(axis=1) - np.diag(cross), chain_raw=chain,
+        relay_quant_raw=a1 * (1.0 - a1) * (scenario.P_U * relay_quant
+                                           + scenario.sigma_R2 * chain),
+        bs_vector_raw=bs_vector,
+        bs_quant_raw=a2 * (1.0 - a2) * ((scenario.P_R / scenario.K) * bs_quant
+                                        + scenario.sigma_B2 * bs_vector))
 
 
-def kappa_closed_form(hop1, adc1, data_power, relay_power, relay_noise_var):
-    """Relay amplification factor from the closed-form power expectations.
+def amplification_factor(scenario, signal, quant, noise):
+    """Relay amplification factor kappa that meets the relay power
+    constraint, from the three first-hop power moments of the combined
+    signal: matched-filtered signal energy, quantization-noise energy and
+    thermal-noise energy (closed-form or sampled)."""
+    a1 = scenario.adc1.alpha
+    denom = (a1 ** 2 * scenario.P_U * signal
+             + a1 * (1.0 - a1) * scenario.P_U * quant
+             + a1 * scenario.sigma_R2 * noise)
+    if denom <= 0.0:
+        raise ZeroDivisionError("amplification denominator is non-positive")
+    return float(np.sqrt(scenario.P_R / denom))
 
-    The relay transmit power constraint fixes kappa through three traces of
-    the combined first-hop signal: the matched-filtered signal energy, the
-    quantization-noise energy, and the thermal-noise energy.
-    """
+
+def kappa_closed_form(hop1, scenario):
+    """Relay amplification factor from the closed-form first-hop power
+    moments."""
     h1 = hop1.scalars
     bh, bt = h1.tx_hat_diag, h1.tx_err_diag
     sum_bh = float(bh.sum())
     sum_bt = float(bt.sum())
     signal = float(np.sum(bh * (bh * h1.tr_hat ** 2 + h1.fro_hat * sum_bh
                                 + h1.cross * sum_bt)))
-    s_hh = float(np.sum(h1.diag_hat ** 2))
-    s_he = float(np.sum(h1.diag_hat * h1.diag_err))
-    quant = float(np.sum(bh * ((bh + sum_bh) * s_hh + sum_bt * s_he)))
+    quant = float(np.sum(bh * ((bh + sum_bh) * h1.diag_sq + sum_bt * h1.diag_mix)))
     noise = h1.tr_hat * sum_bh
-    denom = (adc1.alpha ** 2 * data_power * signal
-             + adc1.alpha * (1.0 - adc1.alpha) * data_power * quant
-             + adc1.alpha * relay_noise_var * noise)
-    if denom <= 0.0:
-        raise ZeroDivisionError("amplification denominator is non-positive")
-    return float(np.sqrt(relay_power / denom))
+    return amplification_factor(scenario, signal, quant, noise)
 
 
 # ---------------------------------------------------------------------------
 # per-user SINR terms and reports
+
+def chi_factor(scenario, kappa):
+    """chi = alpha1^2 alpha2^2 kappa^2 P_U, the scale of the desired signal
+    and of the interference."""
+    return scenario.adc1.alpha ** 2 * scenario.adc2.alpha ** 2 * kappa ** 2 * scenario.P_U
+
+
+def sinr_terms(raw, scenario, kappa):
+    """(signal, interference, noise_relay, noise_bs), keyed by name, from
+    the seven raw moments: closed-form K-vectors or (b, K) trial stacks."""
+    a1, a2 = scenario.adc1.alpha, scenario.adc2.alpha
+    chi = chi_factor(scenario, kappa)
+    return dict(
+        signal=chi * raw["desired_raw"],
+        interference=chi * (raw["leakage_raw"] + raw["cross_raw"]),
+        noise_relay=(a1 ** 2 * a2 ** 2 * kappa ** 2 * scenario.sigma_R2 * raw["chain_raw"]
+                     + a2 ** 2 * kappa ** 2 * raw["relay_quant_raw"]),
+        noise_bs=a2 ** 2 * scenario.sigma_B2 * raw["bs_vector_raw"] + raw["bs_quant_raw"])
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -297,32 +263,6 @@ class RateReport:
         return self.signal / denom
 
 
-def rate_terms(hop1, hop2, adc1, adc2, data_power, relay_power,
-               relay_noise_var, bs_noise_var, kappa, mu):
-    """Closed-form report: the four per-user powers from the separable
-    moments, and the rates their SINR gives at pre-log factor mu."""
-    a1, a2 = adc1.alpha, adc2.alpha
-    chi = a1 ** 2 * a2 ** 2 * kappa ** 2 * data_power
-    desired = desired_signal_moment(hop1, hop2)
-    leak = leakage_moment(hop1, hop2)
-    cross = cross_moment(hop1, hop2)
-    cross_sum = cross.sum(axis=1) - np.diag(cross)
-    chain = chain_norm_moment(hop1, hop2)
-    rq = relay_quant_moment(hop1, hop2, adc1, data_power, relay_noise_var)
-    vec = bs_vector_moment(hop2)
-    bq = bs_quant_moment(hop2, adc2, relay_power, bs_noise_var)
-    signal = chi * desired
-    interference = chi * (leak + cross_sum)
-    noise_relay = (a1 ** 2 * a2 ** 2 * kappa ** 2 * relay_noise_var * chain
-                   + a2 ** 2 * kappa ** 2 * rq)
-    noise_bs = a2 ** 2 * bs_noise_var * vec + bq
-    per_user = mu * np.log2(1.0 + signal / (interference + noise_relay + noise_bs))
-    return RateReport(signal=signal, interference=interference,
-                      noise_relay=noise_relay, noise_bs=noise_bs,
-                      per_user_rate=per_user, sum_rate=float(per_user.sum()),
-                      mu=mu, kappa=kappa, chi=chi, provenance="closed-form")
-
-
 def _empty_report(mu, provenance):
     empty = np.zeros(0)
     return RateReport(signal=empty, interference=empty, noise_relay=empty,
@@ -331,7 +271,9 @@ def _empty_report(mu, provenance):
 
 
 def sum_rate_approx(scenario, models=None):
-    """Closed-form ergodic sum-rate approximation for a scenario.
+    """Closed-form ergodic sum-rate approximation for a scenario: the SINR
+    terms of the separable moments, and the rates they give at pre-log
+    factor mu.
 
     Uses the scenario's CSI mode: LMMSE equivalent-form models by default,
     genie models when scenario.csi == "perfect". Either way each receive
@@ -344,11 +286,13 @@ def sum_rate_approx(scenario, models=None):
         hop1, hop2 = cfg.scenario_models(scenario)
     else:
         hop1, hop2 = models
-    kappa = kappa_closed_form(hop1, scenario.adc1, scenario.P_U,
-                              scenario.P_R, scenario.sigma_R2)
-    return rate_terms(hop1, hop2, scenario.adc1, scenario.adc2, scenario.P_U,
-                      scenario.P_R, scenario.sigma_R2, scenario.sigma_B2, kappa,
-                      scenario.mu)
+    kappa = kappa_closed_form(hop1, scenario)
+    terms = sinr_terms(moments(hop1, hop2, scenario), scenario, kappa)
+    per_user = scenario.mu * np.log2(1.0 + terms["signal"] / (
+        terms["interference"] + terms["noise_relay"] + terms["noise_bs"]))
+    return RateReport(**terms, per_user_rate=per_user, sum_rate=float(per_user.sum()),
+                      mu=scenario.mu, kappa=kappa, chi=chi_factor(scenario, kappa),
+                      provenance="closed-form")
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,8 @@ def _base_scenario(args):
         updates["trials"] = args.trials
     if updates:
         base = base.with_updates(**updates)
+    if base.K < 1:
+        raise ConfigError(f"a sweep needs at least one user, got K = {base.K}")
     return base
 
 
@@ -141,11 +143,11 @@ def _rate_pair(scn, args, workers):
     Both engines share one pair of estimate models.
     """
     closed = mc = ci = float("nan")
-    models = cfg.scenario_models(scn) if scn.K else None
+    models = cfg.scenario_models(scn)
     if not args.mc_only:
         closed = sum_rate_approx(scn, models=models).sum_rate
     if not args.closed_form_only:
-        prep = link.prepare(scn, models=models) if models else None
+        prep = link.prepare(scn, models=models)
         report = link.ergodic_sum_rate_mc(scn, workers=workers, prep=prep)
         mc, ci = report.sum_rate, report.ci_halfwidth
     return closed, mc, ci
@@ -255,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="base RNG seed")
         p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
         p.add_argument("--out", help="CSV output path (default stdout)")
+
+    def rate(p):
+        common(p)
         p.add_argument("--closed-form-only", action="store_true",
                        help="skip the Monte Carlo engine")
         p.add_argument("--mc-only", action="store_true",
                        help="skip the closed-form engine")
-
-    def rate(p):
-        common(p)
         p.add_argument("--workers", type=int, default=1,
                        help="threads for Monte Carlo trials")
 

@@ -137,6 +137,8 @@ class _HopScalars:
         self.cross = float(f @ g)             # tr(receive_hat @ receive_err)
         self.diag_hat, self.diag_err = exponential_split_diagonals(
             model.hop.r, model.hop.n, *model.obs)
+        self.diag_sq = float(np.sum(self.diag_hat ** 2))
+        self.diag_mix = float(np.sum(self.diag_hat * self.diag_err))
         self.tx_hat = model.transmit_hat
         self.tx_hat_diag = np.diag(model.transmit_hat).real.copy()
         self.tx_err_diag = np.diag(model.transmit_err).real.copy()

@@ -7,6 +7,10 @@ Thermal and quantization noise enter in conditional expectation given the
 channel draw (quadratic forms against the diagonal AQNM covariances);
 sample_quantization_noise=True instead draws the quantization noise.
 
+Each trial samples the seven raw moments whose expectations the closed
+form computes (analysis.moments, same names); the stacked trials become
+SINR terms through the closed form's own assembly (analysis.sinr_terms).
+
 Trials run in chunks of channel.chunk_size trials, each in two stages. The
 draw stage fills one row of standard normals per trial from the trial's
 own substream (seed, "rate-trial", index), in the order the trial consumes
@@ -32,8 +36,8 @@ from .errors import ConfigError
 class PreparedScenario:
     """Scenario plus exactly what trials read: the receive square-root
     factors of both hops, the first hop's per-user amplitudes, the second
-    hop's transmit square roots and relay gain, kappa and chi; it carries
-    no eigendata. An error's receive factor is None where that error is
+    hop's transmit square roots and relay gain, and kappa; it carries no
+    eigendata. An error's receive factor is None where that error is
     exactly zero (genie CSI): trials still draw its normals, but multiply
     nothing by zero."""
 
@@ -48,7 +52,6 @@ class PreparedScenario:
     sqrt_tx2_err: np.ndarray
     relay_gain: float
     kappa: float
-    chi: float
 
 
 def _error_root(root):
@@ -61,10 +64,6 @@ def prepare(scenario, models=None):
         hop1, hop2 = cfg.scenario_models(scenario)
     else:
         hop1, hop2 = models
-    kappa = analysis.kappa_closed_form(hop1, scenario.adc1, scenario.P_U,
-                                       scenario.P_R, scenario.sigma_R2)
-    chi = (scenario.adc1.alpha ** 2 * scenario.adc2.alpha ** 2
-           * kappa ** 2 * scenario.P_U)
     sqrt_recv1_hat, sqrt_recv1_err = hop1.receive_sqrt()
     sqrt_recv2_hat, sqrt_recv2_err = hop2.receive_sqrt()
     sqrt_tx2_hat, sqrt_tx2_err = hop2.transmit_sqrt()
@@ -75,7 +74,7 @@ def prepare(scenario, models=None):
         amp1_err=np.sqrt(hop1.scalars.tx_err_diag),
         sqrt_recv2_hat=sqrt_recv2_hat, sqrt_recv2_err=_error_root(sqrt_recv2_err),
         sqrt_tx2_hat=sqrt_tx2_hat, sqrt_tx2_err=sqrt_tx2_err,
-        relay_gain=hop2.relay_gain, kappa=kappa, chi=chi)
+        relay_gain=hop2.relay_gain, kappa=analysis.kappa_closed_form(hop1, scenario))
 
 
 def _trial_draws(prep, sample_quantization_noise=False):
@@ -137,7 +136,7 @@ def _sampled_noise(var, re, im):
 
 
 def _combine(prep, parts):
-    """Combine stage: every outcome field, (b, K), of a chunk of trials."""
+    """Combine stage: the raw fields, (b, K), of a chunk of trials."""
     scn = prep.scenario
     k = scn.K
     f_hat, f_err, g_hat, g_err = _channel_stacks(prep, parts)
@@ -178,44 +177,37 @@ def _combine(prep, parts):
     else:
         bs_quant_raw = (np.abs(g_hat.swapaxes(1, 2)) ** 2 @ bs_var[..., None])[..., 0]
 
-    a1, a2 = adc1.alpha, adc2.alpha
-    kappa2 = prep.kappa ** 2
     return dict(
         desired_raw=desired_raw, leakage_raw=leakage_raw, cross_raw=cross_raw,
         chain_raw=chain_raw, relay_quant_raw=relay_quant_raw,
-        bs_vector_raw=bs_vector_raw, bs_quant_raw=bs_quant_raw,
-        signal=prep.chi * desired_raw,
-        interference=prep.chi * (leakage_raw + cross_raw),
-        noise_relay=(a1 ** 2 * a2 ** 2 * kappa2 * scn.sigma_R2 * chain_raw
-                     + a2 ** 2 * kappa2 * relay_quant_raw),
-        noise_bs=a2 ** 2 * scn.sigma_B2 * bs_vector_raw + bs_quant_raw)
+        bs_vector_raw=bs_vector_raw, bs_quant_raw=bs_quant_raw)
 
 
-_TRIAL_FIELDS = ("desired_raw", "leakage_raw", "cross_raw", "chain_raw",
-                 "relay_quant_raw", "bs_vector_raw", "bs_quant_raw",
-                 "signal", "interference", "noise_relay", "noise_bs")
+_RAW_FIELDS = ("desired_raw", "leakage_raw", "cross_raw", "chain_raw",
+               "relay_quant_raw", "bs_vector_raw", "bs_quant_raw")
 
 
 def _trial_block(prep, seed, trials, size, starts, sample_quantization_noise):
-    """Outcome arrays of the chunks of size trials that begin at starts, out
+    """Raw field arrays of the chunks of size trials that begin at starts, out
     of trials in all (one pool block)."""
     draws = _trial_draws(prep, sample_quantization_noise)
     normals = np.empty((size, normals_per_trial(draws)))
     rows = sum(min(size, trials - start) for start in starts)
-    block = {name: np.empty((rows, prep.scenario.K)) for name in _TRIAL_FIELDS}
+    block = {name: np.empty((rows, prep.scenario.K)) for name in _RAW_FIELDS}
     row = 0
     for start in starts:
         count = min(size, trials - start)
         _fill(normals, seed, "rate-trial", start, start + count)
         out = _combine(prep, split_normals(normals, *draws))
-        for name in _TRIAL_FIELDS:
+        for name in _RAW_FIELDS:
             block[name][row:row + count] = out[name][:count]
         row += count
     return block
 
 
 def trial_outcomes(prep, trials, seed, workers=1, sample_quantization_noise=False):
-    """Stacked per-trial outcome arrays, bit-identical for any worker count.
+    """Stacked per-trial outcome arrays, bit-identical for any worker count:
+    the seven raw fields and the four SINR terms they give.
 
     Trials are keyed by their index through the RNG substream contract, and
     run in fixed chunks that begin at multiples of the chunk size; pool
@@ -239,8 +231,9 @@ def trial_outcomes(prep, trials, seed, workers=1, sample_quantization_noise=Fals
                                    split.tolist(), sample_quantization_noise)
                        for split in splits]
             blocks = [f.result() for f in futures]
-    return {name: np.concatenate([b[name] for b in blocks], axis=0)
-            for name in _TRIAL_FIELDS}
+    raw = {name: np.concatenate([b[name] for b in blocks], axis=0)
+           for name in _RAW_FIELDS}
+    return dict(raw, **analysis.sinr_terms(raw, prep.scenario, prep.kappa))
 
 
 def ergodic_sum_rate_mc(scenario, trials=None, seed=None, workers=1,
@@ -270,8 +263,8 @@ def ergodic_sum_rate_mc(scenario, trials=None, seed=None, workers=1,
         noise_relay=stacks["noise_relay"].mean(axis=0),
         noise_bs=stacks["noise_bs"].mean(axis=0),
         per_user_rate=per_user, sum_rate=sum_rate, mu=mu,
-        kappa=prep.kappa, chi=prep.chi, provenance="monte-carlo",
-        ci_halfwidth=ci, trials=trials)
+        kappa=prep.kappa, chi=analysis.chi_factor(prep.scenario, prep.kappa),
+        provenance="monte-carlo", ci_halfwidth=ci, trials=trials)
 
 
 def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
@@ -287,8 +280,6 @@ def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
     seed = scenario.seed if seed is None else int(seed)
     if prep is None:
         prep = prepare(scenario)
-    scn = prep.scenario
-    adc1 = scn.adc1
     draws = _trial_draws(prep)[:4]
     size = chunk_size(draws)
     normals = np.empty((size, normals_per_trial(draws)))
@@ -305,8 +296,4 @@ def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
         sums += (np.sum(np.abs(cross) ** 2),
                  np.sum(np.abs(f_hat_h) ** 2 @ row_energy[..., None]),
                  np.sum(np.abs(f_hat) ** 2))
-    signal, quant, noise = sums / trials
-    denom = (adc1.alpha ** 2 * scn.P_U * signal
-             + adc1.alpha * (1.0 - adc1.alpha) * scn.P_U * quant
-             + adc1.alpha * scn.sigma_R2 * noise)
-    return float(np.sqrt(scn.P_R / denom))
+    return analysis.amplification_factor(prep.scenario, *(sums / trials))

@@ -82,41 +82,18 @@ def _check_lemma1(seed, table):
 _ORACLE_SCENARIO = dict(N=32, delta=1.5, K=5, q1=2, q2=1, trials=1200)
 
 
-def _moment_predictions(models, scn):
-    hop1, hop2 = models
-    cross = analysis.cross_moment(hop1, hop2)
-    return {
-        "desired": analysis.desired_signal_moment(hop1, hop2),
-        "leakage": analysis.leakage_moment(hop1, hop2),
-        "cross": cross.sum(axis=1) - np.diag(cross),
-        "chain": analysis.chain_norm_moment(hop1, hop2),
-        "relay_quant": analysis.relay_quant_moment(
-            hop1, hop2, scn.adc1, scn.P_U, scn.sigma_R2),
-        "bs_vector": analysis.bs_vector_moment(hop2),
-        "bs_quant": analysis.bs_quant_moment(
-            hop2, scn.adc2, scn.P_R, scn.sigma_B2),
-    }
-
-
-_MOMENT_FIELDS = {"desired": "desired_raw", "leakage": "leakage_raw",
-                  "cross": "cross_raw", "chain": "chain_raw",
-                  "relay_quant": "relay_quant_raw", "bs_vector": "bs_vector_raw",
-                  "bs_quant": "bs_quant_raw"}
-
-
 def _check_moment_oracles(seed, table):
     scn = cfg.ScenarioConfig(seed=seed, **_ORACLE_SCENARIO)
     models = cfg.scenario_models(scn)
     prep = link.prepare(scn, models=models)
-    predicted = _moment_predictions(models, scn)
     stacks = link.trial_outcomes(prep, scn.trials, seed)
     worst = 0.0
     worst_tag = ""
-    for name, field in _MOMENT_FIELDS.items():
-        samples = stacks[field]
+    for name, predicted in analysis.moments(*models, scn).items():
+        samples = stacks[name]
         mean = samples.mean(axis=0)
         se = samples.std(ddof=1, axis=0) / np.sqrt(scn.trials)
-        dev = np.max(np.abs(mean - predicted[name]) / np.maximum(se, _TINY))
+        dev = np.max(np.abs(mean - predicted) / np.maximum(se, _TINY))
         if dev > worst:
             worst, worst_tag = float(dev), name
     return worst, 5.0, f"worst term {worst_tag} over {scn.trials} trials (standard errors)"

@@ -65,19 +65,7 @@ def test_moment_oracles_match_simulation():
     hop1, hop2 = cfg.scenario_models(scn)
     outcomes = link.trial_outcomes(link.prepare(scn, models=(hop1, hop2)),
                                    scn.trials, scn.seed)
-    cross = analysis.cross_moment(hop1, hop2)
-    predictions = {
-        "desired_raw": analysis.desired_signal_moment(hop1, hop2),
-        "leakage_raw": analysis.leakage_moment(hop1, hop2),
-        "cross_raw": cross.sum(axis=1) - np.diag(cross),
-        "chain_raw": analysis.chain_norm_moment(hop1, hop2),
-        "relay_quant_raw": analysis.relay_quant_moment(
-            hop1, hop2, scn.adc1, scn.P_U, scn.sigma_R2),
-        "bs_vector_raw": analysis.bs_vector_moment(hop2),
-        "bs_quant_raw": analysis.bs_quant_moment(
-            hop2, scn.adc2, scn.P_R, scn.sigma_B2),
-    }
-    for name, predicted in predictions.items():
+    for name, predicted in analysis.moments(hop1, hop2, scn).items():
         stack = outcomes[name]
         mean = stack.mean(axis=0)
         se = stack.std(axis=0, ddof=1) / np.sqrt(scn.trials)
@@ -85,12 +73,9 @@ def test_moment_oracles_match_simulation():
         assert dev.max() < 5.0, f"{name}: worst deviation {dev.max():.2f} se"
 
 
-def test_cross_moment_diagonal_decomposes():
+def test_moments_are_keyed_like_the_raw_trial_fields():
     hop1, hop2 = cfg.scenario_models(_MOMENT_SCENARIO)
-    cross = analysis.cross_moment(hop1, hop2)
-    desired = analysis.desired_signal_moment(hop1, hop2)
-    leak = analysis.leakage_moment(hop1, hop2)
-    np.testing.assert_allclose(np.diag(cross), desired + leak, rtol=1e-10)
+    assert tuple(analysis.moments(hop1, hop2, _MOMENT_SCENARIO)) == link._RAW_FIELDS
 
 
 def test_amplification_closed_form_matches_sampling():
@@ -176,6 +161,17 @@ def test_report_recomputes_from_terms():
     np.testing.assert_array_less(0.0, report.noise_relay)
     np.testing.assert_array_less(0.0, report.noise_bs)
     assert report.per_user_rate.shape == (scn.K,)
+
+
+def test_report_terms_are_the_shared_assembly_of_the_moments():
+    scn = _MOMENT_SCENARIO
+    hop1, hop2 = cfg.scenario_models(scn)
+    report = analysis.sum_rate_approx(scn, models=(hop1, hop2))
+    terms = analysis.sinr_terms(analysis.moments(hop1, hop2, scn), scn, report.kappa)
+    assert report.kappa == analysis.kappa_closed_form(hop1, scn)
+    assert report.chi == analysis.chi_factor(scn, report.kappa)
+    for name, term in terms.items():
+        np.testing.assert_array_equal(getattr(report, name), term)
 
 
 def test_empty_system_reports_zero_rate():

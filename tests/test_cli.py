@@ -138,8 +138,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     # worker counts below one are refused, not run serially
     assert _run(["rate-vs-n", "--workers", "0"]) == 1
     assert _run(["rate-vs-n", "--workers", "-3"]) == 1
-    # the pilot sweep runs no trial pool, so it takes no worker count
+    # the pilot sweep runs no trial pool and has no engine to choose, so it
+    # takes neither a worker count nor an engine flag
     assert _run(["mse-sweep", "--workers", "2"]) == 1
+    assert _run(["mse-sweep", "--closed-form-only"]) == 1
+    assert _run(["mse-sweep", "--mc-only"]) == 1
     assert _run(["mse-sweep", "--bits", "0"]) == 1
     # empty or unreadable ADC resolution lists, in both commands that take one
     assert _run(["rate-vs-n", "--bits", ",", "--closed-form-only"]) == 1
@@ -165,6 +168,15 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                      "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("command", ["mse-sweep", "rate-vs-n", "power-scaling",
+                                     "correlation-impact", "adc-impact"])
+def test_sweep_without_users_exits_one(tmp_path, capsys, command):
+    empty = tmp_path / "k0.json"
+    empty.write_text('{"K": 0}')
+    assert _run([command, "--config", str(empty), "--trials", "2"]) == 1
+    assert "at least one user" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_two(capsys):

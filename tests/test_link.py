@@ -19,23 +19,16 @@ _SCN = cfg.ScenarioConfig(N=20, delta=1.5, K=3, tau1=6, tau2=6, q1=2, q2=2,
 
 
 def test_trial_bookkeeping_identities():
+    # the trial engine's SINR terms are the closed form's assembly applied,
+    # bit for bit, to its own raw fields
     prep = link.prepare(_SCN)
-    scn = prep.scenario
-    a1, a2 = scn.adc1.alpha, scn.adc2.alpha
-    out = link.trial_outcomes(prep, 7, scn.seed)
-    np.testing.assert_allclose(out["signal"], prep.chi * out["desired_raw"],
-                               rtol=1e-12)
-    np.testing.assert_allclose(
-        out["interference"], prep.chi * (out["leakage_raw"] + out["cross_raw"]),
-        rtol=1e-12)
-    np.testing.assert_allclose(
-        out["noise_relay"],
-        a1 ** 2 * a2 ** 2 * prep.kappa ** 2 * scn.sigma_R2 * out["chain_raw"]
-        + a2 ** 2 * prep.kappa ** 2 * out["relay_quant_raw"], rtol=1e-12)
-    np.testing.assert_allclose(
-        out["noise_bs"],
-        a2 ** 2 * scn.sigma_B2 * out["bs_vector_raw"] + out["bs_quant_raw"],
-        rtol=1e-12)
+    out = link.trial_outcomes(prep, 7, prep.scenario.seed)
+    raw = {name: stack for name, stack in out.items() if name.endswith("_raw")}
+    assert len(raw) == 7
+    terms = analysis.sinr_terms(raw, prep.scenario, prep.kappa)
+    assert set(raw) | set(terms) == set(out)
+    for name, term in terms.items():
+        np.testing.assert_array_equal(out[name], term)
     sinr = out["signal"] / (out["interference"] + out["noise_relay"] + out["noise_bs"])
     assert np.all(sinr > 0.0)
 
