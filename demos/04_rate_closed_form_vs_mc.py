@@ -32,7 +32,8 @@ for n in (64, 128):
 # ---------------------------------------------------------------------------
 # per-user decomposition at one point: where the SINR budget goes
 scn = cfg.table_defaults().with_updates(N=128, trials=400)
-report = sum_rate_approx(scn)
+models = cfg.scenario_models(scn)
+report = sum_rate_approx(scn, models=models)
 print(f"\nper-user budget at N = 128, q1 = q2 = 2 "
       f"(kappa = {report.kappa:.4e})")
 print(f"{'user':>5} {'signal':>11} {'interference':>13} {'relay noise':>12} "
@@ -44,10 +45,10 @@ for k in range(scn.K):
           f"{sinr[k]:>8.3f} {report.per_user_rate[k]:>7.4f}")
 print(f"sum rate: {report.sum_rate:.4f}")
 
-# the Monte Carlo engine exposes the same decomposition per trial; its
-# term averages agree with the closed forms well inside sampling noise
-prep = link.prepare(scn)
-stacks = link.trial_outcomes(prep, 400, scn.seed)
+# the Monte Carlo engine exposes the same decomposition per trial, drawn
+# from the same estimate models; its term averages agree with the closed
+# forms well inside sampling noise
+stacks = link.trial_outcomes(scn, models, 400, scn.seed)
 for name in ("signal", "interference", "noise_relay", "noise_bs"):
     mean = stacks[name].mean(axis=0)
     se = stacks[name].std(axis=0, ddof=1) / np.sqrt(400)

@@ -241,6 +241,12 @@ def sinr_terms(raw, scenario, kappa):
         noise_bs=a2 ** 2 * scenario.sigma_B2 * raw["bs_vector_raw"] + raw["bs_quant_raw"])
 
 
+def sinr_of(terms):
+    """Post-combining SINR of the four terms keyed as sinr_terms keys them."""
+    return terms["signal"] / (terms["interference"] + terms["noise_relay"]
+                              + terms["noise_bs"])
+
+
 @dataclass(frozen=True)
 class RateReport:
     """Sum-rate result with its per-user decomposition and provenance."""
@@ -259,15 +265,7 @@ class RateReport:
     trials: int = 0
 
     def sinr(self):
-        denom = self.interference + self.noise_relay + self.noise_bs
-        return self.signal / denom
-
-
-def _empty_report(mu, provenance):
-    empty = np.zeros(0)
-    return RateReport(signal=empty, interference=empty, noise_relay=empty,
-                      noise_bs=empty, per_user_rate=empty, sum_rate=0.0,
-                      mu=mu, kappa=0.0, chi=0.0, provenance=provenance)
+        return sinr_of(vars(self))
 
 
 def sum_rate_approx(scenario, models=None):
@@ -280,16 +278,10 @@ def sum_rate_approx(scenario, models=None):
     array enters through its eigenvalues and two O(n) pivot sweeps, so the
     closed form stays cheap at antenna counts in the thousands.
     """
-    if scenario.K == 0:
-        return _empty_report(scenario.mu, "closed-form")
-    if models is None:
-        hop1, hop2 = cfg.scenario_models(scenario)
-    else:
-        hop1, hop2 = models
+    hop1, hop2 = cfg.scenario_models(scenario) if models is None else models
     kappa = kappa_closed_form(hop1, scenario)
     terms = sinr_terms(moments(hop1, hop2, scenario), scenario, kappa)
-    per_user = scenario.mu * np.log2(1.0 + terms["signal"] / (
-        terms["interference"] + terms["noise_relay"] + terms["noise_bs"]))
+    per_user = scenario.mu * np.log2(1.0 + sinr_of(terms))
     return RateReport(**terms, per_user_rate=per_user, sum_rate=float(per_user.sum()),
                       mu=scenario.mu, kappa=kappa, chi=chi_factor(scenario, kappa),
                       provenance="closed-form")

@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def substream(seed, *tags):
     """Independent Generator for (seed, *tags).
@@ -29,6 +31,13 @@ def substream(seed, *tags):
 # Monte Carlo engines draw their trials in chunks: as many trials as fit
 # their float64 standard normals in this many bytes, at least one
 CHUNK_BYTES = 512 * 1024
+
+
+def trial_count(trials):
+    """trials as an int, refused unless it is a whole number >= 1."""
+    if trials < 1 or not float(trials).is_integer():
+        raise ConfigError(f"trials must be >= 1 and whole, got {trials!r}")
+    return int(trials)
 
 
 def normals_per_trial(shapes):

@@ -9,6 +9,7 @@ and worker counts.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -89,6 +90,13 @@ def write_csv(stream, header, rows, scenario, seed, trials):
     stream.write(f"# config={scenario.canonical_json()}\n")
 
 
+def _check_out(path):
+    """Refuse an --out path no CSV can be written to, before any point runs."""
+    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write --out {path}")
+
+
 def _emit(args, header, rows, scenario, seed, trials):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -108,8 +116,6 @@ def _base_scenario(args):
         updates["trials"] = args.trials
     if updates:
         base = base.with_updates(**updates)
-    if base.K < 1:
-        raise ConfigError(f"a sweep needs at least one user, got K = {base.K}")
     return base
 
 
@@ -147,8 +153,7 @@ def _rate_pair(scn, args, workers):
     if not args.mc_only:
         closed = sum_rate_approx(scn, models=models).sum_rate
     if not args.closed_form_only:
-        prep = link.prepare(scn, models=models)
-        report = link.ergodic_sum_rate_mc(scn, workers=workers, prep=prep)
+        report = link.ergodic_sum_rate_mc(scn, workers=workers, models=models)
         mc, ci = report.sum_rate, report.ci_halfwidth
     return closed, mc, ci
 
@@ -320,6 +325,8 @@ def main(argv=None) -> int:
             raise ConfigError("--closed-form-only and --mc-only exclude each other")
         if getattr(args, "workers", 1) < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -62,14 +62,14 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
-        if self.K < 0:
-            raise ConfigError(f"K must be >= 0, got {self.K}")
+        if self.K < 1:
+            raise ConfigError(f"a sweep needs at least one user, got K = {self.K}")
         if self.delta <= 0.0:
             raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.M < self.K or self.N < self.K:
             raise ConfigError(
                 f"K = {self.K} users need K <= min(N, M) = min({self.N}, {self.M})")
-        if self.K > 0 and (self.tau1 < self.K or self.tau2 < self.K):
+        if self.tau1 < self.K or self.tau2 < self.K:
             raise ConfigError(
                 f"pilot lengths must be >= K = {self.K}, got ({self.tau1}, {self.tau2})")
         if self.tau1 + self.tau2 >= self.T:
@@ -163,7 +163,7 @@ def scenario_hops(scn):
     Only the K x K transmit sides are built here; each receive array is
     described by its (r, n).
     """
-    t_rt = select_transmit_correlation(scn.r_R, scn.N, max(scn.K, 1))
+    t_rt = select_transmit_correlation(scn.r_R, scn.N, scn.K)
     hop1 = estimation.HopStatistics(scn.r_R, scn.N, np.diag(scn.user_gains()),
                                     scn.tau1, scn.sigma_R2)
     hop2 = estimation.HopStatistics(scn.r_B, scn.M, t_rt, scn.tau2, scn.sigma_B2,

@@ -18,10 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from .channel import (chunk_size, complex_stack, draw_hop, left_multiply,
-                      normals_per_trial, split_normals)
+                      normals_per_trial, split_normals, trial_count)
 from .correlation import (exponential_basis, exponential_correlation,
                           exponential_eigenvalues, exponential_split_diagonals)
-from .errors import ConfigError, DegenerateEstimateError, IllConditionedError
+from .errors import DegenerateEstimateError, IllConditionedError
 from .quantizer import aqnm_quantize
 
 # refuse to build LMMSE filters from observation covariances with a worse
@@ -200,11 +200,14 @@ class EstimateModel:
     def scalars(self):
         return _HopScalars(self)
 
+    @cached_property
     def receive_sqrt(self):
-        """(receive_hat^(1/2), receive_err^(1/2)) from the eigendata."""
+        """(receive_hat^(1/2), receive_err^(1/2)) from the eigendata; the
+        error's is None, and never built, where the error is zero (c = 0)."""
         u, f, g = self.eigendata
-        return _root(f, u), _root(g, u)
+        return _root(f, u), (_root(g, u) if self.obs[1] else None)
 
+    @cached_property
     def transmit_sqrt(self):
         """(transmit_hat^(1/2), transmit_err^(1/2)) in the eigenbasis V of
         the hop's transmit matrix, which diagonalizes both: their spectra
@@ -352,8 +355,7 @@ def pilot_mse(hop, adc, power, trials, rng):
     would draw on its own; the last chunk is padded with rows of zeros, so
     no trial's arithmetic depends on how many trials follow it.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    trials = trial_count(trials)
     n, k = hop.shape
     lmmse = lmmse_filter(hop, adc, power)
     draws = _pilot_draws(hop, adc)

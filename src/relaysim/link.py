@@ -1,7 +1,8 @@
 """Monte Carlo trial engine for the two-hop quantized relay uplink.
 
 Each trial draws the per-hop channel estimates and errors from their
-equivalent-form distributions, forms the matched-filter combiners from the
+equivalent-form distributions, with the square-root factors cached on the
+hops' EstimateModels, forms the matched-filter combiners from the
 estimates, and accumulates the per-user powers in the post-combining SINR.
 Thermal and quantization noise enter in conditional expectation given the
 channel draw (quadratic forms against the diagonal AQNM covariances);
@@ -21,69 +22,21 @@ last one is padded with rows of zeros, so a trial's arithmetic depends on
 its index alone, never on the trial count or on the worker count.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import analysis
 from . import config as cfg
 from .channel import (chunk_size, complex_stack, draw_hop, left_multiply,
-                      normals_per_trial, split_normals, substream)
+                      normals_per_trial, split_normals, substream, trial_count)
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class PreparedScenario:
-    """Scenario plus exactly what trials read: the receive square-root
-    factors of both hops, the first hop's per-user amplitudes, the second
-    hop's transmit square roots and relay gain, and kappa; it carries no
-    eigendata. An error's receive factor is None where that error is
-    exactly zero (genie CSI): trials still draw its normals, but multiply
-    nothing by zero."""
-
-    scenario: object
-    sqrt_recv1_hat: np.ndarray
-    sqrt_recv1_err: object
-    amp1_hat: np.ndarray
-    amp1_err: np.ndarray
-    sqrt_recv2_hat: np.ndarray
-    sqrt_recv2_err: object
-    sqrt_tx2_hat: np.ndarray
-    sqrt_tx2_err: np.ndarray
-    relay_gain: float
-    kappa: float
-
-
-def _error_root(root):
-    return root if root.any() else None
-
-
-def prepare(scenario, models=None):
-    """Factor the scenario's estimate models for fast repeated sampling."""
-    if models is None:
-        hop1, hop2 = cfg.scenario_models(scenario)
-    else:
-        hop1, hop2 = models
-    sqrt_recv1_hat, sqrt_recv1_err = hop1.receive_sqrt()
-    sqrt_recv2_hat, sqrt_recv2_err = hop2.receive_sqrt()
-    sqrt_tx2_hat, sqrt_tx2_err = hop2.transmit_sqrt()
-    return PreparedScenario(
-        scenario=scenario,
-        sqrt_recv1_hat=sqrt_recv1_hat, sqrt_recv1_err=_error_root(sqrt_recv1_err),
-        amp1_hat=np.sqrt(hop1.scalars.tx_hat_diag),
-        amp1_err=np.sqrt(hop1.scalars.tx_err_diag),
-        sqrt_recv2_hat=sqrt_recv2_hat, sqrt_recv2_err=_error_root(sqrt_recv2_err),
-        sqrt_tx2_hat=sqrt_tx2_hat, sqrt_tx2_err=sqrt_tx2_err,
-        relay_gain=hop2.relay_gain, kappa=analysis.kappa_closed_form(hop1, scenario))
-
-
-def _trial_draws(prep, sample_quantization_noise=False):
+def _trial_draws(scn, sample_quantization_noise=False):
     """Shapes of what one rate trial draws, in stream order: estimate then
     error, first hop then second, then the sampled quantization noise at
     the relay and at the base station (non-ideal ADCs only); each real
     parts first, then imaginary parts."""
-    scn = prep.scenario
-    n, m, k = prep.sqrt_recv1_hat.shape[0], prep.sqrt_recv2_hat.shape[0], scn.K
+    n, m, k = scn.N, scn.M, scn.K
     draws = [(n, k)] * 4 + [(m, k)] * 4
     if sample_quantization_noise:
         for adc, rows in ((scn.adc1, n), (scn.adc2, m)):
@@ -108,10 +61,11 @@ def _receive_draw(root, re, im):
     return left_multiply(root, complex_stack(re, im))
 
 
-def _first_hop(prep, parts):
+def _first_hop(model, parts):
     """(f_hat, f_err) stacks, (n, b, k), from the first hop's four parts."""
-    f_hat = _receive_draw(prep.sqrt_recv1_hat, *parts[:2]) * prep.amp1_hat
-    f_err = _receive_draw(prep.sqrt_recv1_err, *parts[2:4]) * prep.amp1_err
+    root_hat, root_err = model.receive_sqrt
+    f_hat = _receive_draw(root_hat, *parts[:2]) * np.sqrt(model.scalars.tx_hat_diag)
+    f_err = _receive_draw(root_err, *parts[2:4]) * np.sqrt(model.scalars.tx_err_diag)
     return f_hat, f_err
 
 
@@ -121,12 +75,14 @@ def _second_hop(root, tx_sqrt, gain, re, im):
     return draw_hop(root, tx_sqrt, gain, h=complex_stack(re, im))
 
 
-def _channel_stacks(prep, parts):
+def _channel_stacks(models, parts):
     """(f_hat, f_err, g_hat, g_err), each (b, n, k) or (b, m, k), from the
     split normals of a chunk of rate trials."""
-    f_hat, f_err = _first_hop(prep, parts)
-    g_hat = _second_hop(prep.sqrt_recv2_hat, prep.sqrt_tx2_hat, prep.relay_gain, *parts[4:6])
-    g_err = _second_hop(prep.sqrt_recv2_err, prep.sqrt_tx2_err, prep.relay_gain, *parts[6:8])
+    hop1, hop2 = models
+    f_hat, f_err = _first_hop(hop1, parts)
+    (root_hat, root_err), (tx_hat, tx_err) = hop2.receive_sqrt, hop2.transmit_sqrt
+    g_hat = _second_hop(root_hat, tx_hat, hop2.relay_gain, *parts[4:6])
+    g_err = _second_hop(root_err, tx_err, hop2.relay_gain, *parts[6:8])
     return tuple(x.transpose(1, 0, 2) for x in (f_hat, f_err, g_hat, g_err))
 
 
@@ -135,11 +91,10 @@ def _sampled_noise(var, re, im):
     return (np.sqrt(var / 2.0) * (re + 1j * im))[..., None]
 
 
-def _combine(prep, parts):
+def _combine(scn, models, parts):
     """Combine stage: the raw fields, (b, K), of a chunk of trials."""
-    scn = prep.scenario
     k = scn.K
-    f_hat, f_err, g_hat, g_err = _channel_stacks(prep, parts)
+    f_hat, f_err, g_hat, g_err = _channel_stacks(models, parts)
     f_full = f_hat + f_err
     g_full = g_hat + g_err
 
@@ -187,25 +142,26 @@ _RAW_FIELDS = ("desired_raw", "leakage_raw", "cross_raw", "chain_raw",
                "relay_quant_raw", "bs_vector_raw", "bs_quant_raw")
 
 
-def _trial_block(prep, seed, trials, size, starts, sample_quantization_noise):
+def _trial_block(scn, models, seed, trials, size, starts, sample_quantization_noise):
     """Raw field arrays of the chunks of size trials that begin at starts, out
     of trials in all (one pool block)."""
-    draws = _trial_draws(prep, sample_quantization_noise)
+    draws = _trial_draws(scn, sample_quantization_noise)
     normals = np.empty((size, normals_per_trial(draws)))
     rows = sum(min(size, trials - start) for start in starts)
-    block = {name: np.empty((rows, prep.scenario.K)) for name in _RAW_FIELDS}
+    block = {name: np.empty((rows, scn.K)) for name in _RAW_FIELDS}
     row = 0
     for start in starts:
         count = min(size, trials - start)
         _fill(normals, seed, "rate-trial", start, start + count)
-        out = _combine(prep, split_normals(normals, *draws))
+        out = _combine(scn, models, split_normals(normals, *draws))
         for name in _RAW_FIELDS:
             block[name][row:row + count] = out[name][:count]
         row += count
     return block
 
 
-def trial_outcomes(prep, trials, seed, workers=1, sample_quantization_noise=False):
+def trial_outcomes(scenario, models, trials, seed, workers=1,
+                   sample_quantization_noise=False):
     """Stacked per-trial outcome arrays, bit-identical for any worker count:
     the seven raw fields and the four SINR terms they give.
 
@@ -213,61 +169,58 @@ def trial_outcomes(prep, trials, seed, workers=1, sample_quantization_noise=Fals
     run in fixed chunks that begin at multiples of the chunk size; pool
     blocks are runs of whole chunks, reassembled in index order, so
     splitting across threads cannot change any result. The threads share
-    prep and numpy's BLAS; the normal draws and the GEMMs release the GIL.
+    models and numpy's BLAS; the normal draws and the GEMMs release the GIL.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    trials = trial_count(trials)
     if workers < 1:
         raise ConfigError(f"worker count must be at least 1, got {workers}")
-    size = chunk_size(_trial_draws(prep, sample_quantization_noise))
+    hop1, hop2 = models
+    kappa = analysis.kappa_closed_form(hop1, scenario)
+    # build the factors cached on the models before any pool thread reads them
+    _ = hop1.receive_sqrt, hop2.receive_sqrt, hop2.transmit_sqrt
+    size = chunk_size(_trial_draws(scenario, sample_quantization_noise))
     starts = list(range(0, trials, size))
+    block_args = (scenario, models, seed, trials, size)
     if workers == 1 or len(starts) < 2:
-        blocks = [_trial_block(prep, seed, trials, size, starts, sample_quantization_noise)]
+        blocks = [_trial_block(*block_args, starts, sample_quantization_noise)]
     else:
         from concurrent.futures import ThreadPoolExecutor
         splits = np.array_split(np.asarray(starts), min(workers * 4, len(starts)))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_trial_block, prep, seed, trials, size,
-                                   split.tolist(), sample_quantization_noise)
+            futures = [pool.submit(_trial_block, *block_args, split.tolist(),
+                                   sample_quantization_noise)
                        for split in splits]
             blocks = [f.result() for f in futures]
     raw = {name: np.concatenate([b[name] for b in blocks], axis=0)
            for name in _RAW_FIELDS}
-    return dict(raw, **analysis.sinr_terms(raw, prep.scenario, prep.kappa))
+    return dict(raw, **analysis.sinr_terms(raw, scenario, kappa))
 
 
 def ergodic_sum_rate_mc(scenario, trials=None, seed=None, workers=1,
-                        sample_quantization_noise=False, prep=None):
-    """Monte Carlo ergodic sum rate with a 95% confidence halfwidth."""
-    if scenario.K == 0:
-        return analysis._empty_report(scenario.mu, "monte-carlo")
-    trials = scenario.trials if trials is None else int(trials)
+                        sample_quantization_noise=False, models=None):
+    """Monte Carlo ergodic sum rate with a 95% confidence halfwidth, drawn
+    from the scenario's estimate models (built here unless given)."""
+    trials = trial_count(scenario.trials if trials is None else trials)
     seed = scenario.seed if seed is None else int(seed)
-    if prep is None:
-        prep = prepare(scenario)
-    stacks = trial_outcomes(prep, trials, seed, workers=workers,
+    models = cfg.scenario_models(scenario) if models is None else models
+    stacks = trial_outcomes(scenario, models, trials, seed, workers=workers,
                             sample_quantization_noise=sample_quantization_noise)
-    sinr = stacks["signal"] / (stacks["interference"] + stacks["noise_relay"]
-                               + stacks["noise_bs"])
-    per_trial_sum = np.log2(1.0 + sinr).sum(axis=1)
+    rates = np.log2(1.0 + analysis.sinr_of(stacks))
+    per_trial_sum = rates.sum(axis=1)
     mu = scenario.mu
-    sum_rate = float(mu * per_trial_sum.mean())
-    if trials > 1:
-        ci = float(1.96 * mu * per_trial_sum.std(ddof=1) / np.sqrt(trials))
-    else:
-        ci = float("nan")
-    per_user = mu * np.log2(1.0 + sinr).mean(axis=0)
+    ci = (float(1.96 * mu * per_trial_sum.std(ddof=1) / np.sqrt(trials)) if trials > 1
+          else float("nan"))
+    kappa = analysis.kappa_closed_form(models[0], scenario)
     return analysis.RateReport(
-        signal=stacks["signal"].mean(axis=0),
-        interference=stacks["interference"].mean(axis=0),
-        noise_relay=stacks["noise_relay"].mean(axis=0),
-        noise_bs=stacks["noise_bs"].mean(axis=0),
-        per_user_rate=per_user, sum_rate=sum_rate, mu=mu,
-        kappa=prep.kappa, chi=analysis.chi_factor(prep.scenario, prep.kappa),
+        **{name: stacks[name].mean(axis=0)
+           for name in ("signal", "interference", "noise_relay", "noise_bs")},
+        per_user_rate=mu * rates.mean(axis=0),
+        sum_rate=float(mu * per_trial_sum.mean()), mu=mu,
+        kappa=kappa, chi=analysis.chi_factor(scenario, kappa),
         provenance="monte-carlo", ci_halfwidth=ci, trials=trials)
 
 
-def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
+def amplification_factor_mc(scenario, trials=2000, seed=None, models=None):
     """Monte Carlo estimate of the relay amplification factor.
 
     Samples the three power expectations in the relay constraint over
@@ -275,12 +228,10 @@ def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
     chunks like trial_outcomes (trial t draws from (seed, "amplification",
     t)).
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    trials = trial_count(trials)
     seed = scenario.seed if seed is None else int(seed)
-    if prep is None:
-        prep = prepare(scenario)
-    draws = _trial_draws(prep)[:4]
+    hop1 = (cfg.scenario_models(scenario) if models is None else models)[0]
+    draws = _trial_draws(scenario)[:4]
     size = chunk_size(draws)
     normals = np.empty((size, normals_per_trial(draws)))
     sums = np.zeros(3)
@@ -288,7 +239,7 @@ def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
         count = min(size, trials - start)
         _fill(normals, seed, "amplification", start, start + count)
         f_hat, f_err = (x.transpose(1, 0, 2)[:count] for x in
-                        _first_hop(prep, split_normals(normals, *draws)))
+                        _first_hop(hop1, split_normals(normals, *draws)))
         f_full = f_hat + f_err
         f_hat_h = f_hat.conj().swapaxes(1, 2)
         cross = f_hat_h @ f_full
@@ -296,4 +247,4 @@ def amplification_factor_mc(scenario, trials=2000, seed=None, prep=None):
         sums += (np.sum(np.abs(cross) ** 2),
                  np.sum(np.abs(f_hat_h) ** 2 @ row_energy[..., None]),
                  np.sum(np.abs(f_hat) ** 2))
-    return analysis.amplification_factor(prep.scenario, *(sums / trials))
+    return analysis.amplification_factor(scenario, *(sums / trials))

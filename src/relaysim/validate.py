@@ -85,8 +85,7 @@ _ORACLE_SCENARIO = dict(N=32, delta=1.5, K=5, q1=2, q2=1, trials=1200)
 def _check_moment_oracles(seed, table):
     scn = cfg.ScenarioConfig(seed=seed, **_ORACLE_SCENARIO)
     models = cfg.scenario_models(scn)
-    prep = link.prepare(scn, models=models)
-    stacks = link.trial_outcomes(prep, scn.trials, seed)
+    stacks = link.trial_outcomes(scn, models, scn.trials, seed)
     worst = 0.0
     worst_tag = ""
     for name, predicted in analysis.moments(*models, scn).items():
@@ -101,9 +100,9 @@ def _check_moment_oracles(seed, table):
 
 def _check_kappa(seed, table):
     scn = cfg.ScenarioConfig(seed=seed, **_ORACLE_SCENARIO)
-    prep = link.prepare(scn)
-    closed = prep.kappa
-    mc = link.amplification_factor_mc(scn, trials=1500, seed=seed, prep=prep)
+    models = cfg.scenario_models(scn)
+    closed = analysis.kappa_closed_form(models[0], scn)
+    mc = link.amplification_factor_mc(scn, trials=1500, seed=seed, models=models)
     dev = abs(mc - closed) / closed
     return float(dev), 0.02, f"closed {closed:.6g} vs simulated {mc:.6g} (relative)"
 

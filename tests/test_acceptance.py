@@ -105,9 +105,9 @@ def test_criterion_4_rate_approximation_tightness(acceptance_log):
         for bits in (1, 2, IDEAL):
             scn = cfg.table_defaults().with_updates(N=n, q1=bits, q2=bits,
                                                     trials=trials)
-            closed = analysis.sum_rate_approx(scn)
-            prep = link.prepare(scn)
-            stacks = link.trial_outcomes(prep, trials, scn.seed)
+            models = cfg.scenario_models(scn)
+            closed = analysis.sum_rate_approx(scn, models=models)
+            stacks = link.trial_outcomes(scn, models, trials, scn.seed)
             sinr = stacks["signal"] / (stacks["interference"]
                                        + stacks["noise_relay"]
                                        + stacks["noise_bs"])

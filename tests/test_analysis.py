@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relaysim import analysis, config as cfg, correlation as corr, estimation as est, link
+from relaysim import (analysis, channel, config as cfg, correlation as corr,
+                      estimation as est, link)
 from relaysim.channel import substream
 from relaysim.quantizer import IDEAL, AdcSpec
 
@@ -63,8 +64,7 @@ _MOMENT_SCENARIO = cfg.ScenarioConfig(
 def test_moment_oracles_match_simulation():
     scn = _MOMENT_SCENARIO
     hop1, hop2 = cfg.scenario_models(scn)
-    outcomes = link.trial_outcomes(link.prepare(scn, models=(hop1, hop2)),
-                                   scn.trials, scn.seed)
+    outcomes = link.trial_outcomes(scn, (hop1, hop2), scn.trials, scn.seed)
     for name, predicted in analysis.moments(hop1, hop2, scn).items():
         stack = outcomes[name]
         mean = stack.mean(axis=0)
@@ -80,8 +80,9 @@ def test_moments_are_keyed_like_the_raw_trial_fields():
 
 def test_amplification_closed_form_matches_sampling():
     scn = _MOMENT_SCENARIO
-    closed = link.prepare(scn).kappa
-    sampled = link.amplification_factor_mc(scn, trials=1500, seed=3)
+    models = cfg.scenario_models(scn)
+    closed = analysis.kappa_closed_form(models[0], scn)
+    sampled = link.amplification_factor_mc(scn, trials=1500, seed=3, models=models)
     assert abs(sampled - closed) / closed < 0.02
 
 
@@ -137,8 +138,9 @@ def test_sum_rate_approx_uses_genie_models_in_perfect_mode(monkeypatch):
 
 def test_perfect_csi_closed_form_matches_simulation():
     scn = _GENIE_SCENARIO
-    closed = analysis.sum_rate_approx(scn)
-    stacks = link.trial_outcomes(link.prepare(scn), scn.trials, scn.seed)
+    models = cfg.scenario_models(scn)
+    closed = analysis.sum_rate_approx(scn, models=models)
+    stacks = link.trial_outcomes(scn, models, scn.trials, scn.seed)
     for name in ("signal", "interference", "noise_relay", "noise_bs"):
         stack = stacks[name]
         se = stack.std(axis=0, ddof=1) / np.sqrt(scn.trials)
@@ -172,13 +174,6 @@ def test_report_terms_are_the_shared_assembly_of_the_moments():
     assert report.chi == analysis.chi_factor(scn, report.kappa)
     for name, term in terms.items():
         np.testing.assert_array_equal(getattr(report, name), term)
-
-
-def test_empty_system_reports_zero_rate():
-    scn = cfg.ScenarioConfig(K=0, betas=())
-    report = analysis.sum_rate_approx(scn)
-    assert report.sum_rate == 0.0
-    assert report.per_user_rate.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +324,20 @@ def test_closed_form_decomposes_each_receive_array_once(monkeypatch):
     assert calls == [("eigh", scn.K, False)] * 2
 
 
-def test_prepare_reuses_the_models_eigendata(monkeypatch):
-    # Monte Carlo draws with the square-root factors, so prepare builds the
-    # receive eigenvectors once per array, reuses the models' eigenvalues
-    # and takes the transmit roots in the eigenbasis the models refused by
-    scn = cfg.table_defaults().with_updates(N=64)
+def test_monte_carlo_builds_each_receive_basis_once(monkeypatch):
+    # the Monte Carlo engines draw with the models' cached square-root
+    # factors: however often they run on one model pair, each receive
+    # array's eigenvectors are built once, the models' eigenvalues are
+    # reused and the transmit roots are taken in the eigenbasis the models
+    # refused by; one-trial chunks make the two-worker run open a pool
+    scn = cfg.table_defaults().with_updates(N=64, trials=3)
     models = cfg.scenario_models(scn)
     calls = _count_eigh(monkeypatch)
     spectra = _count_spectra(monkeypatch)
-    link.prepare(scn, models=models)
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 1)
+    for workers in (1, 2):
+        link.ergodic_sum_rate_mc(scn, workers=workers, models=models)
+    link.amplification_factor_mc(scn, trials=3, models=models)
     assert spectra["eigenvalues"] == []
     assert sorted(spectra["basis"]) == [scn.N, scn.M]
     assert calls == []

@@ -179,6 +179,20 @@ def test_sweep_without_users_exits_one(tmp_path, capsys, command):
     assert "at least one user" in capsys.readouterr().err
 
 
+def test_unwritable_out_path_exits_one_before_any_point(tmp_path, capsys, monkeypatch):
+    points = []
+    monkeypatch.setattr(cli, "_rate_pair", lambda *args: points.append(args))
+    monkeypatch.setattr(cli.estimation, "pilot_mse", lambda *args: points.append(args))
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert _run(["rate-vs-n", "--closed-form-only", "--n-values", "64",
+                     "--bits", "2", "--out", str(out)]) == 1
+        assert _run(["mse-sweep", "--out", str(out)]) == 1
+    assert points == []
+    err = capsys.readouterr().err
+    assert err.count("configuration error: cannot write --out") == 4
+    assert "Traceback" not in err
+
+
 def test_numerical_failure_exits_two(capsys):
     # the default ten-user scenario cannot support a separable error model
     # at N = 32; both engines must refuse identically

@@ -40,6 +40,8 @@ def test_with_updates_keeps_frozen_semantics():
 
 @pytest.mark.parametrize("kwargs", [
     dict(N=0),
+    dict(K=0),                            # no users: nothing to sweep
+    dict(K=0, betas=()),
     dict(K=-1),
     dict(delta=0.0),
     dict(K=10, N=8),                      # K > N
@@ -69,11 +71,6 @@ def test_with_updates_keeps_frozen_semantics():
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ConfigError):
         cfg.ScenarioConfig(**kwargs)
-
-
-def test_empty_system_is_allowed():
-    scn = cfg.ScenarioConfig(K=0)
-    assert scn.user_gains().shape == (0,)
 
 
 def test_scenario_matrices_shapes():

@@ -244,3 +244,10 @@ def test_pilot_trial_count_below_one_is_refused(trials):
     hop = _first_hop(0.5, 12, [1.0, 0.9], 4, 1.0)
     with pytest.raises(ConfigError, match="trials must be >= 1"):
         est.pilot_mse(hop, TWO_BIT, 10.0, trials, substream(2, "none"))
+
+
+@pytest.mark.parametrize("trials", [2.7, float("nan")])
+def test_pilot_trial_count_that_is_not_whole_is_refused(trials):
+    hop = _first_hop(0.5, 12, [1.0, 0.9], 4, 1.0)
+    with pytest.raises(ConfigError, match="trials must be >= 1 and whole"):
+        est.pilot_mse(hop, TWO_BIT, 10.0, trials, substream(2, "none"))

@@ -1,7 +1,6 @@
 """Monte Carlo engine checks: bookkeeping, determinism, and consistency."""
 
 import cmath
-import dataclasses
 import sys
 
 import numpy as np
@@ -21,11 +20,11 @@ _SCN = cfg.ScenarioConfig(N=20, delta=1.5, K=3, tau1=6, tau2=6, q1=2, q2=2,
 def test_trial_bookkeeping_identities():
     # the trial engine's SINR terms are the closed form's assembly applied,
     # bit for bit, to its own raw fields
-    prep = link.prepare(_SCN)
-    out = link.trial_outcomes(prep, 7, prep.scenario.seed)
+    models = cfg.scenario_models(_SCN)
+    out = link.trial_outcomes(_SCN, models, 7, _SCN.seed)
     raw = {name: stack for name, stack in out.items() if name.endswith("_raw")}
     assert len(raw) == 7
-    terms = analysis.sinr_terms(raw, prep.scenario, prep.kappa)
+    terms = analysis.sinr_terms(raw, _SCN, analysis.kappa_closed_form(models[0], _SCN))
     assert set(raw) | set(terms) == set(out)
     for name, term in terms.items():
         np.testing.assert_array_equal(out[name], term)
@@ -33,21 +32,21 @@ def test_trial_bookkeeping_identities():
     assert np.all(sinr > 0.0)
 
 
-def _trial_size(prep):
-    return channel.chunk_size(link._trial_draws(prep))
+def _trial_size(scn):
+    return channel.chunk_size(link._trial_draws(scn))
 
 
-def _budget_for(monkeypatch, prep, trials_per_chunk):
+def _budget_for(monkeypatch, scn, trials_per_chunk):
     """Shrink the chunk budget so that a chunk holds trials_per_chunk trials."""
-    per_trial = channel.normals_per_trial(link._trial_draws(prep))
+    per_trial = channel.normals_per_trial(link._trial_draws(scn))
     monkeypatch.setattr(channel, "CHUNK_BYTES", 8 * per_trial * trials_per_chunk)
-    assert _trial_size(prep) == trials_per_chunk
+    assert _trial_size(scn) == trials_per_chunk
 
 
 def test_worker_count_does_not_change_results():
-    prep = link.prepare(_SCN)
-    serial = link.trial_outcomes(prep, 24, seed=9, workers=1)
-    parallel = link.trial_outcomes(prep, 24, seed=9, workers=3)
+    models = cfg.scenario_models(_SCN)
+    serial = link.trial_outcomes(_SCN, models, 24, seed=9, workers=1)
+    parallel = link.trial_outcomes(_SCN, models, 24, seed=9, workers=3)
     for name, stack in serial.items():
         np.testing.assert_array_equal(stack, parallel[name])
 
@@ -55,11 +54,11 @@ def test_worker_count_does_not_change_results():
 def test_chunk_boundaries_do_not_follow_the_worker_split(monkeypatch):
     # 37 trials in chunks of 4: ten chunks, the last one ragged, dealt out
     # to 1, 2, 3 and 5 threads in whole chunks
-    prep = link.prepare(_SCN)
-    _budget_for(monkeypatch, prep, 4)
-    serial = link.trial_outcomes(prep, 37, seed=9, workers=1)
+    models = cfg.scenario_models(_SCN)
+    _budget_for(monkeypatch, _SCN, 4)
+    serial = link.trial_outcomes(_SCN, models, 37, seed=9, workers=1)
     for workers in (2, 3, 5):
-        pooled = link.trial_outcomes(prep, 37, seed=9, workers=workers)
+        pooled = link.trial_outcomes(_SCN, models, 37, seed=9, workers=workers)
         for name, stack in serial.items():
             assert stack.shape == (37, _SCN.K)
             np.testing.assert_array_equal(stack, pooled[name])
@@ -69,13 +68,14 @@ def test_many_threads_switching_often_match_serial(monkeypatch):
     # more threads than cores, switching every microsecond: blocks that
     # shared a buffer or lost a write would not reproduce the serial bytes
     # (one such run in two or three shows it, so ten runs are made)
-    prep = link.prepare(_SCN)
-    _budget_for(monkeypatch, prep, 8)
-    serial = link.trial_outcomes(prep, 200, seed=9, workers=1)
+    models = cfg.scenario_models(_SCN)
+    _budget_for(monkeypatch, _SCN, 8)
+    serial = link.trial_outcomes(_SCN, models, 200, seed=9, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runs = [link.trial_outcomes(prep, 200, seed=9, workers=8) for _ in range(10)]
+        runs = [link.trial_outcomes(_SCN, models, 200, seed=9, workers=8)
+                for _ in range(10)]
     finally:
         sys.setswitchinterval(interval)
     for pooled in runs:
@@ -84,26 +84,33 @@ def test_many_threads_switching_often_match_serial(monkeypatch):
 
 
 def test_single_trial_chunks_agree_with_default_chunks(monkeypatch):
-    prep = link.prepare(_SCN)
-    assert _trial_size(prep) > 30
-    default = link.trial_outcomes(prep, 30, seed=9)
+    models = cfg.scenario_models(_SCN)
+    assert _trial_size(_SCN) > 30
+    default = link.trial_outcomes(_SCN, models, 30, seed=9)
     monkeypatch.setattr(channel, "CHUNK_BYTES", 1)
-    assert _trial_size(prep) == 1
-    single = link.trial_outcomes(prep, 30, seed=9)
+    assert _trial_size(_SCN) == 1
+    single = link.trial_outcomes(_SCN, models, 30, seed=9)
     for name, stack in default.items():
         np.testing.assert_allclose(single[name], stack, rtol=1e-12, atol=0.0)
 
 
 def test_worker_count_below_one_is_refused():
-    prep = link.prepare(_SCN)
+    models = cfg.scenario_models(_SCN)
     for workers in (0, -3):
         with pytest.raises(ConfigError, match="at least 1"):
-            link.trial_outcomes(prep, 8, seed=9, workers=workers)
+            link.trial_outcomes(_SCN, models, 8, seed=9, workers=workers)
 
 
 @pytest.mark.parametrize("trials", [0, -2])
 def test_rate_trial_count_below_one_is_refused(trials):
     with pytest.raises(ConfigError, match="trials must be >= 1"):
+        link.ergodic_sum_rate_mc(_SCN, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [2.7, 0.5, float("nan"), float("inf")])
+def test_rate_trial_count_that_is_not_whole_is_refused(trials):
+    # a fractional count is not rounded down to some other number of trials
+    with pytest.raises(ConfigError, match="trials must be >= 1 and whole"):
         link.ergodic_sum_rate_mc(_SCN, trials=trials)
 
 
@@ -125,16 +132,16 @@ def test_pool_opens_only_for_several_chunks(monkeypatch):
             super().__init__(max_workers=max_workers)
 
         def submit(self, fn, *args):
-            blocks.append(args[4])
+            blocks.append(args[5])
             return super().submit(fn, *args)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    prep = link.prepare(_SCN)
-    _budget_for(monkeypatch, prep, 5)
-    serial = link.trial_outcomes(prep, 12, seed=9, workers=1)
-    single_chunk = link.trial_outcomes(prep, 5, seed=9, workers=2)
+    models = cfg.scenario_models(_SCN)
+    _budget_for(monkeypatch, _SCN, 5)
+    serial = link.trial_outcomes(_SCN, models, 12, seed=9, workers=1)
+    single_chunk = link.trial_outcomes(_SCN, models, 5, seed=9, workers=2)
     assert opened == []
-    pooled = link.trial_outcomes(prep, 12, seed=9, workers=2)
+    pooled = link.trial_outcomes(_SCN, models, 12, seed=9, workers=2)
     # three chunks of at most five trials, one block each, in index order
     assert opened == [2] and blocks == [[0], [5], [10]]
     for name, stack in serial.items():
@@ -144,9 +151,9 @@ def test_pool_opens_only_for_several_chunks(monkeypatch):
 
 def test_trials_are_keyed_by_index_not_position():
     # the first trials of a long run must replay a short run exactly
-    prep = link.prepare(_SCN)
-    short = link.trial_outcomes(prep, 8, seed=9)
-    long = link.trial_outcomes(prep, 16, seed=9)
+    models = cfg.scenario_models(_SCN)
+    short = link.trial_outcomes(_SCN, models, 8, seed=9)
+    long = link.trial_outcomes(_SCN, models, 16, seed=9)
     for name, stack in short.items():
         np.testing.assert_array_equal(stack, long[name][:8])
 
@@ -154,10 +161,10 @@ def test_trials_are_keyed_by_index_not_position():
 def test_trials_are_keyed_by_index_across_chunks(monkeypatch):
     # the same with a ragged last chunk on both sides: the short run's last
     # chunk is padded, not narrowed, so its trials see the same arithmetic
-    prep = link.prepare(_SCN)
-    _budget_for(monkeypatch, prep, 5)
-    short = link.trial_outcomes(prep, 8, seed=9)
-    long = link.trial_outcomes(prep, 13, seed=9)
+    models = cfg.scenario_models(_SCN)
+    _budget_for(monkeypatch, _SCN, 5)
+    short = link.trial_outcomes(_SCN, models, 8, seed=9)
+    long = link.trial_outcomes(_SCN, models, 13, seed=9)
     for name, stack in short.items():
         np.testing.assert_array_equal(stack, long[name][:8])
 
@@ -165,13 +172,33 @@ def test_trials_are_keyed_by_index_across_chunks(monkeypatch):
 _PERFECT = _SCN.with_updates(csi="perfect")
 
 
+def test_genie_error_receive_factor_is_none_and_never_built(monkeypatch):
+    # c = 0 makes the error exactly zero, so its square root is not formed
+    # at all; the estimate's factor is built once and then cached
+    roots = []
+    original = est._root
+
+    def counting(s, u):
+        roots.append(s)
+        return original(s, u)
+
+    monkeypatch.setattr(est, "_root", counting)
+    for model in cfg.scenario_models(_PERFECT):
+        root_hat, root_err = model.receive_sqrt
+        assert root_err is None
+        assert len(roots) == 1 and roots.pop() is model.split[0]
+        assert model.receive_sqrt[0] is root_hat and roots == []
+    for model in cfg.scenario_models(_SCN):
+        assert model.receive_sqrt[1] is not None and model.receive_sqrt[1].any()
+
+
 def test_perfect_csi_error_stacks_are_exactly_zero():
-    prep = link.prepare(_PERFECT)
-    assert prep.sqrt_recv1_err is None and prep.sqrt_recv2_err is None
-    draws = link._trial_draws(prep)
+    models = cfg.scenario_models(_PERFECT)
+    assert all(model.receive_sqrt[1] is None for model in models)
+    draws = link._trial_draws(_PERFECT)
     normals = substream(3, "normals").standard_normal((4, channel.normals_per_trial(draws)))
     f_hat, f_err, g_hat, g_err = link._channel_stacks(
-        prep, channel.split_normals(normals, *draws))
+        models, channel.split_normals(normals, *draws))
     assert f_err.shape == f_hat.shape == (4, _SCN.N, _SCN.K)
     assert g_err.shape == g_hat.shape == (4, _SCN.M, _SCN.K)
     assert np.all(f_err == 0.0) and np.all(g_err == 0.0)
@@ -181,14 +208,18 @@ def test_perfect_csi_error_stacks_are_exactly_zero():
 def test_skipped_error_products_equal_products_with_zero():
     # the skipped GEMMs give exactly what multiplying the normals by the
     # all-zero error factors gives; the normals are drawn either way
-    prep = link.prepare(_PERFECT)
-    hop1, hop2 = cfg.scenario_models(_PERFECT)
-    zeros = dataclasses.replace(prep, sqrt_recv1_err=hop1.receive_sqrt()[1],
-                                sqrt_recv2_err=hop2.receive_sqrt()[1])
-    assert not zeros.sqrt_recv1_err.any() and not zeros.sqrt_recv2_err.any()
+    models = cfg.scenario_models(_PERFECT)
+    zeros = cfg.scenario_models(_PERFECT)
+    for model in zeros:
+        u, f, g = model.eigendata
+        # the factor the error would have were it not skipped, in the cache
+        model.__dict__["receive_sqrt"] = (est._root(f, u), est._root(g, u))
+        assert not model.receive_sqrt[1].any()
     for sampled in (False, True):
-        skipped = link.trial_outcomes(prep, 12, seed=4, sample_quantization_noise=sampled)
-        multiplied = link.trial_outcomes(zeros, 12, seed=4, sample_quantization_noise=sampled)
+        skipped = link.trial_outcomes(_PERFECT, models, 12, seed=4,
+                                      sample_quantization_noise=sampled)
+        multiplied = link.trial_outcomes(_PERFECT, zeros, 12, seed=4,
+                                         sample_quantization_noise=sampled)
         for name, stack in skipped.items():
             np.testing.assert_array_equal(stack, multiplied[name])
 
@@ -198,8 +229,8 @@ def test_skipped_error_products_equal_products_with_zero():
 def test_receive_gemms_per_chunk(monkeypatch, scn, per_chunk):
     # every receive square root meets a chunk as one GEMM; the perfect-CSI
     # error factors are zero and meet it not at all
-    prep = link.prepare(scn)
-    _budget_for(monkeypatch, prep, 4)
+    models = cfg.scenario_models(scn)
+    _budget_for(monkeypatch, scn, 4)
     calls = []
     original = channel.left_multiply
 
@@ -209,12 +240,12 @@ def test_receive_gemms_per_chunk(monkeypatch, scn, per_chunk):
 
     monkeypatch.setattr(channel, "left_multiply", counting)
     monkeypatch.setattr(link, "left_multiply", counting)
-    link.trial_outcomes(prep, 10, seed=9)
+    link.trial_outcomes(scn, models, 10, seed=9)
     assert len(calls) == 3 * per_chunk
     assert all(x_shape[1] == 4 for _, x_shape in calls)
     calls.clear()
-    link.amplification_factor_mc(scn, trials=12, seed=9, prep=prep)
-    chunks = -(-12 // channel.chunk_size(link._trial_draws(prep)[:4]))
+    link.amplification_factor_mc(scn, trials=12, seed=9, models=models)
+    chunks = -(-12 // channel.chunk_size(link._trial_draws(scn)[:4]))
     assert len(calls) == chunks * per_chunk // 2
 
 
@@ -235,10 +266,10 @@ def test_report_fields_and_reproducibility():
 
 def test_sampled_quantization_noise_agrees_with_conditional():
     scn = _SCN.with_updates(N=16, trials=1)
-    prep = link.prepare(scn)
+    models = cfg.scenario_models(scn)
     trials = 1500
-    cond = link.trial_outcomes(prep, trials, seed=21)
-    samp = link.trial_outcomes(prep, trials, seed=22,
+    cond = link.trial_outcomes(scn, models, trials, seed=21)
+    samp = link.trial_outcomes(scn, models, trials, seed=22,
                                sample_quantization_noise=True)
     for name in ("relay_quant_raw", "bs_quant_raw"):
         m_cond = cond[name].mean(axis=0)
@@ -251,9 +282,9 @@ def test_sampled_quantization_noise_agrees_with_conditional():
 
 def test_sampled_mode_changes_nothing_for_ideal_adcs():
     scn = _SCN.with_updates(q1=None, q2=None)
-    prep = link.prepare(scn)
-    cond = link.trial_outcomes(prep, 6, seed=13)
-    samp = link.trial_outcomes(prep, 6, seed=13,
+    models = cfg.scenario_models(scn)
+    cond = link.trial_outcomes(scn, models, 6, seed=13)
+    samp = link.trial_outcomes(scn, models, 6, seed=13,
                                sample_quantization_noise=True)
     for name, stack in cond.items():
         np.testing.assert_array_equal(stack, samp[name])
@@ -269,13 +300,6 @@ def test_mc_rate_matches_closed_form_at_moderate_size():
     closed = analysis.sum_rate_approx(scn).sum_rate
     mc = link.ergodic_sum_rate_mc(scn)
     assert abs(mc.sum_rate - closed) / closed < 0.05
-
-
-def test_empty_system_mc_report():
-    scn = cfg.ScenarioConfig(K=0, betas=())
-    report = link.ergodic_sum_rate_mc(scn)
-    assert report.sum_rate == 0.0
-    assert report.provenance == "monte-carlo"
 
 
 def test_amplification_mc_is_deterministic():
@@ -329,7 +353,7 @@ def _error_transmit_eigenvalues(hop, adc, power):
 @given(scn=_scenarios())
 def test_engines_refuse_together_and_accepted_models_factor(scn):
     outcomes = []
-    for engine in (analysis.sum_rate_approx, link.prepare):
+    for engine in (analysis.sum_rate_approx, link.ergodic_sum_rate_mc):
         try:
             engine(scn)
             outcomes.append("accepted")
@@ -348,7 +372,7 @@ def test_engines_refuse_together_and_accepted_models_factor(scn):
             continue
         assert _error_transmit_eigenvalues(hop, adc, power)[0] > -1e-12
         model.validate()
-        for root, mat in zip(model.transmit_sqrt(), (model.transmit_hat, model.transmit_err)):
+        for root, mat in zip(model.transmit_sqrt, (model.transmit_hat, model.transmit_err)):
             scale = max(1.0, float(np.abs(mat).max()))
             np.testing.assert_allclose(root @ root, mat, rtol=0, atol=1e-12 * scale)
             np.testing.assert_allclose(root, root.conj().T, rtol=0, atol=1e-12 * scale)
