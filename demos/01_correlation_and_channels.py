@@ -10,7 +10,7 @@ second-order statistics.
 
 import numpy as np
 
-from relaysim.channel import draw_hop, substream
+from relaysim.channel import complex_normal, draw_hop, substream
 from relaysim.correlation import (exp_frobenius_sq, exponential_correlation,
                                   exponential_eigenvalues,
                                   select_transmit_correlation)
@@ -43,7 +43,8 @@ for r in (0.4, 0.8):
 # sqrt(gain) R^(1/2) H Theta^(1/2) has E{G G^H} = gain tr(Theta) R and
 # E{G^H G} = gain tr(R) Theta. The first hop's Theta holds the per-user
 # gains; the second hop is doubly correlated. Each hop record holds both
-# square-root factors (pilot length and noise play no part here).
+# square-root factors (pilot length and noise play no part here), and the
+# sampler takes the iid CN(0, 1) matrix H drawn.
 draws = 4000
 hops = (("first", HopStatistics(0.7, 12, np.diag([1.0, 0.5, 2.0]), 3, 1.0)),
         ("second", HopStatistics(0.5, 24, exponential_correlation(0.3, 4), 4, 1.0,
@@ -54,7 +55,7 @@ for name, hop in hops:
     left = np.zeros(recv.shape, dtype=np.complex128)
     right = np.zeros(tx.shape, dtype=np.complex128)
     for _ in range(draws):
-        g = draw_hop(hop.recv_sqrt, hop.tx_sqrt, gain, rng)
+        g = draw_hop(hop.recv_sqrt, hop.tx_sqrt, gain, complex_normal(rng, hop.shape))
         left += g @ g.conj().T
         right += g.conj().T @ g
     left /= draws * gain * np.trace(tx).real

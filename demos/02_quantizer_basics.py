@@ -39,7 +39,10 @@ adc = AdcSpec.from_bits(2)
 var = 3.0
 samples = 200_000
 y = complex_normal(rng, samples, var)
-out = aqnm_quantize(y, adc, var, rng)
+# the sampler takes the quantization noise's real and imaginary standard
+# normals drawn
+normals = (rng.standard_normal(y.shape), rng.standard_normal(y.shape))
+out = aqnm_quantize(y, adc, var, normals)
 alpha = adc.alpha
 print(f"\ntwo-bit ADC on CN(0, {var}) input, {samples} samples")
 print(f"  output power:   {np.mean(np.abs(out) ** 2):.4f}"
@@ -51,8 +54,8 @@ print(f"  noise part:     {np.mean(np.abs(out - alpha * y) ** 2):.4f}"
 corr = np.vdot(alpha * y, out - alpha * y) / samples
 print(f"  signal-noise correlation: {abs(corr):.5f}  (should be near 0)")
 
-# an ideal converter passes the signal through untouched
+# an ideal converter passes the signal through untouched and adds no noise
 ideal = AdcSpec.from_bits(IDEAL)
-assert np.array_equal(aqnm_quantize(y, ideal, var, rng), y)
+assert np.array_equal(aqnm_quantize(y, ideal, var), y)
 print("\nideal ADC: output identical to input, rho = "
       f"{ideal.rho}, alpha = {ideal.alpha}")

@@ -65,76 +65,34 @@ def lemma1_moments(p_mat, q_mat, i, j):
                          row_first=row_first, row_second=row_second)
 
 
-@dataclass(frozen=True)
-class Lemma1MonteCarlo:
-    """Sample estimates of the Lemma1Moments quantities, with standard errors."""
-
-    inner_first: complex
-    inner_first_se: float
-    inner_second: float
-    inner_second_se: float
-    row_first: np.ndarray
-    row_first_se: np.ndarray
-    row_second: np.ndarray
-    row_second_se: np.ndarray
-    draws: int
+# draws of Y per chunk of the Lemma 1 sampler
+_LEMMA1_CHUNK = 20000
 
 
-def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng, chunk=20000):
-    """Monte Carlo counterpart of lemma1_moments (chunked for memory)."""
+def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng):
+    """Monte Carlo counterpart of lemma1_moments: (mean, standard error)
+    over draws samples of Y = P X Q, as two Lemma1Moments.
+
+    X is drawn in chunks of _LEMMA1_CHUNK samples, each chunk as one block
+    of real parts, then one block of imaginary parts.
+    """
     p_mat = np.asarray(p_mat, dtype=np.complex128)
     q_mat = np.asarray(q_mat, dtype=np.complex128)
-    m = p_mat.shape[0]
-    inner_dim = p_mat.shape[1]
-    s_inner = 0.0 + 0.0j
-    s_abs2 = 0.0
-    s_abs2_sq = 0.0
-    s_row = np.zeros(m, dtype=np.complex128)
-    s_row_sq = np.zeros(m)
-    s_row4 = np.zeros(m)
-    s_row4_sq = np.zeros(m)
-    done = 0
-    while done < draws:
-        b = min(chunk, draws - done)
-        x = complex_normal(rng, (b, inner_dim, q_mat.shape[0]))
-        y = (p_mat @ x) @ q_mat
-        yi = y[:, :, i]
-        yj = y[:, :, j]
-        inner = np.sum(np.conj(yi) * yj, axis=1)
-        s_inner += inner.sum()
-        abs2 = np.abs(inner) ** 2
-        s_abs2 += float(abs2.sum())
-        s_abs2_sq += float(np.sum(abs2 ** 2))
-        rowprod = np.conj(yi) * yj
-        s_row += rowprod.sum(axis=0)
-        s_row_sq += np.sum(np.abs(rowprod) ** 2, axis=0)
-        row4 = (np.abs(yi) ** 2) * (np.abs(yj) ** 2)
-        s_row4 += row4.sum(axis=0)
-        s_row4_sq += np.sum(row4 ** 2, axis=0)
-        done += b
-    n = float(draws)
-
-    def _se_complex(total, total_sq):
-        mean = total / n
-        var = max(total_sq / n - abs(mean) ** 2, 0.0)
-        return mean, float(np.sqrt(var / n))
-
-    def _se_real(total, total_sq):
-        mean = total / n
-        var = np.maximum(total_sq / n - mean ** 2, 0.0)
-        return mean, np.sqrt(var / n)
-
-    inner_mean, inner_se = _se_complex(s_inner, s_abs2)
-    abs2_mean, abs2_se = _se_real(s_abs2, s_abs2_sq)
-    row_mean = s_row / n
-    row_var = np.maximum(s_row_sq / n - np.abs(row_mean) ** 2, 0.0)
-    row_se = np.sqrt(row_var / n)
-    row4_mean, row4_se = _se_real(s_row4, s_row4_sq)
-    return Lemma1MonteCarlo(
-        inner_first=complex(inner_mean), inner_first_se=inner_se,
-        inner_second=float(abs2_mean), inner_second_se=float(abs2_se),
-        row_first=row_mean, row_first_se=row_se,
-        row_second=row4_mean, row_second_se=row4_se, draws=draws)
+    totals = []     # per chunk: (sum, sum of |.|^2) of each sampled quantity
+    for start in range(0, draws, _LEMMA1_CHUNK):
+        shape = (min(_LEMMA1_CHUNK, draws - start), p_mat.shape[1], q_mat.shape[0])
+        y = (p_mat @ complex_normal(rng, shape)) @ q_mat
+        rows = np.conj(y[:, :, i]) * y[:, :, j]
+        inner = np.sum(rows, axis=1)
+        row4 = (np.abs(y[:, :, i]) ** 2) * (np.abs(y[:, :, j]) ** 2)
+        totals.append([(x.sum(axis=0), np.sum(np.abs(x) ** 2, axis=0))
+                       for x in (inner, np.abs(inner) ** 2, rows, row4)])
+    mean, se = [], []
+    for chunk_sums in zip(*totals):
+        first, second = (sum(s) / draws for s in zip(*chunk_sums))
+        mean.append(first)
+        se.append(np.sqrt(np.maximum(second - np.abs(first) ** 2, 0.0) / draws))
+    return Lemma1Moments(*mean), Lemma1Moments(*se)
 
 
 # ---------------------------------------------------------------------------

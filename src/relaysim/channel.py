@@ -51,6 +51,24 @@ def chunk_size(shapes):
     return max(1, CHUNK_BYTES // (8 * normals_per_trial(shapes)))
 
 
+def chunks(draws, trials, fill, starts=None):
+    """Yield (start, count, normals) for each chunk of trials.
+
+    normals is one reused buffer of chunk_size(draws) rows, one per trial;
+    fill(rows, start) fills its first count rows, trials start, start + 1,
+    ..., and the rows past them are zero. Chunks begin at multiples of the
+    chunk size, so a trial's arithmetic depends on its index alone; starts
+    picks some of them (one pool block), all of them by default.
+    """
+    size = chunk_size(draws)
+    normals = np.empty((size, normals_per_trial(draws)))
+    for start in range(0, trials, size) if starts is None else starts:
+        count = min(size, trials - start)
+        fill(normals[:count], start)
+        normals[count:] = 0.0
+        yield start, count, normals
+
+
 def split_normals(normals, *shapes):
     """Views of consecutive segments of every row of a chunk's normals
     (one row per trial): a (b,) + shape stack per shape, in order."""
@@ -114,23 +132,20 @@ def large_scale_gains(d_ref, distances, exponent):
     return np.array([path_loss(d_ref, d, exponent) for d in distances])
 
 
-def draw_hop(recv_sqrt, tx_sqrt, gain, rng=None, h=None):
+def draw_hop(recv_sqrt, tx_sqrt, gain, h):
     """One realization of a hop's channel matrix (receive x transmit size),
     or one per trial of a stack.
 
     Doubly correlated Rayleigh: sqrt(gain) * recv_sqrt @ H @ tx_sqrt with H
     iid CN(0, 1), so E{G G^H} = gain * tr(tx) * recv and E{G^H G} = gain *
-    tr(recv) * tx for the squared factors recv and tx. H is drawn from rng,
-    or given as h: one (n, k) draw, or an (n, b, k) stack from
+    tr(recv) * tx for the squared factors recv and tx. h holds H already
+    drawn: one (n, k) draw (complex_normal), or an (n, b, k) stack from
     complex_stack, which meets each square root as one GEMM and gives an
-    (n, b, k) stack. A diagonal tx_sqrt holds per-column amplitudes (the
-    first hop's per-user gains).
+    (n, b, k) stack.
     """
     if gain < 0.0:
         raise ValueError(f"large-scale gain must be non-negative, got {gain}")
     k = tx_sqrt.shape[0]
-    if h is None:
-        h = complex_normal(rng, (recv_sqrt.shape[0], k))
     x = left_multiply(recv_sqrt, h)
     # the small factor takes x's dtype first: numpy's mixed real-complex
     # matmul, between threaded GEMMs, slowed itself and them more than

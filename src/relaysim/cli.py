@@ -49,13 +49,17 @@ def _parse_bits(token: str):
 
 
 def _convert(kind, token):
-    """kind(token), with an unreadable token reported as a ConfigError."""
+    """kind(token), with an unreadable or non-finite token reported as a
+    ConfigError."""
     try:
-        return kind(token)
+        value = kind(token)
     except ConfigError:
         raise
     except ValueError:
         raise ConfigError(f"unreadable sweep value {token.strip()!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"sweep value {token.strip()!r} is not finite")
+    return value
 
 
 def _parse_list(text, kind=float):

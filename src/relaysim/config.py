@@ -7,7 +7,7 @@ per-hop channel statistics and the estimate models (LMMSE equivalent
 form, or genie CSI) that the analysis and Monte Carlo engines consume.
 """
 
-from dataclasses import dataclass, replace, asdict
+from dataclasses import asdict, dataclass, fields, replace
 import json
 
 import numpy as np
@@ -60,12 +60,25 @@ class ScenarioConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        # first, so that no check or property below meets a NaN or an inf
+        for field in fields(self):
+            value = getattr(self, field.name)
+            values = (value if field.name in ("d_users", "betas")
+                      else (value,) if field.type in (float, complex) else ())
+            if value is not None and not all(np.isfinite(v) for v in values):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
         if self.K < 1:
             raise ConfigError(f"a sweep needs at least one user, got K = {self.K}")
-        if self.delta <= 0.0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
+        # a size ratio, power, noise, distance or gain that is not positive is
+        # bad input (exit 1), not a numerical failure of the model built from
+        # it (exit 2)
+        for name in ("delta", "E_U", "E_R", "P1", "P2", "sigma_R2", "sigma_B2",
+                     "d_ref", "d_RB", "eta"):
+            value = getattr(self, name)
+            if value is not None and value <= 0.0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         if self.M < self.K or self.N < self.K:
             raise ConfigError(
                 f"K = {self.K} users need K <= min(N, M) = min({self.N}, {self.M})")
@@ -75,10 +88,6 @@ class ScenarioConfig:
         if self.tau1 + self.tau2 >= self.T:
             raise ConfigError(
                 f"pilot overhead tau1 + tau2 = {self.tau1 + self.tau2} must be < T = {self.T}")
-        for name in ("E_U", "E_R", "P1", "P2", "sigma_R2", "sigma_B2",
-                     "d_ref", "d_RB"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.a < 0.0 or self.b < 0.0:
             raise ConfigError("power scaling exponents must be non-negative")
         if self.nu < 0.0:
@@ -100,12 +109,8 @@ class ScenarioConfig:
         if self.betas is not None and len(self.betas) != self.K:
             raise ConfigError(
                 f"betas must have K = {self.K} entries, got {len(self.betas)}")
-        # a gain that is not positive and finite is bad input (exit 1), not a
-        # numerical failure of the model built from it (exit 2)
-        if self.betas is not None and not all(0.0 < b < np.inf for b in self.betas):
-            raise ConfigError(f"betas must be positive and finite, got {self.betas}")
-        if self.eta is not None and not 0.0 < self.eta < np.inf:
-            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
+        if self.betas is not None and not all(b > 0.0 for b in self.betas):
+            raise ConfigError(f"betas must be positive, got {self.betas}")
 
     @property
     def M(self):
@@ -240,7 +245,7 @@ def scenario_from_mapping(mapping, base=None):
                 raise ConfigError(f"field {key}: '-dB' form not supported for {stem!r}")
             try:
                 updates[stem] = 10.0 ** (float(value) / 10.0)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"field {key}: expected a number, got {value!r}")
             continue
         if key not in valid:
@@ -249,7 +254,7 @@ def scenario_from_mapping(mapping, base=None):
             updates[key] = _parse_field(key, value)
         except ConfigError:
             raise
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"field {key}: expected a number, got {value!r}")
     try:
         return base.with_updates(**updates)

@@ -165,19 +165,12 @@ def select_transmit_correlation(r, n_total, n_selected):
     r**(n_total / n_selected); the non-integer exponent keeps the dependence
     on the selection ratio smooth.
     """
-    n_total = int(n_total)
+    r, n_total = _checked(r, n_total)
     n_selected = int(n_selected)
     if not 1 <= n_selected <= n_total:
         raise ValueError(
             f"selected antenna count must be in [1, {n_total}], got {n_selected}")
-    r = complex(r)
-    if abs(r) >= 1.0:
-        raise ValueError(f"correlation coefficient must satisfy |r| < 1, got |r| = {abs(r)}")
-    if r == 0:
-        r_eff = 0.0 + 0.0j
-    else:
-        r_eff = r ** (n_total / n_selected)
-    return exponential_correlation(r_eff, n_selected)
+    return exponential_correlation(r ** (n_total / n_selected), n_selected)
 
 
 def exp_frobenius_sq(r, n):
@@ -187,12 +180,8 @@ def exp_frobenius_sq(r, n):
     sums directly keeps large-n perfect-CSI sweeps free of n x n matrices.
     As n grows the per-antenna value approaches (1 + |r|^2) / (1 - |r|^2).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"matrix size must be >= 1, got {n}")
-    rho = abs(complex(r)) ** 2
-    if rho >= 1.0:
-        raise ValueError(f"correlation coefficient must satisfy |r| < 1, got |r|^2 = {rho}")
+    r, n = _checked(r, n)
+    rho = abs(r) ** 2
     if rho == 0.0:
         return float(n)
     # sum_{d=1}^{n-1} rho^d and sum_{d=1}^{n-1} d rho^d

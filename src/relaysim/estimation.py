@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import (chunk_size, complex_stack, draw_hop, left_multiply,
-                      normals_per_trial, split_normals, trial_count)
+from .channel import (chunks, complex_stack, draw_hop, left_multiply, split_normals,
+                      trial_count)
 from .correlation import (exponential_basis, exponential_correlation,
                           exponential_eigenvalues, exponential_split_diagonals)
 from .errors import DegenerateEstimateError, IllConditionedError
@@ -350,22 +350,17 @@ def pilot_mse(hop, adc, power, trials, rng):
     """Simulated per-element MSE of the hop's estimator, with its standard
     error (NaN for a single trial).
 
-    Trials run in chunks of channel.chunk_size. rng fills each chunk's
-    normals in one call, row by row, so every trial sees the numbers it
-    would draw on its own; the last chunk is padded with rows of zeros, so
-    no trial's arithmetic depends on how many trials follow it.
+    Trials run through channel.chunks. rng fills each chunk's normals in
+    one call, row by row, so every trial sees the numbers it would draw on
+    its own; the last chunk is padded with rows of zeros, so no trial's
+    arithmetic depends on how many trials follow it.
     """
     trials = trial_count(trials)
     n, k = hop.shape
     lmmse = lmmse_filter(hop, adc, power)
-    draws = _pilot_draws(hop, adc)
-    size = chunk_size(draws)
-    normals = np.empty((size, normals_per_trial(draws)))
     errs = np.empty(trials)
-    for start in range(0, trials, size):
-        count = min(size, trials - start)
-        rng.standard_normal(out=normals[:count])
-        normals[count:] = 0.0
+    for start, count, normals in chunks(_pilot_draws(hop, adc), trials,
+                                        lambda rows, _: rng.standard_normal(out=rows)):
         chan, est = simulate_pilot(hop, adc, power, normals, lmmse=lmmse)
         errs[start:start + count] = _sum_abs2(est[:count] - chan[:count], "i") / (n * k)
     stderr = errs.std(ddof=1) / np.sqrt(trials) if trials > 1 else np.nan

@@ -3,31 +3,30 @@
 Each trial draws the per-hop channel estimates and errors from their
 equivalent-form distributions, with the square-root factors cached on the
 hops' EstimateModels, forms the matched-filter combiners from the
-estimates, and accumulates the per-user powers in the post-combining SINR.
-Thermal and quantization noise enter in conditional expectation given the
-channel draw (quadratic forms against the diagonal AQNM covariances);
-sample_quantization_noise=True instead draws the quantization noise.
+estimates, and samples the seven raw moments of the post-combining SINR
+whose expectations the closed form computes (analysis.moments, same
+names); the stacked trials become SINR terms through the closed form's own
+assembly (analysis.sinr_terms). Thermal and quantization noise enter in
+conditional expectation given the channel draw (quadratic forms against
+the diagonal AQNM covariances); sample_quantization_noise=True instead
+draws the quantization noise.
 
-Each trial samples the seven raw moments whose expectations the closed
-form computes (analysis.moments, same names); the stacked trials become
-SINR terms through the closed form's own assembly (analysis.sinr_terms).
-
-Trials run in chunks of channel.chunk_size trials, each in two stages. The
-draw stage fills one row of standard normals per trial from the trial's
-own substream (seed, "rate-trial", index), in the order the trial consumes
-them. The combine stage maps the chunk to outcomes: each receive square
-root meets all its trials as one GEMM, the Gram products and diagonals run
-on (b, ., .) stacks. Chunks start at multiples of the chunk size and the
-last one is padded with rows of zeros, so a trial's arithmetic depends on
-its index alone, never on the trial count or on the worker count.
+Trials run through channel.chunks, each chunk in two stages. The draw
+stage fills one row of standard normals per trial from the trial's own
+substream (seed, "rate-trial", index). The combine stage maps the chunk to
+outcomes: each hop's estimate and error come out of channel.draw_hop,
+where each receive square root meets all the chunk's trials as one GEMM,
+and the Gram products and diagonals run on (b, ., .) stacks. A trial's
+arithmetic depends on its index alone, never on the trial count or on the
+worker count.
 """
 
 import numpy as np
 
 from . import analysis
 from . import config as cfg
-from .channel import (chunk_size, complex_stack, draw_hop, left_multiply,
-                      normals_per_trial, split_normals, substream, trial_count)
+from .channel import (chunk_size, chunks, complex_stack, draw_hop, split_normals,
+                      substream, trial_count)
 from .errors import ConfigError
 
 
@@ -45,45 +44,31 @@ def _trial_draws(scn, sample_quantization_noise=False):
     return draws
 
 
-def _fill(normals, seed, tag, start, stop):
-    """Draw stage: row i gets trial start + i's normals from its own
-    substream, in one call; rows past the last trial are zero."""
-    for row, index in zip(normals, range(start, stop)):
-        substream(seed, tag, index).standard_normal(out=row)
-    normals[stop - start:] = 0.0
+def _substreams(seed, tag):
+    """Fill for channel.chunks: row i gets trial start + i's normals from
+    its own substream (seed, tag, start + i), in one call."""
+    def fill(rows, start):
+        for index, row in enumerate(rows, start):
+            substream(seed, tag, index).standard_normal(out=row)
+    return fill
 
 
-def _receive_draw(root, re, im):
-    """root @ CN(0, 1) for every trial of a chunk, (n, b, k); exact zeros
-    without a GEMM where the root is None (a vanishing error)."""
-    if root is None:
-        return np.zeros((re.shape[1], len(re), re.shape[2]), dtype=np.complex128)
-    return left_multiply(root, complex_stack(re, im))
-
-
-def _first_hop(model, parts):
-    """(f_hat, f_err) stacks, (n, b, k), from the first hop's four parts."""
-    root_hat, root_err = model.receive_sqrt
-    f_hat = _receive_draw(root_hat, *parts[:2]) * np.sqrt(model.scalars.tx_hat_diag)
-    f_err = _receive_draw(root_err, *parts[2:4]) * np.sqrt(model.scalars.tx_err_diag)
-    return f_hat, f_err
-
-
-def _second_hop(root, tx_sqrt, gain, re, im):
-    if root is None:
-        return _receive_draw(None, re, im)
-    return draw_hop(root, tx_sqrt, gain, h=complex_stack(re, im))
+def _hop_stacks(model, parts):
+    """[estimate, error] stacks, (b, n, k), of one hop from its four parts
+    of a chunk's normals (estimate then error, real parts then imaginary),
+    drawn by draw_hop with the model's square-root factors; exact zeros,
+    without a GEMM, where the error's receive factor is None (genie CSI)."""
+    return [np.zeros(re.shape, dtype=np.complex128) if root is None else
+            draw_hop(root, tx_sqrt, model.relay_gain,
+                     h=complex_stack(re, im)).transpose(1, 0, 2)
+            for root, tx_sqrt, re, im in zip(model.receive_sqrt, model.transmit_sqrt,
+                                             parts[0::2], parts[1::2])]
 
 
 def _channel_stacks(models, parts):
     """(f_hat, f_err, g_hat, g_err), each (b, n, k) or (b, m, k), from the
     split normals of a chunk of rate trials."""
-    hop1, hop2 = models
-    f_hat, f_err = _first_hop(hop1, parts)
-    (root_hat, root_err), (tx_hat, tx_err) = hop2.receive_sqrt, hop2.transmit_sqrt
-    g_hat = _second_hop(root_hat, tx_hat, hop2.relay_gain, *parts[4:6])
-    g_err = _second_hop(root_err, tx_err, hop2.relay_gain, *parts[6:8])
-    return tuple(x.transpose(1, 0, 2) for x in (f_hat, f_err, g_hat, g_err))
+    return tuple(_hop_stacks(models[0], parts[:4]) + _hop_stacks(models[1], parts[4:8]))
 
 
 def _sampled_noise(var, re, im):
@@ -142,22 +127,15 @@ _RAW_FIELDS = ("desired_raw", "leakage_raw", "cross_raw", "chain_raw",
                "relay_quant_raw", "bs_vector_raw", "bs_quant_raw")
 
 
-def _trial_block(scn, models, seed, trials, size, starts, sample_quantization_noise):
-    """Raw field arrays of the chunks of size trials that begin at starts, out
-    of trials in all (one pool block)."""
+def _trial_block(scn, models, seed, trials, starts, sample_quantization_noise, raw):
+    """Write the rows of the chunks that begin at starts (one pool block: a
+    run of whole chunks) into raw, the raw field arrays of all trials."""
     draws = _trial_draws(scn, sample_quantization_noise)
-    normals = np.empty((size, normals_per_trial(draws)))
-    rows = sum(min(size, trials - start) for start in starts)
-    block = {name: np.empty((rows, scn.K)) for name in _RAW_FIELDS}
-    row = 0
-    for start in starts:
-        count = min(size, trials - start)
-        _fill(normals, seed, "rate-trial", start, start + count)
+    fill = _substreams(seed, "rate-trial")
+    for start, count, normals in chunks(draws, trials, fill, starts):
         out = _combine(scn, models, split_normals(normals, *draws))
         for name in _RAW_FIELDS:
-            block[name][row:row + count] = out[name][:count]
-        row += count
-    return block
+            raw[name][start:start + count] = out[name][:count]
 
 
 def trial_outcomes(scenario, models, trials, seed, workers=1,
@@ -167,32 +145,32 @@ def trial_outcomes(scenario, models, trials, seed, workers=1,
 
     Trials are keyed by their index through the RNG substream contract, and
     run in fixed chunks that begin at multiples of the chunk size; pool
-    blocks are runs of whole chunks, reassembled in index order, so
-    splitting across threads cannot change any result. The threads share
-    models and numpy's BLAS; the normal draws and the GEMMs release the GIL.
+    blocks are runs of whole chunks, each written to its own rows of the
+    outcome arrays, so splitting across threads cannot change any result.
+    The threads share models and numpy's BLAS; the normal draws and the
+    GEMMs release the GIL.
     """
     trials = trial_count(trials)
     if workers < 1:
         raise ConfigError(f"worker count must be at least 1, got {workers}")
-    hop1, hop2 = models
-    kappa = analysis.kappa_closed_form(hop1, scenario)
+    kappa = analysis.kappa_closed_form(models[0], scenario)
     # build the factors cached on the models before any pool thread reads them
-    _ = hop1.receive_sqrt, hop2.receive_sqrt, hop2.transmit_sqrt
+    _ = [(model.receive_sqrt, model.transmit_sqrt) for model in models]
     size = chunk_size(_trial_draws(scenario, sample_quantization_noise))
     starts = list(range(0, trials, size))
-    block_args = (scenario, models, seed, trials, size)
+    raw = {name: np.empty((trials, scenario.K)) for name in _RAW_FIELDS}
+    block_args = (scenario, models, seed, trials)
     if workers == 1 or len(starts) < 2:
-        blocks = [_trial_block(*block_args, starts, sample_quantization_noise)]
+        _trial_block(*block_args, starts, sample_quantization_noise, raw)
     else:
         from concurrent.futures import ThreadPoolExecutor
         splits = np.array_split(np.asarray(starts), min(workers * 4, len(starts)))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_trial_block, *block_args, split.tolist(),
-                                   sample_quantization_noise)
+                                   sample_quantization_noise, raw)
                        for split in splits]
-            blocks = [f.result() for f in futures]
-    raw = {name: np.concatenate([b[name] for b in blocks], axis=0)
-           for name in _RAW_FIELDS}
+            for future in futures:
+                future.result()
     return dict(raw, **analysis.sinr_terms(raw, scenario, kappa))
 
 
@@ -232,14 +210,9 @@ def amplification_factor_mc(scenario, trials=2000, seed=None, models=None):
     seed = scenario.seed if seed is None else int(seed)
     hop1 = (cfg.scenario_models(scenario) if models is None else models)[0]
     draws = _trial_draws(scenario)[:4]
-    size = chunk_size(draws)
-    normals = np.empty((size, normals_per_trial(draws)))
     sums = np.zeros(3)
-    for start in range(0, trials, size):
-        count = min(size, trials - start)
-        _fill(normals, seed, "amplification", start, start + count)
-        f_hat, f_err = (x.transpose(1, 0, 2)[:count] for x in
-                        _first_hop(hop1, split_normals(normals, *draws)))
+    for _, count, normals in chunks(draws, trials, _substreams(seed, "amplification")):
+        f_hat, f_err = (x[:count] for x in _hop_stacks(hop1, split_normals(normals, *draws)))
         f_full = f_hat + f_err
         f_hat_h = f_hat.conj().swapaxes(1, 2)
         cross = f_hat_h @ f_full

@@ -75,7 +75,7 @@ class AdcSpec:
         return self.rho == 0.0
 
 
-def aqnm_quantize(y, adc, signal_var, rng=None, normals=None):
+def aqnm_quantize(y, adc, signal_var, normals=None):
     """Apply the AQNM map alpha * y + n_q elementwise.
 
     Parameters
@@ -87,12 +87,9 @@ def aqnm_quantize(y, adc, signal_var, rng=None, normals=None):
         Per-element variance of y (broadcastable to y's shape). The noise
         variance is alpha * (1 - alpha) * signal_var per element, split
         evenly between real and imaginary parts.
-    rng : numpy.random.Generator
-        Draws the noise's standard normals, real parts then imaginary.
-    normals : (array, array), optional
-        Those real and imaginary standard normals, each of y's shape,
-        already drawn (a stacked pilot chain draws a chunk at once); rng is
-        then not used.
+    normals : (array, array)
+        The noise's real and imaginary standard normals, each of y's
+        shape, already drawn. An ideal ADC adds no noise and takes none.
     """
     y = np.asarray(y, dtype=np.complex128)
     var = np.asarray(signal_var, dtype=np.float64)
@@ -102,7 +99,7 @@ def aqnm_quantize(y, adc, signal_var, rng=None, normals=None):
     if adc.is_ideal:
         return y.copy()
     if normals is None:
-        normals = (rng.standard_normal(y.shape), rng.standard_normal(y.shape))
+        raise ValueError("a non-ideal ADC needs the noise's standard normals")
     # the noise is scale * (re + 1j im), assembled part by part
     scale = np.sqrt(adc.alpha * adc.rho * var / 2.0)
     out = np.empty(y.shape, dtype=np.complex128)

@@ -62,17 +62,11 @@ def _check_lemma1(seed, table):
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n))
         exact = analysis.lemma1_moments(p_mat, q_mat, i, j)
-        mc = analysis.lemma1_moments_mc(p_mat, q_mat, i, j, 40000, rng)
-        devs = {
-            "inner1": abs(mc.inner_first - exact.inner_first)
-                      / max(mc.inner_first_se, _TINY),
-            "inner2": abs(mc.inner_second - exact.inner_second)
-                      / max(mc.inner_second_se, _TINY),
-            "row1": np.max(np.abs(mc.row_first - exact.row_first)
-                           / np.maximum(mc.row_first_se, _TINY)),
-            "row2": np.max(np.abs(mc.row_second - exact.row_second)
-                           / np.maximum(mc.row_second_se, _TINY)),
-        }
+        mean, se = analysis.lemma1_moments_mc(p_mat, q_mat, i, j, 40000, rng)
+        devs = {tag: np.max(np.abs(getattr(mean, field) - getattr(exact, field))
+                            / np.maximum(getattr(se, field), _TINY))
+                for tag, field in (("inner1", "inner_first"), ("inner2", "inner_second"),
+                                   ("row1", "row_first"), ("row2", "row_second"))}
         for tag, dev in devs.items():
             if dev > worst:
                 worst, worst_tag = float(dev), f"pair {pair} moment {tag}"

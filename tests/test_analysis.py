@@ -39,17 +39,17 @@ def test_lemma_moments_against_sampling():
     q_mat = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / 2
     for i, j in ((0, 1), (2, 2)):
         closed = analysis.lemma1_moments(p_mat, q_mat, i, j)
-        sampled = analysis.lemma1_moments_mc(p_mat, q_mat, i, j, 40000, rng)
-        assert abs(sampled.inner_first - closed.inner_first) \
-            <= 5.0 * max(sampled.inner_first_se, 1e-12)
-        assert abs(sampled.inner_second - closed.inner_second) \
-            <= 5.0 * max(sampled.inner_second_se, 1e-12)
+        mean, se = analysis.lemma1_moments_mc(p_mat, q_mat, i, j, 40000, rng)
+        assert abs(mean.inner_first - closed.inner_first) \
+            <= 5.0 * max(se.inner_first, 1e-12)
+        assert abs(mean.inner_second - closed.inner_second) \
+            <= 5.0 * max(se.inner_second, 1e-12)
         np.testing.assert_array_less(
-            np.abs(sampled.row_first - closed.row_first),
-            5.0 * np.maximum(sampled.row_first_se, 1e-12))
+            np.abs(mean.row_first - closed.row_first),
+            5.0 * np.maximum(se.row_first, 1e-12))
         np.testing.assert_array_less(
-            np.abs(sampled.row_second - closed.row_second),
-            5.0 * np.maximum(sampled.row_second_se, 1e-12))
+            np.abs(mean.row_second - closed.row_second),
+            5.0 * np.maximum(se.row_second, 1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_first_hop_column_covariance():
     recv_sqrt, gains_sqrt = hop.recv_sqrt, hop.tx_sqrt
     acc = np.zeros((k, n, n), dtype=np.complex128)
     for _ in range(draws):
-        f = channel.draw_hop(recv_sqrt, gains_sqrt, 1.0, rng)
+        f = channel.draw_hop(recv_sqrt, gains_sqrt, 1.0, channel.complex_normal(rng, (n, k)))
         for col in range(k):
             acc[col] += np.outer(f[:, col], f[:, col].conj())
     acc /= draws
@@ -83,7 +83,7 @@ def test_second_hop_gram_means():
     left = np.zeros((m, m), dtype=np.complex128)
     right = np.zeros((k, k), dtype=np.complex128)
     for _ in range(draws):
-        g = channel.draw_hop(recv_sqrt, tx_sqrt, eta, rng)
+        g = channel.draw_hop(recv_sqrt, tx_sqrt, eta, channel.complex_normal(rng, (m, k)))
         left += g @ g.conj().T
         right += g.conj().T @ g
     left /= draws
@@ -95,9 +95,9 @@ def test_second_hop_gram_means():
 
 def test_draw_guards():
     recv_sqrt = HopStatistics(0.5, 4, np.eye(2), 2, 1.0).recv_sqrt
-    rng = channel.substream(11, "guards")
-    with pytest.raises(ValueError):
-        channel.draw_hop(recv_sqrt, np.eye(2), -0.1, rng)
+    h = channel.complex_normal(channel.substream(11, "guards"), (4, 2))
+    with pytest.raises(ValueError, match="gain must be non-negative"):
+        channel.draw_hop(recv_sqrt, np.eye(2), -0.1, h)
     # a negative per-user gain has no square-root factor to draw with, so
     # the scenario refuses it before any hop is built
     with pytest.raises(ConfigError, match="betas"):

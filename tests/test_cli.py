@@ -156,13 +156,22 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert _run(["correlation-impact", "--deltas", "two"]) == 1
     assert _run(["correlation-impact", "--coefficients", "0:0.8,x:0"]) == 1
     assert _run(["adc-impact", "--deltas", "0.5,?"]) == 1
+    # non-finite sweep values, in configuration fields and in pilot powers
+    assert _run(["power-scaling", "--closed-form-only", "--n-values", "128",
+                 "--exponents", "nan:1"]) == 1
+    for deltas in ("nan", "inf"):
+        assert _run(["correlation-impact", "--closed-form-only", "--deltas", deltas]) == 1
+    assert _run(["correlation-impact", "--closed-form-only", "--coefficients", "0:nan"]) == 1
+    for powers in ("nan", "inf", "10,-inf"):
+        assert _run(["mse-sweep", "--powers-db", powers]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert _run(["rate-vs-n", "--config", str(bad)]) == 1
     # gains that are not positive and finite are configuration errors, not
     # numerical failures of the model built from them
     for text in ('{"K": 2, "betas": [-1.0, 0.5]}', '{"K": 2, "betas": [NaN, 0.5]}',
-                 '{"eta": -0.5}'):
+                 '{"eta": -0.5}', '{"E_U": NaN}', '{"E_U": 1e999}', '{"E_U-dB": 1e5}',
+                 '{"E_U": 1' + '0' * 400 + '}'):
         bad.write_text(text)
         assert _run(["rate-vs-n", "--n-values", "64", "--closed-form-only",
                      "--config", str(bad)]) == 1

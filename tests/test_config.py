@@ -67,6 +67,17 @@ def test_with_updates_keeps_frozen_semantics():
     dict(eta=0.0),
     dict(eta=float("nan")),
     dict(eta=float("inf")),
+    # every float or complex field, and every distance, must be finite
+    dict(E_U=float("nan")),
+    dict(P2=float("inf")),
+    dict(a=float("nan")),
+    dict(b=float("inf")),
+    dict(delta=float("nan")),
+    dict(delta=float("inf")),
+    dict(r_R=complex(0.0, float("nan"))),
+    dict(r_B=float("nan")),
+    dict(nu=float("inf")),
+    dict(d_users=(182.0, float("nan")) + cfg.DEFAULT_DISTANCES[2:]),
 ])
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ConfigError):

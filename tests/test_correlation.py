@@ -43,6 +43,14 @@ def test_coefficient_magnitude_must_be_subunit():
         corr.exponential_correlation(1.0, 4)
     with pytest.raises(ValueError):
         corr.exponential_correlation(-1.2, 4)
+    # the antenna selection and the closed-form norm refuse through the
+    # same argument check
+    for build in (corr.exponential_correlation, corr.exp_frobenius_sq,
+                  lambda r, n: corr.select_transmit_correlation(r, n, 1)):
+        with pytest.raises(ValueError, match=r"must satisfy \|r\| < 1"):
+            build(0.6 + 0.8j, 4)
+        with pytest.raises(ValueError, match="matrix size must be >= 1"):
+            build(0.5, 0)
 
 
 def test_closed_form_frobenius_matches_matrix():
@@ -75,8 +83,9 @@ def test_transmit_selection_coefficient():
     expected = corr.exponential_correlation(0.8 ** (n / k), k)
     np.testing.assert_allclose(picked, expected, atol=1e-14)
     # uncorrelated input stays uncorrelated regardless of the ratio
-    np.testing.assert_allclose(corr.select_transmit_correlation(0.0, n, k),
-                               np.eye(k), atol=0.0)
+    for zero in (0.0, 0j):
+        np.testing.assert_array_equal(corr.select_transmit_correlation(zero, n, k),
+                                      np.eye(k))
 
 
 # the closed-form spectrum against numpy's dense eigensolver: real,

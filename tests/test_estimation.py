@@ -184,13 +184,16 @@ def test_pilot_simulation_shapes():
 
 def _pilot_trial(hop, adc, power, rng, lmmse):
     """One pilot trial drawn the documented way, one draw after another:
-    the channel (draw_hop), the receiver noise (complex_normal), then the
-    quantization noise (aqnm_quantize)."""
-    chan = channel.draw_hop(hop.recv_sqrt, hop.tx_sqrt, hop.gain, rng)
+    the channel's H, the receiver noise (complex_normal each), then the
+    quantization noise's real and imaginary parts (non-ideal ADCs only)."""
+    chan = channel.draw_hop(hop.recv_sqrt, hop.tx_sqrt, hop.gain,
+                            channel.complex_normal(rng, hop.shape))
     received = (np.sqrt(hop.tau * power / hop.streams) * chan @ hop.pilots.T
                 + channel.complex_normal(rng, (hop.shape[0], hop.tau), hop.noise_var))
     row_power = (power / hop.streams) * np.sum(np.abs(chan) ** 2, axis=1) + hop.noise_var
-    quantized = aqnm_quantize(received, adc, row_power[:, None], rng)
+    normals = None if adc.is_ideal else (rng.standard_normal(received.shape),
+                                         rng.standard_normal(received.shape))
+    quantized = aqnm_quantize(received, adc, row_power[:, None], normals)
     return chan, lmmse @ (quantized @ np.conj(hop.pilots))
 
 

@@ -132,7 +132,7 @@ def test_pool_opens_only_for_several_chunks(monkeypatch):
             super().__init__(max_workers=max_workers)
 
         def submit(self, fn, *args):
-            blocks.append(args[5])
+            blocks.append(args[4])
             return super().submit(fn, *args)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
@@ -147,6 +147,51 @@ def test_pool_opens_only_for_several_chunks(monkeypatch):
     for name, stack in serial.items():
         np.testing.assert_array_equal(stack, pooled[name])
         np.testing.assert_array_equal(stack[:5], single_chunk[name])
+
+
+def test_every_engine_runs_its_chunks_through_channel_chunks(monkeypatch):
+    # the rate trials, the kappa trials and the pilot chain share one chunk
+    # loop: each call is recorded with its trial count and chunk starts
+    # (None: all chunks), and so is every chunk it yields
+    calls, chunks = [], []
+    original = channel.chunks
+
+    def recording(draws, trials, fill, starts=None):
+        calls.append((trials, starts))
+        for start, count, normals in original(draws, trials, fill, starts):
+            chunks.append((trials, start, count))
+            yield start, count, normals
+
+    monkeypatch.setattr(link, "chunks", recording)
+    monkeypatch.setattr(est, "chunks", recording)
+    models = cfg.scenario_models(_SCN)
+    _budget_for(monkeypatch, _SCN, 5)
+    link.trial_outcomes(_SCN, models, 12, seed=9)
+    assert calls == [(12, [0, 5, 10])]
+    assert chunks == [(12, 0, 5), (12, 5, 5), (12, 10, 2)]
+    calls.clear()
+    pooled = sorted(chunks)
+    chunks.clear()
+    link.trial_outcomes(_SCN, models, 12, seed=9, workers=2)
+    assert sorted(calls) == [(12, [0]), (12, [5]), (12, [10])]
+    assert sorted(chunks) == pooled
+    calls.clear()
+    chunks.clear()
+    # the kappa trials draw the first hop only, so more of them fit a chunk
+    size = channel.chunk_size(link._trial_draws(_SCN)[:4])
+    assert size > 5
+    link.amplification_factor_mc(_SCN, trials=2 * size + 3, seed=9, models=models)
+    assert calls == [(2 * size + 3, None)]
+    assert chunks == [(2 * size + 3, 0, size), (2 * size + 3, size, size),
+                      (2 * size + 3, 2 * size, 3)]
+    calls.clear()
+    chunks.clear()
+    hop = cfg.scenario_hops(_SCN)[1]
+    size = channel.chunk_size(est._pilot_draws(hop, _SCN.adc2))
+    est.pilot_mse(hop, _SCN.adc2, 10.0, 3 * size - 1, substream(9, "pilot"))
+    assert calls == [(3 * size - 1, None)]
+    assert chunks == [(3 * size - 1, 0, size), (3 * size - 1, size, size),
+                      (3 * size - 1, 2 * size, size - 1)]
 
 
 def test_trials_are_keyed_by_index_not_position():
@@ -239,7 +284,6 @@ def test_receive_gemms_per_chunk(monkeypatch, scn, per_chunk):
         return original(mat, x)
 
     monkeypatch.setattr(channel, "left_multiply", counting)
-    monkeypatch.setattr(link, "left_multiply", counting)
     link.trial_outcomes(scn, models, 10, seed=9)
     assert len(calls) == 3 * per_chunk
     assert all(x_shape[1] == 4 for _, x_shape in calls)

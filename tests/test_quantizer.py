@@ -55,7 +55,7 @@ def test_aqnm_noise_variance():
     n = 200000
     var = 3.0
     y = np.sqrt(var / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    out = qz.aqnm_quantize(y, adc, var, rng)
+    out = qz.aqnm_quantize(y, adc, var, (rng.standard_normal(n), rng.standard_normal(n)))
     noise = out - adc.alpha * y
     measured = np.mean(np.abs(noise) ** 2)
     assert measured == pytest.approx(adc.alpha * adc.rho * var, rel=0.02)
@@ -68,7 +68,8 @@ def test_aqnm_per_element_variances():
     rng = substream(22, "aqnm-vector")
     var = np.array([0.5, 2.0, 8.0])
     y = np.zeros((30000, 3), dtype=np.complex128)
-    out = qz.aqnm_quantize(y, adc, var[None, :], rng)
+    normals = (rng.standard_normal(y.shape), rng.standard_normal(y.shape))
+    out = qz.aqnm_quantize(y, adc, var[None, :], normals)
     measured = np.mean(np.abs(out) ** 2, axis=0)
     np.testing.assert_allclose(measured, adc.alpha * adc.rho * var, rtol=0.05)
 
@@ -77,8 +78,11 @@ def test_aqnm_ideal_passthrough():
     adc = qz.AdcSpec.from_bits(qz.IDEAL)
     rng = substream(23, "aqnm-ideal")
     y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    out = qz.aqnm_quantize(y, adc, np.ones(64), rng)
+    out = qz.aqnm_quantize(y, adc, np.ones(64))
     np.testing.assert_array_equal(out, y)
+    # a non-ideal ADC has no noise to add without its drawn normals
+    with pytest.raises(ValueError, match="standard normals"):
+        qz.aqnm_quantize(y, qz.AdcSpec.from_bits(1), np.ones(64))
 
 
 def test_lloyd_max_one_bit_analytic():
