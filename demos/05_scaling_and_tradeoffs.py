@@ -25,15 +25,11 @@ base = cfg.ScenarioConfig(K=10, delta=2.0, q1=2, q2=2, csi="perfect",
 print("per-user SINR limit by scaling exponents (equal-gain users)")
 print(f"{'a':>5} {'b':>5} {'regime':>16} {'limit':>10}")
 for a, b in ((0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0), (1.2, 1.2)):
-    lim = power_scaling_limit(base.user_gains(), base.relay_gain(),
-                              base.adc1, base.adc2, base.sigma_R2,
-                              base.sigma_B2, a, b, base.E_U, base.E_R, 0)
+    lim = power_scaling_limit(base.with_updates(a=a, b=b), 0)
     print(f"{a:>5.1f} {b:>5.1f} {lim.regime:>16} {lim.value:>10.4f}")
 
 # matched scaling a = b = 1 approaches its limit as the arrays grow ...
-lim = power_scaling_limit(base.user_gains(), base.relay_gain(), base.adc1,
-                          base.adc2, base.sigma_R2, base.sigma_B2,
-                          1.0, 1.0, base.E_U, base.E_R, 0)
+lim = power_scaling_limit(base.with_updates(a=1.0, b=1.0), 0)
 print("\nmatched scaling, finite systems vs the limit "
       f"({lim.value:.4f}):")
 for n in (128, 512, 2048):

@@ -257,15 +257,16 @@ class AsymptoticLimit:
     zeta: float = None
 
 
-def power_scaling_limit(gains, relay_gain, adc1, adc2, relay_noise_var,
-                        bs_noise_var, a, b, e_u, e_r, user):
-    """Large-N SINR limit for one user under genie CSI and vanishing
+def power_scaling_limit(scenario, user):
+    """Large-N SINR limit of one user of the scenario, whose powers scale as
+    P_U = E_U / N^a and P_R = E_R / M^b, under genie CSI and vanishing
     transmit correlation on the selected relay antennas."""
-    gains = np.asarray(gains, dtype=np.float64)
+    gains = scenario.user_gains()
     beta = float(gains[user])
-    a1, a2 = adc1.alpha, adc2.alpha
-    if a < 0.0 or b < 0.0:
-        raise ValueError("scaling exponents must be non-negative")
+    a, b = scenario.a, scenario.b
+    a1, a2 = scenario.adc1.alpha, scenario.adc2.alpha
+    relay_gain, e_u, e_r = scenario.relay_gain(), scenario.E_U, scenario.E_R
+    relay_noise_var, bs_noise_var = scenario.sigma_R2, scenario.sigma_B2
     if a > 1.0 or b > 1.0:
         return AsymptoticLimit(regime="vanishing", value=0.0)
     if a < 1.0 and b < 1.0:
@@ -287,13 +288,9 @@ def power_scaling_limit(gains, relay_gain, adc1, adc2, relay_noise_var,
 
 def asymptotic_sum_rate(scenario):
     """mu * sum_k log2(1 + limit_k); inf when any user's limit is unbounded."""
-    gains = scenario.user_gains()
     total = 0.0
     for k in range(scenario.K):
-        lim = power_scaling_limit(gains, scenario.relay_gain(), scenario.adc1,
-                                  scenario.adc2, scenario.sigma_R2,
-                                  scenario.sigma_B2, scenario.a, scenario.b,
-                                  scenario.E_U, scenario.E_R, k)
+        lim = power_scaling_limit(scenario, k)
         if np.isinf(lim.value):
             return float("inf")
         total += np.log2(1.0 + lim.value)

@@ -20,32 +20,12 @@ from . import estimation, link, validate
 from .analysis import asymptotic_sum_rate, power_scaling_limit, sum_rate_approx
 from .channel import substream
 from .errors import ConfigError, NumericalError
-from .quantizer import IDEAL, AdcSpec, bits_label
+from .quantizer import AdcSpec, bits_label
 
 
 def _format_value(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return "ideal"
-    return repr(float(value))
-
-
-def _parse_bits(token: str):
-    token = token.strip().lower()
-    if token in ("ideal", "inf", "none"):
-        return IDEAL
-    try:
-        bits = int(token)
-    except ValueError:
-        raise ConfigError(f"unreadable ADC resolution {token!r}")
-    if bits < 1:
-        raise ConfigError("ADC resolution must be a positive bit count")
-    return bits
+    """A CSV cell: a label, an int (N) or a float."""
+    return str(value) if isinstance(value, (str, int)) else repr(float(value))
 
 
 def _convert(kind, token):
@@ -126,7 +106,7 @@ def _base_scenario(args):
 def cmd_mse_sweep(args) -> int:
     scn = _base_scenario(args)
     powers_db = _parse_list(args.powers_db)
-    bits_grid = _parse_list(args.bits, _parse_bits)
+    bits_grid = _parse_list(args.bits, lambda token: cfg.parse_adc_bits(token, "--bits"))
     names = ("first", "second") if args.hop == "both" else (args.hop,)
     stats = dict(zip(("first", "second"), cfg.scenario_hops(scn)))
     trials = scn.trials
@@ -165,7 +145,7 @@ def _rate_pair(scn, args, workers):
 def cmd_rate_vs_n(args) -> int:
     scn = _base_scenario(args)
     n_values = _parse_list(args.n_values, int)
-    bits_grid = _parse_list(args.bits, _parse_bits)
+    bits_grid = _parse_list(args.bits, lambda token: cfg.parse_adc_bits(token, "--bits"))
     rows = []
     for n in n_values:
         for bits in bits_grid:
@@ -186,9 +166,7 @@ def cmd_power_scaling(args) -> int:
     rows = []
     for a, b in exponents:
         limit = scn.with_updates(a=a, b=b)
-        regime = power_scaling_limit(
-            limit.user_gains(), limit.relay_gain(), limit.adc1, limit.adc2,
-            limit.sigma_R2, limit.sigma_B2, a, b, limit.E_U, limit.E_R, 0).regime
+        regime = power_scaling_limit(limit, 0).regime
         asymptote = asymptotic_sum_rate(limit)
         for n in n_values:
             point = scn.with_updates(N=n, a=a, b=b)
@@ -221,7 +199,8 @@ def cmd_adc_impact(args) -> int:
     scn = _base_scenario(args)
     n_values = _parse_list(args.n_values, int)
     deltas = _parse_list(args.deltas)
-    pairs = _parse_pairs(args.bits_pairs, _parse_bits)
+    pairs = _parse_pairs(args.bits_pairs,
+                         lambda token: cfg.parse_adc_bits(token, "--bits-pairs"))
     rows = []
     for delta in deltas:
         for q1, q2 in pairs:

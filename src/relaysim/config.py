@@ -9,6 +9,7 @@ form, or genie CSI) that the analysis and Monte Carlo engines consume.
 
 from dataclasses import asdict, dataclass, fields, replace
 import json
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -60,9 +61,13 @@ class ScenarioConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        # first, so that no check or property below meets a NaN or an inf
+        # first, so that no check or property below meets a NaN, an inf or a
+        # count with a fractional part; an int is never converted to float
         for field in fields(self):
             value = getattr(self, field.name)
+            if field.type is int and not (isinstance(value, Integral) or (
+                    isinstance(value, Real) and float(value).is_integer())):
+                raise ConfigError(f"{field.name} must be a whole number, got {value!r}")
             values = (value if field.name in ("d_users", "betas")
                       else (value,) if field.type in (float, complex) else ())
             if value is not None and not all(np.isfinite(v) for v in values):
@@ -192,11 +197,18 @@ def scenario_models(scn):
 _DB_PREFIXES = ("E_U", "E_R", "P1", "P2", "sigma_R2", "sigma_B2")
 
 
-def _parse_adc_bits(value, key):
+def parse_adc_bits(value, key):
+    """An ADC resolution: IDEAL for the words ideal, inf and none (any case),
+    otherwise a bit count of at least 1. Anything else is a ConfigError
+    naming key."""
     if value is IDEAL or (isinstance(value, str)
                           and value.strip().lower() in ("ideal", "inf", "none")):
         return IDEAL
-    return _parse_int(value, key, "integer bits or 'ideal'")
+    expected = "a bit count >= 1 or 'ideal'"
+    bits = _parse_int(value, key, expected)
+    if bits < 1:
+        raise ConfigError(f"field {key}: expected {expected}, got {value!r}")
+    return bits
 
 
 def _parse_int(value, key, expected="an integer"):
@@ -213,7 +225,7 @@ def _parse_int(value, key, expected="an integer"):
 def _parse_field(key, value):
     """value of a ScenarioConfig field converted from its mapping form."""
     if key in ("q1", "q2"):
-        return _parse_adc_bits(value, key)
+        return parse_adc_bits(value, key)
     if key in ("N", "K", "T", "tau1", "tau2", "trials", "seed"):
         return _parse_int(value, key)
     if key == "csi":

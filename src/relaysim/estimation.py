@@ -218,7 +218,7 @@ class EstimateModel:
                    for t in (self.transmit_hat, self.transmit_err))
         return tuple(_root(np.maximum(s, 0.0), v) for s in spectra)
 
-    def validate(self, rtol=1e-8):
+    def validate(self):
         """Check the construction identities against the hop's true statistics.
 
         The eigendata must reassemble the true receive correlation
@@ -241,7 +241,7 @@ class EstimateModel:
                + np.trace(self.receive_err).real * self.transmit_err) * self.relay_gain
         rhs = hop.n * hop.gain * hop.transmit
         scale = max(float(np.abs(rhs).max()), 1e-300)
-        if not np.allclose(lhs, rhs, atol=rtol * scale):
+        if not np.allclose(lhs, rhs, atol=1e-8 * scale):
             raise AssertionError("per-user energy split is not conserved")
 
 
@@ -318,7 +318,7 @@ def _sum_abs2(x, kept):
     return np.einsum(f"ijk,ijk->{kept}", parts, parts)
 
 
-def simulate_pilot(hop, adc, power, normals, lmmse=None):
+def simulate_pilot(hop, adc, power, normals, lmmse):
     """Run the quantized pilot phase on a chunk of trials and return the
     (channel, estimate) stacks, each (b, n, k).
 
@@ -328,10 +328,9 @@ def simulate_pilot(hop, adc, power, normals, lmmse=None):
     * ||row||^2 + noise_var, constant over the pilot block because the
     pilot columns are orthonormal. The chunk runs in the (n, b, .) layout
     of complex_stack: each receive factor (the channel's square root and
-    the LMMSE filter) meets it as one GEMM, and so do the pilots.
+    the LMMSE filter lmmse, lmmse_filter's for the same hop, ADC and power)
+    meets it as one GEMM, and so do the pilots.
     """
-    if lmmse is None:
-        lmmse = lmmse_filter(hop, adc, power)
     n, k = hop.shape
     pilots = hop.pilots
     h_re, h_im, w_re, w_im, *quant = split_normals(normals, *_pilot_draws(hop, adc))
@@ -361,7 +360,7 @@ def pilot_mse(hop, adc, power, trials, rng):
     errs = np.empty(trials)
     for start, count, normals in chunks(_pilot_draws(hop, adc), trials,
                                         lambda rows, _: rng.standard_normal(out=rows)):
-        chan, est = simulate_pilot(hop, adc, power, normals, lmmse=lmmse)
+        chan, est = simulate_pilot(hop, adc, power, normals, lmmse)
         errs[start:start + count] = _sum_abs2(est[:count] - chan[:count], "i") / (n * k)
     stderr = errs.std(ddof=1) / np.sqrt(trials) if trials > 1 else np.nan
     return float(errs.mean()), float(stderr)

@@ -8,8 +8,7 @@ whose expectations the closed form computes (analysis.moments, same
 names); the stacked trials become SINR terms through the closed form's own
 assembly (analysis.sinr_terms). Thermal and quantization noise enter in
 conditional expectation given the channel draw (quadratic forms against
-the diagonal AQNM covariances); sample_quantization_noise=True instead
-draws the quantization noise.
+the diagonal AQNM covariances), never drawn.
 
 Trials run through channel.chunks, each chunk in two stages. The draw
 stage fills one row of standard normals per trial from the trial's own
@@ -30,18 +29,11 @@ from .channel import (chunk_size, chunks, complex_stack, draw_hop, split_normals
 from .errors import ConfigError
 
 
-def _trial_draws(scn, sample_quantization_noise=False):
+def _trial_draws(scn):
     """Shapes of what one rate trial draws, in stream order: estimate then
-    error, first hop then second, then the sampled quantization noise at
-    the relay and at the base station (non-ideal ADCs only); each real
-    parts first, then imaginary parts."""
-    n, m, k = scn.N, scn.M, scn.K
-    draws = [(n, k)] * 4 + [(m, k)] * 4
-    if sample_quantization_noise:
-        for adc, rows in ((scn.adc1, n), (scn.adc2, m)):
-            if not adc.is_ideal:
-                draws += [(rows,)] * 2
-    return draws
+    error, first hop then second; each real parts first, then imaginary
+    parts."""
+    return [(scn.N, scn.K)] * 4 + [(scn.M, scn.K)] * 4
 
 
 def _substreams(seed, tag):
@@ -69,11 +61,6 @@ def _channel_stacks(models, parts):
     """(f_hat, f_err, g_hat, g_err), each (b, n, k) or (b, m, k), from the
     split normals of a chunk of rate trials."""
     return tuple(_hop_stacks(models[0], parts[:4]) + _hop_stacks(models[1], parts[4:8]))
-
-
-def _sampled_noise(var, re, im):
-    """(b, n, 1) complex noise of per-element variance var (b, n)."""
-    return (np.sqrt(var / 2.0) * (re + 1j * im))[..., None]
 
 
 def _combine(scn, models, parts):
@@ -104,18 +91,8 @@ def _combine(scn, models, parts):
     bs_row_power = (scn.P_R / k) * np.sum(np.abs(g_full) ** 2, axis=2) + scn.sigma_B2
     relay_var = adc1.alpha * adc1.rho * relay_row_power
     bs_var = adc2.alpha * adc2.rho * bs_row_power
-    sampled = parts[8:]         # drawn quantization noise, relay's first
-    if sampled and not adc1.is_ideal:
-        nq1 = _sampled_noise(relay_var, *sampled[:2])
-        sampled = sampled[2:]
-        relay_quant_raw = np.abs(half_chain @ nq1)[..., 0] ** 2
-    else:
-        relay_quant_raw = (np.abs(half_chain) ** 2 @ relay_var[..., None])[..., 0]
-    if sampled:
-        nq2 = _sampled_noise(bs_var, *sampled)
-        bs_quant_raw = np.abs(g_hat_h @ nq2)[..., 0] ** 2
-    else:
-        bs_quant_raw = (np.abs(g_hat.swapaxes(1, 2)) ** 2 @ bs_var[..., None])[..., 0]
+    relay_quant_raw = (np.abs(half_chain) ** 2 @ relay_var[..., None])[..., 0]
+    bs_quant_raw = (np.abs(g_hat.swapaxes(1, 2)) ** 2 @ bs_var[..., None])[..., 0]
 
     return dict(
         desired_raw=desired_raw, leakage_raw=leakage_raw, cross_raw=cross_raw,
@@ -127,10 +104,10 @@ _RAW_FIELDS = ("desired_raw", "leakage_raw", "cross_raw", "chain_raw",
                "relay_quant_raw", "bs_vector_raw", "bs_quant_raw")
 
 
-def _trial_block(scn, models, seed, trials, starts, sample_quantization_noise, raw):
+def _trial_block(scn, models, seed, trials, starts, raw):
     """Write the rows of the chunks that begin at starts (one pool block: a
     run of whole chunks) into raw, the raw field arrays of all trials."""
-    draws = _trial_draws(scn, sample_quantization_noise)
+    draws = _trial_draws(scn)
     fill = _substreams(seed, "rate-trial")
     for start, count, normals in chunks(draws, trials, fill, starts):
         out = _combine(scn, models, split_normals(normals, *draws))
@@ -138,8 +115,7 @@ def _trial_block(scn, models, seed, trials, starts, sample_quantization_noise, r
             raw[name][start:start + count] = out[name][:count]
 
 
-def trial_outcomes(scenario, models, trials, seed, workers=1,
-                   sample_quantization_noise=False):
+def trial_outcomes(scenario, models, trials, seed, workers=1):
     """Stacked per-trial outcome arrays, bit-identical for any worker count:
     the seven raw fields and the four SINR terms they give.
 
@@ -156,33 +132,30 @@ def trial_outcomes(scenario, models, trials, seed, workers=1,
     kappa = analysis.kappa_closed_form(models[0], scenario)
     # build the factors cached on the models before any pool thread reads them
     _ = [(model.receive_sqrt, model.transmit_sqrt) for model in models]
-    size = chunk_size(_trial_draws(scenario, sample_quantization_noise))
+    size = chunk_size(_trial_draws(scenario))
     starts = list(range(0, trials, size))
     raw = {name: np.empty((trials, scenario.K)) for name in _RAW_FIELDS}
     block_args = (scenario, models, seed, trials)
     if workers == 1 or len(starts) < 2:
-        _trial_block(*block_args, starts, sample_quantization_noise, raw)
+        _trial_block(*block_args, starts, raw)
     else:
         from concurrent.futures import ThreadPoolExecutor
         splits = np.array_split(np.asarray(starts), min(workers * 4, len(starts)))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_trial_block, *block_args, split.tolist(),
-                                   sample_quantization_noise, raw)
+            futures = [pool.submit(_trial_block, *block_args, split.tolist(), raw)
                        for split in splits]
             for future in futures:
                 future.result()
     return dict(raw, **analysis.sinr_terms(raw, scenario, kappa))
 
 
-def ergodic_sum_rate_mc(scenario, trials=None, seed=None, workers=1,
-                        sample_quantization_noise=False, models=None):
-    """Monte Carlo ergodic sum rate with a 95% confidence halfwidth, drawn
-    from the scenario's estimate models (built here unless given)."""
-    trials = trial_count(scenario.trials if trials is None else trials)
-    seed = scenario.seed if seed is None else int(seed)
+def ergodic_sum_rate_mc(scenario, workers=1, models=None):
+    """Monte Carlo ergodic sum rate with a 95% confidence halfwidth over the
+    scenario's trials and seed, drawn from its estimate models (built here
+    unless given)."""
+    trials = trial_count(scenario.trials)
     models = cfg.scenario_models(scenario) if models is None else models
-    stacks = trial_outcomes(scenario, models, trials, seed, workers=workers,
-                            sample_quantization_noise=sample_quantization_noise)
+    stacks = trial_outcomes(scenario, models, trials, scenario.seed, workers=workers)
     rates = np.log2(1.0 + analysis.sinr_of(stacks))
     per_trial_sum = rates.sum(axis=1)
     mu = scenario.mu

@@ -39,18 +39,17 @@ class CheckResult:
                 f"(threshold {self.threshold:.4g}, {self.elapsed:.2f}s) {self.detail}")
 
 
-def _check_lloydmax_table(seed, table):
+def _check_lloydmax_table(seed):
     worst = 0.0
     worst_bits = 1
-    for bits in sorted(table):
-        measured = quantizer.lloyd_max_distortion(bits)
-        dev = abs(measured - table[bits])
+    for bits, tabulated in sorted(quantizer.DISTORTION_TABLE.items()):
+        dev = abs(quantizer.lloyd_max_distortion(bits) - tabulated)
         if dev > worst:
             worst, worst_bits = dev, bits
     return worst, 1e-3, f"worst at q={worst_bits}"
 
 
-def _check_lemma1(seed, table):
+def _check_lemma1(seed):
     rng = substream(seed, "validate-lemma1")
     worst = 0.0
     worst_tag = ""
@@ -76,7 +75,7 @@ def _check_lemma1(seed, table):
 _ORACLE_SCENARIO = dict(N=32, delta=1.5, K=5, q1=2, q2=1, trials=1200)
 
 
-def _check_moment_oracles(seed, table):
+def _check_moment_oracles(seed):
     scn = cfg.ScenarioConfig(seed=seed, **_ORACLE_SCENARIO)
     models = cfg.scenario_models(scn)
     stacks = link.trial_outcomes(scn, models, scn.trials, seed)
@@ -92,7 +91,7 @@ def _check_moment_oracles(seed, table):
     return worst, 5.0, f"worst term {worst_tag} over {scn.trials} trials (standard errors)"
 
 
-def _check_kappa(seed, table):
+def _check_kappa(seed):
     scn = cfg.ScenarioConfig(seed=seed, **_ORACLE_SCENARIO)
     models = cfg.scenario_models(scn)
     closed = analysis.kappa_closed_form(models[0], scn)
@@ -101,7 +100,7 @@ def _check_kappa(seed, table):
     return float(dev), 0.02, f"closed {closed:.6g} vs simulated {mc:.6g} (relative)"
 
 
-def _check_mse(seed, table):
+def _check_mse(seed):
     rng = substream(seed, "validate-mse")
     n, k = 64, 5
     m = 96
@@ -127,7 +126,7 @@ def _check_mse(seed, table):
     return worst, 3.0, f"worst at {worst_tag} (standard errors)"
 
 
-def _check_energy_split(seed, table):
+def _check_energy_split(seed):
     worst = 0.0
     worst_tag = ""
     for q1, q2 in ((1, 1), (3, 2), (quantizer.IDEAL, quantizer.IDEAL)):
@@ -154,22 +153,17 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
-def run_validation(seed: int = cfg.DEFAULT_SEED, name_filter=None,
-                   distortion_table=None):
+def run_validation(seed: int = cfg.DEFAULT_SEED, name_filter=None):
     """Run the oracle suite and return a list of CheckResult.
 
-    name_filter selects checks by substring match on their names.  The
-    distortion_table argument overrides the reference quantizer table and
-    exists so a corrupted table demonstrably fails the suite.
+    name_filter selects checks by substring match on their names.
     """
-    table = dict(quantizer.DISTORTION_TABLE if distortion_table is None
-                 else distortion_table)
     results = []
     for name, check in _CHECKS:
         if name_filter and name_filter not in name:
             continue
         start = time.perf_counter()
-        deviation, threshold, detail = check(seed, table)
+        deviation, threshold, detail = check(seed)
         elapsed = time.perf_counter() - start
         results.append(CheckResult(name=name, passed=deviation <= threshold,
                                    deviation=deviation, threshold=threshold,

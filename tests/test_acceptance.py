@@ -135,10 +135,7 @@ def test_criterion_5_power_scaling_limits(acceptance_log):
     # matched scaling: the finite-system SINR approaches the joint limit
     matched = base.with_updates(N=1024, a=1.0, b=1.0)
     sinr = float(analysis.sum_rate_approx(matched).sinr()[0])
-    limit = analysis.power_scaling_limit(
-        matched.user_gains(), matched.relay_gain(), matched.adc1,
-        matched.adc2, matched.sigma_R2, matched.sigma_B2, 1.0, 1.0,
-        matched.E_U, matched.E_R, 0)
+    limit = analysis.power_scaling_limit(matched, 0)
     dev = abs(sinr - limit.value) / limit.value
     # overdriven scaling: the rate must have collapsed by N = 1024
     fast = {n: analysis.sum_rate_approx(

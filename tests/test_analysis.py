@@ -8,7 +8,7 @@ import pytest
 from relaysim import (analysis, channel, config as cfg, correlation as corr,
                       estimation as est, link)
 from relaysim.channel import substream
-from relaysim.quantizer import IDEAL, AdcSpec
+from relaysim.quantizer import IDEAL
 
 
 def _rel(x, y):
@@ -196,21 +196,24 @@ def test_rate_degrades_with_correlation():
 # ---------------------------------------------------------------------------
 # power-scaling limits
 
-_LIMIT_ARGS = dict(gains=np.array([1.0, 2.0]), relay_gain=0.5,
-                   adc1=AdcSpec.from_bits(2), adc2=AdcSpec.from_bits(3),
-                   relay_noise_var=1.3, bs_noise_var=0.7,
-                   e_u=4.0, e_r=9.0, user=1)
+_LIMIT_ARGS = cfg.ScenarioConfig(K=2, betas=(1.0, 2.0), eta=0.5, q1=2, q2=3,
+                                 sigma_R2=1.3, sigma_B2=0.7, E_U=4.0, E_R=9.0)
+
+
+def _limit(**exponents):
+    """Limit of the second user of _LIMIT_ARGS at the given exponents."""
+    return analysis.power_scaling_limit(_LIMIT_ARGS.with_updates(**exponents), 1)
 
 
 def test_limit_unbounded_when_both_exponents_small():
-    lim = analysis.power_scaling_limit(a=0.5, b=0.5, **_LIMIT_ARGS)
+    lim = _limit(a=0.5, b=0.5)
     assert lim.regime == "unbounded"
     assert np.isinf(lim.value)
 
 
 def test_limit_vanishes_when_scaling_too_fast():
     for a, b in ((1.5, 1.0), (1.0, 1.2), (2.0, 2.0)):
-        lim = analysis.power_scaling_limit(a=a, b=b, **_LIMIT_ARGS)
+        lim = _limit(a=a, b=b)
         assert lim.regime == "vanishing"
         assert lim.value == 0.0
 
@@ -218,16 +221,14 @@ def test_limit_vanishes_when_scaling_too_fast():
 def test_limit_user_power_only():
     # scaling only the user power with clean relay ADCs leaves
     # beta * E_U / sigma_R^2 exactly
-    lim = analysis.power_scaling_limit(
-        gains=np.array([1.0]), relay_gain=0.5, adc1=AdcSpec.from_bits(IDEAL),
-        adc2=AdcSpec.from_bits(3), relay_noise_var=1.0, bs_noise_var=0.7,
-        a=1.0, b=0.5, e_u=10.0, e_r=9.0, user=0)
+    lim = analysis.power_scaling_limit(_LIMIT_ARGS.with_updates(
+        K=1, betas=(1.0,), q1=IDEAL, sigma_R2=1.0, a=1.0, b=0.5, E_U=10.0), 0)
     assert lim.regime == "user-limited"
     assert lim.value == pytest.approx(10.0, rel=1e-12)
 
 
 def test_limit_relay_power_only():
-    lim = analysis.power_scaling_limit(a=0.5, b=1.0, **_LIMIT_ARGS)
+    lim = _limit(a=0.5, b=1.0)
     assert lim.regime == "relay-limited"
     alpha2 = 1.0 - 0.03454
     expected = alpha2 * 4.0 * 0.5 * 9.0 / (0.7 * 5.0)
@@ -235,7 +236,7 @@ def test_limit_relay_power_only():
 
 
 def test_limit_joint_scaling_hand_check():
-    lim = analysis.power_scaling_limit(a=1.0, b=1.0, **_LIMIT_ARGS)
+    lim = _limit(a=1.0, b=1.0)
     assert lim.regime == "jointly-limited"
     alpha1 = 1.0 - 0.1175
     alpha2 = 1.0 - 0.03454

@@ -78,10 +78,28 @@ def test_with_updates_keeps_frozen_semantics():
     dict(r_B=float("nan")),
     dict(nu=float("inf")),
     dict(d_users=(182.0, float("nan")) + cfg.DEFAULT_DISTANCES[2:]),
+    # every count must be a whole number: none is truncated
+    dict(N=64.5),
+    dict(K=2.5),
+    dict(T=100.5),
+    dict(tau1=10.5),
+    dict(tau2=float("inf")),
+    dict(trials=2.5),
+    dict(trials=float("nan")),
+    dict(trials=float("inf")),
+    dict(seed=1.5),
+    dict(seed=float("nan")),
+    dict(N="64"),
 ])
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ConfigError):
         cfg.ScenarioConfig(**kwargs)
+
+
+def test_whole_counts_are_kept_as_given():
+    # the whole-number check never converts an int to float
+    assert cfg.ScenarioConfig(seed=10 ** 30).seed == 10 ** 30
+    assert cfg.ScenarioConfig(N=64.0).M == 128
 
 
 def test_scenario_matrices_shapes():
@@ -141,11 +159,25 @@ def test_mapping_rejects_unknown_and_malformed_fields():
             with pytest.raises(ConfigError, match=f"field {key}:"):
                 cfg.scenario_from_mapping({key: value})
     assert cfg.scenario_from_mapping({"N": 64.0, "trials": "20"}).N == 64
+    # resolutions below one bit are refused where they are read
+    for value in (0, -1, "0"):
+        with pytest.raises(ConfigError, match="field q2: expected a bit count >= 1"):
+            cfg.scenario_from_mapping({"q2": value})
     # unreadable gains, distances and coefficients name their field too
     for key, value in (("betas", ["a", 1.0]), ("betas", 5), ("d_users", [1.0, "a"]),
                        ("eta", "x"), ("r_R", "x"), ("r_B", [0.1, "y"]), ("r_B", None)):
         with pytest.raises(ConfigError, match=f"field {key}:"):
             cfg.scenario_from_mapping({key: value})
+
+
+def test_adc_bits_parser_reads_words_and_counts():
+    for word in ("ideal", " Inf ", "NONE", None):
+        assert cfg.parse_adc_bits(word, "q1") is IDEAL
+    assert cfg.parse_adc_bits(" 3 ", "q1") == 3
+    assert cfg.parse_adc_bits(2.0, "q1") == 2
+    for value in ("0", 0, -2, "2.5", 2.5, "two", "", float("nan")):
+        with pytest.raises(ConfigError, match="--bits"):
+            cfg.parse_adc_bits(value, "--bits")
 
 
 def test_mapping_handles_complex_coefficients_and_base():

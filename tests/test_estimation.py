@@ -178,7 +178,8 @@ def test_pilot_simulation_shapes():
     for hop in hops:
         draws = est._pilot_draws(hop, TWO_BIT)
         normals = rng.standard_normal((5, channel.normals_per_trial(draws)))
-        chan, estimate = est.simulate_pilot(hop, TWO_BIT, 10.0, normals)
+        chan, estimate = est.simulate_pilot(hop, TWO_BIT, 10.0, normals,
+                                            est.lmmse_filter(hop, TWO_BIT, 10.0))
         assert chan.shape == (5, 12, 3) and estimate.shape == (5, 12, 3)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from relaysim import analysis, channel, config as cfg, estimation as est, link
+from relaysim import analysis, channel, config as cfg, estimation as est, link, quantizer
 from relaysim.channel import substream
 from relaysim.errors import ConfigError, DegenerateEstimateError
 from relaysim.quantizer import IDEAL
@@ -103,15 +103,16 @@ def test_worker_count_below_one_is_refused():
 
 @pytest.mark.parametrize("trials", [0, -2])
 def test_rate_trial_count_below_one_is_refused(trials):
+    # the rate engine runs the scenario's trial count, refused with the scenario
     with pytest.raises(ConfigError, match="trials must be >= 1"):
-        link.ergodic_sum_rate_mc(_SCN, trials=trials)
+        link.ergodic_sum_rate_mc(_SCN.with_updates(trials=trials))
 
 
 @pytest.mark.parametrize("trials", [2.7, 0.5, float("nan"), float("inf")])
 def test_rate_trial_count_that_is_not_whole_is_refused(trials):
     # a fractional count is not rounded down to some other number of trials
-    with pytest.raises(ConfigError, match="trials must be >= 1 and whole"):
-        link.ergodic_sum_rate_mc(_SCN, trials=trials)
+    with pytest.raises(ConfigError, match="trials must be a whole number"):
+        link.ergodic_sum_rate_mc(_SCN.with_updates(trials=trials))
 
 
 @pytest.mark.parametrize("trials", [0, -2])
@@ -260,13 +261,10 @@ def test_skipped_error_products_equal_products_with_zero():
         # the factor the error would have were it not skipped, in the cache
         model.__dict__["receive_sqrt"] = (est._root(f, u), est._root(g, u))
         assert not model.receive_sqrt[1].any()
-    for sampled in (False, True):
-        skipped = link.trial_outcomes(_PERFECT, models, 12, seed=4,
-                                      sample_quantization_noise=sampled)
-        multiplied = link.trial_outcomes(_PERFECT, zeros, 12, seed=4,
-                                         sample_quantization_noise=sampled)
-        for name, stack in skipped.items():
-            np.testing.assert_array_equal(stack, multiplied[name])
+    skipped = link.trial_outcomes(_PERFECT, models, 12, seed=4)
+    multiplied = link.trial_outcomes(_PERFECT, zeros, 12, seed=4)
+    for name, stack in skipped.items():
+        np.testing.assert_array_equal(stack, multiplied[name])
 
 
 @pytest.mark.parametrize("scn, per_chunk", [(_SCN, 4), (_PERFECT, 2)],
@@ -308,32 +306,41 @@ def test_report_fields_and_reproducibility():
     assert 0.5 < report.per_user_rate.sum() / (per_user.sum()) < 2.0
 
 
-def test_sampled_quantization_noise_agrees_with_conditional():
-    scn = _SCN.with_updates(N=16, trials=1)
+@pytest.mark.parametrize("bits", [1, 2, IDEAL])
+def test_quantization_terms_are_conditional_means_of_drawn_noise(bits):
+    # the combine stage takes the AQNM noise in expectation given each
+    # channel draw: noise drawn by quantizer.aqnm_quantize at the realized
+    # per-antenna powers of one chunk's channel stacks, pushed through the
+    # combining chain, reproduces both quantization terms on average over
+    # the noise alone; ideal ADCs add none. Weak pilots keep the estimates
+    # far from the channels, so a row power read off an estimate shows.
+    scn = _SCN.with_updates(q1=bits, q2=bits, P1=1.0, P2=1.0)
     models = cfg.scenario_models(scn)
-    trials = 1500
-    cond = link.trial_outcomes(scn, models, trials, seed=21)
-    samp = link.trial_outcomes(scn, models, trials, seed=22,
-                               sample_quantization_noise=True)
-    for name in ("relay_quant_raw", "bs_quant_raw"):
-        m_cond = cond[name].mean(axis=0)
-        m_samp = samp[name].mean(axis=0)
-        se = np.sqrt(cond[name].std(axis=0, ddof=1) ** 2
-                     + samp[name].std(axis=0, ddof=1) ** 2) / np.sqrt(trials)
-        dev = np.abs(m_samp - m_cond) / se
+    draws = link._trial_draws(scn)
+    normals = substream(8, "chunk").standard_normal((4, channel.normals_per_trial(draws)))
+    parts = channel.split_normals(normals, *draws)
+    out = link._combine(scn, models, parts)
+    f_hat, f_err, g_hat, g_err = link._channel_stacks(models, parts)
+    f_full, g_full = f_hat + f_err, g_hat + g_err
+    g_hat_h = g_hat.conj().swapaxes(1, 2)
+    relay_chain = g_hat_h @ g_full @ f_hat.conj().swapaxes(1, 2)   # (b, K, N)
+    relay_power = scn.P_U * np.sum(np.abs(f_full) ** 2, axis=2) + scn.sigma_R2
+    bs_power = scn.P_R / scn.K * np.sum(np.abs(g_full) ** 2, axis=2) + scn.sigma_B2
+    rng = substream(8, "quantization-noise")
+    samples = 4000
+    for name, adc, chain, power in (("relay_quant_raw", scn.adc1, relay_chain, relay_power),
+                                    ("bs_quant_raw", scn.adc2, g_hat_h, bs_power)):
+        shape = power.shape + (samples,)
+        noise = quantizer.aqnm_quantize(
+            np.zeros(shape), adc, power[..., None],
+            normals=(rng.standard_normal(shape), rng.standard_normal(shape)))
+        energy = np.abs(chain @ noise) ** 2          # (b, K, samples)
+        if adc.is_ideal:
+            assert not out[name].any() and not energy.any()
+            continue
+        se = energy.std(axis=2, ddof=1) / np.sqrt(samples)
+        dev = np.abs(energy.mean(axis=2) - out[name]) / se
         assert dev.max() < 5.0, f"{name}: {dev.max():.2f} se"
-
-
-def test_sampled_mode_changes_nothing_for_ideal_adcs():
-    scn = _SCN.with_updates(q1=None, q2=None)
-    models = cfg.scenario_models(scn)
-    cond = link.trial_outcomes(scn, models, 6, seed=13)
-    samp = link.trial_outcomes(scn, models, 6, seed=13,
-                               sample_quantization_noise=True)
-    for name, stack in cond.items():
-        np.testing.assert_array_equal(stack, samp[name])
-    assert np.all(cond["relay_quant_raw"] == 0.0)
-    assert np.all(cond["bs_quant_raw"] == 0.0)
 
 
 def test_mc_rate_matches_closed_form_at_moderate_size():

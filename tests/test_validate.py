@@ -24,10 +24,8 @@ def test_result_lines_are_single_line_summaries():
     assert "\n" not in line
 
 
-def test_corrupted_distortion_table_is_detected():
-    table = dict(quantizer.DISTORTION_TABLE)
-    table[3] = table[3] * 1.5
-    results = validate.run_validation(name_filter="lloydmax",
-                                      distortion_table=table)
+def test_corrupted_distortion_table_is_detected(monkeypatch):
+    monkeypatch.setitem(quantizer.DISTORTION_TABLE, 3, quantizer.DISTORTION_TABLE[3] * 1.5)
+    results = validate.run_validation(name_filter="lloydmax")
     assert len(results) == 1
     assert not results[0].passed
