@@ -48,7 +48,7 @@ print(f"sum rate: {report.sum_rate:.4f}")
 # the Monte Carlo engine exposes the same decomposition per trial, drawn
 # from the same estimate models; its term averages agree with the closed
 # forms well inside sampling noise
-stacks = link.trial_outcomes(scn, models, 400, scn.seed)
+stacks = link.trial_outcomes(scn, models)
 for name in ("signal", "interference", "noise_relay", "noise_bs"):
     mean = stacks[name].mean(axis=0)
     se = stacks[name].std(axis=0, ddof=1) / np.sqrt(400)

@@ -4,8 +4,9 @@ Everything here is deterministic: given the per-hop estimate models, each
 per-user power in the post-combining SINR (desired signal, estimation-error
 leakage plus cross-user interference, relay-side noise carried through the
 second hop, destination-side noise) reduces to traces, Frobenius norms, and
-diagonals of the model matrices. The same identities double as Monte Carlo
-oracles for the trial engine.
+diagonals of the model matrices, and so does the relay's amplification
+factor kappa. The same identities double as Monte Carlo oracles for the
+trial engine.
 """
 
 from dataclasses import dataclass
@@ -99,9 +100,9 @@ def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng):
 # moments from the per-model scalar summaries (EstimateModel.scalars)
 
 def moments(hop1, hop2, scenario):
-    """The seven per-user moments of the post-combining SINR: the
-    expectations over the channel of the trial engine's raw fields of the
-    same names (link._combine), with A_k = g_hat_k^H G F_hat^H:
+    """The ten per-user moments: the expectations over the channel of the
+    trial engine's raw fields of the same names (link._combine), with
+    A_k = g_hat_k^H G F_hat^H. Seven make up the post-combining SINR:
 
       desired_raw     E{|g_hat_k^H G_hat F_hat^H f_hat_k|^2}
       leakage_raw     E{|A_k f_k - g_hat_k^H G_hat F_hat^H f_hat_k|^2}
@@ -110,6 +111,12 @@ def moments(hop1, hop2, scenario):
       relay_quant_raw E{|A_k n_q1|^2}, relay quantization noise
       bs_vector_raw   E{||g_hat_k||^2}
       bs_quant_raw    E{|g_hat_k^H n_q2|^2}, destination quantization noise
+
+    and three, first-hop powers of the relay's combined signal, fix kappa:
+
+      kappa_signal_raw  sum over j of E{|f_hat_k^H f_j|^2}
+      kappa_quant_raw   E{sum_n |f_hat[n, k]|^2 ||f[n, :]||^2}
+      kappa_noise_raw   E{||f_hat_k||^2}
 
     The hop-2 pair matrix pair[k, i] = E{|g_hat_k^H g_hat_i|^2} / gain^2 is
     formed once. The cross matrix E{|A_k f_j|^2} over (k, j) is the sum of
@@ -133,8 +140,9 @@ def moments(hop1, hop2, scenario):
                            + (bh * h1.fro_hat + bt * h1.cross) * err_mix) * h2.cross)
     cross = own + err
     chain = g2 * h1.tr_hat * pair_full_b
-    relay_quant = g2 * (h1.diag_sq * (pair_full @ (bh * (bh + bh.sum())))
-                        + h1.diag_mix * bt.sum() * pair_full_b)
+    sum_bh, sum_bt = float(bh.sum()), float(bt.sum())
+    relay_quant = g2 * (h1.diag_sq * (pair_full @ (bh * (bh + sum_bh)))
+                        + h1.diag_mix * sum_bt * pair_full_b)
     bs_vector = h2.gain * th * h2.tr_hat
     bs_quant = g2 * (h2.diag_sq * (abs_sq.sum(axis=1) + th * th.sum())
                      + th * h2.diag_mix * te.sum())
@@ -146,14 +154,22 @@ def moments(hop1, hop2, scenario):
                                            + scenario.sigma_R2 * chain),
         bs_vector_raw=bs_vector,
         bs_quant_raw=a2 * (1.0 - a2) * ((scenario.P_R / scenario.K) * bs_quant
-                                        + scenario.sigma_B2 * bs_vector))
+                                        + scenario.sigma_B2 * bs_vector),
+        kappa_signal_raw=bh * (bh * h1.tr_hat ** 2 + h1.fro_hat * sum_bh
+                               + h1.cross * sum_bt),
+        kappa_quant_raw=bh * ((bh + sum_bh) * h1.diag_sq + sum_bt * h1.diag_mix),
+        kappa_noise_raw=h1.tr_hat * bh)
 
 
-def amplification_factor(scenario, signal, quant, noise):
+def amplification_factor(scenario, raw):
     """Relay amplification factor kappa that meets the relay power
     constraint, from the three first-hop power moments of the combined
-    signal: matched-filtered signal energy, quantization-noise energy and
-    thermal-noise energy (closed-form or sampled)."""
+    signal in raw (kappa_signal_raw, kappa_quant_raw, kappa_noise_raw):
+    per-user K-vectors of the closed form, or (trials, K) stacks of the
+    trial engine, whose per-trial sums are averaged."""
+    signal, quant, noise = (float(np.mean(np.sum(raw[name], axis=-1)))
+                            for name in ("kappa_signal_raw", "kappa_quant_raw",
+                                         "kappa_noise_raw"))
     a1 = scenario.adc1.alpha
     denom = (a1 ** 2 * scenario.P_U * signal
              + a1 * (1.0 - a1) * scenario.P_U * quant
@@ -161,20 +177,6 @@ def amplification_factor(scenario, signal, quant, noise):
     if denom <= 0.0:
         raise ZeroDivisionError("amplification denominator is non-positive")
     return float(np.sqrt(scenario.P_R / denom))
-
-
-def kappa_closed_form(hop1, scenario):
-    """Relay amplification factor from the closed-form first-hop power
-    moments."""
-    h1 = hop1.scalars
-    bh, bt = h1.tx_hat_diag, h1.tx_err_diag
-    sum_bh = float(bh.sum())
-    sum_bt = float(bt.sum())
-    signal = float(np.sum(bh * (bh * h1.tr_hat ** 2 + h1.fro_hat * sum_bh
-                                + h1.cross * sum_bt)))
-    quant = float(np.sum(bh * ((bh + sum_bh) * h1.diag_sq + sum_bt * h1.diag_mix)))
-    noise = h1.tr_hat * sum_bh
-    return amplification_factor(scenario, signal, quant, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,8 @@ def chi_factor(scenario, kappa):
 
 def sinr_terms(raw, scenario, kappa):
     """(signal, interference, noise_relay, noise_bs), keyed by name, from
-    the seven raw moments: closed-form K-vectors or (b, K) trial stacks."""
+    the seven SINR moments of raw: closed-form K-vectors or (b, K) trial
+    stacks."""
     a1, a2 = scenario.adc1.alpha, scenario.adc2.alpha
     chi = chi_factor(scenario, kappa)
     return dict(
@@ -237,8 +240,9 @@ def sum_rate_approx(scenario, models=None):
     closed form stays cheap at antenna counts in the thousands.
     """
     hop1, hop2 = cfg.scenario_models(scenario) if models is None else models
-    kappa = kappa_closed_form(hop1, scenario)
-    terms = sinr_terms(moments(hop1, hop2, scenario), scenario, kappa)
+    raw = moments(hop1, hop2, scenario)
+    kappa = amplification_factor(scenario, raw)
+    terms = sinr_terms(raw, scenario, kappa)
     per_user = scenario.mu * np.log2(1.0 + sinr_of(terms))
     return RateReport(**terms, per_user_rate=per_user, sum_rate=float(per_user.sum()),
                       mu=scenario.mu, kappa=kappa, chi=chi_factor(scenario, kappa),

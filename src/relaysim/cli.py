@@ -64,12 +64,12 @@ def _parse_pairs(text, kind=float, sep=":"):
     return pairs
 
 
-def write_csv(stream, header, rows, scenario, seed, trials):
+def write_csv(stream, header, rows, scenario):
     stream.write(",".join(header) + "\n")
     for row in rows:
         stream.write(",".join(_format_value(v) for v in row) + "\n")
-    stream.write(f"# seed={seed}\n")
-    stream.write(f"# trials={trials}\n")
+    stream.write(f"# seed={scenario.seed}\n")
+    stream.write(f"# trials={scenario.trials}\n")
     stream.write(f"# version={__version__}\n")
     stream.write(f"# config={scenario.canonical_json()}\n")
 
@@ -81,12 +81,12 @@ def _check_out(path):
         raise ConfigError(f"cannot write --out {path}")
 
 
-def _emit(args, header, rows, scenario, seed, trials):
+def _emit(args, header, rows, scenario):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write_csv(fh, header, rows, scenario, seed, trials)
+            write_csv(fh, header, rows, scenario)
     else:
-        write_csv(sys.stdout, header, rows, scenario, seed, trials)
+        write_csv(sys.stdout, header, rows, scenario)
 
 
 def _base_scenario(args):
@@ -109,7 +109,6 @@ def cmd_mse_sweep(args) -> int:
     bits_grid = _parse_list(args.bits, lambda token: cfg.parse_adc_bits(token, "--bits"))
     names = ("first", "second") if args.hop == "both" else (args.hop,)
     stats = dict(zip(("first", "second"), cfg.scenario_hops(scn)))
-    trials = scn.trials
     rows = []
     for name in names:
         hop = stats[name]
@@ -120,14 +119,14 @@ def cmd_mse_sweep(args) -> int:
                 rng = substream(scn.seed, "mse-sweep", name,
                                 bits_label(bits), f"{power_db:g}")
                 closed = estimation.mse_closed_form(hop, adc, power) / (scn.K * hop.shape[0])
-                sim, stderr = estimation.pilot_mse(hop, adc, power, trials, rng)
+                sim, stderr = estimation.pilot_mse(hop, adc, power, scn.trials, rng)
                 rows.append((name, power_db, bits_label(bits), sim, stderr, closed))
     header = ("hop", "axis_value", "q", "mse_sim", "mse_sim_stderr", "mse_closed")
-    _emit(args, header, rows, scn, scn.seed, trials)
+    _emit(args, header, rows, scn)
     return 0
 
 
-def _rate_pair(scn, args, workers):
+def _rate_pair(scn, args):
     """(closed rate, mc rate, mc ci) honoring the engine selection flags.
 
     Both engines share one pair of estimate models.
@@ -137,7 +136,7 @@ def _rate_pair(scn, args, workers):
     if not args.mc_only:
         closed = sum_rate_approx(scn, models=models).sum_rate
     if not args.closed_form_only:
-        report = link.ergodic_sum_rate_mc(scn, workers=workers, models=models)
+        report = link.ergodic_sum_rate_mc(scn, workers=args.workers, models=models)
         mc, ci = report.sum_rate, report.ci_halfwidth
     return closed, mc, ci
 
@@ -150,12 +149,12 @@ def cmd_rate_vs_n(args) -> int:
     for n in n_values:
         for bits in bits_grid:
             point = scn.with_updates(N=n, q1=bits, q2=bits)
-            closed, mc, ci = _rate_pair(point, args, args.workers)
+            closed, mc, ci = _rate_pair(point, args)
             gap = abs(mc - closed) / closed if closed == closed else float("nan")
             rows.append((n, bits_label(bits), bits_label(bits),
                          mc, ci, closed, gap))
     header = ("N", "q1", "q2", "rate_mc", "rate_mc_ci", "rate_closed", "rel_gap")
-    _emit(args, header, rows, scn, scn.seed, scn.trials)
+    _emit(args, header, rows, scn)
     return 0
 
 
@@ -170,11 +169,11 @@ def cmd_power_scaling(args) -> int:
         asymptote = asymptotic_sum_rate(limit)
         for n in n_values:
             point = scn.with_updates(N=n, a=a, b=b)
-            closed, mc, ci = _rate_pair(point, args, args.workers)
+            closed, mc, ci = _rate_pair(point, args)
             rows.append((n, a, b, closed, mc, ci, regime, asymptote))
     header = ("N", "a", "b", "rate_closed", "rate_mc", "rate_mc_ci",
               "regime", "rate_limit")
-    _emit(args, header, rows, scn, scn.seed, scn.trials)
+    _emit(args, header, rows, scn)
     return 0
 
 
@@ -188,10 +187,10 @@ def cmd_correlation_impact(args) -> int:
         for r_r, r_b in coefficients:
             for n in n_values:
                 point = scn.with_updates(N=n, delta=delta, r_R=r_r, r_B=r_b)
-                closed, mc, ci = _rate_pair(point, args, args.workers)
+                closed, mc, ci = _rate_pair(point, args)
                 rows.append((n, delta, r_r, r_b, closed, mc, ci))
     header = ("N", "delta", "r_R", "r_B", "rate_closed", "rate_mc", "rate_mc_ci")
-    _emit(args, header, rows, scn, scn.seed, scn.trials)
+    _emit(args, header, rows, scn)
     return 0
 
 
@@ -206,17 +205,16 @@ def cmd_adc_impact(args) -> int:
         for q1, q2 in pairs:
             for n in n_values:
                 point = scn.with_updates(N=n, delta=delta, q1=q1, q2=q2)
-                closed, mc, ci = _rate_pair(point, args, args.workers)
+                closed, mc, ci = _rate_pair(point, args)
                 rows.append((n, delta, bits_label(q1), bits_label(q2),
                              closed, mc, ci))
     header = ("N", "delta", "q1", "q2", "rate_closed", "rate_mc", "rate_mc_ci")
-    _emit(args, header, rows, scn, scn.seed, scn.trials)
+    _emit(args, header, rows, scn)
     return 0
 
 
 def cmd_validate(args) -> int:
-    seed = cfg.DEFAULT_SEED if args.seed is None else args.seed
-    results = validate.run_validation(seed=seed, name_filter=args.filter)
+    results = validate.run_validation(seed=args.seed, name_filter=args.filter)
     if not results:
         print(f"no validation checks match filter {args.filter!r}", file=sys.stderr)
         return 1
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adc_impact)
 
     p = sub.add_parser("validate", help="run the oracle suite")
-    p.add_argument("--seed", type=int, help="base RNG seed")
+    p.add_argument("--seed", type=int, default=cfg.DEFAULT_SEED, help="base RNG seed")
     p.add_argument("--filter", help="run only checks whose name contains this")
     p.set_defaults(func=cmd_validate)
 

@@ -143,7 +143,6 @@ class _HopScalars:
         self.tx_hat_diag = np.diag(model.transmit_hat).real.copy()
         self.tx_err_diag = np.diag(model.transmit_err).real.copy()
         self.gain = model.relay_gain
-        self.k = self.tx_hat.shape[0]
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Each trial draws the per-hop channel estimates and errors from their
 equivalent-form distributions, with the square-root factors cached on the
 hops' EstimateModels, forms the matched-filter combiners from the
-estimates, and samples the seven raw moments of the post-combining SINR
-whose expectations the closed form computes (analysis.moments, same
-names); the stacked trials become SINR terms through the closed form's own
-assembly (analysis.sinr_terms). Thermal and quantization noise enter in
+estimates, and samples the raw moments of the SINR and of kappa whose
+expectations the closed form computes (analysis.moments, same names). The
+closed form's own assemblies turn the stacks into SINR terms at the
+closed-form kappa (analysis.sinr_terms) and into a sampled kappa
+(analysis.amplification_factor). Thermal and quantization noise enter in
 conditional expectation given the channel draw (quadratic forms against
 the diagonal AQNM covariances), never drawn.
 
@@ -24,8 +25,7 @@ import numpy as np
 
 from . import analysis
 from . import config as cfg
-from .channel import (chunk_size, chunks, complex_stack, draw_hop, split_normals,
-                      substream, trial_count)
+from .channel import chunk_size, chunks, complex_stack, draw_hop, split_normals, substream
 from .errors import ConfigError
 
 
@@ -36,36 +36,29 @@ def _trial_draws(scn):
     return [(scn.N, scn.K)] * 4 + [(scn.M, scn.K)] * 4
 
 
-def _substreams(seed, tag):
+def _substreams(seed):
     """Fill for channel.chunks: row i gets trial start + i's normals from
-    its own substream (seed, tag, start + i), in one call."""
+    its own substream (seed, "rate-trial", start + i), in one call."""
     def fill(rows, start):
         for index, row in enumerate(rows, start):
-            substream(seed, tag, index).standard_normal(out=row)
+            substream(seed, "rate-trial", index).standard_normal(out=row)
     return fill
-
-
-def _hop_stacks(model, parts):
-    """[estimate, error] stacks, (b, n, k), of one hop from its four parts
-    of a chunk's normals (estimate then error, real parts then imaginary),
-    drawn by draw_hop with the model's square-root factors; exact zeros,
-    without a GEMM, where the error's receive factor is None (genie CSI)."""
-    return [np.zeros(re.shape, dtype=np.complex128) if root is None else
-            draw_hop(root, tx_sqrt, model.relay_gain,
-                     h=complex_stack(re, im)).transpose(1, 0, 2)
-            for root, tx_sqrt, re, im in zip(model.receive_sqrt, model.transmit_sqrt,
-                                             parts[0::2], parts[1::2])]
 
 
 def _channel_stacks(models, parts):
     """(f_hat, f_err, g_hat, g_err), each (b, n, k) or (b, m, k), from the
-    split normals of a chunk of rate trials."""
-    return tuple(_hop_stacks(models[0], parts[:4]) + _hop_stacks(models[1], parts[4:8]))
+    split normals of a chunk of rate trials (_trial_draws), drawn by
+    draw_hop with the models' square-root factors; exact zeros, without a
+    GEMM, where the error's receive factor is None (genie CSI)."""
+    factors = [(root, tx_sqrt, model.relay_gain) for model in models
+               for root, tx_sqrt in zip(model.receive_sqrt, model.transmit_sqrt)]
+    return tuple(np.zeros(re.shape, dtype=np.complex128) if root is None else
+                 draw_hop(root, tx_sqrt, gain, h=complex_stack(re, im)).transpose(1, 0, 2)
+                 for (root, tx_sqrt, gain), re, im in zip(factors, parts[0::2], parts[1::2]))
 
 
 def _combine(scn, models, parts):
     """Combine stage: the raw fields, (b, K), of a chunk of trials."""
-    k = scn.K
     f_hat, f_err, g_hat, g_err = _channel_stacks(models, parts)
     f_full = f_hat + f_err
     g_full = g_hat + g_err
@@ -86,9 +79,15 @@ def _combine(scn, models, parts):
     chain_raw = np.sum(np.abs(half_chain) ** 2, axis=2)
     bs_vector_raw = np.sum(np.abs(g_hat) ** 2, axis=1)
 
+    # the first hop's powers of the relay's combined signal F_hat^H r
+    kappa_signal_raw = np.sum(np.abs(f_hat_h @ f_full) ** 2, axis=2)
+    f_row_energy = np.sum(np.abs(f_full) ** 2, axis=2)
+    kappa_quant_raw = (np.abs(f_hat_h) ** 2 @ f_row_energy[..., None])[..., 0]
+    kappa_noise_raw = np.sum(np.abs(f_hat) ** 2, axis=1)
+
     adc1, adc2 = scn.adc1, scn.adc2
-    relay_row_power = scn.P_U * np.sum(np.abs(f_full) ** 2, axis=2) + scn.sigma_R2
-    bs_row_power = (scn.P_R / k) * np.sum(np.abs(g_full) ** 2, axis=2) + scn.sigma_B2
+    relay_row_power = scn.P_U * f_row_energy + scn.sigma_R2
+    bs_row_power = (scn.P_R / scn.K) * np.sum(np.abs(g_full) ** 2, axis=2) + scn.sigma_B2
     relay_var = adc1.alpha * adc1.rho * relay_row_power
     bs_var = adc2.alpha * adc2.rho * bs_row_power
     relay_quant_raw = (np.abs(half_chain) ** 2 @ relay_var[..., None])[..., 0]
@@ -97,27 +96,26 @@ def _combine(scn, models, parts):
     return dict(
         desired_raw=desired_raw, leakage_raw=leakage_raw, cross_raw=cross_raw,
         chain_raw=chain_raw, relay_quant_raw=relay_quant_raw,
-        bs_vector_raw=bs_vector_raw, bs_quant_raw=bs_quant_raw)
+        bs_vector_raw=bs_vector_raw, bs_quant_raw=bs_quant_raw,
+        kappa_signal_raw=kappa_signal_raw, kappa_quant_raw=kappa_quant_raw,
+        kappa_noise_raw=kappa_noise_raw)
 
 
-_RAW_FIELDS = ("desired_raw", "leakage_raw", "cross_raw", "chain_raw",
-               "relay_quant_raw", "bs_vector_raw", "bs_quant_raw")
-
-
-def _trial_block(scn, models, seed, trials, starts, raw):
+def _trial_block(scn, models, trials, starts, raw):
     """Write the rows of the chunks that begin at starts (one pool block: a
     run of whole chunks) into raw, the raw field arrays of all trials."""
     draws = _trial_draws(scn)
-    fill = _substreams(seed, "rate-trial")
-    for start, count, normals in chunks(draws, trials, fill, starts):
+    for start, count, normals in chunks(draws, trials, _substreams(scn.seed), starts):
         out = _combine(scn, models, split_normals(normals, *draws))
-        for name in _RAW_FIELDS:
-            raw[name][start:start + count] = out[name][:count]
+        for name, stack in raw.items():
+            stack[start:start + count] = out[name][:count]
 
 
-def trial_outcomes(scenario, models, trials, seed, workers=1):
-    """Stacked per-trial outcome arrays, bit-identical for any worker count:
-    the seven raw fields and the four SINR terms they give.
+def trial_outcomes(scenario, models, workers=1):
+    """Stacked per-trial outcome arrays over the scenario's trials and seed,
+    bit-identical for any worker count: the raw fields of the closed form's
+    moments (analysis.moments), the four SINR terms they give, and the
+    closed-form kappa those terms use.
 
     Trials are keyed by their index through the RNG substream contract, and
     run in fixed chunks that begin at multiples of the chunk size; pool
@@ -126,42 +124,40 @@ def trial_outcomes(scenario, models, trials, seed, workers=1):
     The threads share models and numpy's BLAS; the normal draws and the
     GEMMs release the GIL.
     """
-    trials = trial_count(trials)
     if workers < 1:
         raise ConfigError(f"worker count must be at least 1, got {workers}")
-    kappa = analysis.kappa_closed_form(models[0], scenario)
+    trials = int(scenario.trials)
+    closed = analysis.moments(*models, scenario)
+    kappa = analysis.amplification_factor(scenario, closed)
     # build the factors cached on the models before any pool thread reads them
     _ = [(model.receive_sqrt, model.transmit_sqrt) for model in models]
-    size = chunk_size(_trial_draws(scenario))
-    starts = list(range(0, trials, size))
-    raw = {name: np.empty((trials, scenario.K)) for name in _RAW_FIELDS}
-    block_args = (scenario, models, seed, trials)
+    starts = list(range(0, trials, chunk_size(_trial_draws(scenario))))
+    raw = {name: np.empty((trials, scenario.K)) for name in closed}
     if workers == 1 or len(starts) < 2:
-        _trial_block(*block_args, starts, raw)
+        _trial_block(scenario, models, trials, starts, raw)
     else:
         from concurrent.futures import ThreadPoolExecutor
         splits = np.array_split(np.asarray(starts), min(workers * 4, len(starts)))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_trial_block, *block_args, split.tolist(), raw)
+            futures = [pool.submit(_trial_block, scenario, models, trials,
+                                   split.tolist(), raw)
                        for split in splits]
             for future in futures:
                 future.result()
-    return dict(raw, **analysis.sinr_terms(raw, scenario, kappa))
+    return dict(raw, **analysis.sinr_terms(raw, scenario, kappa), kappa=kappa)
 
 
 def ergodic_sum_rate_mc(scenario, workers=1, models=None):
     """Monte Carlo ergodic sum rate with a 95% confidence halfwidth over the
     scenario's trials and seed, drawn from its estimate models (built here
     unless given)."""
-    trials = trial_count(scenario.trials)
     models = cfg.scenario_models(scenario) if models is None else models
-    stacks = trial_outcomes(scenario, models, trials, scenario.seed, workers=workers)
+    stacks = trial_outcomes(scenario, models, workers=workers)
     rates = np.log2(1.0 + analysis.sinr_of(stacks))
     per_trial_sum = rates.sum(axis=1)
-    mu = scenario.mu
+    mu, trials, kappa = scenario.mu, len(per_trial_sum), stacks["kappa"]
     ci = (float(1.96 * mu * per_trial_sum.std(ddof=1) / np.sqrt(trials)) if trials > 1
           else float("nan"))
-    kappa = analysis.kappa_closed_form(models[0], scenario)
     return analysis.RateReport(
         **{name: stacks[name].mean(axis=0)
            for name in ("signal", "interference", "noise_relay", "noise_bs")},
@@ -169,28 +165,3 @@ def ergodic_sum_rate_mc(scenario, workers=1, models=None):
         sum_rate=float(mu * per_trial_sum.mean()), mu=mu,
         kappa=kappa, chi=analysis.chi_factor(scenario, kappa),
         provenance="monte-carlo", ci_halfwidth=ci, trials=trials)
-
-
-def amplification_factor_mc(scenario, trials=2000, seed=None, models=None):
-    """Monte Carlo estimate of the relay amplification factor.
-
-    Samples the three power expectations in the relay constraint over
-    equivalent-form channel draws with the matched-filter combiner, in
-    chunks like trial_outcomes (trial t draws from (seed, "amplification",
-    t)).
-    """
-    trials = trial_count(trials)
-    seed = scenario.seed if seed is None else int(seed)
-    hop1 = (cfg.scenario_models(scenario) if models is None else models)[0]
-    draws = _trial_draws(scenario)[:4]
-    sums = np.zeros(3)
-    for _, count, normals in chunks(draws, trials, _substreams(seed, "amplification")):
-        f_hat, f_err = (x[:count] for x in _hop_stacks(hop1, split_normals(normals, *draws)))
-        f_full = f_hat + f_err
-        f_hat_h = f_hat.conj().swapaxes(1, 2)
-        cross = f_hat_h @ f_full
-        row_energy = np.sum(np.abs(f_full) ** 2, axis=2)
-        sums += (np.sum(np.abs(cross) ** 2),
-                 np.sum(np.abs(f_hat_h) ** 2 @ row_energy[..., None]),
-                 np.sum(np.abs(f_hat) ** 2))
-    return analysis.amplification_factor(scenario, *(sums / trials))

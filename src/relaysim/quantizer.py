@@ -135,7 +135,11 @@ def _solve_tridiagonal(sub, diag, sup, rhs):
     return np.array(rhs)
 
 
-def lloyd_max_distortion(bits, tol=1e-10, max_iter=10000):
+LLOYD_MAX_TOL = 1e-10
+LLOYD_MAX_ITER = 10000
+
+
+def lloyd_max_distortion(bits):
     """Normalized MMSE distortion of the Lloyd-Max quantizer for N(0, 1).
 
     Seeks the fixed point of the Lloyd map c -> T(c), the cell centroids of
@@ -144,10 +148,11 @@ def lloyd_max_distortion(bits, tol=1e-10, max_iter=10000):
     two edges only, so the Jacobian is tridiagonal and diagonally dominant.
     From the equal-probability start Newton takes at most 7 steps for
     1..16 bits. Stops when the largest centroid shift |T(c) - c| falls
-    below tol, then returns E{(x - Q(x))^2} = 1 - sum_i p_i T_i(c)^2. The
-    shift falls at every step until it reaches its rounding floor (about
-    6e-15 at 6 bits, 3e-14 at 8), so a step that does not lower it raises
-    ConvergenceError at once: a tol below that floor cannot be met.
+    below LLOYD_MAX_TOL, then returns E{(x - Q(x))^2} = 1 - sum_i p_i
+    T_i(c)^2; gives up after LLOYD_MAX_ITER steps. The shift falls at every
+    step until it reaches its rounding floor (about 6e-15 at 6 bits, 3e-14
+    at 8), so a step that does not lower it raises ConvergenceError at
+    once: a tolerance below that floor cannot be met.
     """
     if bits != int(bits) or bits < 1:
         raise ValueError(f"resolution must be a positive integer, got {bits!r}")
@@ -158,7 +163,7 @@ def lloyd_max_distortion(bits, tol=1e-10, max_iter=10000):
     unit = NormalDist()
     centroids = np.array([unit.inv_cdf((i + 0.5) / levels) for i in range(levels)])
     largest = math.inf
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         edges = 0.5 * (centroids[:-1] + centroids[1:])
         # Phi(edge) - [edge > 0] from the smaller tail, so that no far cell
         # subtracts two values near 1; the cell across 0 adds the 1 back
@@ -173,12 +178,12 @@ def lloyd_max_distortion(bits, tol=1e-10, max_iter=10000):
         mapped = (np.append(0.0, pdf) - np.append(pdf, 0.0)) / cell_prob
         shift = mapped - centroids
         previous, largest = largest, float(np.max(np.abs(shift)))
-        if largest < tol:
+        if largest < LLOYD_MAX_TOL:
             return float(1.0 - np.sum(cell_prob * mapped ** 2))
         if largest >= previous:
             raise ConvergenceError(
                 f"Lloyd-Max iteration stalled at shift {largest:.3e}, not "
-                f"below tol {tol:.3e}")
+                f"below tol {LLOYD_MAX_TOL:.3e}")
         # dT_i/d(edge) is phi(edge) (T_i - edge) / p_i up to sign, for the
         # cell above and the cell below each edge; an edge moves by half of
         # either neighbouring centroid's move
@@ -187,5 +192,5 @@ def lloyd_max_distortion(bits, tol=1e-10, max_iter=10000):
         diag = np.append(0.0, above) + np.append(below, 0.0) - 1.0
         centroids = centroids - _solve_tridiagonal(above, diag, below, shift)
     raise ConvergenceError(
-        f"Lloyd-Max iteration did not converge within {max_iter} iterations "
+        f"Lloyd-Max iteration did not converge within {LLOYD_MAX_ITER} iterations "
         f"(last shift {largest:.3e})")

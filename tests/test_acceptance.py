@@ -107,7 +107,7 @@ def test_criterion_4_rate_approximation_tightness(acceptance_log):
                                                     trials=trials)
             models = cfg.scenario_models(scn)
             closed = analysis.sum_rate_approx(scn, models=models)
-            stacks = link.trial_outcomes(scn, models, trials, scn.seed)
+            stacks = link.trial_outcomes(scn, models)
             sinr = stacks["signal"] / (stacks["interference"]
                                        + stacks["noise_relay"]
                                        + stacks["noise_bs"])

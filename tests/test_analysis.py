@@ -64,7 +64,7 @@ _MOMENT_SCENARIO = cfg.ScenarioConfig(
 def test_moment_oracles_match_simulation():
     scn = _MOMENT_SCENARIO
     hop1, hop2 = cfg.scenario_models(scn)
-    outcomes = link.trial_outcomes(scn, (hop1, hop2), scn.trials, scn.seed)
+    outcomes = link.trial_outcomes(scn, (hop1, hop2))
     for name, predicted in analysis.moments(hop1, hop2, scn).items():
         stack = outcomes[name]
         mean = stack.mean(axis=0)
@@ -74,15 +74,25 @@ def test_moment_oracles_match_simulation():
 
 
 def test_moments_are_keyed_like_the_raw_trial_fields():
-    hop1, hop2 = cfg.scenario_models(_MOMENT_SCENARIO)
-    assert tuple(analysis.moments(hop1, hop2, _MOMENT_SCENARIO)) == link._RAW_FIELDS
+    # the combine stage samples each moment of the closed form, no more
+    scn = _MOMENT_SCENARIO
+    models = cfg.scenario_models(scn)
+    draws = link._trial_draws(scn)
+    normals = substream(2, "chunk").standard_normal((3, channel.normals_per_trial(draws)))
+    combined = link._combine(scn, models, channel.split_normals(normals, *draws))
+    assert list(analysis.moments(*models, scn)) == list(combined)
+    assert len(combined) == 10 and all(name.endswith("_raw") for name in combined)
 
 
 def test_amplification_closed_form_matches_sampling():
-    scn = _MOMENT_SCENARIO
+    # one assembly gives kappa from the closed-form moments and from the
+    # rate trials' sampled ones; the rate trials run at the closed-form kappa
+    scn = _MOMENT_SCENARIO.with_updates(trials=1500, seed=3)
     models = cfg.scenario_models(scn)
-    closed = analysis.kappa_closed_form(models[0], scn)
-    sampled = link.amplification_factor_mc(scn, trials=1500, seed=3, models=models)
+    closed = analysis.amplification_factor(scn, analysis.moments(*models, scn))
+    stacks = link.trial_outcomes(scn, models)
+    sampled = analysis.amplification_factor(scn, stacks)
+    assert stacks["kappa"] == closed
     assert abs(sampled - closed) / closed < 0.02
 
 
@@ -140,7 +150,7 @@ def test_perfect_csi_closed_form_matches_simulation():
     scn = _GENIE_SCENARIO
     models = cfg.scenario_models(scn)
     closed = analysis.sum_rate_approx(scn, models=models)
-    stacks = link.trial_outcomes(scn, models, scn.trials, scn.seed)
+    stacks = link.trial_outcomes(scn, models)
     for name in ("signal", "interference", "noise_relay", "noise_bs"):
         stack = stacks[name]
         se = stack.std(axis=0, ddof=1) / np.sqrt(scn.trials)
@@ -169,8 +179,9 @@ def test_report_terms_are_the_shared_assembly_of_the_moments():
     scn = _MOMENT_SCENARIO
     hop1, hop2 = cfg.scenario_models(scn)
     report = analysis.sum_rate_approx(scn, models=(hop1, hop2))
-    terms = analysis.sinr_terms(analysis.moments(hop1, hop2, scn), scn, report.kappa)
-    assert report.kappa == analysis.kappa_closed_form(hop1, scn)
+    raw = analysis.moments(hop1, hop2, scn)
+    terms = analysis.sinr_terms(raw, scn, report.kappa)
+    assert report.kappa == analysis.amplification_factor(scn, raw)
     assert report.chi == analysis.chi_factor(scn, report.kappa)
     for name, term in terms.items():
         np.testing.assert_array_equal(getattr(report, name), term)
@@ -326,8 +337,8 @@ def test_closed_form_decomposes_each_receive_array_once(monkeypatch):
 
 
 def test_monte_carlo_builds_each_receive_basis_once(monkeypatch):
-    # the Monte Carlo engines draw with the models' cached square-root
-    # factors: however often they run on one model pair, each receive
+    # the Monte Carlo engine draws with the models' cached square-root
+    # factors: however often it runs on one model pair, each receive
     # array's eigenvectors are built once, the models' eigenvalues are
     # reused and the transmit roots are taken in the eigenbasis the models
     # refused by; one-trial chunks make the two-worker run open a pool
@@ -338,7 +349,7 @@ def test_monte_carlo_builds_each_receive_basis_once(monkeypatch):
     monkeypatch.setattr(channel, "CHUNK_BYTES", 1)
     for workers in (1, 2):
         link.ergodic_sum_rate_mc(scn, workers=workers, models=models)
-    link.amplification_factor_mc(scn, trials=3, models=models)
+    link.trial_outcomes(scn, models)
     assert spectra["eigenvalues"] == []
     assert sorted(spectra["basis"]) == [scn.N, scn.M]
     assert calls == []

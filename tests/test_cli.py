@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from relaysim import cli, quantizer
+from relaysim import cli, estimation, quantizer
 
 
 def _run(argv):
@@ -225,6 +225,18 @@ def test_validate_subcommand_detects_failures(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL lloydmax-table" in out
     assert "0/1 checks passed" in out
+
+
+def test_validate_subcommand_reports_a_check_that_raises(capsys, monkeypatch):
+    # a raising check is one failed check (exit 3), not a crash of the suite
+    def broken(model):
+        raise AssertionError("receive-side split does not sum to the true correlation")
+
+    monkeypatch.setattr(estimation.EstimateModel, "validate", broken)
+    assert _run(["validate"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL energy-split" in out
+    assert "5/6 checks passed" in out
 
 
 _COLD_START = """

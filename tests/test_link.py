@@ -17,15 +17,28 @@ _SCN = cfg.ScenarioConfig(N=20, delta=1.5, K=3, tau1=6, tau2=6, q1=2, q2=2,
                           trials=60, seed=5)
 
 
+def _outcomes(models, trials, seed=9, workers=1, scn=_SCN):
+    """link.trial_outcomes over the given trial count and seed."""
+    return link.trial_outcomes(scn.with_updates(trials=trials, seed=seed), models,
+                               workers=workers)
+
+
+def _stacks(out):
+    """The per-trial stacks of trial_outcomes' output, without its kappa."""
+    return {name: stack for name, stack in out.items() if name != "kappa"}
+
+
 def test_trial_bookkeeping_identities():
     # the trial engine's SINR terms are the closed form's assembly applied,
-    # bit for bit, to its own raw fields
+    # bit for bit, to its own raw fields at the closed-form kappa
     models = cfg.scenario_models(_SCN)
-    out = link.trial_outcomes(_SCN, models, 7, _SCN.seed)
+    out = _outcomes(models, 7, seed=_SCN.seed)
     raw = {name: stack for name, stack in out.items() if name.endswith("_raw")}
-    assert len(raw) == 7
-    terms = analysis.sinr_terms(raw, _SCN, analysis.kappa_closed_form(models[0], _SCN))
-    assert set(raw) | set(terms) == set(out)
+    assert len(raw) == 10
+    kappa = analysis.amplification_factor(_SCN, analysis.moments(*models, _SCN))
+    assert out["kappa"] == kappa
+    terms = analysis.sinr_terms(raw, _SCN, kappa)
+    assert set(raw) | set(terms) | {"kappa"} == set(out)
     for name, term in terms.items():
         np.testing.assert_array_equal(out[name], term)
     sinr = out["signal"] / (out["interference"] + out["noise_relay"] + out["noise_bs"])
@@ -45,8 +58,8 @@ def _budget_for(monkeypatch, scn, trials_per_chunk):
 
 def test_worker_count_does_not_change_results():
     models = cfg.scenario_models(_SCN)
-    serial = link.trial_outcomes(_SCN, models, 24, seed=9, workers=1)
-    parallel = link.trial_outcomes(_SCN, models, 24, seed=9, workers=3)
+    serial = _outcomes(models, 24, workers=1)
+    parallel = _outcomes(models, 24, workers=3)
     for name, stack in serial.items():
         np.testing.assert_array_equal(stack, parallel[name])
 
@@ -56,11 +69,11 @@ def test_chunk_boundaries_do_not_follow_the_worker_split(monkeypatch):
     # to 1, 2, 3 and 5 threads in whole chunks
     models = cfg.scenario_models(_SCN)
     _budget_for(monkeypatch, _SCN, 4)
-    serial = link.trial_outcomes(_SCN, models, 37, seed=9, workers=1)
+    serial = _outcomes(models, 37, workers=1)
     for workers in (2, 3, 5):
-        pooled = link.trial_outcomes(_SCN, models, 37, seed=9, workers=workers)
+        pooled = _outcomes(models, 37, workers=workers)
         for name, stack in serial.items():
-            assert stack.shape == (37, _SCN.K)
+            assert name == "kappa" or stack.shape == (37, _SCN.K)
             np.testing.assert_array_equal(stack, pooled[name])
 
 
@@ -70,11 +83,11 @@ def test_many_threads_switching_often_match_serial(monkeypatch):
     # (one such run in two or three shows it, so ten runs are made)
     models = cfg.scenario_models(_SCN)
     _budget_for(monkeypatch, _SCN, 8)
-    serial = link.trial_outcomes(_SCN, models, 200, seed=9, workers=1)
+    serial = _outcomes(models, 200, workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        runs = [link.trial_outcomes(_SCN, models, 200, seed=9, workers=8)
+        runs = [_outcomes(models, 200, workers=8)
                 for _ in range(10)]
     finally:
         sys.setswitchinterval(interval)
@@ -86,10 +99,10 @@ def test_many_threads_switching_often_match_serial(monkeypatch):
 def test_single_trial_chunks_agree_with_default_chunks(monkeypatch):
     models = cfg.scenario_models(_SCN)
     assert _trial_size(_SCN) > 30
-    default = link.trial_outcomes(_SCN, models, 30, seed=9)
+    default = _outcomes(models, 30)
     monkeypatch.setattr(channel, "CHUNK_BYTES", 1)
     assert _trial_size(_SCN) == 1
-    single = link.trial_outcomes(_SCN, models, 30, seed=9)
+    single = _outcomes(models, 30)
     for name, stack in default.items():
         np.testing.assert_allclose(single[name], stack, rtol=1e-12, atol=0.0)
 
@@ -98,7 +111,7 @@ def test_worker_count_below_one_is_refused():
     models = cfg.scenario_models(_SCN)
     for workers in (0, -3):
         with pytest.raises(ConfigError, match="at least 1"):
-            link.trial_outcomes(_SCN, models, 8, seed=9, workers=workers)
+            _outcomes(models, 8, workers=workers)
 
 
 @pytest.mark.parametrize("trials", [0, -2])
@@ -115,12 +128,6 @@ def test_rate_trial_count_that_is_not_whole_is_refused(trials):
         link.ergodic_sum_rate_mc(_SCN.with_updates(trials=trials))
 
 
-@pytest.mark.parametrize("trials", [0, -2])
-def test_amplification_trial_count_below_one_is_refused(trials):
-    with pytest.raises(ConfigError, match="trials must be >= 1"):
-        link.amplification_factor_mc(_SCN, trials=trials)
-
-
 def test_pool_opens_only_for_several_chunks(monkeypatch):
     # trial_outcomes imports its thread pool when it opens one, so a
     # recording subclass set on concurrent.futures sees every pool it runs
@@ -133,26 +140,27 @@ def test_pool_opens_only_for_several_chunks(monkeypatch):
             super().__init__(max_workers=max_workers)
 
         def submit(self, fn, *args):
-            blocks.append(args[4])
+            blocks.append(args[3])
             return super().submit(fn, *args)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     models = cfg.scenario_models(_SCN)
     _budget_for(monkeypatch, _SCN, 5)
-    serial = link.trial_outcomes(_SCN, models, 12, seed=9, workers=1)
-    single_chunk = link.trial_outcomes(_SCN, models, 5, seed=9, workers=2)
+    serial = _outcomes(models, 12, workers=1)
+    single_chunk = _stacks(_outcomes(models, 5, workers=2))
     assert opened == []
-    pooled = link.trial_outcomes(_SCN, models, 12, seed=9, workers=2)
+    pooled = _outcomes(models, 12, workers=2)
     # three chunks of at most five trials, one block each, in index order
     assert opened == [2] and blocks == [[0], [5], [10]]
-    for name, stack in serial.items():
+    assert serial["kappa"] == pooled["kappa"]
+    for name, stack in _stacks(serial).items():
         np.testing.assert_array_equal(stack, pooled[name])
         np.testing.assert_array_equal(stack[:5], single_chunk[name])
 
 
 def test_every_engine_runs_its_chunks_through_channel_chunks(monkeypatch):
-    # the rate trials, the kappa trials and the pilot chain share one chunk
-    # loop: each call is recorded with its trial count and chunk starts
+    # the rate trials and the pilot chain share one chunk loop: each call
+    # is recorded with its trial count and chunk starts
     # (None: all chunks), and so is every chunk it yields
     calls, chunks = [], []
     original = channel.chunks
@@ -167,24 +175,15 @@ def test_every_engine_runs_its_chunks_through_channel_chunks(monkeypatch):
     monkeypatch.setattr(est, "chunks", recording)
     models = cfg.scenario_models(_SCN)
     _budget_for(monkeypatch, _SCN, 5)
-    link.trial_outcomes(_SCN, models, 12, seed=9)
+    _outcomes(models, 12)
     assert calls == [(12, [0, 5, 10])]
     assert chunks == [(12, 0, 5), (12, 5, 5), (12, 10, 2)]
     calls.clear()
     pooled = sorted(chunks)
     chunks.clear()
-    link.trial_outcomes(_SCN, models, 12, seed=9, workers=2)
+    _outcomes(models, 12, workers=2)
     assert sorted(calls) == [(12, [0]), (12, [5]), (12, [10])]
     assert sorted(chunks) == pooled
-    calls.clear()
-    chunks.clear()
-    # the kappa trials draw the first hop only, so more of them fit a chunk
-    size = channel.chunk_size(link._trial_draws(_SCN)[:4])
-    assert size > 5
-    link.amplification_factor_mc(_SCN, trials=2 * size + 3, seed=9, models=models)
-    assert calls == [(2 * size + 3, None)]
-    assert chunks == [(2 * size + 3, 0, size), (2 * size + 3, size, size),
-                      (2 * size + 3, 2 * size, 3)]
     calls.clear()
     chunks.clear()
     hop = cfg.scenario_hops(_SCN)[1]
@@ -198,9 +197,9 @@ def test_every_engine_runs_its_chunks_through_channel_chunks(monkeypatch):
 def test_trials_are_keyed_by_index_not_position():
     # the first trials of a long run must replay a short run exactly
     models = cfg.scenario_models(_SCN)
-    short = link.trial_outcomes(_SCN, models, 8, seed=9)
-    long = link.trial_outcomes(_SCN, models, 16, seed=9)
-    for name, stack in short.items():
+    short = _outcomes(models, 8)
+    long = _outcomes(models, 16)
+    for name, stack in _stacks(short).items():
         np.testing.assert_array_equal(stack, long[name][:8])
 
 
@@ -209,9 +208,9 @@ def test_trials_are_keyed_by_index_across_chunks(monkeypatch):
     # chunk is padded, not narrowed, so its trials see the same arithmetic
     models = cfg.scenario_models(_SCN)
     _budget_for(monkeypatch, _SCN, 5)
-    short = link.trial_outcomes(_SCN, models, 8, seed=9)
-    long = link.trial_outcomes(_SCN, models, 13, seed=9)
-    for name, stack in short.items():
+    short = _outcomes(models, 8)
+    long = _outcomes(models, 13)
+    for name, stack in _stacks(short).items():
         np.testing.assert_array_equal(stack, long[name][:8])
 
 
@@ -261,8 +260,8 @@ def test_skipped_error_products_equal_products_with_zero():
         # the factor the error would have were it not skipped, in the cache
         model.__dict__["receive_sqrt"] = (est._root(f, u), est._root(g, u))
         assert not model.receive_sqrt[1].any()
-    skipped = link.trial_outcomes(_PERFECT, models, 12, seed=4)
-    multiplied = link.trial_outcomes(_PERFECT, zeros, 12, seed=4)
+    skipped = _outcomes(models, 12, seed=4, scn=_PERFECT)
+    multiplied = _outcomes(zeros, 12, seed=4, scn=_PERFECT)
     for name, stack in skipped.items():
         np.testing.assert_array_equal(stack, multiplied[name])
 
@@ -282,13 +281,9 @@ def test_receive_gemms_per_chunk(monkeypatch, scn, per_chunk):
         return original(mat, x)
 
     monkeypatch.setattr(channel, "left_multiply", counting)
-    link.trial_outcomes(scn, models, 10, seed=9)
+    _outcomes(models, 10, scn=scn)
     assert len(calls) == 3 * per_chunk
     assert all(x_shape[1] == 4 for _, x_shape in calls)
-    calls.clear()
-    link.amplification_factor_mc(scn, trials=12, seed=9, models=models)
-    chunks = -(-12 // channel.chunk_size(link._trial_draws(scn)[:4]))
-    assert len(calls) == chunks * per_chunk // 2
 
 
 def test_report_fields_and_reproducibility():
@@ -343,6 +338,29 @@ def test_quantization_terms_are_conditional_means_of_drawn_noise(bits):
         assert dev.max() < 5.0, f"{name}: {dev.max():.2f} se"
 
 
+def test_kappa_moments_are_the_powers_of_the_combined_first_hop_signal():
+    # the combine stage's three kappa moments, recomputed per trial from one
+    # chunk's channel stacks through the relay's received covariance F F^H:
+    # signal f_hat_k^H F F^H f_hat_k, quantization sum_n |f_hat[n, k]|^2
+    # (F F^H)_nn, noise ||f_hat_k||^2. Weak pilots make the error part of F
+    # large enough that an estimate in place of F shows.
+    scn = _SCN.with_updates(P1=1.0, P2=1.0)
+    models = cfg.scenario_models(scn)
+    draws = link._trial_draws(scn)
+    normals = substream(8, "chunk").standard_normal((4, channel.normals_per_trial(draws)))
+    parts = channel.split_normals(normals, *draws)
+    out = link._combine(scn, models, parts)
+    f_hat, f_err = link._channel_stacks(models, parts)[:2]
+    for f, matches in ((f_hat + f_err, True), (f_hat, False)):
+        cov = f @ f.conj().swapaxes(1, 2)
+        signal = np.einsum("bnk,bnm,bmk->bk", f_hat.conj(), cov, f_hat).real
+        quant = np.einsum("bnk,bnn->bk", np.abs(f_hat) ** 2, cov).real
+        assert np.allclose(out["kappa_signal_raw"], signal, rtol=1e-12, atol=0) == matches
+        assert np.allclose(out["kappa_quant_raw"], quant, rtol=1e-12, atol=0) == matches
+    np.testing.assert_allclose(out["kappa_noise_raw"], np.linalg.norm(f_hat, axis=1) ** 2,
+                               rtol=1e-12, atol=0)
+
+
 def test_mc_rate_matches_closed_form_at_moderate_size():
     from relaysim import analysis
     scn = cfg.ScenarioConfig(N=64, delta=1.5, K=5, q1=3, q2=3,
@@ -351,12 +369,6 @@ def test_mc_rate_matches_closed_form_at_moderate_size():
     closed = analysis.sum_rate_approx(scn).sum_rate
     mc = link.ergodic_sum_rate_mc(scn)
     assert abs(mc.sum_rate - closed) / closed < 0.05
-
-
-def test_amplification_mc_is_deterministic():
-    one = link.amplification_factor_mc(_SCN, trials=50, seed=4)
-    two = link.amplification_factor_mc(_SCN, trials=50, seed=4)
-    assert one == two
 
 
 def test_indefinite_first_hop_error_model_is_refused_by_both_engines():

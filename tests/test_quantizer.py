@@ -112,15 +112,16 @@ def test_lloyd_max_matches_pinned_values():
         assert qz.lloyd_max_distortion(bits) == pytest.approx(pinned, rel=0, abs=1e-14)
 
 
-def test_lloyd_max_converges_at_high_resolution():
-    # plain Lloyd needs 25 643 and 92 677 steps here; these are its values
-    assert qz.lloyd_max_distortion(7, max_iter=10) == pytest.approx(
-        1.6347822998030725e-4, rel=1e-10)
-    assert qz.lloyd_max_distortion(8, max_iter=10) == pytest.approx(
-        4.118508286721223e-5, rel=1e-10)
+def test_lloyd_max_converges_at_high_resolution(monkeypatch):
+    # plain Lloyd needs 25 643 and 92 677 steps here; these are its values,
+    # which Newton reaches within ten steps
+    monkeypatch.setattr(qz, "LLOYD_MAX_ITER", 10)
+    assert qz.lloyd_max_distortion(7) == pytest.approx(1.6347822998030725e-4, rel=1e-10)
+    assert qz.lloyd_max_distortion(8) == pytest.approx(4.118508286721223e-5, rel=1e-10)
     # far cells hold ~1e-7 of the mass at 12 bits
-    assert qz.lloyd_max_distortion(12, max_iter=10) == pytest.approx(
+    assert qz.lloyd_max_distortion(12) == pytest.approx(
         math.sqrt(3.0) * math.pi / 2.0 * 4.0 ** -12, rel=1e-3)
+    monkeypatch.undo()
     # the high-resolution law (sqrt(3) pi / 2) 4^-q is approached from below
     ratios = [qz.lloyd_max_distortion(bits) / (math.sqrt(3.0) * math.pi / 2.0 * 4.0 ** -bits)
               for bits in (6, 7, 8)]
@@ -132,10 +133,11 @@ def test_lloyd_max_guards(monkeypatch):
     for bad in (0, 1.5, -2):
         with pytest.raises(ValueError):
             qz.lloyd_max_distortion(bad)
-    with pytest.raises(ConvergenceError, match="within 2 iterations"):
-        qz.lloyd_max_distortion(3, max_iter=2)
-    with pytest.raises(ConvergenceError, match="within 0 iterations"):
-        qz.lloyd_max_distortion(3, max_iter=0)
+    for steps in (2, 0):
+        monkeypatch.setattr(qz, "LLOYD_MAX_ITER", steps)
+        with pytest.raises(ConvergenceError, match=f"within {steps} iterations"):
+            qz.lloyd_max_distortion(3)
+    monkeypatch.undo()
     # a normal law without tails leaves the outer cells empty
     monkeypatch.setattr(qz, "_std_normal_cdf", np.zeros_like)
     with pytest.raises(ConvergenceError, match="zero probability"):
@@ -143,9 +145,9 @@ def test_lloyd_max_guards(monkeypatch):
 
 
 def test_lloyd_max_stops_when_the_shift_stalls(monkeypatch):
-    # a tol below the rounding floor of the shift (about 6e-15 at 6 bits,
-    # 3e-14 at 8) cannot be met; the Newton loop must notice within a few
-    # steps instead of running all max_iter of them
+    # a tolerance below the rounding floor of the shift (about 6e-15 at 6
+    # bits, 3e-14 at 8) cannot be met; the Newton loop must notice within a
+    # few steps instead of running all LLOYD_MAX_ITER of them
     steps = []
     solve = qz._solve_tridiagonal
 
@@ -155,10 +157,11 @@ def test_lloyd_max_stops_when_the_shift_stalls(monkeypatch):
 
     monkeypatch.setattr(qz, "_solve_tridiagonal", counting)
     for bits, tol in ((6, 1e-15), (8, 1e-14)):
+        monkeypatch.setattr(qz, "LLOYD_MAX_TOL", tol)
         steps.clear()
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="stalled"):
-            qz.lloyd_max_distortion(bits, tol=tol)
+            qz.lloyd_max_distortion(bits)
         assert time.perf_counter() - start < 0.1
         assert len(steps) <= 12
 

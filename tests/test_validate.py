@@ -1,6 +1,8 @@
 """The self-check suite must pass, be filterable, and catch corruption."""
 
-from relaysim import quantizer, validate
+import numpy as np
+
+from relaysim import estimation, quantizer, validate
 
 
 def test_full_suite_passes():
@@ -29,3 +31,28 @@ def test_corrupted_distortion_table_is_detected(monkeypatch):
     results = validate.run_validation(name_filter="lloydmax")
     assert len(results) == 1
     assert not results[0].passed
+
+
+def _broken_validate(model):
+    raise AssertionError("receive-side split does not sum to the true correlation")
+
+
+def test_a_check_that_raises_fails_and_the_rest_still_run(monkeypatch):
+    monkeypatch.setattr(estimation.EstimateModel, "validate", _broken_validate)
+    results = validate.run_validation()
+    assert [r.name for r in results] == list(validate.CHECK_NAMES)
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["energy-split"]
+    assert failed[0].deviation == float("inf")
+    assert failed[0].detail == ("AssertionError: receive-side split does not sum "
+                                "to the true correlation")
+    assert "\n" not in failed[0].line()
+
+
+def test_a_numerical_error_fails_its_check(monkeypatch):
+    # a normal law without tails collapses a quantizer cell: ConvergenceError
+    monkeypatch.setattr(quantizer, "_std_normal_cdf", np.zeros_like)
+    [result] = validate.run_validation(name_filter="lloydmax")
+    assert not result.passed and result.deviation == float("inf")
+    assert result.threshold == 1e-3
+    assert result.detail.startswith("ConvergenceError: ")
