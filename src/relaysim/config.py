@@ -7,6 +7,7 @@ per-hop channel statistics and the estimate models (LMMSE equivalent
 form, or genie CSI) that the analysis and Monte Carlo engines consume.
 """
 
+import cmath
 from dataclasses import asdict, dataclass, fields, replace
 import json
 from numbers import Integral, Real
@@ -62,15 +63,19 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # first, so that no check or property below meets a NaN, an inf or a
-        # count with a fractional part; an int is never converted to float
+        # count with a fractional part; a whole count is stored as an int,
+        # because sizes slice and index arrays
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.type is int and not (isinstance(value, Integral) or (
-                    isinstance(value, Real) and float(value).is_integer())):
-                raise ConfigError(f"{field.name} must be a whole number, got {value!r}")
+            if field.type is int:
+                if not (isinstance(value, Integral) or (
+                        isinstance(value, Real) and float(value).is_integer())):
+                    raise ConfigError(f"{field.name} must be a whole number, got {value!r}")
+                if type(value) is not int:
+                    object.__setattr__(self, field.name, int(value))
             values = (value if field.name in ("d_users", "betas")
                       else (value,) if field.type in (float, complex) else ())
-            if value is not None and not all(np.isfinite(v) for v in values):
+            if value is not None and not all(cmath.isfinite(v) for v in values):
                 raise ConfigError(f"{field.name} must be finite, got {value}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
@@ -116,6 +121,8 @@ class ScenarioConfig:
                 f"betas must have K = {self.K} entries, got {len(self.betas)}")
         if self.betas is not None and not all(b > 0.0 for b in self.betas):
             raise ConfigError(f"betas must be positive, got {self.betas}")
+        if self.d_users is not None and not all(d > 0.0 for d in self.d_users):
+            raise ConfigError(f"d_users must be positive, got {self.d_users}")
 
     @property
     def M(self):

@@ -9,6 +9,7 @@ of the unit tests and backs the `validate` CLI subcommand.
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class CheckResult:
                 f"(threshold {self.threshold:.4g}, {self.elapsed:.2f}s) {self.detail}")
 
 
-def _check_lloydmax_table(seed):
+def _check_lloydmax_table(run):
     worst = 0.0
     worst_bits = 1
     for bits, tabulated in sorted(quantizer.DISTORTION_TABLE.items()):
@@ -50,8 +51,8 @@ def _check_lloydmax_table(seed):
     return worst, f"worst at q={worst_bits}"
 
 
-def _check_lemma1(seed):
-    rng = substream(seed, "validate-lemma1")
+def _check_lemma1(run):
+    rng = substream(run.seed, "validate-lemma1")
     worst = 0.0
     worst_tag = ""
     for pair in range(6):
@@ -77,10 +78,23 @@ def _check_lemma1(seed):
 _ORACLE_SCENARIO = dict(N=32, delta=1.5, K=5, q1=2, q2=1, trials=1500)
 
 
-def _check_moment_oracles(seed):
-    scn = cfg.ScenarioConfig(seed=seed, **_ORACLE_SCENARIO)
-    models = cfg.scenario_models(scn)
-    stacks = link.trial_outcomes(scn, models)
+class _Run:
+    """The seed of one validation run and the rate trials that its
+    moment-oracles and kappa-mc checks share."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    @cached_property
+    def oracle(self):
+        """(scenario, models, trial_outcomes stacks) of _ORACLE_SCENARIO."""
+        scn = cfg.ScenarioConfig(seed=self.seed, **_ORACLE_SCENARIO)
+        models = cfg.scenario_models(scn)
+        return scn, models, link.trial_outcomes(scn, models)
+
+
+def _check_moment_oracles(run):
+    scn, models, stacks = run.oracle
     worst = 0.0
     worst_tag = ""
     for name, predicted in analysis.moments(*models, scn).items():
@@ -93,16 +107,15 @@ def _check_moment_oracles(seed):
     return worst, f"worst term {worst_tag} over {scn.trials} trials (standard errors)"
 
 
-def _check_kappa(seed):
-    scn = cfg.ScenarioConfig(seed=seed, **_ORACLE_SCENARIO)
-    stacks = link.trial_outcomes(scn, cfg.scenario_models(scn))
+def _check_kappa(run):
+    scn, _, stacks = run.oracle
     closed, mc = stacks["kappa"], analysis.amplification_factor(scn, stacks)
     dev = abs(mc - closed) / closed
     return float(dev), f"closed {closed:.6g} vs simulated {mc:.6g} (relative)"
 
 
-def _check_mse(seed):
-    rng = substream(seed, "validate-mse")
+def _check_mse(run):
+    rng = substream(run.seed, "validate-mse")
     n, k = 64, 5
     m = 96
     tau = 8
@@ -127,11 +140,11 @@ def _check_mse(seed):
     return worst, f"worst at {worst_tag} (standard errors)"
 
 
-def _check_energy_split(seed):
+def _check_energy_split(run):
     worst = 0.0
     worst_tag = ""
     for q1, q2 in ((1, 1), (3, 2), (quantizer.IDEAL, quantizer.IDEAL)):
-        scn = cfg.ScenarioConfig(N=48, delta=1.5, K=6, q1=q1, q2=q2, seed=seed)
+        scn = cfg.ScenarioConfig(N=48, delta=1.5, K=6, q1=q1, q2=q2, seed=run.seed)
         for hop, model in zip(cfg.scenario_hops(scn), cfg.scenario_models(scn)):
             model.validate()
             total = (np.trace(model.receive_hat).real * np.trace(model.transmit_hat).real
@@ -142,7 +155,7 @@ def _check_energy_split(seed):
     return worst, f"worst energy mismatch at {worst_tag} (relative)"
 
 
-# (name, check, threshold): check(seed) gives (deviation, detail)
+# (name, check, threshold): check(run) gives (deviation, detail)
 _CHECKS = (
     ("lloydmax-table", _check_lloydmax_table, 1e-3),
     ("lemma1-mc", _check_lemma1, 5.0),
@@ -163,12 +176,13 @@ def run_validation(seed: int = cfg.DEFAULT_SEED, name_filter=None):
     deviation and the error as its detail, and the rest still run.
     """
     results = []
+    run = _Run(seed)
     for name, check, threshold in _CHECKS:
         if name_filter and name_filter not in name:
             continue
         start = time.perf_counter()
         try:
-            deviation, detail = check(seed)
+            deviation, detail = check(run)
         except (AssertionError, NumericalError) as exc:
             deviation, detail = np.inf, f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start

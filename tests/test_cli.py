@@ -171,12 +171,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     # numerical failures of the model built from them
     for text in ('{"K": 2, "betas": [-1.0, 0.5]}', '{"K": 2, "betas": [NaN, 0.5]}',
                  '{"eta": -0.5}', '{"E_U": NaN}', '{"E_U": 1e999}', '{"E_U-dB": 1e5}',
-                 '{"E_U": 1' + '0' * 400 + '}'):
+                 '{"E_U": 1' + '0' * 400 + '}', '{"d_users": [0.0, 200.0], "K": 2}'):
         bad.write_text(text)
         assert _run(["rate-vs-n", "--n-values", "64", "--closed-form-only",
                      "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err
+    assert "configuration error: d_users must be positive, got (0.0, 200.0)" in err
 
 
 @pytest.mark.parametrize("command", ["mse-sweep", "rate-vs-n", "power-scaling",

@@ -1,10 +1,12 @@
 """Scenario validation, derived quantities, and config-file parsing."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from relaysim import analysis, link
 from relaysim import config as cfg
 from relaysim.errors import ConfigError
 from relaysim.quantizer import IDEAL
@@ -90,6 +92,9 @@ def test_with_updates_keeps_frozen_semantics():
     dict(seed=1.5),
     dict(seed=float("nan")),
     dict(N="64"),
+    # user distances, like the other distances, must be positive
+    dict(K=2, d_users=(0.0, 200.0)),
+    dict(K=1, d_users=(182.0, -209.0)),
 ])
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ConfigError):
@@ -100,6 +105,26 @@ def test_whole_counts_are_kept_as_given():
     # the whole-number check never converts an int to float
     assert cfg.ScenarioConfig(seed=10 ** 30).seed == 10 ** 30
     assert cfg.ScenarioConfig(N=64.0).M == 128
+
+
+def test_whole_float_counts_run_like_their_int_twins():
+    # sizes slice and index arrays, so a whole float count is stored as an int
+    def same(report, twin):
+        for field in dataclasses.fields(report):
+            np.testing.assert_array_equal(getattr(report, field.name),
+                                          getattr(twin, field.name))
+
+    same(analysis.sum_rate_approx(cfg.ScenarioConfig(N=64, K=3.0)),
+         analysis.sum_rate_approx(cfg.ScenarioConfig(N=64, K=3)))
+    same(link.ergodic_sum_rate_mc(cfg.ScenarioConfig(N=64.0, K=3, trials=5)),
+         link.ergodic_sum_rate_mc(cfg.ScenarioConfig(N=64, K=3, trials=5)))
+    scn = cfg.ScenarioConfig(N=64.0, K=3.0, T=100.0, tau1=np.int64(10), trials=5.0,
+                             seed=7.0)
+    assert all(type(getattr(scn, name)) is int
+               for name in ("N", "K", "T", "tau1", "tau2", "trials", "seed"))
+    twin = cfg.ScenarioConfig(N=64, K=3, trials=5, seed=7)
+    assert scn.canonical_json() == twin.canonical_json()
+    assert '"N":64,' in scn.canonical_json()
 
 
 def test_scenario_matrices_shapes():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from relaysim import config as cfg
 from relaysim import correlation as corr
 
 
@@ -106,6 +107,11 @@ _coefficients = st.one_of(
 @example(r=_MAX_ABS, n=300)
 @example(r=-_MAX_ABS, n=300)
 @example(r=-1j * _MAX_ABS, n=300)
+@example(r=_MAX_ABS, n=1)
+@example(r=-_MAX_ABS, n=2)
+@example(r=_MAX_ABS, n=64)
+@example(r=0.8 ** (2048 / 10), n=10)      # the transmit side at N = 2048, K = 10
+@example(r=0.8 ** (2048 / 10), n=300)
 def test_exponential_spectrum_matches_dense_eigh(r, n):
     mat = corr.exponential_correlation(r, n)
     lam, theta = corr.exponential_eigenvalues(r, n)
@@ -116,6 +122,42 @@ def test_exponential_spectrum_matches_dense_eigh(r, n):
     assert np.abs((u * lam) @ u.conj().T - mat).max() <= 1e-12
     assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-12
     assert np.iscomplexobj(u) == (complex(r).imag != 0.0)
+
+
+def test_exponential_eigenvalues_match_dense_eigvalsh_at_large_n():
+    # the dense basis checks above lose about n * 1e-16 and are run up to
+    # n = 300; the eigenvalues alone stay within 1e-12 of the largest one
+    r, n = _MAX_ABS, 4096
+    oracle = np.linalg.eigvalsh(corr.exponential_correlation(r, n))
+    lam = corr.exponential_eigenvalues(r, n)[0]
+    assert np.abs(lam - oracle).max() <= 1e-12 * oracle[-1]
+
+
+def _count_phase_passes(monkeypatch):
+    """List that grows by one per vectorised _sinusoid_phase pass."""
+    passes = []
+    phase = corr._sinusoid_phase
+    monkeypatch.setattr(corr, "_sinusoid_phase",
+                        lambda theta, a: passes.append(np.size(theta)) or phase(theta, a))
+    return passes
+
+
+def test_angle_solve_pass_counts(monkeypatch):
+    passes = _count_phase_passes(monkeypatch)
+    for n in (128, 1024):
+        for hop in cfg.scenario_hops(cfg.table_defaults().with_updates(N=n)):
+            passes.clear()
+            hop.spectrum
+            assert 2 <= len(passes) <= 8, (hop.n, len(passes))
+    # 30 bisection and 3 Newton steps took 33 passes; at these extremes the
+    # solve stops on its own before that many
+    for r in (0.0, 1e-300, 0.8 ** (2048 / 10), 0.8, -0.99, _MAX_ABS, -1j * _MAX_ABS,
+              np.nextafter(1.0, 0.0)):
+        for n in (1, 2, 3, 10, 64, 300, 4096):
+            passes.clear()
+            lam = corr.exponential_eigenvalues(r, n)[0]
+            assert len(passes) < 33, (r, n)
+            assert np.all(np.diff(lam) >= 0.0) and np.all(np.isfinite(lam))
 
 
 # diagonals of the LMMSE split E = c (a I + c R^-1)^-1 and R - E: a
@@ -175,6 +217,33 @@ def test_split_diagonals_match_high_precision_oracle(rho, n):
             np.testing.assert_allclose(err, want_err, rtol=2e-15, atol=0.0)
     hat, err = corr.exponential_split_diagonals(r, n, 1.0, 0.0)
     assert np.all(hat == 1.0) and np.all(err == 0.0)
+
+
+def _full_sweep_split_diagonals(rho, n, a, c):
+    """exponential_split_diagonals with both pivot sweeps run over every row."""
+    s = (1.0 - rho) * (1.0 + rho)
+    b, w = s * a, rho * rho * c
+    gains = np.zeros((2, n))
+    for sweep in (gains[0], gains[1, ::-1]):
+        delta = b
+        for i in range(1, n):
+            gain = w * delta / (c + delta)
+            sweep[i] = gain
+            delta = b + gain
+    kept = b + gains[0] + gains[1]
+    return kept / (c * s + kept), c * s / (c * s + kept)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.8, 0.999999])
+def test_split_sweeps_that_stop_early_match_the_full_sweeps_bitwise(rho):
+    # a sweep stops at the recursion's fixed point; the rows it skips must
+    # hold exactly what the full sweep computes
+    for n in (1, 2, 3, 40, 2 ** 14):
+        for a, c in [(10.0 ** p, 1.0) for p in range(-10, 11, 2)] + [(0.0, 1.0), (1.0, 0.0)]:
+            hat, err = corr.exponential_split_diagonals(rho, n, a, c)
+            want_hat, want_err = _full_sweep_split_diagonals(rho, n, a, c)
+            np.testing.assert_array_equal(hat, want_hat)
+            np.testing.assert_array_equal(err, want_err)
 
 
 @settings(max_examples=100, deadline=None)

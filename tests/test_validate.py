@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from relaysim import estimation, quantizer, validate
+from relaysim import estimation, link, quantizer, validate
 
 
 def test_full_suite_passes():
@@ -10,6 +10,17 @@ def test_full_suite_passes():
     assert len(results) == len(validate.CHECK_NAMES)
     failed = [r.name for r in results if not r.passed]
     assert not failed, f"failing checks: {failed}"
+
+
+def test_oracle_checks_share_one_trial_run(monkeypatch):
+    # moment-oracles and kappa-mc read the same 1500 rate trials
+    calls = []
+    run_trials = link.trial_outcomes
+    monkeypatch.setattr(link, "trial_outcomes",
+                        lambda *args, **kw: calls.append(args) or run_trials(*args, **kw))
+    results = validate.run_validation(seed=42)
+    assert len(calls) == 1
+    assert all(r.passed for r in results)
 
 
 def test_filter_selects_by_substring():
