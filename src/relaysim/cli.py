@@ -9,6 +9,7 @@ and worker counts.
 """
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -20,11 +21,13 @@ from . import estimation, link, validate
 from .analysis import asymptotic_sum_rate, power_scaling_limit, sum_rate_approx
 from .channel import substream
 from .errors import ConfigError, NumericalError
-from .quantizer import AdcSpec, bits_label
+from .quantizer import IDEAL, AdcSpec, bits_label
 
 
 def _format_value(value):
-    """A CSV cell: a label, an int (N) or a float."""
+    """A CSV cell: a label, an int (N, bits), IDEAL or a float."""
+    if value is IDEAL:
+        return bits_label(value)
     return str(value) if isinstance(value, (str, int)) else repr(float(value))
 
 
@@ -42,26 +45,25 @@ def _convert(kind, token):
     return value
 
 
-def _parse_list(text, kind=float):
-    values = [_convert(kind, tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text, kind=float, sep=","):
+    values = [_convert(kind, tok) for tok in text.split(sep) if tok.strip()]
     if not values:
         raise ConfigError("empty sweep value list")
     return values
 
 
-def _parse_pairs(text, kind=float, sep=":"):
-    pairs = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        left, _, right = tok.partition(sep)
-        if not right:
-            raise ConfigError(f"expected left{sep}right pair, got {tok!r}")
-        pairs.append((_convert(kind, left), _convert(kind, right)))
-    if not pairs:
-        raise ConfigError("empty sweep pair list")
-    return pairs
+def _bits(flag):
+    return lambda token: cfg.parse_adc_bits(token, flag)
+
+
+def _pair(kind):
+    """Token parser of one left:right pair of kind values."""
+    def parse(token):
+        pair = _parse_list(token, kind, sep=":")
+        if len(pair) != 2:
+            raise ConfigError(f"expected left:right pair, got {token.strip()!r}")
+        return tuple(pair)
+    return parse
 
 
 def write_csv(stream, header, rows, scenario):
@@ -106,7 +108,7 @@ def _base_scenario(args):
 def cmd_mse_sweep(args) -> int:
     scn = _base_scenario(args)
     powers_db = _parse_list(args.powers_db)
-    bits_grid = _parse_list(args.bits, lambda token: cfg.parse_adc_bits(token, "--bits"))
+    bits_grid = _parse_list(args.bits, _bits("--bits"))
     names = ("first", "second") if args.hop == "both" else (args.hop,)
     stats = dict(zip(("first", "second"), cfg.scenario_hops(scn)))
     rows = []
@@ -120,7 +122,7 @@ def cmd_mse_sweep(args) -> int:
                                 bits_label(bits), f"{power_db:g}")
                 closed = estimation.mse_closed_form(hop, adc, power) / (scn.K * hop.shape[0])
                 sim, stderr = estimation.pilot_mse(hop, adc, power, scn.trials, rng)
-                rows.append((name, power_db, bits_label(bits), sim, stderr, closed))
+                rows.append((name, power_db, bits, sim, stderr, closed))
     header = ("hop", "axis_value", "q", "mse_sim", "mse_sim_stderr", "mse_closed")
     _emit(args, header, rows, scn)
     return 0
@@ -141,75 +143,72 @@ def _rate_pair(scn, args):
     return closed, mc, ci
 
 
-def cmd_rate_vs_n(args) -> int:
+def _relative_gap(point, cells):
+    """|mc - closed| / closed, NaN when a rate is missing or the closed rate is 0."""
+    closed = cells["rate_closed"]
+    return abs(cells["rate_mc"] - closed) / closed if closed > 0.0 else float("nan")
+
+
+# CSV columns that are neither a grid field nor one of the two engines' rates
+_DERIVED = {
+    "rel_gap": _relative_gap,
+    "regime": lambda point, cells: power_scaling_limit(point, 0).regime,
+    "rate_limit": lambda point, cells: asymptotic_sum_rate(point),
+}
+
+# The rate subcommands: help, grid axes outermost first, CSV columns. Each
+# axis is (flag, token parser, the scenario fields one value sets, default,
+# help); a pair sets its two fields, a single value sets every field.
+_RATE_SWEEPS = {
+    "rate-vs-n": ("sum rate vs antenna count", (
+        ("--n-values", int, ("N",), "64,128,256", None),
+        ("--bits", _bits("--bits"), ("q1", "q2"), "1,2,ideal",
+         "resolutions applied to both hops"),
+    ), ("N", "q1", "q2", "rate_mc", "rate_mc_ci", "rate_closed", "rel_gap")),
+    "power-scaling": ("rate vs N under scaled powers", (
+        ("--exponents", _pair(float), ("a", "b"), "1:1",
+         "comma-separated a:b exponent pairs"),
+        ("--n-values", int, ("N",), "128,256,512,1024", None),
+    ), ("N", "a", "b", "rate_closed", "rate_mc", "rate_mc_ci", "regime", "rate_limit")),
+    "correlation-impact": ("rate vs correlation split", (
+        ("--deltas", float, ("delta",), "0.5,2", None),
+        ("--coefficients", _pair(float), ("r_R", "r_B"), "0:0.8,0.8:0",
+         "comma-separated r_R:r_B pairs"),
+        ("--n-values", int, ("N",), "200", None),
+    ), ("N", "delta", "r_R", "r_B", "rate_closed", "rate_mc", "rate_mc_ci")),
+    "adc-impact": ("rate vs per-hop ADC resolution", (
+        ("--deltas", float, ("delta",), "0.5,2", None),
+        ("--bits-pairs", _pair(_bits("--bits-pairs")), ("q1", "q2"), "3:1,1:3",
+         "comma-separated q1:q2 pairs"),
+        ("--n-values", int, ("N",), "200", None),
+    ), ("N", "delta", "q1", "q2", "rate_closed", "rate_mc", "rate_mc_ci")),
+}
+
+
+def _axis_points(text, kind, fields):
+    """[{field: value}] of one grid axis, in the order its values are given."""
+    points = []
+    for value in _parse_list(text, kind):
+        parts = value if isinstance(value, tuple) else (value,) * len(fields)
+        points.append(dict(zip(fields, parts)))
+    return points
+
+
+def cmd_rate_sweep(args) -> int:
+    """One row per point of the product of the subcommand's axes."""
+    _, axes, columns = _RATE_SWEEPS[args.command]
     scn = _base_scenario(args)
-    n_values = _parse_list(args.n_values, int)
-    bits_grid = _parse_list(args.bits, lambda token: cfg.parse_adc_bits(token, "--bits"))
+    grids = [_axis_points(getattr(args, flag.lstrip("-").replace("-", "_")), kind, fields)
+             for flag, kind, fields, _, _ in axes]
     rows = []
-    for n in n_values:
-        for bits in bits_grid:
-            point = scn.with_updates(N=n, q1=bits, q2=bits)
-            closed, mc, ci = _rate_pair(point, args)
-            gap = abs(mc - closed) / closed if closed == closed else float("nan")
-            rows.append((n, bits_label(bits), bits_label(bits),
-                         mc, ci, closed, gap))
-    header = ("N", "q1", "q2", "rate_mc", "rate_mc_ci", "rate_closed", "rel_gap")
-    _emit(args, header, rows, scn)
-    return 0
-
-
-def cmd_power_scaling(args) -> int:
-    scn = _base_scenario(args)
-    n_values = _parse_list(args.n_values, int)
-    exponents = _parse_pairs(args.exponents)
-    rows = []
-    for a, b in exponents:
-        limit = scn.with_updates(a=a, b=b)
-        regime = power_scaling_limit(limit, 0).regime
-        asymptote = asymptotic_sum_rate(limit)
-        for n in n_values:
-            point = scn.with_updates(N=n, a=a, b=b)
-            closed, mc, ci = _rate_pair(point, args)
-            rows.append((n, a, b, closed, mc, ci, regime, asymptote))
-    header = ("N", "a", "b", "rate_closed", "rate_mc", "rate_mc_ci",
-              "regime", "rate_limit")
-    _emit(args, header, rows, scn)
-    return 0
-
-
-def cmd_correlation_impact(args) -> int:
-    scn = _base_scenario(args)
-    n_values = _parse_list(args.n_values, int)
-    deltas = _parse_list(args.deltas)
-    coefficients = _parse_pairs(args.coefficients)
-    rows = []
-    for delta in deltas:
-        for r_r, r_b in coefficients:
-            for n in n_values:
-                point = scn.with_updates(N=n, delta=delta, r_R=r_r, r_B=r_b)
-                closed, mc, ci = _rate_pair(point, args)
-                rows.append((n, delta, r_r, r_b, closed, mc, ci))
-    header = ("N", "delta", "r_R", "r_B", "rate_closed", "rate_mc", "rate_mc_ci")
-    _emit(args, header, rows, scn)
-    return 0
-
-
-def cmd_adc_impact(args) -> int:
-    scn = _base_scenario(args)
-    n_values = _parse_list(args.n_values, int)
-    deltas = _parse_list(args.deltas)
-    pairs = _parse_pairs(args.bits_pairs,
-                         lambda token: cfg.parse_adc_bits(token, "--bits-pairs"))
-    rows = []
-    for delta in deltas:
-        for q1, q2 in pairs:
-            for n in n_values:
-                point = scn.with_updates(N=n, delta=delta, q1=q1, q2=q2)
-                closed, mc, ci = _rate_pair(point, args)
-                rows.append((n, delta, bits_label(q1), bits_label(q2),
-                             closed, mc, ci))
-    header = ("N", "delta", "q1", "q2", "rate_closed", "rate_mc", "rate_mc_ci")
-    _emit(args, header, rows, scn)
+    for combo in itertools.product(*grids):
+        values = {field: value for axis in combo for field, value in axis.items()}
+        point = scn.with_updates(**values)
+        closed, mc, ci = _rate_pair(point, args)
+        cells = dict(values, rate_closed=closed, rate_mc=mc, rate_mc_ci=ci)
+        rows.append(tuple(cells[c] if c in cells else _DERIVED[c](point, cells)
+                          for c in columns))
+    _emit(args, columns, rows, scn)
     return 0
 
 
@@ -244,15 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
         p.add_argument("--out", help="CSV output path (default stdout)")
 
-    def rate(p):
-        common(p)
-        p.add_argument("--closed-form-only", action="store_true",
-                       help="skip the Monte Carlo engine")
-        p.add_argument("--mc-only", action="store_true",
-                       help="skip the closed-form engine")
-        p.add_argument("--workers", type=int, default=1,
-                       help="threads for Monte Carlo trials")
-
     p = sub.add_parser("mse-sweep", help="estimation MSE vs pilot power")
     common(p)
     p.add_argument("--powers-db", default="0,10,20,30,40")
@@ -260,35 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hop", choices=("first", "second", "both"), default="both")
     p.set_defaults(func=cmd_mse_sweep)
 
-    p = sub.add_parser("rate-vs-n", help="sum rate vs antenna count")
-    rate(p)
-    p.add_argument("--n-values", default="64,128,256")
-    p.add_argument("--bits", default="1,2,ideal",
-                   help="resolutions applied to both hops")
-    p.set_defaults(func=cmd_rate_vs_n)
-
-    p = sub.add_parser("power-scaling", help="rate vs N under scaled powers")
-    rate(p)
-    p.add_argument("--n-values", default="128,256,512,1024")
-    p.add_argument("--exponents", default="1:1",
-                   help="comma-separated a:b exponent pairs")
-    p.set_defaults(func=cmd_power_scaling)
-
-    p = sub.add_parser("correlation-impact", help="rate vs correlation split")
-    rate(p)
-    p.add_argument("--n-values", default="200")
-    p.add_argument("--deltas", default="0.5,2")
-    p.add_argument("--coefficients", default="0:0.8,0.8:0",
-                   help="comma-separated r_R:r_B pairs")
-    p.set_defaults(func=cmd_correlation_impact)
-
-    p = sub.add_parser("adc-impact", help="rate vs per-hop ADC resolution")
-    rate(p)
-    p.add_argument("--n-values", default="200")
-    p.add_argument("--deltas", default="0.5,2")
-    p.add_argument("--bits-pairs", default="3:1,1:3",
-                   help="comma-separated q1:q2 pairs")
-    p.set_defaults(func=cmd_adc_impact)
+    for name, (help_text, axes, _) in _RATE_SWEEPS.items():
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        engine = p.add_mutually_exclusive_group()
+        engine.add_argument("--closed-form-only", action="store_true",
+                            help="skip the Monte Carlo engine")
+        engine.add_argument("--mc-only", action="store_true",
+                            help="skip the closed-form engine")
+        p.add_argument("--workers", type=int, default=1,
+                       help="threads for Monte Carlo trials")
+        for flag, _, _, default, axis_help in axes:
+            p.add_argument(flag, default=default, help=axis_help)
+        p.set_defaults(func=cmd_rate_sweep)
 
     p = sub.add_parser("validate", help="run the oracle suite")
     p.add_argument("--seed", type=int, default=cfg.DEFAULT_SEED, help="base RNG seed")
@@ -302,8 +276,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "closed_form_only", False) and getattr(args, "mc_only", False):
-            raise ConfigError("--closed-form-only and --mc-only exclude each other")
         if getattr(args, "workers", 1) < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "out", None):

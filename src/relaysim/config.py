@@ -113,6 +113,8 @@ class ScenarioConfig:
             raise ConfigError(f"csi must be one of {CSI_MODES}, got {self.csi!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.betas is None and self.d_users is None:
+            raise ConfigError("d_users must be given when betas is not")
         if self.betas is None and self.K > len(self.d_users):
             raise ConfigError(
                 f"K = {self.K} users but only {len(self.d_users)} distances configured")

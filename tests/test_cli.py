@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
-from relaysim import cli, estimation, quantizer
+from relaysim import analysis, cli, config as cfg, estimation, quantizer
+from relaysim.quantizer import IDEAL
+
+RATE_COMMANDS = ("rate-vs-n", "power-scaling", "correlation-impact", "adc-impact")
 
 
 def _run(argv):
@@ -116,6 +119,89 @@ def test_adc_impact_csv(tmp_path):
         == {("3", "1"), ("1", "3")}
 
 
+# per rate subcommand: a 2 x 2 grid, its points in row order, its header
+_GRIDS = {
+    "rate-vs-n": (["--n-values", "64,128", "--bits", "2,ideal"],
+                  [dict(N=n, q1=q, q2=q) for n in (64, 128) for q in (2, IDEAL)],
+                  "N,q1,q2,rate_mc,rate_mc_ci,rate_closed,rel_gap"),
+    "power-scaling": (["--n-values", "64,128", "--exponents", "1:1,0.5:0.5"],
+                      [dict(N=n, a=e, b=e) for e in (1.0, 0.5) for n in (64, 128)],
+                      "N,a,b,rate_closed,rate_mc,rate_mc_ci,regime,rate_limit"),
+    "correlation-impact": (["--n-values", "64", "--deltas", "1,2",
+                            "--coefficients", "0:0.5,0.5:0"],
+                           [dict(N=64, delta=d, r_R=r, r_B=0.5 - r)
+                            for d in (1.0, 2.0) for r in (0.0, 0.5)],
+                           "N,delta,r_R,r_B,rate_closed,rate_mc,rate_mc_ci"),
+    "adc-impact": (["--n-values", "64", "--deltas", "1,2", "--bits-pairs", "3:1,ideal:2"],
+                   [dict(N=64, delta=d, q1=q1, q2=q2)
+                    for d in (1.0, 2.0) for q1, q2 in ((3, 1), (IDEAL, 2))],
+                   "N,delta,q1,q2,rate_closed,rate_mc,rate_mc_ci"),
+}
+
+
+def _expected_cell(column, point):
+    scn = cfg.table_defaults().with_updates(**point)
+    if column in ("q1", "q2"):
+        return quantizer.bits_label(point[column])
+    if column == "N":
+        return str(point[column])
+    if column in point:
+        return repr(float(point[column]))
+    if column == "rate_closed":
+        return repr(float(analysis.sum_rate_approx(scn).sum_rate))
+    if column == "regime":
+        return analysis.power_scaling_limit(scn, 0).regime
+    if column == "rate_limit":
+        return repr(float(analysis.asymptotic_sum_rate(scn)))
+    return "nan"        # rate_mc, rate_mc_ci and rel_gap without Monte Carlo
+
+
+@pytest.mark.parametrize("command", RATE_COMMANDS)
+def test_rate_rows_follow_their_grid_points(tmp_path, command):
+    grid_argv, points, header_text = _GRIDS[command]
+    out = tmp_path / "rows.csv"
+    assert _run([command, *grid_argv, "--closed-form-only", "--out", str(out)]) == 0
+    header, rows, _ = _read_csv(out)
+    assert header == header_text.split(",")
+    assert rows == [[_expected_cell(c, point) for c in header] for point in points]
+
+
+def test_zero_closed_rate_writes_nan_gap(tmp_path):
+    # a valid scenario whose rates underflow to exactly 0
+    scn = tmp_path / "faint.json"
+    scn.write_text('{"E_U": 1e-30}')
+    argv = ["rate-vs-n", "--n-values", "64", "--bits", "2", "--config", str(scn)]
+    for engines in (["--closed-form-only"], ["--trials", "4"]):
+        out = tmp_path / "faint.csv"
+        assert _run(argv + engines + ["--out", str(out)]) == 0
+        header, rows, _ = _read_csv(out)
+        assert rows[0][header.index("rate_closed")] == "0.0"
+        assert rows[0][header.index("rel_gap")] == "nan"
+
+
+def _sweep_options(parser):
+    """{subcommand: {option string: default}} of every sweep subparser."""
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    return {name: {opt: action.default for action in sub._actions if action.dest != "help"
+                   for opt in action.option_strings}
+            for name, sub in commands.items() if name != "validate"}
+
+
+def test_sweep_options_and_defaults_are_pinned():
+    common = {"--config": None, "--seed": None, "--trials": None, "--out": None}
+    rate = {**common, "--closed-form-only": False, "--mc-only": False, "--workers": 1}
+    assert _sweep_options(cli.build_parser()) == {
+        "mse-sweep": {**common, "--powers-db": "0,10,20,30,40",
+                      "--bits": "1,2,3,ideal", "--hop": "both"},
+        "rate-vs-n": {**rate, "--n-values": "64,128,256", "--bits": "1,2,ideal"},
+        "power-scaling": {**rate, "--n-values": "128,256,512,1024", "--exponents": "1:1"},
+        "correlation-impact": {**rate, "--n-values": "200", "--deltas": "0.5,2",
+                               "--coefficients": "0:0.8,0.8:0"},
+        "adc-impact": {**rate, "--n-values": "200", "--deltas": "0.5,2",
+                       "--bits-pairs": "3:1,1:3"},
+    }
+
+
 def test_config_file_layering(tmp_path):
     cfg_path = tmp_path / "scn.json"
     cfg_path.write_text(json.dumps({"E_U-dB": 10, "q1": "ideal", "K": 4,
@@ -134,7 +220,8 @@ def test_config_file_layering(tmp_path):
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert _run(["no-such-command"]) == 1
     assert _run(["mse-sweep", "--powers-db", ""]) == 1
-    assert _run(["rate-vs-n", "--closed-form-only", "--mc-only"]) == 1
+    for command in RATE_COMMANDS:
+        assert _run([command, "--closed-form-only", "--mc-only"]) == 1
     # worker counts below one are refused, not run serially
     assert _run(["rate-vs-n", "--workers", "0"]) == 1
     assert _run(["rate-vs-n", "--workers", "-3"]) == 1
@@ -171,13 +258,15 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     # numerical failures of the model built from them
     for text in ('{"K": 2, "betas": [-1.0, 0.5]}', '{"K": 2, "betas": [NaN, 0.5]}',
                  '{"eta": -0.5}', '{"E_U": NaN}', '{"E_U": 1e999}', '{"E_U-dB": 1e5}',
-                 '{"E_U": 1' + '0' * 400 + '}', '{"d_users": [0.0, 200.0], "K": 2}'):
+                 '{"E_U": 1' + '0' * 400 + '}', '{"d_users": [0.0, 200.0], "K": 2}',
+                 '{"d_users": null}'):
         bad.write_text(text)
         assert _run(["rate-vs-n", "--n-values", "64", "--closed-form-only",
                      "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "configuration error: d_users must be positive, got (0.0, 200.0)" in err
+    assert "configuration error: d_users must be given when betas is not" in err
 
 
 @pytest.mark.parametrize("command", ["mse-sweep", "rate-vs-n", "power-scaling",

@@ -95,6 +95,8 @@ def test_with_updates_keeps_frozen_semantics():
     # user distances, like the other distances, must be positive
     dict(K=2, d_users=(0.0, 200.0)),
     dict(K=1, d_users=(182.0, -209.0)),
+    # without betas the gains come from the distances
+    dict(d_users=None),
 ])
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ConfigError):
