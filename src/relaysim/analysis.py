@@ -127,8 +127,8 @@ def moments(hop1, hop2, scenario):
     h1, h2 = hop1.scalars, hop2.scalars
     bh, bt = h1.tx_hat_diag, h1.tx_err_diag
     th, te = h2.tx_hat_diag, h2.tx_err_diag
-    g2 = h2.gain ** 2
-    abs_sq = np.abs(h2.tx_hat) ** 2
+    g2 = hop2.hop.gain ** 2
+    abs_sq = np.abs(hop2.transmit_hat) ** 2
     pair = abs_sq * h2.tr_hat ** 2 + np.outer(th, th) * h2.fro_hat
     pair_full = pair + np.outer(th, te) * h2.cross     # true g_i on the right
     pair_b = pair @ bh
@@ -143,7 +143,7 @@ def moments(hop1, hop2, scenario):
     sum_bh, sum_bt = float(bh.sum()), float(bt.sum())
     relay_quant = g2 * (h1.diag_sq * (pair_full @ (bh * (bh + sum_bh)))
                         + h1.diag_mix * sum_bt * pair_full_b)
-    bs_vector = h2.gain * th * h2.tr_hat
+    bs_vector = hop2.hop.gain * th * h2.tr_hat
     bs_quant = g2 * (h2.diag_sq * (abs_sq.sum(axis=1) + th * th.sum())
                      + th * h2.diag_mix * te.sum())
     a1, a2 = scenario.adc1.alpha, scenario.adc2.alpha

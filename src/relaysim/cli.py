@@ -11,6 +11,7 @@ and worker counts.
 import argparse
 import itertools
 import os
+import re
 import sys
 
 import numpy as np
@@ -225,7 +226,12 @@ def cmd_validate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as config errors (exit 1)."""
+    """argparse that reports usage problems as config errors (exit 1) and
+    reads "-" then a digit or "." as a value: a sweep list such as "-10,0"."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -139,10 +139,8 @@ class _HopScalars:
             model.hop.r, model.hop.n, *model.obs)
         self.diag_sq = float(np.sum(self.diag_hat ** 2))
         self.diag_mix = float(np.sum(self.diag_hat * self.diag_err))
-        self.tx_hat = model.transmit_hat
         self.tx_hat_diag = np.diag(model.transmit_hat).real.copy()
         self.tx_err_diag = np.diag(model.transmit_err).real.copy()
-        self.gain = model.relay_gain
 
 
 @dataclass(frozen=True)
@@ -154,32 +152,24 @@ class EstimateModel:
     receive_hat = U diag(f) U^H and the error receive_err = U diag(g) U^H,
     with f = a lam^2 / (a lam + c) and g = c lam / (a lam + c), so
     f + g = lam. obs = (a, c) are the constants of the pilot observation
-    covariance a R + c I; genie CSI (estimate = truth) is c = 0, which
-    gives f = lam and g = 0 exactly. `scalars` holds every trace, norm and
-    diagonal the closed forms need, computed from lam and obs alone; U
-    (eigendata), R, receive_hat and receive_err are built on demand.
+    covariance a R + c I and split = (f, g), both as `observation` formed
+    them; genie CSI (estimate = truth) is c = 0, f = lam and g = 0 exactly.
+    `scalars` holds every trace, norm and diagonal the closed forms need,
+    computed from the split and obs alone; U (eigendata), R, receive_hat
+    and receive_err are built on demand.
 
     The estimate is receive_hat^(1/2) @ H1 @ sqrt(transmit_hat) and the
     error receive_err^(1/2) @ H2 @ sqrt(transmit_err) with H1, H2 iid
-    CN(0, 1) and independent; relay_gain (the hop's gain) multiplies the
-    second hop only (1.0 for the first hop). transmit_hat / transmit_err
-    are K x K (diagonal for the first hop, where they hold the per-user
-    gains).
+    CN(0, 1) and independent; the hop's gain multiplies the second hop
+    only (1.0 for the first hop). transmit_hat / transmit_err are K x K
+    (diagonal for the first hop, where they hold the per-user gains).
     """
 
     hop: HopStatistics
     transmit_hat: np.ndarray
     transmit_err: np.ndarray
-    obs: tuple = (1.0, 0.0)
-
-    @property
-    def relay_gain(self):
-        return float(self.hop.gain)
-
-    @cached_property
-    def split(self):
-        """(f, g): estimate and error spectra of the receive split."""
-        return _spectral_split(self.hop.spectrum[0], *self.obs)[:2]
+    obs: tuple
+    split: tuple
 
     @property
     def eigendata(self):
@@ -224,7 +214,7 @@ class EstimateModel:
         (U diag(f + g) U^H), all four matrices must be PSD (within
         tolerance), and the per-user energy split must be exact:
         (hat_transmit * tr(receive_hat) + err_transmit * tr(receive_err))
-        * relay_gain equals n * gain * transmit entrywise.
+        * gain equals n * gain * transmit entrywise.
         """
         hop = self.hop
         u, f, g = self.eigendata
@@ -237,58 +227,43 @@ class EstimateModel:
             if w.size and w[0] < -1e-10 * max(float(w[-1]), 1.0):
                 raise AssertionError("estimate-model matrix is not PSD")
         lhs = (np.trace(self.receive_hat).real * self.transmit_hat
-               + np.trace(self.receive_err).real * self.transmit_err) * self.relay_gain
+               + np.trace(self.receive_err).real * self.transmit_err) * hop.gain
         rhs = hop.n * hop.gain * hop.transmit
         scale = max(float(np.abs(rhs).max()), 1e-300)
         if not np.allclose(lhs, rhs, atol=1e-8 * scale):
             raise AssertionError("per-user energy split is not conserved")
 
 
-def _observation_constants(hop, adc, power):
-    """(a, c) of one despread pilot-observation column's covariance a R + c I."""
+def observation(hop, adc, power):
+    """One despread pilot observation of the hop: ((a, c), (f, g, h)).
+
+    (a, c) are the constants of one column's covariance a R + c I, refused
+    when that is ill conditioned. (f, g, h) split the receive spectrum
+    lam: the estimate and error spectra f = a lam^2 / (a lam + c) and
+    g = c lam / (a lam + c), and the filter gains h = a lam / (a lam + c).
+    The error spectrum is formed directly, never as a difference of large
+    numbers, so it stays accurate as pilot power grows without bound.
+    """
     total_gain = hop.total_gain
     a = adc.alpha ** 2 * hop.tau * power * total_gain
     c = hop.shape[1] * adc.alpha * ((1.0 - adc.alpha) * power * total_gain + hop.noise_var)
-    return a, c
-
-
-def _observation_eigenvalues(lam, a, c):
-    """a * lam + c, refused when its condition number is too large."""
+    lam = hop.spectrum[0]
     denom = a * lam + c
     cond = float(denom.max() / denom.min()) if denom.size else 1.0
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise IllConditionedError(
             f"observation covariance condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
-    return denom
-
-
-def _spectral_split(lam, a, c):
-    """Estimate and error spectra f = a lam^2 / (a lam + c) and
-    g = c lam / (a lam + c), and the filter gains h = a lam / (a lam + c).
-
-    The error spectrum is formed directly, never as a difference of large
-    numbers, so it stays accurate as pilot power grows without bound.
-    """
-    denom = a * lam + c
     h = a * lam / denom
-    return h * lam, c * lam / denom, h
-
-
-def _receive_split(hop, a, c):
-    """Split (f, g, h) of the hop's receive spectrum for an observation
-    covariance a R + c I, refused when that is ill conditioned."""
-    lam = hop.spectrum[0]
-    _observation_eigenvalues(lam, a, c)
-    return _spectral_split(lam, a, c)
+    return (a, c), (h * lam, c * lam / denom, h)
 
 
 def lmmse_filter(hop, adc, power):
     """LMMSE filter mapping despread observations to the channel estimate,
     scale * R @ inv(a R + c I) applied in the eigenbasis of R."""
-    a, c = _observation_constants(hop, adc, power)
+    (a, c), _ = observation(hop, adc, power)
     lam, u = hop.spectrum[0], hop.basis
     scale = adc.alpha * np.sqrt(hop.tau * power * hop.streams) * hop.total_gain
-    return (u * (scale * lam / _observation_eigenvalues(lam, a, c))) @ u.conj().T
+    return (u * (scale * lam / (a * lam + c))) @ u.conj().T
 
 
 def mse_closed_form(hop, adc, power):
@@ -297,7 +272,7 @@ def mse_closed_form(hop, adc, power):
     Equals gain tr(transmit) sum(g): it does not depend on the transmit
     matrix beyond its trace.
     """
-    g = _receive_split(hop, *_observation_constants(hop, adc, power))[1]
+    _, (_, g, _) = observation(hop, adc, power)
     return hop.total_gain * hop.streams * float(g.sum())
 
 
@@ -384,8 +359,7 @@ def equivalent_form(hop, adc, power):
     k = hop.shape[1]
     if hop.total_gain <= 0.0:
         raise DegenerateEstimateError("large-scale gain is zero")
-    a, c = _observation_constants(hop, adc, power)
-    f, g, h = _receive_split(hop, a, c)
+    obs, (f, g, h) = observation(hop, adc, power)
     sum_f, sum_g, sum_fh, sum_gh = float(f.sum()), float(g.sum()), float(f @ h), float(g @ h)
     if sum_f <= 0.0:
         raise DegenerateEstimateError("estimate energy collapsed to zero")
@@ -401,11 +375,13 @@ def equivalent_form(hop, adc, power):
     shared = mean_gain * sum_gh * np.eye(k)
     tx_hat = (sum_fh * hop.transmit + shared) / sum_f
     tx_err = ((sum_g + sum_gh) * hop.transmit - shared) / sum_g
-    return EstimateModel(hop, tx_hat, tx_err, obs=(a, c))
+    return EstimateModel(hop, tx_hat, tx_err, obs, (f, g))
 
 
 def perfect_model(hop):
     """EstimateModel for genie CSI on the hop: the estimate is the truth
     and the error is zero (c = 0)."""
     k = hop.shape[1]
-    return EstimateModel(hop, hop.transmit, np.zeros((k, k)))
+    lam = hop.spectrum[0]
+    return EstimateModel(hop, hop.transmit, np.zeros((k, k)), (1.0, 0.0),
+                         (lam, np.zeros_like(lam)))

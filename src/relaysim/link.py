@@ -50,7 +50,7 @@ def _channel_stacks(models, parts):
     split normals of a chunk of rate trials (_trial_draws), drawn by
     draw_hop with the models' square-root factors; exact zeros, without a
     GEMM, where the error's receive factor is None (genie CSI)."""
-    factors = [(root, tx_sqrt, model.relay_gain) for model in models
+    factors = [(root, tx_sqrt, model.hop.gain) for model in models
                for root, tx_sqrt in zip(model.receive_sqrt, model.transmit_sqrt)]
     return tuple(np.zeros(re.shape, dtype=np.complex128) if root is None else
                  draw_hop(root, tx_sqrt, gain, h=complex_stack(re, im)).transpose(1, 0, 2)

@@ -165,8 +165,6 @@ _CHECKS = (
     ("energy-split", _check_energy_split, 1e-8),
 )
 
-CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
-
 
 def run_validation(seed: int = cfg.DEFAULT_SEED, name_filter=None):
     """Run the oracle suite and return a list of CheckResult.

@@ -269,6 +269,23 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "configuration error: d_users must be given when betas is not" in err
 
 
+@pytest.mark.parametrize("argv, flag, value, column", [
+    (["correlation-impact", "--closed-form-only"], "--coefficients",
+     "-0.5:0.8,0.8:-0.5", "r_R"),
+    (["mse-sweep", "--hop", "first", "--bits", "1", "--trials", "3"], "--powers-db",
+     "-10,0", "axis_value"),
+], ids=["coefficients", "powers-db"])
+def test_sweep_list_may_start_with_a_negative_value(tmp_path, argv, flag, value, column):
+    # a separate value that starts with "-" and a digit is the option's
+    # value, not a flag: the same CSV as the --flag=value form
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert _run(argv + [flag, value, "--out", str(spaced)]) == 0
+    assert _run(argv + [f"{flag}={value}", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    header, rows, _ = _read_csv(spaced)
+    assert float(rows[0][header.index(column)]) < 0.0
+
+
 @pytest.mark.parametrize("command", ["mse-sweep", "rate-vs-n", "power-scaling",
                                      "correlation-impact", "adc-impact"])
 def test_sweep_without_users_exits_one(tmp_path, capsys, command):

@@ -146,7 +146,7 @@ def test_scenario_models_modes():
     perfect1, perfect2 = cfg.scenario_models(scn.with_updates(csi="perfect"))
     assert np.all(perfect1.transmit_err == 0.0)
     assert np.all(perfect2.receive_err == 0.0)
-    assert perfect2.relay_gain == pytest.approx(0.9)
+    assert perfect2.hop.gain == pytest.approx(0.9)
 
 
 def test_canonical_json_round_trip():

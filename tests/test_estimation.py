@@ -112,7 +112,7 @@ def test_equivalent_form_invariants(hop, power):
     model.validate()
     # captured energy matches the closed-form MSE through the split
     mse = est.mse_closed_form(hop, TWO_BIT, power)
-    err_energy = (model.relay_gain * np.trace(model.receive_err).real
+    err_energy = (model.hop.gain * np.trace(model.receive_err).real
                   * np.trace(model.transmit_err).real)
     assert err_energy == pytest.approx(mse, rel=1e-10)
 
@@ -135,7 +135,7 @@ def test_perfect_models():
     tx = select_transmit_correlation(0.6, 16, 2)
     model2 = est.perfect_model(_second_hop(0.6, 16, tx, 0.7, 2, 1.0))
     model2.validate()
-    assert model2.relay_gain == 0.7
+    assert model2.hop.gain == 0.7
 
 
 def test_degenerate_error_model_raises():
@@ -162,13 +162,36 @@ def test_smallest_accepted_antenna_count(r, smallest):
             cfg.scenario_models(base.with_updates(N=smallest - 1))
 
 
-def test_singular_observation_covariance_raises():
+@pytest.mark.parametrize("reader", [
+    est.equivalent_form, est.lmmse_filter, est.mse_closed_form,
+    lambda hop, adc, power: est.pilot_mse(hop, adc, power, 2, substream(1, "singular")),
+], ids=["equivalent_form", "lmmse_filter", "mse_closed_form", "pilot_mse"])
+def test_singular_observation_covariance_raises(reader):
     # noiseless ideal-ADC pilots observe a R alone; at r = 1 - 1e-13 its
     # smallest eigenvalue (1 - r) / (1 + r) puts the condition number near
-    # 1e15, past MAX_CONDITION
+    # 1e15, past MAX_CONDITION, and every reader refuses through observation
     hop = _first_hop(1.0 - 1e-13, 64, [1.0], 4, 0.0)
-    with pytest.raises(IllConditionedError):
-        est.equivalent_form(hop, IDEAL_ADC, 1.0)
+    with pytest.raises(IllConditionedError, match="condition number"):
+        reader(hop, IDEAL_ADC, 1.0)
+
+
+def test_equivalent_form_keeps_the_one_observation(monkeypatch):
+    # the split is formed once, by observation, and the model holds the
+    # very arrays it returned instead of recomputing them
+    calls = []
+    original = est.observation
+
+    def counting(*args):
+        calls.append(original(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(est, "observation", counting)
+    hop = _first_hop(0.7, 24, [1.0, 0.8], 6, 1.0)
+    model = est.equivalent_form(hop, TWO_BIT, 30.0)
+    [(obs, (f, g, _))] = calls
+    assert model.obs == obs
+    assert model.split[0] is f and model.split[1] is g
+    assert model.eigendata[1] is f and model.eigendata[2] is g
 
 
 def test_pilot_simulation_shapes():

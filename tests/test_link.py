@@ -406,7 +406,7 @@ def _scenarios(draw):
 def _error_transmit_eigenvalues(hop, adc, power):
     """Eigenvalues of the error transmit matrix as equivalent_form would
     build it, by a dense eigensolver and without its refusal."""
-    f, g, h = est._receive_split(hop, *est._observation_constants(hop, adc, power))
+    _, (f, g, h) = est.observation(hop, adc, power)
     k = hop.shape[1]
     shared = (hop.trace / k) * float(g @ h) * np.eye(k)
     return np.linalg.eigvalsh(((g.sum() + g @ h) * hop.transmit - shared) / g.sum())
