@@ -15,6 +15,7 @@ import numpy as np
 
 from . import config as cfg
 from .channel import complex_normal
+from .correlation import exponential_split_diagonals
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,17 @@ def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng):
 
 
 # ---------------------------------------------------------------------------
-# moments from the per-model scalar summaries (EstimateModel.scalars)
+# moments from each model's receive sums and transmit diagonals
+
+def _receive_sums(model):
+    """tr(receive_hat), ||receive_hat||_F^2, tr(receive_hat @ receive_err)
+    and the sums of diag(receive_hat)^2 and diag(receive_hat) diag(receive_err)
+    of one model, from its split and one O(n) pivot sweep."""
+    f, g = model.split
+    diag_hat, diag_err = exponential_split_diagonals(model.hop.r, model.hop.n, *model.obs)
+    return (float(f.sum()), float(f @ f), float(f @ g),
+            float(np.sum(diag_hat ** 2)), float(np.sum(diag_hat * diag_err)))
+
 
 def moments(hop1, hop2, scenario):
     """The ten per-user moments: the expectations over the channel of the
@@ -124,28 +135,30 @@ def moments(hop1, hop2, scenario):
     estimation errors of either hop; their diagonals are the desired signal
     and the leakage.
     """
-    h1, h2 = hop1.scalars, hop2.scalars
-    bh, bt = h1.tx_hat_diag, h1.tx_err_diag
-    th, te = h2.tx_hat_diag, h2.tx_err_diag
+    tr1, fro1, cross1, diag_sq1, diag_mix1 = _receive_sums(hop1)
+    tr2, fro2, cross2, diag_sq2, diag_mix2 = _receive_sums(hop2)
+    # contiguous copies: numpy rounds sums over np.diag's strided views differently
+    bh, bt, th, te = (np.diag(t).real.copy() for model in (hop1, hop2)
+                      for t in (model.transmit_hat, model.transmit_err))
     g2 = hop2.hop.gain ** 2
     abs_sq = np.abs(hop2.transmit_hat) ** 2
-    pair = abs_sq * h2.tr_hat ** 2 + np.outer(th, th) * h2.fro_hat
-    pair_full = pair + np.outer(th, te) * h2.cross     # true g_i on the right
+    pair = abs_sq * tr2 ** 2 + np.outer(th, th) * fro2
+    pair_full = pair + np.outer(th, te) * cross2     # true g_i on the right
     pair_b = pair @ bh
     pair_full_b = pair_full @ bh
     err_mix = float(te @ bh)
-    own = g2 * (pair * bh ** 2 * h1.tr_hat ** 2 + np.outer(pair_b, bh) * h1.fro_hat)
-    err = g2 * (np.outer(pair_b, bt) * h1.cross
-                + np.outer(th, te * bh ** 2 * h1.tr_hat ** 2
-                           + (bh * h1.fro_hat + bt * h1.cross) * err_mix) * h2.cross)
+    own = g2 * (pair * bh ** 2 * tr1 ** 2 + np.outer(pair_b, bh) * fro1)
+    err = g2 * (np.outer(pair_b, bt) * cross1
+                + np.outer(th, te * bh ** 2 * tr1 ** 2
+                           + (bh * fro1 + bt * cross1) * err_mix) * cross2)
     cross = own + err
-    chain = g2 * h1.tr_hat * pair_full_b
+    chain = g2 * tr1 * pair_full_b
     sum_bh, sum_bt = float(bh.sum()), float(bt.sum())
-    relay_quant = g2 * (h1.diag_sq * (pair_full @ (bh * (bh + sum_bh)))
-                        + h1.diag_mix * sum_bt * pair_full_b)
-    bs_vector = hop2.hop.gain * th * h2.tr_hat
-    bs_quant = g2 * (h2.diag_sq * (abs_sq.sum(axis=1) + th * th.sum())
-                     + th * h2.diag_mix * te.sum())
+    relay_quant = g2 * (diag_sq1 * (pair_full @ (bh * (bh + sum_bh)))
+                        + diag_mix1 * sum_bt * pair_full_b)
+    bs_vector = hop2.hop.gain * th * tr2
+    bs_quant = g2 * (diag_sq2 * (abs_sq.sum(axis=1) + th * th.sum())
+                     + th * diag_mix2 * te.sum())
     a1, a2 = scenario.adc1.alpha, scenario.adc2.alpha
     return dict(
         desired_raw=np.diag(own), leakage_raw=np.diag(err),
@@ -155,10 +168,9 @@ def moments(hop1, hop2, scenario):
         bs_vector_raw=bs_vector,
         bs_quant_raw=a2 * (1.0 - a2) * ((scenario.P_R / scenario.K) * bs_quant
                                         + scenario.sigma_B2 * bs_vector),
-        kappa_signal_raw=bh * (bh * h1.tr_hat ** 2 + h1.fro_hat * sum_bh
-                               + h1.cross * sum_bt),
-        kappa_quant_raw=bh * ((bh + sum_bh) * h1.diag_sq + sum_bt * h1.diag_mix),
-        kappa_noise_raw=h1.tr_hat * bh)
+        kappa_signal_raw=bh * (bh * tr1 ** 2 + fro1 * sum_bh + cross1 * sum_bt),
+        kappa_quant_raw=bh * ((bh + sum_bh) * diag_sq1 + sum_bt * diag_mix1),
+        kappa_noise_raw=tr1 * bh)
 
 
 def amplification_factor(scenario, raw):

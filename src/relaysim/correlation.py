@@ -11,6 +11,8 @@ antennas, equally spaced, which raises the effective neighbour coefficient
 to r**(N / K).
 """
 
+import math
+
 import numpy as np
 
 
@@ -164,13 +166,16 @@ def exponential_split_diagonals(r, n, a, c):
     n). Every term is a sum of non-negative numbers, so neither
     diagonal loses accuracy to cancellation, not even as rho -> 1 or
     1 - diag(E) -> 0 (tested to 2e-15 against a 50-digit oracle). c = 0
-    gives exactly 1 and 0.
+    gives exactly 1 and 0. Both diagonals depend on a / c alone, so (a, c)
+    is first scaled by a power of two, exactly, to put the larger near 1;
+    then no product of the sweep overflows, at any pilot power.
     """
     r, n = _checked(r, n)
     rho = abs(r)
     s = (1.0 - rho) * (1.0 + rho)
-    b = s * float(a)
-    c = float(c)
+    shift = -math.frexp(max(a, c))[1]
+    b = s * math.ldexp(a, shift)
+    c = math.ldexp(c, shift)
     w = rho * rho * c
     gains = np.zeros((2, n))
     for sweep in (gains[0], gains[1, ::-1]):
@@ -207,9 +212,10 @@ def select_transmit_correlation(r, n_total, n_selected):
 def exp_frobenius_sq(r, n):
     """Closed-form squared Frobenius norm of exponential_correlation(r, n).
 
-    Equals n + 2 * sum_{d=1}^{n-1} (n - d) |r|^(2d); evaluating the geometric
-    sums directly keeps large-n perfect-CSI sweeps free of n x n matrices.
-    As n grows the per-antenna value approaches (1 + |r|^2) / (1 - |r|^2).
+    Equals n + 2 * sum_{d=1}^{n-1} (n - d) |r|^(2d), from the geometric
+    sums directly. No product path calls it: it is the reference that the
+    genie estimate's Frobenius norm, sum(lam^2), is checked against. As n
+    grows the per-antenna value approaches (1 + |r|^2) / (1 - |r|^2).
     """
     r, n = _checked(r, n)
     rho = abs(r) ** 2

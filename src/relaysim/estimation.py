@@ -19,8 +19,7 @@ import numpy as np
 
 from .channel import (chunks, complex_stack, draw_hop, left_multiply, split_normals,
                       trial_count)
-from .correlation import (exponential_basis, exponential_correlation,
-                          exponential_eigenvalues, exponential_split_diagonals)
+from .correlation import exponential_basis, exponential_correlation, exponential_eigenvalues
 from .errors import DegenerateEstimateError, IllConditionedError
 from .quantizer import aqnm_quantize
 
@@ -125,24 +124,6 @@ class HopStatistics:
         return orthonormal_pilots(self.tau, self.shape[1])
 
 
-class _HopScalars:
-    """Traces, norms, and diagonals of one model's receive split, plus its
-    transmit side: every scalar the closed forms consume, from the
-    eigenvalues and one O(n) pivot sweep, never from the eigenvectors."""
-
-    def __init__(self, model):
-        f, g = model.split
-        self.tr_hat = float(f.sum())
-        self.fro_hat = float(f @ f)
-        self.cross = float(f @ g)             # tr(receive_hat @ receive_err)
-        self.diag_hat, self.diag_err = exponential_split_diagonals(
-            model.hop.r, model.hop.n, *model.obs)
-        self.diag_sq = float(np.sum(self.diag_hat ** 2))
-        self.diag_mix = float(np.sum(self.diag_hat * self.diag_err))
-        self.tx_hat_diag = np.diag(model.transmit_hat).real.copy()
-        self.tx_err_diag = np.diag(model.transmit_err).real.copy()
-
-
 @dataclass(frozen=True)
 class EstimateModel:
     """Equivalent-form description of a channel estimate of one hop.
@@ -154,9 +135,7 @@ class EstimateModel:
     f + g = lam. obs = (a, c) are the constants of the pilot observation
     covariance a R + c I and split = (f, g), both as `observation` formed
     them; genie CSI (estimate = truth) is c = 0, f = lam and g = 0 exactly.
-    `scalars` holds every trace, norm and diagonal the closed forms need,
-    computed from the split and obs alone; U (eigendata), R, receive_hat
-    and receive_err are built on demand.
+    U (hop.basis), R, receive_hat and receive_err are built on demand.
 
     The estimate is receive_hat^(1/2) @ H1 @ sqrt(transmit_hat) and the
     error receive_err^(1/2) @ H2 @ sqrt(transmit_err) with H1, H2 iid
@@ -172,28 +151,19 @@ class EstimateModel:
     split: tuple
 
     @property
-    def eigendata(self):
-        """(U, f, g) of the receive split; U is the hop's basis."""
-        return (self.hop.basis,) + self.split
-
-    @property
     def receive_err(self):
-        u, _, g = self.eigendata
-        return (u * g) @ u.conj().T
+        u = self.hop.basis
+        return (u * self.split[1]) @ u.conj().T
 
     @property
     def receive_hat(self):
         return self.hop.recv_corr - self.receive_err
 
     @cached_property
-    def scalars(self):
-        return _HopScalars(self)
-
-    @cached_property
     def receive_sqrt(self):
-        """(receive_hat^(1/2), receive_err^(1/2)) from the eigendata; the
+        """(receive_hat^(1/2), receive_err^(1/2)) from the split; the
         error's is None, and never built, where the error is zero (c = 0)."""
-        u, f, g = self.eigendata
+        u, (f, g) = self.hop.basis, self.split
         return _root(f, u), (_root(g, u) if self.obs[1] else None)
 
     @cached_property
@@ -210,17 +180,18 @@ class EstimateModel:
     def validate(self):
         """Check the construction identities against the hop's true statistics.
 
-        The eigendata must reassemble the true receive correlation
+        The split must reassemble the true receive correlation
         (U diag(f + g) U^H), all four matrices must be PSD (within
         tolerance), and the per-user energy split must be exact:
         (hat_transmit * tr(receive_hat) + err_transmit * tr(receive_err))
-        * gain equals n * gain * transmit entrywise.
+        * gain equals n * gain * transmit entrywise. Returns the largest
+        entrywise residual of that split over its largest entry (above 1e-8 raises).
         """
         hop = self.hop
-        u, f, g = self.eigendata
+        u, (f, g) = hop.basis, self.split
         total = (u * (f + g)) @ u.conj().T
         recv = hop.recv_corr
-        if not np.allclose(total, recv, atol=1e-10 * max(1.0, abs(np.trace(recv)))):
+        if not np.allclose(total, recv, rtol=0.0, atol=1e-10 * max(1.0, abs(np.trace(recv)))):
             raise AssertionError("receive-side split does not sum to the true correlation")
         for mat in (self.receive_hat, self.receive_err, self.transmit_hat, self.transmit_err):
             w = np.linalg.eigvalsh(mat)
@@ -229,9 +200,10 @@ class EstimateModel:
         lhs = (np.trace(self.receive_hat).real * self.transmit_hat
                + np.trace(self.receive_err).real * self.transmit_err) * hop.gain
         rhs = hop.n * hop.gain * hop.transmit
-        scale = max(float(np.abs(rhs).max()), 1e-300)
-        if not np.allclose(lhs, rhs, atol=1e-8 * scale):
+        residual = float(np.abs(lhs - rhs).max()) / max(float(np.abs(rhs).max()), 1e-300)
+        if not residual <= 1e-8:
             raise AssertionError("per-user energy split is not conserved")
+        return residual
 
 
 def observation(hop, adc, power):

@@ -145,14 +145,11 @@ def _check_energy_split(run):
     worst_tag = ""
     for q1, q2 in ((1, 1), (3, 2), (quantizer.IDEAL, quantizer.IDEAL)):
         scn = cfg.ScenarioConfig(N=48, delta=1.5, K=6, q1=q1, q2=q2, seed=run.seed)
-        for hop, model in zip(cfg.scenario_hops(scn), cfg.scenario_models(scn)):
-            model.validate()
-            total = (np.trace(model.receive_hat).real * np.trace(model.transmit_hat).real
-                     + np.trace(model.receive_err).real * np.trace(model.transmit_err).real)
-            dev = abs(total / (hop.shape[0] * hop.trace) - 1.0)
+        for model in cfg.scenario_models(scn):
+            dev = model.validate()
             if dev > worst:
-                worst, worst_tag = float(dev), f"q1={bits_label(q1)} q2={bits_label(q2)}"
-    return worst, f"worst energy mismatch at {worst_tag} (relative)"
+                worst, worst_tag = dev, f"q1={bits_label(q1)} q2={bits_label(q2)}"
+    return worst, f"worst per-user energy residual at {worst_tag} (relative)"
 
 
 # (name, check, threshold): check(run) gives (deviation, detail)
@@ -170,8 +167,9 @@ def run_validation(seed: int = cfg.DEFAULT_SEED, name_filter=None):
     """Run the oracle suite and return a list of CheckResult.
 
     name_filter selects checks by substring match on their names. A check
-    that raises AssertionError or NumericalError fails, with an infinite
-    deviation and the error as its detail, and the rest still run.
+    that raises AssertionError, NumericalError or ArithmeticError fails,
+    with an infinite deviation and the error as its detail, and the rest
+    still run.
     """
     results = []
     run = _Run(seed)
@@ -181,7 +179,7 @@ def run_validation(seed: int = cfg.DEFAULT_SEED, name_filter=None):
         start = time.perf_counter()
         try:
             deviation, detail = check(run)
-        except (AssertionError, NumericalError) as exc:
+        except (AssertionError, NumericalError, ArithmeticError) as exc:
             deviation, detail = np.inf, f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
         results.append(CheckResult(name=name, passed=deviation <= threshold,

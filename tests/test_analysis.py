@@ -111,16 +111,17 @@ def test_genie_scalars_match_their_eigendata():
     for scn in (_GENIE_SCENARIO,
                 _GENIE_SCENARIO.with_updates(r_R=0.5 + 0.3j, r_B=0.0)):
         for model, hop in zip(cfg.scenario_models(scn), cfg.scenario_hops(scn)):
-            scalars = model.scalars
-            u, lam, err = model.eigendata
+            tr, fro, cross, diag_sq, diag_mix = analysis._receive_sums(model)
+            u, (lam, err) = model.hop.basis, model.split
             np.testing.assert_array_equal(lam, hop.spectrum[0])
             assert not np.any(err)
-            assert scalars.tr_hat == pytest.approx(hop.n, rel=1e-12)
-            assert scalars.fro_hat == pytest.approx(corr.exp_frobenius_sq(hop.r, hop.n),
-                                                    rel=1e-12)
-            assert scalars.cross == 0.0
-            assert np.all(scalars.diag_hat == 1.0) and np.all(scalars.diag_err == 0.0)
-            np.testing.assert_allclose(np.abs(u) ** 2 @ lam, scalars.diag_hat, rtol=1e-12)
+            assert tr == pytest.approx(hop.n, rel=1e-12)
+            assert fro == pytest.approx(corr.exp_frobenius_sq(hop.r, hop.n), rel=1e-12)
+            assert cross == 0.0
+            diag_hat, diag_err = corr.exponential_split_diagonals(hop.r, hop.n, *model.obs)
+            assert np.all(diag_hat == 1.0) and np.all(diag_err == 0.0)
+            assert diag_sq == hop.n and diag_mix == 0.0
+            np.testing.assert_allclose(np.abs(u) ** 2 @ lam, diag_hat, rtol=1e-12)
 
 
 def test_sum_rate_approx_uses_genie_models_in_perfect_mode(monkeypatch):
@@ -289,6 +290,19 @@ def test_rate_converges_to_perfect_csi_as_pilot_power_grows():
             base.with_updates(P1=power, P2=power)).sum_rate
     assert all(rates[e] < rates[e + 2] for e in range(2, 10, 2))
     assert abs(rates[20] - perfect) / perfect <= 1e-9
+
+
+def test_rate_holds_its_limit_at_extreme_pilot_power():
+    # a * c overflows past pilot power 1e154 or so; the rate must not turn NaN
+    base = cfg.table_defaults().with_updates(N=128)
+    for bits, limit in ((2, analysis.sum_rate_approx(base.with_updates(
+                            q1=2, q2=2, P1=1e30, P2=1e30)).sum_rate),
+                        (IDEAL, analysis.sum_rate_approx(base.with_updates(
+                            q1=IDEAL, q2=IDEAL, csi="perfect")).sum_rate)):
+        for power in (1e160, 1e300):
+            rate = analysis.sum_rate_approx(
+                base.with_updates(q1=bits, q2=bits, P1=power, P2=power)).sum_rate
+            assert abs(rate - limit) / limit <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,21 @@ def test_numerical_failure_exits_two(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    '{"betas": [1e-170, 1e-170, 1e-170, 1e-170, 1e-170, 1e-170, 1e-170, 1e-170, '
+    '1e-170, 1e-170]}',
+    '{"eta": 1e160}',
+], ids=["kappa-denominator-underflows", "relay-gain-squared-overflows"])
+def test_arithmetic_failure_exits_two(tmp_path, capsys, config):
+    scn = tmp_path / "extreme.json"
+    scn.write_text(config)
+    code = _run(["rate-vs-n", "--n-values", "128", "--bits", "2", "--closed-form-only",
+                 "--config", str(scn)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+
+
 def test_validate_subcommand(capsys):
     assert _run(["validate", "--filter", "lloydmax"]) == 0
     out = capsys.readouterr().out

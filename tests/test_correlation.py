@@ -1,5 +1,7 @@
 """Correlation-matrix construction and linear-algebra helper checks."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -244,6 +246,18 @@ def test_split_sweeps_that_stop_early_match_the_full_sweeps_bitwise(rho):
             want_hat, want_err = _full_sweep_split_diagonals(rho, n, a, c)
             np.testing.assert_array_equal(hat, want_hat)
             np.testing.assert_array_equal(err, want_err)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.8, 0.999999])
+def test_split_diagonals_depend_on_the_ratio_alone_bitwise(rho):
+    # (a, c) scaled by 2^k gives the same diagonals bit for bit, even where
+    # the unscaled sweep's products would overflow or underflow
+    for a, c in [(10.0 ** p, 1.0) for p in range(-10, 11, 5)] + [(1.0, 0.0), (0.0, 1.0)]:
+        hat, err = corr.exponential_split_diagonals(rho, 40, a, c)
+        for k in (-900, -500, -40, 40, 500, 900):
+            scaled = corr.exponential_split_diagonals(rho, 40, math.ldexp(a, k), math.ldexp(c, k))
+            np.testing.assert_array_equal(scaled[0], hat)
+            np.testing.assert_array_equal(scaled[1], err)
 
 
 @settings(max_examples=100, deadline=None)

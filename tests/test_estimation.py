@@ -1,9 +1,11 @@
 """LMMSE estimation checks: filters, closed-form MSE, equivalent forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from relaysim import channel, config as cfg, estimation as est
+from relaysim import analysis, channel, config as cfg, estimation as est
 from relaysim.channel import substream
 from relaysim.correlation import exponential_correlation, select_transmit_correlation
 from relaysim.errors import ConfigError, DegenerateEstimateError, IllConditionedError
@@ -109,12 +111,21 @@ def test_simulated_mse_matches_closed_form(hop, seed, cases):
 ])
 def test_equivalent_form_invariants(hop, power):
     model = est.equivalent_form(hop, TWO_BIT, power)
-    model.validate()
+    assert model.validate() <= 1e-8
     # captured energy matches the closed-form MSE through the split
     mse = est.mse_closed_form(hop, TWO_BIT, power)
     err_energy = (model.hop.gain * np.trace(model.receive_err).real
                   * np.trace(model.transmit_err).real)
     assert err_energy == pytest.approx(mse, rel=1e-10)
+
+
+def test_validate_refuses_a_split_two_parts_per_million_off():
+    # the reconstruction check has no relative slack: numpy's default rtol
+    # of 1e-5 would let this estimate spectrum through
+    model = est.equivalent_form(_first_hop(0.7, 24, [1.0, 0.8], 6, 1.0), TWO_BIT, 30.0)
+    f, g = model.split
+    with pytest.raises(AssertionError, match="does not sum"):
+        dataclasses.replace(model, split=(f * (1.0 + 2e-6), g)).validate()
 
 
 def test_equivalent_form_approaches_perfect_with_clean_pilots():
@@ -131,10 +142,10 @@ def test_perfect_models():
     gains = np.array([1.0, 0.5])
     model = est.perfect_model(_first_hop(0.6, 16, gains, 2, 1.0))
     np.testing.assert_array_equal(model.receive_hat, recv)
-    assert np.all(model.scalars.tx_err_diag == 0.0)
+    assert np.all(np.diag(model.transmit_err) == 0.0)
     tx = select_transmit_correlation(0.6, 16, 2)
     model2 = est.perfect_model(_second_hop(0.6, 16, tx, 0.7, 2, 1.0))
-    model2.validate()
+    assert model2.validate() <= 1e-8
     assert model2.hop.gain == 0.7
 
 
@@ -191,7 +202,8 @@ def test_equivalent_form_keeps_the_one_observation(monkeypatch):
     [(obs, (f, g, _))] = calls
     assert model.obs == obs
     assert model.split[0] is f and model.split[1] is g
-    assert model.eigendata[1] is f and model.eigendata[2] is g
+    # and the moment table's receive sums read those arrays
+    assert analysis._receive_sums(model)[:3] == (float(f.sum()), float(f @ f), float(f @ g))
 
 
 def test_pilot_simulation_shapes():

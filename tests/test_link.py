@@ -256,7 +256,7 @@ def test_skipped_error_products_equal_products_with_zero():
     models = cfg.scenario_models(_PERFECT)
     zeros = cfg.scenario_models(_PERFECT)
     for model in zeros:
-        u, f, g = model.eigendata
+        u, (f, g) = model.hop.basis, model.split
         # the factor the error would have were it not skipped, in the cache
         model.__dict__["receive_sqrt"] = (est._root(f, u), est._root(g, u))
         assert not model.receive_sqrt[1].any()
@@ -434,7 +434,7 @@ def test_engines_refuse_together_and_accepted_models_factor(scn):
             refused = True
             continue
         assert _error_transmit_eigenvalues(hop, adc, power)[0] > -1e-12
-        model.validate()
+        assert model.validate() <= 1e-8
         for root, mat in zip(model.transmit_sqrt, (model.transmit_hat, model.transmit_err)):
             scale = max(1.0, float(np.abs(mat).max()))
             np.testing.assert_allclose(root @ root, mat, rtol=0, atol=1e-12 * scale)

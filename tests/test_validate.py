@@ -70,3 +70,13 @@ def test_a_numerical_error_fails_its_check(monkeypatch):
     assert not result.passed and result.deviation == float("inf")
     assert result.threshold == 1e-3
     assert result.detail.startswith("ConvergenceError: ")
+
+
+def test_an_arithmetic_error_fails_its_check(monkeypatch):
+    def overflowing(model):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(estimation.EstimateModel, "validate", overflowing)
+    [result] = validate.run_validation(name_filter="energy-split")
+    assert not result.passed and result.deviation == float("inf")
+    assert result.detail.startswith("OverflowError: ")
