@@ -2,7 +2,7 @@
 
 Every random draw in the package comes from a substream keyed by the master
 seed plus string tags (and indices such as the trial number), so results do
-not depend on scheduling order or on how work is split across threads.
+not depend on the order in which grid points or chunks of trials run.
 """
 
 import math
@@ -51,18 +51,17 @@ def chunk_size(shapes):
     return max(1, CHUNK_BYTES // (8 * normals_per_trial(shapes)))
 
 
-def chunks(draws, trials, fill, starts=None):
+def chunks(draws, trials, fill):
     """Yield (start, count, normals) for each chunk of trials.
 
     normals is one reused buffer of chunk_size(draws) rows, one per trial;
     fill(rows, start) fills its first count rows, trials start, start + 1,
     ..., and the rows past them are zero. Chunks begin at multiples of the
-    chunk size, so a trial's arithmetic depends on its index alone; starts
-    picks some of them (one pool block), all of them by default.
+    chunk size, so a trial's arithmetic depends on its index alone.
     """
     size = chunk_size(draws)
     normals = np.empty((size, normals_per_trial(draws)))
-    for start in range(0, trials, size) if starts is None else starts:
+    for start in range(0, trials, size):
         count = min(size, trials - start)
         fill(normals[:count], start)
         normals[count:] = 0.0

@@ -139,7 +139,7 @@ def _rate_pair(scn, args):
     if not args.mc_only:
         closed = sum_rate_approx(scn, models=models).sum_rate
     if not args.closed_form_only:
-        report = link.ergodic_sum_rate_mc(scn, workers=args.workers, models=models)
+        report = link.ergodic_sum_rate_mc(scn, models=models)
         mc, ci = report.sum_rate, report.ci_halfwidth
     return closed, mc, ci
 
@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         engine.add_argument("--mc-only", action="store_true",
                             help="skip the closed-form engine")
         p.add_argument("--workers", type=int, default=1,
-                       help="threads for Monte Carlo trials")
+                       help="accepted for old command lines (at least 1); "
+                            "trials run on one thread whatever its value")
         for flag, _, _, default, axis_help in axes:
             p.add_argument(flag, default=default, help=axis_help)
         p.set_defaults(func=cmd_rate_sweep)

@@ -232,16 +232,26 @@ def _parse_int(value, key, expected="an integer"):
 
 
 def _parse_field(key, value):
-    """value of a ScenarioConfig field converted from its mapping form."""
+    """value of a ScenarioConfig field converted from its mapping form
+    (key, which may carry the '-dB' suffix)."""
+    if key == "csi":
+        return str(value)
+    # Python reads a boolean as the number 0 or 1
+    if any(isinstance(item, bool) for item in
+           (value if isinstance(value, (list, tuple)) else (value,))):
+        raise ConfigError(f"field {key}: expected a number, got {value!r}")
+    if key.endswith("-dB"):
+        return 10.0 ** (float(value) / 10.0)
     if key in ("q1", "q2"):
         return parse_adc_bits(value, key)
     if key in ("N", "K", "T", "tau1", "tau2", "trials", "seed"):
         return _parse_int(value, key)
-    if key == "csi":
-        return str(value)
     if value is None and key in ("d_users", "betas", "eta"):
         return None
     if key in ("d_users", "betas"):
+        # a string would be read a character at a time
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"field {key}: expected a list of numbers, got {value!r}")
         return tuple(float(v) for v in value)
     if key in ("r_R", "r_B") and isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
@@ -260,19 +270,13 @@ def scenario_from_mapping(mapping, base=None):
     updates = {}
     valid = set(ScenarioConfig.__dataclass_fields__)
     for key, value in mapping.items():
-        if key.endswith("-dB"):
-            stem = key[:-3]
-            if stem not in _DB_PREFIXES:
-                raise ConfigError(f"field {key}: '-dB' form not supported for {stem!r}")
-            try:
-                updates[stem] = 10.0 ** (float(value) / 10.0)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"field {key}: expected a number, got {value!r}")
-            continue
-        if key not in valid:
+        field = key[:-3] if key.endswith("-dB") else key
+        if field != key and field not in _DB_PREFIXES:
+            raise ConfigError(f"field {key}: '-dB' form not supported for {field!r}")
+        if field not in valid:
             raise ConfigError(f"unknown config field {key!r}")
         try:
-            updates[key] = _parse_field(key, value)
+            updates[field] = _parse_field(key, value)
         except ConfigError:
             raise
         except (TypeError, ValueError, OverflowError):

@@ -193,12 +193,14 @@ class EstimateModel:
         recv = hop.recv_corr
         if not np.allclose(total, recv, rtol=0.0, atol=1e-10 * max(1.0, abs(np.trace(recv)))):
             raise AssertionError("receive-side split does not sum to the true correlation")
-        for mat in (self.receive_hat, self.receive_err, self.transmit_hat, self.transmit_err):
+        receive_err = self.receive_err
+        receive_hat = recv - receive_err    # self.receive_hat, without rebuilding both
+        for mat in (receive_hat, receive_err, self.transmit_hat, self.transmit_err):
             w = np.linalg.eigvalsh(mat)
             if w.size and w[0] < -1e-10 * max(float(w[-1]), 1.0):
                 raise AssertionError("estimate-model matrix is not PSD")
-        lhs = (np.trace(self.receive_hat).real * self.transmit_hat
-               + np.trace(self.receive_err).real * self.transmit_err) * hop.gain
+        lhs = (np.trace(receive_hat).real * self.transmit_hat
+               + np.trace(receive_err).real * self.transmit_err) * hop.gain
         rhs = hop.n * hop.gain * hop.transmit
         residual = float(np.abs(lhs - rhs).max()) / max(float(np.abs(rhs).max()), 1e-300)
         if not residual <= 1e-8:

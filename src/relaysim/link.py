@@ -17,16 +17,14 @@ substream (seed, "rate-trial", index). The combine stage maps the chunk to
 outcomes: each hop's estimate and error come out of channel.draw_hop,
 where each receive square root meets all the chunk's trials as one GEMM,
 and the Gram products and diagonals run on (b, ., .) stacks. A trial's
-arithmetic depends on its index alone, never on the trial count or on the
-worker count.
+arithmetic depends on its index alone, never on the trial count.
 """
 
 import numpy as np
 
 from . import analysis
 from . import config as cfg
-from .channel import chunk_size, chunks, complex_stack, draw_hop, split_normals, substream
-from .errors import ConfigError
+from .channel import chunks, complex_stack, draw_hop, split_normals, substream
 
 
 def _trial_draws(scn):
@@ -101,58 +99,37 @@ def _combine(scn, models, parts):
         kappa_noise_raw=kappa_noise_raw)
 
 
-def _trial_block(scn, models, trials, starts, raw):
-    """Write the rows of the chunks that begin at starts (one pool block: a
-    run of whole chunks) into raw, the raw field arrays of all trials."""
-    draws = _trial_draws(scn)
-    for start, count, normals in chunks(draws, trials, _substreams(scn.seed), starts):
-        out = _combine(scn, models, split_normals(normals, *draws))
-        for name, stack in raw.items():
-            stack[start:start + count] = out[name][:count]
+def trial_outcomes(scenario, models):
+    """Stacked per-trial outcome arrays over the scenario's trials and seed:
+    the raw fields of the closed form's moments (analysis.moments), the four
+    SINR terms they give, and the closed-form kappa those terms use.
 
-
-def trial_outcomes(scenario, models, workers=1):
-    """Stacked per-trial outcome arrays over the scenario's trials and seed,
-    bit-identical for any worker count: the raw fields of the closed form's
-    moments (analysis.moments), the four SINR terms they give, and the
-    closed-form kappa those terms use.
-
-    Trials are keyed by their index through the RNG substream contract, and
-    run in fixed chunks that begin at multiples of the chunk size; pool
-    blocks are runs of whole chunks, each written to its own rows of the
-    outcome arrays, so splitting across threads cannot change any result.
-    The threads share models and numpy's BLAS; the normal draws and the
-    GEMMs release the GIL.
+    Trials are keyed by their index through the RNG substream contract and
+    run in fixed chunks that begin at multiples of the chunk size, each
+    written to its own rows of the outcome arrays.
     """
-    if workers < 1:
-        raise ConfigError(f"worker count must be at least 1, got {workers}")
     trials = int(scenario.trials)
     closed = analysis.moments(*models, scenario)
     kappa = analysis.amplification_factor(scenario, closed)
-    # build the factors cached on the models before any pool thread reads them
+    # build the models' cached square-root factors before the outcome
+    # arrays are allocated: left to the first chunk, they raised a rate
+    # sweep's peak RSS by about 1 MB
     _ = [(model.receive_sqrt, model.transmit_sqrt) for model in models]
-    starts = list(range(0, trials, chunk_size(_trial_draws(scenario))))
     raw = {name: np.empty((trials, scenario.K)) for name in closed}
-    if workers == 1 or len(starts) < 2:
-        _trial_block(scenario, models, trials, starts, raw)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        splits = np.array_split(np.asarray(starts), min(workers * 4, len(starts)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_trial_block, scenario, models, trials,
-                                   split.tolist(), raw)
-                       for split in splits]
-            for future in futures:
-                future.result()
+    draws = _trial_draws(scenario)
+    for start, count, normals in chunks(draws, trials, _substreams(scenario.seed)):
+        out = _combine(scenario, models, split_normals(normals, *draws))
+        for name, stack in raw.items():
+            stack[start:start + count] = out[name][:count]
     return dict(raw, **analysis.sinr_terms(raw, scenario, kappa), kappa=kappa)
 
 
-def ergodic_sum_rate_mc(scenario, workers=1, models=None):
+def ergodic_sum_rate_mc(scenario, models=None):
     """Monte Carlo ergodic sum rate with a 95% confidence halfwidth over the
     scenario's trials and seed, drawn from its estimate models (built here
     unless given)."""
     models = cfg.scenario_models(scenario) if models is None else models
-    stacks = trial_outcomes(scenario, models, workers=workers)
+    stacks = trial_outcomes(scenario, models)
     rates = np.log2(1.0 + analysis.sinr_of(stacks))
     per_trial_sum = rates.sum(axis=1)
     mu, trials, kappa = scenario.mu, len(per_trial_sum), stacks["kappa"]

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from relaysim import analysis, link
+from relaysim import analysis, cli, link
 from relaysim import config as cfg
 from relaysim.errors import ConfigError
 from relaysim.quantizer import IDEAL
@@ -195,6 +195,30 @@ def test_mapping_rejects_unknown_and_malformed_fields():
                        ("eta", "x"), ("r_R", "x"), ("r_B", [0.1, "y"]), ("r_B", None)):
         with pytest.raises(ConfigError, match=f"field {key}:"):
             cfg.scenario_from_mapping({key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d_users", "2223334445"),              # not ten distances 2, 2, 2, 3, ...
+    ("betas", "1111111111"),
+    ("q1", True),                           # not 1-bit ADCs
+    ("trials", True),                       # not one trial
+    ("seed", False),
+    ("E_U", True),
+    ("E_U-dB", True),
+    ("eta", True),
+    ("betas", [1.0] * 9 + [True]),
+    ("r_R", [False, 0.5]),
+])
+def test_mapping_refuses_a_string_list_and_a_boolean_number(key, value):
+    with pytest.raises(ConfigError, match=f"field {key}:"):
+        cfg.scenario_from_mapping({key: value})
+
+
+def test_config_file_boolean_exits_one(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"q1": True}))
+    assert cli.main(["rate-vs-n", "--config", str(path), "--closed-form-only"]) == 1
+    assert "field q1:" in capsys.readouterr().err
 
 
 def test_adc_bits_parser_reads_words_and_counts():

@@ -128,6 +128,25 @@ def test_validate_refuses_a_split_two_parts_per_million_off():
         dataclasses.replace(model, split=(f * (1.0 + 2e-6), g)).validate()
 
 
+def test_validate_builds_each_receive_matrix_once(monkeypatch):
+    # R and the error's receive matrix are n x n builds; the estimate's is
+    # their difference, so one of each serves every check, and the residual
+    # is bitwise the one the properties give
+    model = est.equivalent_form(_first_hop(0.7, 24, [1.0, 0.8], 6, 1.0), TWO_BIT, 30.0)
+    hop, built = model.hop, []
+    correlation, receive_err = est.exponential_correlation, est.EstimateModel.receive_err
+    monkeypatch.setattr(est, "exponential_correlation",
+                        lambda r, n: built.append("R") or correlation(r, n))
+    monkeypatch.setattr(est.EstimateModel, "receive_err",
+                        property(lambda m: built.append("err") or receive_err.fget(m)))
+    residual = model.validate()
+    assert sorted(built) == ["R", "err"]
+    lhs = (np.trace(model.receive_hat).real * model.transmit_hat
+           + np.trace(model.receive_err).real * model.transmit_err) * hop.gain
+    rhs = hop.n * hop.gain * hop.transmit
+    assert residual == float(np.abs(lhs - rhs).max()) / float(np.abs(rhs).max())
+
+
 def test_equivalent_form_approaches_perfect_with_clean_pilots():
     gains = np.array([1.0, 0.8])
     hop = _first_hop(0.5, 24, gains, 8, 1.0)

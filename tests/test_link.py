@@ -1,7 +1,6 @@
 """Monte Carlo engine checks: bookkeeping, determinism, and consistency."""
 
 import cmath
-import sys
 
 import numpy as np
 import pytest
@@ -17,10 +16,9 @@ _SCN = cfg.ScenarioConfig(N=20, delta=1.5, K=3, tau1=6, tau2=6, q1=2, q2=2,
                           trials=60, seed=5)
 
 
-def _outcomes(models, trials, seed=9, workers=1, scn=_SCN):
+def _outcomes(models, trials, seed=9, scn=_SCN):
     """link.trial_outcomes over the given trial count and seed."""
-    return link.trial_outcomes(scn.with_updates(trials=trials, seed=seed), models,
-                               workers=workers)
+    return link.trial_outcomes(scn.with_updates(trials=trials, seed=seed), models)
 
 
 def _stacks(out):
@@ -56,46 +54,6 @@ def _budget_for(monkeypatch, scn, trials_per_chunk):
     assert _trial_size(scn) == trials_per_chunk
 
 
-def test_worker_count_does_not_change_results():
-    models = cfg.scenario_models(_SCN)
-    serial = _outcomes(models, 24, workers=1)
-    parallel = _outcomes(models, 24, workers=3)
-    for name, stack in serial.items():
-        np.testing.assert_array_equal(stack, parallel[name])
-
-
-def test_chunk_boundaries_do_not_follow_the_worker_split(monkeypatch):
-    # 37 trials in chunks of 4: ten chunks, the last one ragged, dealt out
-    # to 1, 2, 3 and 5 threads in whole chunks
-    models = cfg.scenario_models(_SCN)
-    _budget_for(monkeypatch, _SCN, 4)
-    serial = _outcomes(models, 37, workers=1)
-    for workers in (2, 3, 5):
-        pooled = _outcomes(models, 37, workers=workers)
-        for name, stack in serial.items():
-            assert name == "kappa" or stack.shape == (37, _SCN.K)
-            np.testing.assert_array_equal(stack, pooled[name])
-
-
-def test_many_threads_switching_often_match_serial(monkeypatch):
-    # more threads than cores, switching every microsecond: blocks that
-    # shared a buffer or lost a write would not reproduce the serial bytes
-    # (one such run in two or three shows it, so ten runs are made)
-    models = cfg.scenario_models(_SCN)
-    _budget_for(monkeypatch, _SCN, 8)
-    serial = _outcomes(models, 200, workers=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs = [_outcomes(models, 200, workers=8)
-                for _ in range(10)]
-    finally:
-        sys.setswitchinterval(interval)
-    for pooled in runs:
-        for name, stack in serial.items():
-            np.testing.assert_array_equal(stack, pooled[name])
-
-
 def test_single_trial_chunks_agree_with_default_chunks(monkeypatch):
     models = cfg.scenario_models(_SCN)
     assert _trial_size(_SCN) > 30
@@ -105,13 +63,6 @@ def test_single_trial_chunks_agree_with_default_chunks(monkeypatch):
     single = _outcomes(models, 30)
     for name, stack in default.items():
         np.testing.assert_allclose(single[name], stack, rtol=1e-12, atol=0.0)
-
-
-def test_worker_count_below_one_is_refused():
-    models = cfg.scenario_models(_SCN)
-    for workers in (0, -3):
-        with pytest.raises(ConfigError, match="at least 1"):
-            _outcomes(models, 8, workers=workers)
 
 
 @pytest.mark.parametrize("trials", [0, -2])
@@ -128,46 +79,15 @@ def test_rate_trial_count_that_is_not_whole_is_refused(trials):
         link.ergodic_sum_rate_mc(_SCN.with_updates(trials=trials))
 
 
-def test_pool_opens_only_for_several_chunks(monkeypatch):
-    # trial_outcomes imports its thread pool when it opens one, so a
-    # recording subclass set on concurrent.futures sees every pool it runs
-    import concurrent.futures
-    opened, blocks = [], []
-
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-        def submit(self, fn, *args):
-            blocks.append(args[3])
-            return super().submit(fn, *args)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    models = cfg.scenario_models(_SCN)
-    _budget_for(monkeypatch, _SCN, 5)
-    serial = _outcomes(models, 12, workers=1)
-    single_chunk = _stacks(_outcomes(models, 5, workers=2))
-    assert opened == []
-    pooled = _outcomes(models, 12, workers=2)
-    # three chunks of at most five trials, one block each, in index order
-    assert opened == [2] and blocks == [[0], [5], [10]]
-    assert serial["kappa"] == pooled["kappa"]
-    for name, stack in _stacks(serial).items():
-        np.testing.assert_array_equal(stack, pooled[name])
-        np.testing.assert_array_equal(stack[:5], single_chunk[name])
-
-
 def test_every_engine_runs_its_chunks_through_channel_chunks(monkeypatch):
     # the rate trials and the pilot chain share one chunk loop: each call
-    # is recorded with its trial count and chunk starts
-    # (None: all chunks), and so is every chunk it yields
+    # is recorded with its trial count, and so is every chunk it yields
     calls, chunks = [], []
     original = channel.chunks
 
-    def recording(draws, trials, fill, starts=None):
-        calls.append((trials, starts))
-        for start, count, normals in original(draws, trials, fill, starts):
+    def recording(draws, trials, fill):
+        calls.append(trials)
+        for start, count, normals in original(draws, trials, fill):
             chunks.append((trials, start, count))
             yield start, count, normals
 
@@ -176,20 +96,14 @@ def test_every_engine_runs_its_chunks_through_channel_chunks(monkeypatch):
     models = cfg.scenario_models(_SCN)
     _budget_for(monkeypatch, _SCN, 5)
     _outcomes(models, 12)
-    assert calls == [(12, [0, 5, 10])]
+    assert calls == [12]
     assert chunks == [(12, 0, 5), (12, 5, 5), (12, 10, 2)]
-    calls.clear()
-    pooled = sorted(chunks)
-    chunks.clear()
-    _outcomes(models, 12, workers=2)
-    assert sorted(calls) == [(12, [0]), (12, [5]), (12, [10])]
-    assert sorted(chunks) == pooled
     calls.clear()
     chunks.clear()
     hop = cfg.scenario_hops(_SCN)[1]
     size = channel.chunk_size(est._pilot_draws(hop, _SCN.adc2))
     est.pilot_mse(hop, _SCN.adc2, 10.0, 3 * size - 1, substream(9, "pilot"))
-    assert calls == [(3 * size - 1, None)]
+    assert calls == [3 * size - 1]
     assert chunks == [(3 * size - 1, 0, size), (3 * size - 1, size, size),
                       (3 * size - 1, 2 * size, size - 1)]
 
@@ -204,14 +118,18 @@ def test_trials_are_keyed_by_index_not_position():
 
 
 def test_trials_are_keyed_by_index_across_chunks(monkeypatch):
-    # the same with a ragged last chunk on both sides: the short run's last
-    # chunk is padded, not narrowed, so its trials see the same arithmetic
+    # the same in chunks of five: a short run of exactly one chunk, and one
+    # whose ragged last chunk is padded, not narrowed, so its trials see the
+    # same arithmetic
     models = cfg.scenario_models(_SCN)
     _budget_for(monkeypatch, _SCN, 5)
-    short = _outcomes(models, 8)
     long = _outcomes(models, 13)
-    for name, stack in _stacks(short).items():
-        np.testing.assert_array_equal(stack, long[name][:8])
+    for trials in (5, 8):
+        short = _outcomes(models, trials)
+        assert short["kappa"] == long["kappa"]
+        for name, stack in _stacks(short).items():
+            assert stack.shape == (trials, _SCN.K)
+            np.testing.assert_array_equal(stack, long[name][:trials])
 
 
 _PERFECT = _SCN.with_updates(csi="perfect")
