@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as cfg
-from .channel import complex_normal
+from .channel import chunks, complex_stack, draw_hop, split_normals
 from .correlation import exponential_split_diagonals
 
 
@@ -67,23 +67,21 @@ def lemma1_moments(p_mat, q_mat, i, j):
                          row_first=row_first, row_second=row_second)
 
 
-# draws of Y per chunk of the Lemma 1 sampler
-_LEMMA1_CHUNK = 20000
-
-
 def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng):
     """Monte Carlo counterpart of lemma1_moments: (mean, standard error)
     over draws samples of Y = P X Q, as two Lemma1Moments.
 
-    X is drawn in chunks of _LEMMA1_CHUNK samples, each chunk as one block
-    of real parts, then one block of imaginary parts.
+    Samples take the trial engines' path: rng fills each chunk of
+    channel.chunks, one draw of X per row (real parts, then imaginary
+    parts), and Y comes out of channel.draw_hop, so the oracle checks that
+    sampler against the closed form too.
     """
-    p_mat = np.asarray(p_mat, dtype=np.complex128)
-    q_mat = np.asarray(q_mat, dtype=np.complex128)
+    shape = (p_mat.shape[1], q_mat.shape[0])
     totals = []     # per chunk: (sum, sum of |.|^2) of each sampled quantity
-    for start in range(0, draws, _LEMMA1_CHUNK):
-        shape = (min(_LEMMA1_CHUNK, draws - start), p_mat.shape[1], q_mat.shape[0])
-        y = (p_mat @ complex_normal(rng, shape)) @ q_mat
+    for _, count, normals in chunks([shape] * 2, draws,
+                                    lambda rows, _: rng.standard_normal(out=rows)):
+        h = complex_stack(*split_normals(normals, shape, shape))
+        y = draw_hop(p_mat, q_mat, 1.0, h).transpose(1, 0, 2)[:count]
         rows = np.conj(y[:, :, i]) * y[:, :, j]
         inner = np.sum(rows, axis=1)
         row4 = (np.abs(y[:, :, i]) ** 2) * (np.abs(y[:, :, j]) ** 2)

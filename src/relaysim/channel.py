@@ -17,14 +17,16 @@ def substream(seed, *tags):
     """Independent Generator for (seed, *tags).
 
     Tags may be strings (hashed with crc32, stable across platforms) or
-    integers. Identical arguments always produce the identical stream.
+    integers. Identical arguments always produce the identical stream. The
+    seed and integer tags must lie in [0, 2**64); any other integer raises
+    ConfigError rather than wrap onto another seed's stream.
     """
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
-    for tag in tags:
-        if isinstance(tag, str):
-            entropy.append(zlib.crc32(tag.encode("utf-8")))
-        else:
-            entropy.append(int(tag) & 0xFFFFFFFFFFFFFFFF)
+    entropy = [int(seed)] + [zlib.crc32(tag.encode("utf-8")) if isinstance(tag, str)
+                             else int(tag) for tag in tags]
+    outside = [word for word in entropy if not 0 <= word < 2 ** 64]
+    if outside:
+        raise ConfigError(f"seeds and integer stream tags must lie in [0, 2**64), "
+                          f"got {outside[0]}")
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -140,7 +142,7 @@ def draw_hop(recv_sqrt, tx_sqrt, gain, h):
     tr(recv) * tx for the squared factors recv and tx. h holds H already
     drawn: one (n, k) draw (complex_normal), or an (n, b, k) stack from
     complex_stack, which meets each square root as one GEMM and gives an
-    (n, b, k) stack.
+    (m, b, c) stack for (m, n) and (k, c) factors, square or not.
     """
     if gain < 0.0:
         raise ValueError(f"large-scale gain must be non-negative, got {gain}")
@@ -150,4 +152,4 @@ def draw_hop(recv_sqrt, tx_sqrt, gain, h):
     # matmul, between threaded GEMMs, slowed itself and them more than
     # tenfold (OpenBLAS 0.3.31, 2 cores); one dtype on both sides does not
     tx_sqrt = np.asarray(tx_sqrt, dtype=x.dtype)
-    return np.sqrt(gain) * (x.reshape(-1, k) @ tx_sqrt).reshape(x.shape)
+    return np.sqrt(gain) * (x.reshape(-1, k) @ tx_sqrt).reshape(*x.shape[:-1], -1)

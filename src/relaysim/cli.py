@@ -3,9 +3,13 @@
 Each subcommand evaluates a grid of scenarios and emits a CSV with a header
 row, one row per grid point, and a trailing metadata comment block, so any
 output file is reproducible from its own contents.  All randomness flows
-through per-point substreams keyed by seed and grid values, never by grid
+through substreams keyed by the seed and fixed tags, never by grid
 position, which keeps outputs byte-identical across reruns, grid reshapes,
-and worker counts.
+and worker counts. Rate trials are keyed by (seed, "rate-trial", t)
+alone, so rate points whose trials draw the same shapes reuse the same
+normals; mse-sweep points by (seed, "mse-sweep", hop, bits, power), the
+power to 6 significant digits. A seed outside [0, 2**64) and two distinct
+powers with the same key are refused, since either would alias streams.
 """
 
 import argparse
@@ -109,6 +113,11 @@ def _base_scenario(args):
 def cmd_mse_sweep(args) -> int:
     scn = _base_scenario(args)
     powers_db = _parse_list(args.powers_db)
+    # a point's stream is keyed by its power to 6 significant digits (:g)
+    for one, other in itertools.combinations(powers_db, 2):
+        if one != other and f"{one:g}" == f"{other:g}":
+            raise ConfigError(f"--powers-db values {one!r} and {other!r} share the stream "
+                              f"key {one:g}; they would draw the same normals")
     bits_grid = _parse_list(args.bits, _bits("--bits"))
     names = ("first", "second") if args.hop == "both" else (args.hop,)
     stats = dict(zip(("first", "second"), cfg.scenario_hops(scn)))

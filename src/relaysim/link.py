@@ -13,11 +13,11 @@ the diagonal AQNM covariances), never drawn.
 
 Trials run through channel.chunks, each chunk in two stages. The draw
 stage fills one row of standard normals per trial from the trial's own
-substream (seed, "rate-trial", index). The combine stage maps the chunk to
-outcomes: each hop's estimate and error come out of channel.draw_hop,
-where each receive square root meets all the chunk's trials as one GEMM,
-and the Gram products and diagonals run on (b, ., .) stacks. A trial's
-arithmetic depends on its index alone, never on the trial count.
+substream (seed, "rate-trial", index); _channel_stacks draws each hop's
+estimate and error from them by channel.draw_hop, each receive square
+root meeting all the chunk's trials as one GEMM. The combine stage reads
+those four stacks alone, with Gram products and diagonals on (b, ., .)
+stacks. A trial's arithmetic depends on its index alone.
 """
 
 import numpy as np
@@ -55,9 +55,8 @@ def _channel_stacks(models, parts):
                  for (root, tx_sqrt, gain), re, im in zip(factors, parts[0::2], parts[1::2]))
 
 
-def _combine(scn, models, parts):
-    """Combine stage: the raw fields, (b, K), of a chunk of trials."""
-    f_hat, f_err, g_hat, g_err = _channel_stacks(models, parts)
+def _combine(scn, f_hat, f_err, g_hat, g_err):
+    """Combine stage: the raw fields, (b, K), of a chunk's channel stacks."""
     f_full = f_hat + f_err
     g_full = g_hat + g_err
 
@@ -118,7 +117,7 @@ def trial_outcomes(scenario, models):
     raw = {name: np.empty((trials, scenario.K)) for name in closed}
     draws = _trial_draws(scenario)
     for start, count, normals in chunks(draws, trials, _substreams(scenario.seed)):
-        out = _combine(scenario, models, split_normals(normals, *draws))
+        out = _combine(scenario, *_channel_stacks(models, split_normals(normals, *draws)))
         for name, stack in raw.items():
             stack[start:start + count] = out[name][:count]
     return dict(raw, **analysis.sinr_terms(raw, scenario, kappa), kappa=kappa)

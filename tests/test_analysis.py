@@ -52,6 +52,26 @@ def test_lemma_moments_against_sampling():
             5.0 * np.maximum(se.row_second, 1e-12))
 
 
+def test_lemma_sampler_draws_through_draw_hop_once_per_chunk(monkeypatch):
+    # the oracle samples Y = P X Q on the trial engines' own path: rng fills
+    # the chunks of channel.chunks and each chunk meets draw_hop once
+    p_mat, q_mat = np.ones((4, 3)), np.ones((2, 5))
+    draws = [(3, 2)] * 2
+    monkeypatch.setattr(channel, "CHUNK_BYTES", 8 * channel.normals_per_trial(draws) * 4)
+    assert channel.chunk_size(draws) == 4
+    assert analysis.draw_hop is channel.draw_hop
+    calls = []
+
+    def counting(recv_sqrt, tx_sqrt, gain, h):
+        calls.append((recv_sqrt, tx_sqrt, gain, h.shape))
+        return channel.draw_hop(recv_sqrt, tx_sqrt, gain, h)
+
+    monkeypatch.setattr(analysis, "draw_hop", counting)
+    analysis.lemma1_moments_mc(p_mat, q_mat, 0, 4, 10, substream(5, "lemma-chunks"))
+    assert [(p is p_mat, q is q_mat, gain, shape) for p, q, gain, shape in calls] == \
+        [(True, True, 1.0, (3, 4, 2))] * 3
+
+
 # ---------------------------------------------------------------------------
 # separable-moment oracles against the Monte Carlo engine
 
@@ -79,7 +99,8 @@ def test_moments_are_keyed_like_the_raw_trial_fields():
     models = cfg.scenario_models(scn)
     draws = link._trial_draws(scn)
     normals = substream(2, "chunk").standard_normal((3, channel.normals_per_trial(draws)))
-    combined = link._combine(scn, models, channel.split_normals(normals, *draws))
+    stacks = link._channel_stacks(models, channel.split_normals(normals, *draws))
+    combined = link._combine(scn, *stacks)
     assert list(analysis.moments(*models, scn)) == list(combined)
     assert len(combined) == 10 and all(name.endswith("_raw") for name in combined)
 

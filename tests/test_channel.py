@@ -24,6 +24,19 @@ def test_substream_tag_sensitivity():
         assert not np.array_equal(base, other.standard_normal(16))
 
 
+@pytest.mark.parametrize("seed, tags", [(-1, ()), (2 ** 64, ()), (42, ("rate-trial", -1)),
+                                        (42, ("rate-trial", 2 ** 64))])
+def test_substream_refuses_words_outside_64_bits(seed, tags):
+    # masked to 64 bits, seed 42 + 2**64 would replay seed 42's stream
+    with pytest.raises(ConfigError, match=r"\[0, 2\*\*64\)"):
+        channel.substream(seed, *tags)
+
+
+def test_substream_accepts_the_64_bit_extremes():
+    for seed in (0, 2 ** 64 - 1):
+        channel.substream(seed, "rate-trial", 2 ** 64 - 1).standard_normal(4)
+
+
 def test_complex_normal_moments():
     rng = channel.substream(3, "moment-check")
     draws = channel.complex_normal(rng, 200000, variance=2.5)
@@ -91,6 +104,22 @@ def test_second_hop_gram_means():
     tol = 5.0 * eta * np.sqrt(m * k) / np.sqrt(draws)
     np.testing.assert_allclose(left, eta * k * recv, atol=tol)
     np.testing.assert_allclose(right, eta * m * tx, atol=tol)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_draw_hop_with_rectangular_factors_is_the_product(dtype):
+    # (m, n) receive and (k, c) transmit factors, real or complex on the
+    # receive side: draw_hop of a (n, b, k) stack is P X Q for each trial
+    rng = channel.substream(12, "rectangular")
+    recv_sqrt = rng.standard_normal((3, 4)).astype(dtype)
+    if dtype is np.complex128:
+        recv_sqrt += 1j * rng.standard_normal((3, 4))
+    tx_sqrt = channel.complex_normal(rng, (2, 5))
+    h = channel.complex_stack(*rng.standard_normal((2, 6, 4, 2)))
+    y = channel.draw_hop(recv_sqrt, tx_sqrt, 0.7, h)
+    expected = np.sqrt(0.7) * np.einsum("mn,nbk,kc->mbc", recv_sqrt, h, tx_sqrt)
+    assert y.shape == (3, 6, 5)
+    np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_draw_guards():

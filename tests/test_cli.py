@@ -269,6 +269,40 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "configuration error: d_users must be given when betas is not" in err
 
 
+_SEEDED_RUNS = {
+    "rate-vs-n": ["rate-vs-n", "--n-values", "64", "--bits", "2", "--trials", "2"],
+    "mse-sweep": ["mse-sweep", "--hop", "first", "--bits", "2", "--powers-db", "10",
+                  "--trials", "2"],
+    "validate": ["validate", "--filter", "lemma1"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SEEDED_RUNS))
+def test_seeds_outside_64_bits_exit_one(capsys, command):
+    # a seed is used as given, never wrapped modulo 2**64 onto another
+    # seed's streams
+    argv = _SEEDED_RUNS[command]
+    for seed in (-1, 2 ** 64):
+        assert _run(argv + ["--seed", str(seed)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+    assert _run(argv + ["--seed", str(2 ** 64 - 1)]) == 0
+
+
+def test_mse_powers_sharing_a_stream_key_exit_one_before_any_point(capsys, monkeypatch):
+    # a point's stream is keyed by its power to 6 significant digits, so two
+    # powers closer than that would draw the same normals; a power given
+    # twice is the same point twice
+    points = []
+    monkeypatch.setattr(estimation, "pilot_mse", lambda *args: points.append(args) or (0.0, 0.0))
+    argv = ["mse-sweep", "--hop", "first", "--bits", "2", "--trials", "2", "--powers-db"]
+    assert _run(argv + ["10,10.0000001"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "10.0 and 10.0000001" in err
+    assert points == []
+    assert _run(argv + ["10,10.0"]) == 0
+    assert len(points) == 2
+
+
 @pytest.mark.parametrize("argv, flag, value, column", [
     (["correlation-impact", "--closed-form-only"], "--coefficients",
      "-0.5:0.8,0.8:-0.5", "r_R"),

@@ -231,9 +231,9 @@ def test_quantization_terms_are_conditional_means_of_drawn_noise(bits):
     models = cfg.scenario_models(scn)
     draws = link._trial_draws(scn)
     normals = substream(8, "chunk").standard_normal((4, channel.normals_per_trial(draws)))
-    parts = channel.split_normals(normals, *draws)
-    out = link._combine(scn, models, parts)
-    f_hat, f_err, g_hat, g_err = link._channel_stacks(models, parts)
+    stacks = link._channel_stacks(models, channel.split_normals(normals, *draws))
+    out = link._combine(scn, *stacks)
+    f_hat, f_err, g_hat, g_err = stacks
     f_full, g_full = f_hat + f_err, g_hat + g_err
     g_hat_h = g_hat.conj().swapaxes(1, 2)
     relay_chain = g_hat_h @ g_full @ f_hat.conj().swapaxes(1, 2)   # (b, K, N)
@@ -266,9 +266,9 @@ def test_kappa_moments_are_the_powers_of_the_combined_first_hop_signal():
     models = cfg.scenario_models(scn)
     draws = link._trial_draws(scn)
     normals = substream(8, "chunk").standard_normal((4, channel.normals_per_trial(draws)))
-    parts = channel.split_normals(normals, *draws)
-    out = link._combine(scn, models, parts)
-    f_hat, f_err = link._channel_stacks(models, parts)[:2]
+    stacks = link._channel_stacks(models, channel.split_normals(normals, *draws))
+    out = link._combine(scn, *stacks)
+    f_hat, f_err = stacks[:2]
     for f, matches in ((f_hat + f_err, True), (f_hat, False)):
         cov = f @ f.conj().swapaxes(1, 2)
         signal = np.einsum("bnk,bnm,bmk->bk", f_hat.conj(), cov, f_hat).real
