@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as cfg
-from .channel import chunks, complex_stack, draw_hop, split_normals
+from .channel import complex_stack, draw_hop, mean_and_stderr, sample, split_normals
 from .correlation import exponential_split_diagonals
 
 
@@ -72,26 +72,22 @@ def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng):
     over draws samples of Y = P X Q, as two Lemma1Moments.
 
     Samples take the trial engines' path: rng fills each chunk of
-    channel.chunks, one draw of X per row (real parts, then imaginary
+    channel.sample, one draw of X per row (real parts, then imaginary
     parts), and Y comes out of channel.draw_hop, so the oracle checks that
     sampler against the closed form too.
     """
     shape = (p_mat.shape[1], q_mat.shape[0])
-    totals = []     # per chunk: (sum, sum of |.|^2) of each sampled quantity
-    for _, count, normals in chunks([shape] * 2, draws,
-                                    lambda rows, _: rng.standard_normal(out=rows)):
+
+    def stage(normals):
         h = complex_stack(*split_normals(normals, shape, shape))
-        y = draw_hop(p_mat, q_mat, 1.0, h).transpose(1, 0, 2)[:count]
+        y = draw_hop(p_mat, q_mat, 1.0, h).transpose(1, 0, 2)
         rows = np.conj(y[:, :, i]) * y[:, :, j]
         inner = np.sum(rows, axis=1)
-        row4 = (np.abs(y[:, :, i]) ** 2) * (np.abs(y[:, :, j]) ** 2)
-        totals.append([(x.sum(axis=0), np.sum(np.abs(x) ** 2, axis=0))
-                       for x in (inner, np.abs(inner) ** 2, rows, row4)])
-    mean, se = [], []
-    for chunk_sums in zip(*totals):
-        first, second = (sum(s) / draws for s in zip(*chunk_sums))
-        mean.append(first)
-        se.append(np.sqrt(np.maximum(second - np.abs(first) ** 2, 0.0) / draws))
+        row4 = np.abs(y[:, :, i]) ** 2 * np.abs(y[:, :, j]) ** 2
+        return inner, np.abs(inner) ** 2, rows, row4
+
+    stacks = sample([shape] * 2, draws, lambda rows, _: rng.standard_normal(out=rows), stage)
+    mean, se = zip(*map(mean_and_stderr, stacks))
     return Lemma1Moments(*mean), Lemma1Moments(*se)
 
 

@@ -35,13 +35,6 @@ def substream(seed, *tags):
 CHUNK_BYTES = 512 * 1024
 
 
-def trial_count(trials):
-    """trials as an int, refused unless it is a whole number >= 1."""
-    if trials < 1 or not float(trials).is_integer():
-        raise ConfigError(f"trials must be >= 1 and whole, got {trials!r}")
-    return int(trials)
-
-
 def normals_per_trial(shapes):
     """Standard normals a trial draws: one per element of each shape."""
     return sum(math.prod(shape) for shape in shapes)
@@ -53,21 +46,38 @@ def chunk_size(shapes):
     return max(1, CHUNK_BYTES // (8 * normals_per_trial(shapes)))
 
 
-def chunks(draws, trials, fill):
-    """Yield (start, count, normals) for each chunk of trials.
+def sample(draws, trials, fill, stage):
+    """Stacks over trials of the arrays that stage makes of each chunk.
 
-    normals is one reused buffer of chunk_size(draws) rows, one per trial;
-    fill(rows, start) fills its first count rows, trials start, start + 1,
-    ..., and the rows past them are zero. Chunks begin at multiples of the
-    chunk size, so a trial's arithmetic depends on its index alone.
+    trials must be a whole number >= 1 (else ConfigError). normals is one
+    reused buffer of chunk_size(draws) rows, one per trial; fill(rows,
+    start) fills its first count rows, trials start, start + 1, ..., and
+    the rows past them are zero. Chunks begin at multiples of the chunk
+    size, so a trial's arithmetic depends on its index alone.
+    stage(normals) returns arrays of one row per buffer row, and the real
+    trials' rows go to (trials, ...) stacks allocated at the first chunk.
     """
-    size = chunk_size(draws)
-    normals = np.empty((size, normals_per_trial(draws)))
+    if trials < 1 or not float(trials).is_integer():
+        raise ConfigError(f"trials must be >= 1 and whole, got {trials!r}")
+    trials, size = int(trials), chunk_size(draws)
+    normals, stacks = np.empty((size, normals_per_trial(draws))), None
     for start in range(0, trials, size):
         count = min(size, trials - start)
         fill(normals[:count], start)
         normals[count:] = 0.0
-        yield start, count, normals
+        out = stage(normals)
+        stacks = stacks or [np.empty((trials,) + x.shape[1:], x.dtype) for x in out]
+        for stack, x in zip(stacks, out):
+            stack[start:start + count] = x[:count]
+    return stacks
+
+
+def mean_and_stderr(samples, scale=1.0):
+    """Mean of per-trial samples over their first axis, and scale times its
+    standard error: NaN, without a warning, for a single sample."""
+    n, mean = len(samples), samples.mean(axis=0)
+    spread = samples.std(ddof=1, axis=0) if n > 1 else np.full(np.shape(mean), np.nan)
+    return mean, scale * spread / np.sqrt(n)
 
 
 def split_normals(normals, *shapes):

@@ -118,6 +118,7 @@ def cmd_mse_sweep(args) -> int:
         if one != other and f"{one:g}" == f"{other:g}":
             raise ConfigError(f"--powers-db values {one!r} and {other!r} share the stream "
                               f"key {one:g}; they would draw the same normals")
+    powers = [cfg.db_to_linear(power_db, "--powers-db") for power_db in powers_db]
     bits_grid = _parse_list(args.bits, _bits("--bits"))
     names = ("first", "second") if args.hop == "both" else (args.hop,)
     stats = dict(zip(("first", "second"), cfg.scenario_hops(scn)))
@@ -126,8 +127,7 @@ def cmd_mse_sweep(args) -> int:
         hop = stats[name]
         for bits in bits_grid:
             adc = AdcSpec.from_bits(bits)
-            for power_db in powers_db:
-                power = 10.0 ** (power_db / 10.0)
+            for power_db, power in zip(powers_db, powers):
                 rng = substream(scn.seed, "mse-sweep", name,
                                 bits_label(bits), f"{power_db:g}")
                 closed = estimation.mse_closed_form(hop, adc, power) / (scn.K * hop.shape[0])

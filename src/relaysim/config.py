@@ -206,6 +206,14 @@ def scenario_models(scn):
 _DB_PREFIXES = ("E_U", "E_R", "P1", "P2", "sigma_R2", "sigma_B2")
 
 
+def db_to_linear(db, name):
+    """10 ** (db / 10); a db that overflows a float is bad input."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{name}: {db!r} dB overflows a float")
+
+
 def parse_adc_bits(value, key):
     """An ADC resolution: IDEAL for the words ideal, inf and none (any case),
     otherwise a bit count of at least 1. Anything else is a ConfigError
@@ -241,7 +249,7 @@ def _parse_field(key, value):
            (value if isinstance(value, (list, tuple)) else (value,))):
         raise ConfigError(f"field {key}: expected a number, got {value!r}")
     if key.endswith("-dB"):
-        return 10.0 ** (float(value) / 10.0)
+        return db_to_linear(value, f"field {key}")
     if key in ("q1", "q2"):
         return parse_adc_bits(value, key)
     if key in ("N", "K", "T", "tau1", "tau2", "trials", "seed"):

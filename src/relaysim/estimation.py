@@ -17,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import (chunks, complex_stack, draw_hop, left_multiply, split_normals,
-                      trial_count)
+from .channel import complex_stack, draw_hop, left_multiply, mean_and_stderr, sample, split_normals
 from .correlation import exponential_basis, exponential_correlation, exponential_eigenvalues
 from .errors import DegenerateEstimateError, IllConditionedError
 from .quantizer import aqnm_quantize
@@ -297,21 +296,20 @@ def pilot_mse(hop, adc, power, trials, rng):
     """Simulated per-element MSE of the hop's estimator, with its standard
     error (NaN for a single trial).
 
-    Trials run through channel.chunks. rng fills each chunk's normals in
-    one call, row by row, so every trial sees the numbers it would draw on
-    its own; the last chunk is padded with rows of zeros, so no trial's
-    arithmetic depends on how many trials follow it.
+    Trials run through channel.sample, whose stage returns each trial's
+    squared error. rng fills each chunk's normals in one call, row by row,
+    so every trial sees the numbers it would draw on its own.
     """
-    trials = trial_count(trials)
     n, k = hop.shape
     lmmse = lmmse_filter(hop, adc, power)
-    errs = np.empty(trials)
-    for start, count, normals in chunks(_pilot_draws(hop, adc), trials,
-                                        lambda rows, _: rng.standard_normal(out=rows)):
+
+    def stage(normals):
         chan, est = simulate_pilot(hop, adc, power, normals, lmmse)
-        errs[start:start + count] = _sum_abs2(est[:count] - chan[:count], "i") / (n * k)
-    stderr = errs.std(ddof=1) / np.sqrt(trials) if trials > 1 else np.nan
-    return float(errs.mean()), float(stderr)
+        return (_sum_abs2(est - chan, "i") / (n * k),)
+
+    [errs] = sample(_pilot_draws(hop, adc), trials,
+                    lambda rows, _: rng.standard_normal(out=rows), stage)
+    return tuple(map(float, mean_and_stderr(errs)))
 
 
 def equivalent_form(hop, adc, power):

@@ -11,20 +11,18 @@ closed-form kappa (analysis.sinr_terms) and into a sampled kappa
 conditional expectation given the channel draw (quadratic forms against
 the diagonal AQNM covariances), never drawn.
 
-Trials run through channel.chunks, each chunk in two stages. The draw
-stage fills one row of standard normals per trial from the trial's own
-substream (seed, "rate-trial", index); _channel_stacks draws each hop's
-estimate and error from them by channel.draw_hop, each receive square
-root meeting all the chunk's trials as one GEMM. The combine stage reads
-those four stacks alone, with Gram products and diagonals on (b, ., .)
-stacks. A trial's arithmetic depends on its index alone.
+Trials run through channel.sample, each trial's row of normals from its
+own substream (seed, "rate-trial", index). _channel_stacks draws each
+hop's estimate and error from a chunk of rows by channel.draw_hop, each
+receive square root meeting all its trials as one GEMM; _combine reads
+those four stacks alone and returns the raw fields that sample stacks.
 """
 
 import numpy as np
 
 from . import analysis
 from . import config as cfg
-from .channel import chunks, complex_stack, draw_hop, split_normals, substream
+from .channel import complex_stack, draw_hop, mean_and_stderr, sample, split_normals, substream
 
 
 def _trial_draws(scn):
@@ -35,7 +33,7 @@ def _trial_draws(scn):
 
 
 def _substreams(seed):
-    """Fill for channel.chunks: row i gets trial start + i's normals from
+    """Fill for channel.sample: row i gets trial start + i's normals from
     its own substream (seed, "rate-trial", start + i), in one call."""
     def fill(rows, start):
         for index, row in enumerate(rows, start):
@@ -104,22 +102,22 @@ def trial_outcomes(scenario, models):
     SINR terms they give, and the closed-form kappa those terms use.
 
     Trials are keyed by their index through the RNG substream contract and
-    run in fixed chunks that begin at multiples of the chunk size, each
-    written to its own rows of the outcome arrays.
+    run through channel.sample, whose stage returns a chunk's ten raw
+    fields in analysis.moments order.
     """
-    trials = int(scenario.trials)
     closed = analysis.moments(*models, scenario)
     kappa = analysis.amplification_factor(scenario, closed)
-    # build the models' cached square-root factors before the outcome
-    # arrays are allocated: left to the first chunk, they raised a rate
-    # sweep's peak RSS by about 1 MB
+    # build the models' cached square-root factors before the first chunk:
+    # left to the first chunk's stage, they raised a rate sweep's peak RSS
+    # by about 0.6 MB
     _ = [(model.receive_sqrt, model.transmit_sqrt) for model in models]
-    raw = {name: np.empty((trials, scenario.K)) for name in closed}
     draws = _trial_draws(scenario)
-    for start, count, normals in chunks(draws, trials, _substreams(scenario.seed)):
-        out = _combine(scenario, *_channel_stacks(models, split_normals(normals, *draws)))
-        for name, stack in raw.items():
-            stack[start:start + count] = out[name][:count]
+
+    def stage(normals):
+        stacks = _channel_stacks(models, split_normals(normals, *draws))
+        return tuple(_combine(scenario, *stacks).values())
+
+    raw = dict(zip(closed, sample(draws, scenario.trials, _substreams(scenario.seed), stage)))
     return dict(raw, **analysis.sinr_terms(raw, scenario, kappa), kappa=kappa)
 
 
@@ -130,14 +128,11 @@ def ergodic_sum_rate_mc(scenario, models=None):
     models = cfg.scenario_models(scenario) if models is None else models
     stacks = trial_outcomes(scenario, models)
     rates = np.log2(1.0 + analysis.sinr_of(stacks))
-    per_trial_sum = rates.sum(axis=1)
-    mu, trials, kappa = scenario.mu, len(per_trial_sum), stacks["kappa"]
-    ci = (float(1.96 * mu * per_trial_sum.std(ddof=1) / np.sqrt(trials)) if trials > 1
-          else float("nan"))
+    mu, kappa = scenario.mu, stacks["kappa"]
+    mean, ci = mean_and_stderr(rates.sum(axis=1), 1.96 * mu)
     return analysis.RateReport(
         **{name: stacks[name].mean(axis=0)
            for name in ("signal", "interference", "noise_relay", "noise_bs")},
         per_user_rate=mu * rates.mean(axis=0),
-        sum_rate=float(mu * per_trial_sum.mean()), mu=mu,
-        kappa=kappa, chi=analysis.chi_factor(scenario, kappa),
-        provenance="monte-carlo", ci_halfwidth=ci, trials=trials)
+        sum_rate=float(mu * mean), mu=mu, kappa=kappa, chi=analysis.chi_factor(scenario, kappa),
+        provenance="monte-carlo", ci_halfwidth=float(ci), trials=len(rates))

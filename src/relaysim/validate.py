@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis
 from . import config as cfg
 from . import estimation, link, quantizer
-from .channel import complex_normal, substream
+from .channel import complex_normal, mean_and_stderr, substream
 from .correlation import exponential_correlation
 from .errors import NumericalError
 from .quantizer import bits_label
@@ -53,8 +53,7 @@ def _check_lloydmax_table(run):
 
 def _check_lemma1(run):
     rng = substream(run.seed, "validate-lemma1")
-    worst = 0.0
-    worst_tag = ""
+    worst, worst_tag = 0.0, ""
     for pair in range(6):
         m = int(rng.integers(2, 6))
         n = int(rng.integers(2, 6))
@@ -95,12 +94,9 @@ class _Run:
 
 def _check_moment_oracles(run):
     scn, models, stacks = run.oracle
-    worst = 0.0
-    worst_tag = ""
+    worst, worst_tag = 0.0, ""
     for name, predicted in analysis.moments(*models, scn).items():
-        samples = stacks[name]
-        mean = samples.mean(axis=0)
-        se = samples.std(ddof=1, axis=0) / np.sqrt(scn.trials)
+        mean, se = mean_and_stderr(stacks[name])
         dev = np.max(np.abs(mean - predicted) / np.maximum(se, _TINY))
         if dev > worst:
             worst, worst_tag = float(dev), name
@@ -116,21 +112,18 @@ def _check_kappa(run):
 
 def _check_mse(run):
     rng = substream(run.seed, "validate-mse")
-    n, k = 64, 5
-    m = 96
-    tau = 8
-    noise = 1.3
+    n, k, m = 64, 5, 96
+    tau, noise = 8, 1.3
     hops = (("hop1", estimation.HopStatistics(
                 0.6, n, np.diag([1.0, 0.8, 1.3, 0.6, 1.1]), tau, noise)),
             ("hop2", estimation.HopStatistics(
                 0.5, m, exponential_correlation(0.6 ** (n / k), k), tau, noise,
                 gain=0.9, streams=k)))
-    worst = 0.0
-    worst_tag = ""
+    worst, worst_tag = 0.0, ""
     for bits in (1, quantizer.IDEAL):
         adc = quantizer.AdcSpec.from_bits(bits)
         for power_db in (10.0, 30.0):
-            power = 10.0 ** (power_db / 10.0)
+            power = cfg.db_to_linear(power_db, "power")
             for name, hop in hops:
                 sim, se = estimation.pilot_mse(hop, adc, power, 200, rng)
                 closed = estimation.mse_closed_form(hop, adc, power) / (k * hop.shape[0])
@@ -141,8 +134,7 @@ def _check_mse(run):
 
 
 def _check_energy_split(run):
-    worst = 0.0
-    worst_tag = ""
+    worst, worst_tag = 0.0, ""
     for q1, q2 in ((1, 1), (3, 2), (quantizer.IDEAL, quantizer.IDEAL)):
         scn = cfg.ScenarioConfig(N=48, delta=1.5, K=6, q1=q1, q2=q2, seed=run.seed)
         for model in cfg.scenario_models(scn):

@@ -54,7 +54,7 @@ def test_lemma_moments_against_sampling():
 
 def test_lemma_sampler_draws_through_draw_hop_once_per_chunk(monkeypatch):
     # the oracle samples Y = P X Q on the trial engines' own path: rng fills
-    # the chunks of channel.chunks and each chunk meets draw_hop once
+    # the chunks of channel.sample and each chunk meets draw_hop once
     p_mat, q_mat = np.ones((4, 3)), np.ones((2, 5))
     draws = [(3, 2)] * 2
     monkeypatch.setattr(channel, "CHUNK_BYTES", 8 * channel.normals_per_trial(draws) * 4)

@@ -290,22 +290,32 @@ def test_single_trial_pilot_chunks_agree_with_default_chunks(monkeypatch):
 
 def test_single_pilot_trial_has_nan_stderr_and_no_warning():
     # pytest turns RuntimeWarnings into errors: a one-trial spread must be
-    # NaN by construction, not by numpy's degrees-of-freedom warning
+    # NaN by construction, not by numpy's degrees-of-freedom warning; the
+    # same for a single draw of Lemma 1's oracle
     hop = _first_hop(0.5, 12, [1.0, 0.9], 4, 1.0)
     mse, stderr = est.pilot_mse(hop, TWO_BIT, 10.0, 1, substream(2, "one"))
     assert np.isfinite(mse) and mse > 0.0
     assert np.isnan(stderr)
+    mean, se = analysis.lemma1_moments_mc(np.eye(3), np.eye(2), 0, 1, 1, substream(2, "one"))
+    for field in ("inner_first", "inner_second", "row_first", "row_second"):
+        assert np.all(np.isfinite(getattr(mean, field)))
+        assert np.all(np.isnan(getattr(se, field)))
+
+
+def _refuse_trials(trials):
+    """The pilot chain and Lemma 1's oracle refuse a trial count alike."""
+    hop = _first_hop(0.5, 12, [1.0, 0.9], 4, 1.0)
+    with pytest.raises(ConfigError, match="trials must be >= 1 and whole"):
+        est.pilot_mse(hop, TWO_BIT, 10.0, trials, substream(2, "none"))
+    with pytest.raises(ConfigError, match="trials must be >= 1 and whole"):
+        analysis.lemma1_moments_mc(np.eye(3), np.eye(2), 0, 1, trials, substream(2, "none"))
 
 
 @pytest.mark.parametrize("trials", [0, -2])
 def test_pilot_trial_count_below_one_is_refused(trials):
-    hop = _first_hop(0.5, 12, [1.0, 0.9], 4, 1.0)
-    with pytest.raises(ConfigError, match="trials must be >= 1"):
-        est.pilot_mse(hop, TWO_BIT, 10.0, trials, substream(2, "none"))
+    _refuse_trials(trials)
 
 
 @pytest.mark.parametrize("trials", [2.7, float("nan")])
 def test_pilot_trial_count_that_is_not_whole_is_refused(trials):
-    hop = _first_hop(0.5, 12, [1.0, 0.9], 4, 1.0)
-    with pytest.raises(ConfigError, match="trials must be >= 1 and whole"):
-        est.pilot_mse(hop, TWO_BIT, 10.0, trials, substream(2, "none"))
+    _refuse_trials(trials)

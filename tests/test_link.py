@@ -79,20 +79,21 @@ def test_rate_trial_count_that_is_not_whole_is_refused(trials):
         link.ergodic_sum_rate_mc(_SCN.with_updates(trials=trials))
 
 
-def test_every_engine_runs_its_chunks_through_channel_chunks(monkeypatch):
-    # the rate trials and the pilot chain share one chunk loop: each call
-    # is recorded with its trial count, and so is every chunk it yields
+def test_every_engine_runs_its_chunks_through_channel_sample(monkeypatch):
+    # the rate trials, the pilot chain and Lemma 1's oracle share one chunk
+    # loop: each call is recorded with its trial count, and every chunk it
+    # runs with its (start, count), through the fill it is handed
     calls, chunks = [], []
-    original = channel.chunks
 
-    def recording(draws, trials, fill):
+    def recording(draws, trials, fill, stage):
+        def fill_and_record(rows, start):
+            chunks.append((trials, start, len(rows)))
+            fill(rows, start)
         calls.append(trials)
-        for start, count, normals in original(draws, trials, fill):
-            chunks.append((trials, start, count))
-            yield start, count, normals
+        return channel.sample(draws, trials, fill_and_record, stage)
 
-    monkeypatch.setattr(link, "chunks", recording)
-    monkeypatch.setattr(est, "chunks", recording)
+    for engine in (link, est, analysis):
+        monkeypatch.setattr(engine, "sample", recording)
     models = cfg.scenario_models(_SCN)
     _budget_for(monkeypatch, _SCN, 5)
     _outcomes(models, 12)
@@ -106,6 +107,14 @@ def test_every_engine_runs_its_chunks_through_channel_chunks(monkeypatch):
     assert calls == [3 * size - 1]
     assert chunks == [(3 * size - 1, 0, size), (3 * size - 1, size, size),
                       (3 * size - 1, 2 * size, size - 1)]
+    calls.clear()
+    chunks.clear()
+    p_mat, q_mat = np.eye(3), np.eye(2)
+    size = channel.chunk_size([(3, 2)] * 2)
+    analysis.lemma1_moments_mc(p_mat, q_mat, 0, 1, 2 * size + 1, substream(9, "lemma"))
+    assert calls == [2 * size + 1]
+    assert chunks == [(2 * size + 1, 0, size), (2 * size + 1, size, size),
+                      (2 * size + 1, 2 * size, 1)]
 
 
 def test_trials_are_keyed_by_index_not_position():
