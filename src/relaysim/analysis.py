@@ -1,12 +1,13 @@
 """Closed-form per-user rate terms, separable-moment identities, asymptotics.
 
-Everything here is deterministic: given the per-hop estimate models, each
+The closed forms are deterministic: given the per-hop estimate models, each
 per-user power in the post-combining SINR (desired signal, estimation-error
 leakage plus cross-user interference, relay-side noise carried through the
 second hop, destination-side noise) reduces to traces, Frobenius norms, and
 diagonals of the model matrices, and so does the relay's amplification
 factor kappa. The same identities double as Monte Carlo oracles for the
-trial engine.
+trial engine. The one sampler here, lemma1_moments_mc, is Lemma 1's own
+Monte Carlo oracle.
 """
 
 from dataclasses import dataclass
@@ -14,31 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as cfg
-from .channel import complex_stack, draw_hop, mean_and_stderr, sample, split_normals
+from .channel import complex_stack, draw_hop, mean_and_stderr, sample
 from .correlation import exponential_split_diagonals
 
 
 # ---------------------------------------------------------------------------
 # separable-channel moment identities (Y = P X Q, X iid CN(0, 1))
 
-@dataclass(frozen=True)
-class Lemma1Moments:
-    """Analytic moments of Y = P X Q for column pair (i, j).
-
-    inner_first  = E{y_i^H y_j}
-    inner_second = E{|y_i^H y_j|^2}
-    row_first[m]  = E{conj(Y[m, i]) Y[m, j]}
-    row_second[m] = E{|Y[m, i]|^2 |Y[m, j]|^2}
-    """
-
-    inner_first: complex
-    inner_second: float
-    row_first: np.ndarray
-    row_second: np.ndarray
-
-
 def lemma1_moments(p_mat, q_mat, i, j):
-    """Closed-form second and fourth moments of Y = P X Q.
+    """Closed-form second and fourth moments of Y = P X Q for column pair
+    (i, j), keyed by name:
+
+    inner_first   E{y_i^H y_j}
+    inner_second  E{|y_i^H y_j|^2}
+    row_first     E{conj(Y[m, i]) Y[m, j]} for every row m
+    row_second    E{|Y[m, i]|^2 |Y[m, j]|^2} for every row m
 
     With rho = Q^H Q and left Gram diag taken from P P^H (reduces to the
     P^H P diagonal whenever P is Hermitian, which covers every use of a PSD
@@ -59,17 +50,16 @@ def lemma1_moments(p_mat, q_mat, i, j):
     rho_ij = complex(rho[i, j])
     rho_ii = float(rho[i, i].real)
     rho_jj = float(rho[j, j].real)
-    inner_first = rho_ij * tr_gram
-    inner_second = abs(rho_ij) ** 2 * tr_gram ** 2 + rho_ii * rho_jj * fro_gram
-    row_first = rho_ij * left_diag
-    row_second = left_diag ** 2 * (rho_ii * rho_jj + abs(rho_ij) ** 2)
-    return Lemma1Moments(inner_first=inner_first, inner_second=float(inner_second),
-                         row_first=row_first, row_second=row_second)
+    return dict(
+        inner_first=rho_ij * tr_gram,
+        inner_second=float(abs(rho_ij) ** 2 * tr_gram ** 2 + rho_ii * rho_jj * fro_gram),
+        row_first=rho_ij * left_diag,
+        row_second=left_diag ** 2 * (rho_ii * rho_jj + abs(rho_ij) ** 2))
 
 
 def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng):
-    """Monte Carlo counterpart of lemma1_moments: (mean, standard error)
-    over draws samples of Y = P X Q, as two Lemma1Moments.
+    """Monte Carlo counterpart of lemma1_moments: (means, standard errors)
+    over draws samples of Y = P X Q, as two dicts keyed like it.
 
     Samples take the trial engines' path: rng fills each chunk of
     channel.sample, one draw of X per row (real parts, then imaginary
@@ -78,17 +68,17 @@ def lemma1_moments_mc(p_mat, q_mat, i, j, draws, rng):
     """
     shape = (p_mat.shape[1], q_mat.shape[0])
 
-    def stage(normals):
-        h = complex_stack(*split_normals(normals, shape, shape))
-        y = draw_hop(p_mat, q_mat, 1.0, h).transpose(1, 0, 2)
+    def stage(re, im):
+        y = draw_hop(p_mat, q_mat, 1.0, complex_stack(re, im)).transpose(1, 0, 2)
         rows = np.conj(y[:, :, i]) * y[:, :, j]
         inner = np.sum(rows, axis=1)
-        row4 = np.abs(y[:, :, i]) ** 2 * np.abs(y[:, :, j]) ** 2
-        return inner, np.abs(inner) ** 2, rows, row4
+        return dict(inner_first=inner, inner_second=np.abs(inner) ** 2, row_first=rows,
+                    row_second=np.abs(y[:, :, i]) ** 2 * np.abs(y[:, :, j]) ** 2)
 
     stacks = sample([shape] * 2, draws, lambda rows, _: rng.standard_normal(out=rows), stage)
-    mean, se = zip(*map(mean_and_stderr, stacks))
-    return Lemma1Moments(*mean), Lemma1Moments(*se)
+    stats = {name: mean_and_stderr(stack) for name, stack in stacks.items()}
+    return ({name: mean for name, (mean, _) in stats.items()},
+            {name: se for name, (_, se) in stats.items()})
 
 
 # ---------------------------------------------------------------------------

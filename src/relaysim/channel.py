@@ -47,28 +47,32 @@ def chunk_size(shapes):
 
 
 def sample(draws, trials, fill, stage):
-    """Stacks over trials of the arrays that stage makes of each chunk.
+    """Stacks over trials of the named arrays that stage makes of each chunk.
 
     trials must be a whole number >= 1 (else ConfigError). normals is one
     reused buffer of chunk_size(draws) rows, one per trial; fill(rows,
     start) fills its first count rows, trials start, start + 1, ..., and
     the rows past them are zero. Chunks begin at multiples of the chunk
     size, so a trial's arithmetic depends on its index alone.
-    stage(normals) returns arrays of one row per buffer row, and the real
-    trials' rows go to (trials, ...) stacks allocated at the first chunk.
+    stage gets one (rows,) + shape view of the buffer per shape of draws,
+    in order, and returns a dict of arrays of one row per buffer row; the
+    real trials' rows go to (trials, ...) stacks under the same keys,
+    allocated at the first chunk.
     """
     if trials < 1 or not float(trials).is_integer():
         raise ConfigError(f"trials must be >= 1 and whole, got {trials!r}")
     trials, size = int(trials), chunk_size(draws)
     normals, stacks = np.empty((size, normals_per_trial(draws))), None
+    parts = split_normals(normals, *draws)
     for start in range(0, trials, size):
         count = min(size, trials - start)
         fill(normals[:count], start)
         normals[count:] = 0.0
-        out = stage(normals)
-        stacks = stacks or [np.empty((trials,) + x.shape[1:], x.dtype) for x in out]
-        for stack, x in zip(stacks, out):
-            stack[start:start + count] = x[:count]
+        out = stage(*parts)
+        stacks = stacks or {name: np.empty((trials,) + x.shape[1:], x.dtype)
+                            for name, x in out.items()}
+        for name, x in out.items():
+            stacks[name][start:start + count] = x[:count]
     return stacks
 
 

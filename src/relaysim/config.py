@@ -207,11 +207,15 @@ _DB_PREFIXES = ("E_U", "E_R", "P1", "P2", "sigma_R2", "sigma_B2")
 
 
 def db_to_linear(db, name):
-    """10 ** (db / 10); a db that overflows a float is bad input."""
+    """10 ** (db / 10); a db that overflows a float, or underflows to zero,
+    is bad input."""
     try:
-        return 10.0 ** (float(db) / 10.0)
+        linear = 10.0 ** (float(db) / 10.0)
     except OverflowError:
         raise ConfigError(f"{name}: {db!r} dB overflows a float")
+    if linear == 0.0:
+        raise ConfigError(f"{name}: {db!r} dB underflows to zero")
+    return linear
 
 
 def parse_adc_bits(value, key):

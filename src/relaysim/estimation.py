@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import complex_stack, draw_hop, left_multiply, mean_and_stderr, sample, split_normals
+from .channel import complex_stack, draw_hop, left_multiply, mean_and_stderr, sample
 from .correlation import exponential_basis, exponential_correlation, exponential_eigenvalues
 from .errors import DegenerateEstimateError, IllConditionedError
 from .quantizer import aqnm_quantize
@@ -134,7 +134,8 @@ class EstimateModel:
     f + g = lam. obs = (a, c) are the constants of the pilot observation
     covariance a R + c I and split = (f, g), both as `observation` formed
     them; genie CSI (estimate = truth) is c = 0, f = lam and g = 0 exactly.
-    U (hop.basis), R, receive_hat and receive_err are built on demand.
+    U (hop.basis), R and receive_err are built on demand, and receive_hat
+    only by validate, as R - receive_err.
 
     The estimate is receive_hat^(1/2) @ H1 @ sqrt(transmit_hat) and the
     error receive_err^(1/2) @ H2 @ sqrt(transmit_err) with H1, H2 iid
@@ -153,10 +154,6 @@ class EstimateModel:
     def receive_err(self):
         u = self.hop.basis
         return (u * self.split[1]) @ u.conj().T
-
-    @property
-    def receive_hat(self):
-        return self.hop.recv_corr - self.receive_err
 
     @cached_property
     def receive_sqrt(self):
@@ -193,7 +190,7 @@ class EstimateModel:
         if not np.allclose(total, recv, rtol=0.0, atol=1e-10 * max(1.0, abs(np.trace(recv)))):
             raise AssertionError("receive-side split does not sum to the true correlation")
         receive_err = self.receive_err
-        receive_hat = recv - receive_err    # self.receive_hat, without rebuilding both
+        receive_hat = recv - receive_err
         for mat in (receive_hat, receive_err, self.transmit_hat, self.transmit_err):
             w = np.linalg.eigvalsh(mat)
             if w.size and w[0] < -1e-10 * max(float(w[-1]), 1.0):
@@ -265,12 +262,12 @@ def _sum_abs2(x, kept):
     return np.einsum(f"ijk,ijk->{kept}", parts, parts)
 
 
-def simulate_pilot(hop, adc, power, normals, lmmse):
+def simulate_pilot(hop, adc, power, parts, lmmse):
     """Run the quantized pilot phase on a chunk of trials and return the
     (channel, estimate) stacks, each (b, n, k).
 
-    normals holds one row of standard normals per trial, laid out as one
-    trial draws them (_pilot_draws). The per-antenna variance fed to the
+    parts are the chunk's split draws, one (b,) + shape stack per shape of
+    _pilot_draws(hop, adc), in order. The per-antenna variance fed to the
     quantizer is the realized time-averaged pilot power (power / streams)
     * ||row||^2 + noise_var, constant over the pilot block because the
     pilot columns are orthonormal. The chunk runs in the (n, b, .) layout
@@ -280,7 +277,7 @@ def simulate_pilot(hop, adc, power, normals, lmmse):
     """
     n, k = hop.shape
     pilots = hop.pilots
-    h_re, h_im, w_re, w_im, *quant = split_normals(normals, *_pilot_draws(hop, adc))
+    h_re, h_im, w_re, w_im, *quant = parts
     chan = draw_hop(hop.recv_sqrt, hop.tx_sqrt, hop.gain, h=complex_stack(h_re, h_im))
     received = ((np.sqrt(hop.tau * power / hop.streams) * chan).reshape(-1, k) @ pilots.T
                 ).reshape(n, -1, hop.tau)
@@ -303,12 +300,12 @@ def pilot_mse(hop, adc, power, trials, rng):
     n, k = hop.shape
     lmmse = lmmse_filter(hop, adc, power)
 
-    def stage(normals):
-        chan, est = simulate_pilot(hop, adc, power, normals, lmmse)
-        return (_sum_abs2(est - chan, "i") / (n * k),)
+    def stage(*parts):
+        chan, est = simulate_pilot(hop, adc, power, parts, lmmse)
+        return {"mse": _sum_abs2(est - chan, "i") / (n * k)}
 
-    [errs] = sample(_pilot_draws(hop, adc), trials,
-                    lambda rows, _: rng.standard_normal(out=rows), stage)
+    errs = sample(_pilot_draws(hop, adc), trials,
+                  lambda rows, _: rng.standard_normal(out=rows), stage)["mse"]
     return tuple(map(float, mean_and_stderr(errs)))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis
 from . import config as cfg
-from .channel import complex_stack, draw_hop, mean_and_stderr, sample, split_normals, substream
+from .channel import complex_stack, draw_hop, mean_and_stderr, sample, substream
 
 
 def _trial_draws(scn):
@@ -102,22 +102,16 @@ def trial_outcomes(scenario, models):
     SINR terms they give, and the closed-form kappa those terms use.
 
     Trials are keyed by their index through the RNG substream contract and
-    run through channel.sample, whose stage returns a chunk's ten raw
-    fields in analysis.moments order.
+    run through channel.sample, which stacks the ten raw fields _combine
+    returns under their own names.
     """
-    closed = analysis.moments(*models, scenario)
-    kappa = analysis.amplification_factor(scenario, closed)
+    kappa = analysis.amplification_factor(scenario, analysis.moments(*models, scenario))
     # build the models' cached square-root factors before the first chunk:
     # left to the first chunk's stage, they raised a rate sweep's peak RSS
     # by about 0.6 MB
     _ = [(model.receive_sqrt, model.transmit_sqrt) for model in models]
-    draws = _trial_draws(scenario)
-
-    def stage(normals):
-        stacks = _channel_stacks(models, split_normals(normals, *draws))
-        return tuple(_combine(scenario, *stacks).values())
-
-    raw = dict(zip(closed, sample(draws, scenario.trials, _substreams(scenario.seed), stage)))
+    raw = sample(_trial_draws(scenario), scenario.trials, _substreams(scenario.seed),
+                 lambda *parts: _combine(scenario, *_channel_stacks(models, parts)))
     return dict(raw, **analysis.sinr_terms(raw, scenario, kappa), kappa=kappa)
 
 

@@ -48,14 +48,14 @@ def test_criterion_2_product_moment_oracle(acceptance_log):
         closed = analysis.lemma1_moments(p_mat, q_mat, i, j)
         mean, se = analysis.lemma1_moments_mc(p_mat, q_mat, i, j, 100_000, rng)
         devs = [
-            abs(mean.inner_first - closed.inner_first)
-            / max(se.inner_first, 1e-12),
-            abs(mean.inner_second - closed.inner_second)
-            / max(se.inner_second, 1e-12),
-            float(np.max(np.abs(mean.row_first - closed.row_first)
-                         / np.maximum(se.row_first, 1e-12))),
-            float(np.max(np.abs(mean.row_second - closed.row_second)
-                         / np.maximum(se.row_second, 1e-12))),
+            abs(mean["inner_first"] - closed["inner_first"])
+            / max(se["inner_first"], 1e-12),
+            abs(mean["inner_second"] - closed["inner_second"])
+            / max(se["inner_second"], 1e-12),
+            float(np.max(np.abs(mean["row_first"] - closed["row_first"])
+                         / np.maximum(se["row_first"], 1e-12))),
+            float(np.max(np.abs(mean["row_second"] - closed["row_second"])
+                         / np.maximum(se["row_second"], 1e-12))),
         ]
         worst = max(worst, max(devs))
     elapsed = time.perf_counter() - start

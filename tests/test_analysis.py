@@ -22,15 +22,15 @@ def test_lemma_moments_identity_matrices():
     m = 5
     eye = np.eye(m)
     same = analysis.lemma1_moments(eye, eye, 2, 2)
-    assert same.inner_first == pytest.approx(m)
-    assert same.inner_second == pytest.approx(m ** 2 + m)
-    np.testing.assert_allclose(same.row_first, np.ones(m), atol=1e-14)
-    np.testing.assert_allclose(same.row_second, 2.0 * np.ones(m), atol=1e-14)
+    assert same["inner_first"] == pytest.approx(m)
+    assert same["inner_second"] == pytest.approx(m ** 2 + m)
+    np.testing.assert_allclose(same["row_first"], np.ones(m), atol=1e-14)
+    np.testing.assert_allclose(same["row_second"], 2.0 * np.ones(m), atol=1e-14)
     diff = analysis.lemma1_moments(eye, eye, 0, 3)
-    assert diff.inner_first == pytest.approx(0.0)
-    assert diff.inner_second == pytest.approx(m)
-    np.testing.assert_allclose(diff.row_first, np.zeros(m), atol=1e-14)
-    np.testing.assert_allclose(diff.row_second, np.ones(m), atol=1e-14)
+    assert diff["inner_first"] == pytest.approx(0.0)
+    assert diff["inner_second"] == pytest.approx(m)
+    np.testing.assert_allclose(diff["row_first"], np.zeros(m), atol=1e-14)
+    np.testing.assert_allclose(diff["row_second"], np.ones(m), atol=1e-14)
 
 
 def test_lemma_moments_against_sampling():
@@ -40,16 +40,16 @@ def test_lemma_moments_against_sampling():
     for i, j in ((0, 1), (2, 2)):
         closed = analysis.lemma1_moments(p_mat, q_mat, i, j)
         mean, se = analysis.lemma1_moments_mc(p_mat, q_mat, i, j, 40000, rng)
-        assert abs(mean.inner_first - closed.inner_first) \
-            <= 5.0 * max(se.inner_first, 1e-12)
-        assert abs(mean.inner_second - closed.inner_second) \
-            <= 5.0 * max(se.inner_second, 1e-12)
+        assert abs(mean["inner_first"] - closed["inner_first"]) \
+            <= 5.0 * max(se["inner_first"], 1e-12)
+        assert abs(mean["inner_second"] - closed["inner_second"]) \
+            <= 5.0 * max(se["inner_second"], 1e-12)
         np.testing.assert_array_less(
-            np.abs(mean.row_first - closed.row_first),
-            5.0 * np.maximum(se.row_first, 1e-12))
+            np.abs(mean["row_first"] - closed["row_first"]),
+            5.0 * np.maximum(se["row_first"], 1e-12))
         np.testing.assert_array_less(
-            np.abs(mean.row_second - closed.row_second),
-            5.0 * np.maximum(se.row_second, 1e-12))
+            np.abs(mean["row_second"] - closed["row_second"]),
+            5.0 * np.maximum(se["row_second"], 1e-12))
 
 
 def test_lemma_sampler_draws_through_draw_hop_once_per_chunk(monkeypatch):

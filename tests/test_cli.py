@@ -305,20 +305,22 @@ def test_mse_powers_sharing_a_stream_key_exit_one_before_any_point(capsys, monke
 
 def test_decibels_that_overflow_exit_one_naming_the_value(tmp_path, capsys, monkeypatch):
     # one dB conversion serves the config file and mse-sweep; a value whose
-    # linear form overflows is bad input, refused before any point runs
+    # linear form overflows, or underflows to zero, is bad input, refused
+    # before any point runs
     points = []
     monkeypatch.setattr(estimation, "pilot_mse", lambda *args: points.append(args) or (0.0, 0.0))
-    assert _run(["mse-sweep", "--hop", "first", "--bits", "2", "--trials", "2",
-                 "--powers-db", "10,4000"]) == 1
-    assert points == []
-    assert capsys.readouterr().err == \
-        "configuration error: --powers-db: 4000.0 dB overflows a float\n"
-    scn = tmp_path / "loud.json"
-    scn.write_text('{"P1-dB": 4000}')
-    assert _run(["rate-vs-n", "--n-values", "64", "--closed-form-only",
-                 "--config", str(scn)]) == 1
-    assert capsys.readouterr().err == \
-        "configuration error: field P1-dB: 4000 dB overflows a float\n"
+    for db, fate in (("4000", "overflows a float"), ("-4000", "underflows to zero")):
+        assert _run(["mse-sweep", "--hop", "first", "--bits", "2", "--trials", "2",
+                     "--powers-db", f"10,{db}"]) == 1
+        assert points == []
+        assert capsys.readouterr().err == \
+            f"configuration error: --powers-db: {float(db)!r} dB {fate}\n"
+        scn = tmp_path / "loud.json"
+        scn.write_text(f'{{"P1-dB": {db}}}')
+        assert _run(["rate-vs-n", "--n-values", "64", "--closed-form-only",
+                     "--config", str(scn)]) == 1
+        assert capsys.readouterr().err == \
+            f"configuration error: field P1-dB: {db} dB {fate}\n"
 
 
 @pytest.mark.parametrize("argv, flag, value, column", [

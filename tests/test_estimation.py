@@ -131,7 +131,7 @@ def test_validate_refuses_a_split_two_parts_per_million_off():
 def test_validate_builds_each_receive_matrix_once(monkeypatch):
     # R and the error's receive matrix are n x n builds; the estimate's is
     # their difference, so one of each serves every check, and the residual
-    # is bitwise the one the properties give
+    # is bitwise the one that difference gives
     model = est.equivalent_form(_first_hop(0.7, 24, [1.0, 0.8], 6, 1.0), TWO_BIT, 30.0)
     hop, built = model.hop, []
     correlation, receive_err = est.exponential_correlation, est.EstimateModel.receive_err
@@ -141,7 +141,7 @@ def test_validate_builds_each_receive_matrix_once(monkeypatch):
                         property(lambda m: built.append("err") or receive_err.fget(m)))
     residual = model.validate()
     assert sorted(built) == ["R", "err"]
-    lhs = (np.trace(model.receive_hat).real * model.transmit_hat
+    lhs = (np.trace(model.hop.recv_corr - model.receive_err).real * model.transmit_hat
            + np.trace(model.receive_err).real * model.transmit_err) * hop.gain
     rhs = hop.n * hop.gain * hop.transmit
     assert residual == float(np.abs(lhs - rhs).max()) / float(np.abs(rhs).max())
@@ -152,7 +152,8 @@ def test_equivalent_form_approaches_perfect_with_clean_pilots():
     hop = _first_hop(0.5, 24, gains, 8, 1.0)
     model = est.equivalent_form(hop, IDEAL_ADC, 1e9)
     perfect = est.perfect_model(hop)
-    np.testing.assert_allclose(model.receive_hat, perfect.receive_hat, atol=1e-6)
+    np.testing.assert_allclose(model.hop.recv_corr - model.receive_err,
+                               perfect.hop.recv_corr - perfect.receive_err, atol=1e-6)
     assert np.trace(model.receive_err).real < 1e-6
 
 
@@ -160,7 +161,7 @@ def test_perfect_models():
     recv = exponential_correlation(0.6, 16)
     gains = np.array([1.0, 0.5])
     model = est.perfect_model(_first_hop(0.6, 16, gains, 2, 1.0))
-    np.testing.assert_array_equal(model.receive_hat, recv)
+    np.testing.assert_array_equal(model.hop.recv_corr - model.receive_err, recv)
     assert np.all(np.diag(model.transmit_err) == 0.0)
     tx = select_transmit_correlation(0.6, 16, 2)
     model2 = est.perfect_model(_second_hop(0.6, 16, tx, 0.7, 2, 1.0))
@@ -232,7 +233,8 @@ def test_pilot_simulation_shapes():
     for hop in hops:
         draws = est._pilot_draws(hop, TWO_BIT)
         normals = rng.standard_normal((5, channel.normals_per_trial(draws)))
-        chan, estimate = est.simulate_pilot(hop, TWO_BIT, 10.0, normals,
+        parts = channel.split_normals(normals, *draws)
+        chan, estimate = est.simulate_pilot(hop, TWO_BIT, 10.0, parts,
                                             est.lmmse_filter(hop, TWO_BIT, 10.0))
         assert chan.shape == (5, 12, 3) and estimate.shape == (5, 12, 3)
 
@@ -298,8 +300,8 @@ def test_single_pilot_trial_has_nan_stderr_and_no_warning():
     assert np.isnan(stderr)
     mean, se = analysis.lemma1_moments_mc(np.eye(3), np.eye(2), 0, 1, 1, substream(2, "one"))
     for field in ("inner_first", "inner_second", "row_first", "row_second"):
-        assert np.all(np.isfinite(getattr(mean, field)))
-        assert np.all(np.isnan(getattr(se, field)))
+        assert np.all(np.isfinite(mean[field]))
+        assert np.all(np.isnan(se[field]))
 
 
 def _refuse_trials(trials):

@@ -82,15 +82,31 @@ def test_rate_trial_count_that_is_not_whole_is_refused(trials):
 def test_every_engine_runs_its_chunks_through_channel_sample(monkeypatch):
     # the rate trials, the pilot chain and Lemma 1's oracle share one chunk
     # loop: each call is recorded with its trial count, and every chunk it
-    # runs with its (start, count), through the fill it is handed
-    calls, chunks = [], []
+    # runs with its (start, count), through the fill it is handed; each
+    # stage call with whether it got one (rows,) + shape view per declared
+    # draw and the names it returned, under which sample stacks the trials
+    calls, chunks, stages = [], [], []
 
     def recording(draws, trials, fill, stage):
         def fill_and_record(rows, start):
             chunks.append((trials, start, len(rows)))
             fill(rows, start)
+
+        def stage_and_record(*parts):
+            size = channel.chunk_size(draws)
+            out = stage(*parts)
+            stages.append(([part.shape for part in parts]
+                           == [(size,) + tuple(shape) for shape in draws], list(out)))
+            return out
         calls.append(trials)
-        return channel.sample(draws, trials, fill_and_record, stage)
+        stacks = channel.sample(draws, trials, fill_and_record, stage_and_record)
+        assert list(stacks) == stages[-1][1]
+        assert all(len(stack) == trials for stack in stacks.values())
+        return stacks
+
+    def clear():
+        for log in (calls, chunks, stages):
+            log.clear()
 
     for engine in (link, est, analysis):
         monkeypatch.setattr(engine, "sample", recording)
@@ -99,22 +115,37 @@ def test_every_engine_runs_its_chunks_through_channel_sample(monkeypatch):
     _outcomes(models, 12)
     assert calls == [12]
     assert chunks == [(12, 0, 5), (12, 5, 5), (12, 10, 2)]
-    calls.clear()
-    chunks.clear()
+    assert stages == [(True, list(analysis.moments(*models, _SCN)))] * 3
+    clear()
     hop = cfg.scenario_hops(_SCN)[1]
     size = channel.chunk_size(est._pilot_draws(hop, _SCN.adc2))
     est.pilot_mse(hop, _SCN.adc2, 10.0, 3 * size - 1, substream(9, "pilot"))
     assert calls == [3 * size - 1]
     assert chunks == [(3 * size - 1, 0, size), (3 * size - 1, size, size),
                       (3 * size - 1, 2 * size, size - 1)]
-    calls.clear()
-    chunks.clear()
+    assert stages == [(True, ["mse"])] * 3
+    clear()
     p_mat, q_mat = np.eye(3), np.eye(2)
     size = channel.chunk_size([(3, 2)] * 2)
     analysis.lemma1_moments_mc(p_mat, q_mat, 0, 1, 2 * size + 1, substream(9, "lemma"))
     assert calls == [2 * size + 1]
     assert chunks == [(2 * size + 1, 0, size), (2 * size + 1, size, size),
                       (2 * size + 1, 2 * size, 1)]
+    assert stages == [(True, list(analysis.lemma1_moments(p_mat, q_mat, 0, 1)))] * 3
+
+
+def test_trial_stacks_are_labelled_by_name_not_position(monkeypatch):
+    # the raw fields reach their stacks by name: _combine handing them
+    # back in reversed order changes no stack
+    models = cfg.scenario_models(_SCN)
+    plain = _outcomes(models, 12)
+    combine = link._combine
+    monkeypatch.setattr(link, "_combine",
+                        lambda *args: dict(reversed(combine(*args).items())))
+    reversed_order = _outcomes(models, 12)
+    assert set(reversed_order) == set(plain)
+    for name, stack in plain.items():
+        np.testing.assert_array_equal(reversed_order[name], stack)
 
 
 def test_trials_are_keyed_by_index_not_position():
