@@ -25,18 +25,19 @@ base = cfg.ScenarioConfig(K=10, delta=2.0, q1=2, q2=2, csi="perfect",
 print("per-user SINR limit by scaling exponents (equal-gain users)")
 print(f"{'a':>5} {'b':>5} {'regime':>16} {'limit':>10}")
 for a, b in ((0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0), (1.2, 1.2)):
-    lim = power_scaling_limit(base.with_updates(a=a, b=b), 0)
-    print(f"{a:>5.1f} {b:>5.1f} {lim.regime:>16} {lim.value:>10.4f}")
+    regime, limits = power_scaling_limit(base.with_updates(a=a, b=b))
+    print(f"{a:>5.1f} {b:>5.1f} {regime:>16} {limits[0]:>10.4f}")
 
 # matched scaling a = b = 1 approaches its limit as the arrays grow ...
-lim = power_scaling_limit(base.with_updates(a=1.0, b=1.0), 0)
+_, limits = power_scaling_limit(base.with_updates(a=1.0, b=1.0))
+limit = limits[0]
 print("\nmatched scaling, finite systems vs the limit "
-      f"({lim.value:.4f}):")
+      f"({limit:.4f}):")
 for n in (128, 512, 2048):
     scn = base.with_updates(N=n, a=1.0, b=1.0)
     gamma = float(sum_rate_approx(scn).sinr()[0])
     print(f"  N = {n:>5}: SINR {gamma:.4f} "
-          f"({100 * (gamma - lim.value) / lim.value:+.2f}%)")
+          f"({100 * (gamma - limit) / limit:+.2f}%)")
 
 # ... while overdriven scaling a = b = 1.2 sends the rate to zero
 print("\noverdriven scaling, sum rate collapsing:")

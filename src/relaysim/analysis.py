@@ -248,50 +248,43 @@ def sum_rate_approx(scenario, models=None):
 # ---------------------------------------------------------------------------
 # power-scaling asymptotics
 
-@dataclass(frozen=True)
-class AsymptoticLimit:
-    """Limiting per-user SINR when P_U = E_U / N^a and P_R = E_R / M^b."""
+def power_scaling_limit(scenario):
+    """(regime, limits): the large-N per-user SINR limits of the scenario,
+    whose powers scale as P_U = E_U / N^a and P_R = E_R / M^b, under genie
+    CSI and vanishing transmit correlation on the selected relay antennas.
 
-    regime: str
-    value: float
-    zeta: float = None
-
-
-def power_scaling_limit(scenario, user):
-    """Large-N SINR limit of one user of the scenario, whose powers scale as
-    P_U = E_U / N^a and P_R = E_R / M^b, under genie CSI and vanishing
-    transmit correlation on the selected relay antennas."""
-    gains = scenario.user_gains()
-    beta = float(gains[user])
+    The regime depends on (a, b) alone, so one regime holds for every user.
+    limits is a length-K float64 array from the scenario's user gains:
+    zeros when the regime is vanishing, inf when it is unbounded.
+    """
     a, b = scenario.a, scenario.b
+    if a > 1.0 or b > 1.0:
+        return "vanishing", np.zeros(scenario.K)
+    if a < 1.0 and b < 1.0:
+        return "unbounded", np.full(scenario.K, np.inf)
+    gains = scenario.user_gains()
     a1, a2 = scenario.adc1.alpha, scenario.adc2.alpha
     relay_gain, e_u, e_r = scenario.relay_gain(), scenario.E_U, scenario.E_R
     relay_noise_var, bs_noise_var = scenario.sigma_R2, scenario.sigma_B2
-    if a > 1.0 or b > 1.0:
-        return AsymptoticLimit(regime="vanishing", value=0.0)
-    if a < 1.0 and b < 1.0:
-        return AsymptoticLimit(regime="unbounded", value=float("inf"))
-    if a < 1.0 and b == 1.0:
-        value = a2 * beta ** 2 * relay_gain * e_r / (bs_noise_var * float(np.sum(gains ** 2)))
-        return AsymptoticLimit(regime="relay-limited", value=float(value))
-    if b < 1.0 and a == 1.0:
-        value = a1 * beta * e_u / relay_noise_var
-        return AsymptoticLimit(regime="user-limited", value=float(value))
-    # a == b == 1
-    zeta = (a2 * beta * relay_gain * relay_noise_var * e_r
-            + bs_noise_var * (a1 * e_u * float(np.sum(gains ** 2))
-                              + relay_noise_var * float(np.sum(gains))))
-    value = a1 * a2 * beta ** 2 * relay_gain * e_u * e_r / zeta
-    return AsymptoticLimit(regime="jointly-limited", value=float(value),
-                           zeta=float(zeta))
+    sum_g, sum_sq = float(np.sum(gains)), float(np.sum(gains ** 2))
+
+    def each(limit):
+        # one user at a time in Python floats: numpy's beta ** 2 over the
+        # array can round one ulp away from the scalar power
+        return np.array([limit(float(beta)) for beta in gains])
+
+    if a < 1.0:         # b == 1
+        return "relay-limited", each(
+            lambda beta: a2 * beta ** 2 * relay_gain * e_r / (bs_noise_var * sum_sq))
+    if b < 1.0:         # a == 1
+        return "user-limited", each(lambda beta: a1 * beta * e_u / relay_noise_var)
+    return "jointly-limited", each(
+        lambda beta: a1 * a2 * beta ** 2 * relay_gain * e_u * e_r
+        / (a2 * beta * relay_gain * relay_noise_var * e_r
+           + bs_noise_var * (a1 * e_u * sum_sq + relay_noise_var * sum_g)))
 
 
 def asymptotic_sum_rate(scenario):
-    """mu * sum_k log2(1 + limit_k); inf when any user's limit is unbounded."""
-    total = 0.0
-    for k in range(scenario.K):
-        lim = power_scaling_limit(scenario, k)
-        if np.isinf(lim.value):
-            return float("inf")
-        total += np.log2(1.0 + lim.value)
-    return float(scenario.mu * total)
+    """mu * sum_k log2(1 + limit_k); inf when the limits are unbounded."""
+    _, limits = power_scaling_limit(scenario)
+    return float(scenario.mu * sum(np.log2(1.0 + limit) for limit in limits))

@@ -162,7 +162,7 @@ def _relative_gap(point, cells):
 # CSV columns that are neither a grid field nor one of the two engines' rates
 _DERIVED = {
     "rel_gap": _relative_gap,
-    "regime": lambda point, cells: power_scaling_limit(point, 0).regime,
+    "regime": lambda point, cells: power_scaling_limit(point)[0],
     "rate_limit": lambda point, cells: asymptotic_sum_rate(point),
 }
 
@@ -210,10 +210,12 @@ def cmd_rate_sweep(args) -> int:
     scn = _base_scenario(args)
     grids = [_axis_points(getattr(args, flag.lstrip("-").replace("-", "_")), kind, fields)
              for flag, kind, fields, _, _ in axes]
+    # every point's scenario is built, and so checked, before any point runs
+    point_values = [{field: value for axis in combo for field, value in axis.items()}
+                    for combo in itertools.product(*grids)]
+    points = [scn.with_updates(**values) for values in point_values]
     rows = []
-    for combo in itertools.product(*grids):
-        values = {field: value for axis in combo for field, value in axis.items()}
-        point = scn.with_updates(**values)
+    for values, point in zip(point_values, points):
         closed, mc, ci = _rate_pair(point, args)
         cells = dict(values, rate_closed=closed, rate_mc=mc, rate_mc_ci=ci)
         rows.append(tuple(cells[c] if c in cells else _DERIVED[c](point, cells)

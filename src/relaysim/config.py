@@ -63,11 +63,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # first, so that no check or property below meets a NaN, an inf or a
-        # count with a fractional part; a whole count is stored as an int,
-        # because sizes slice and index arrays
+        # count with a fractional part; a whole count or resolution is stored
+        # as an int, because sizes slice and index arrays and CSV cells and
+        # canonical_json write a resolution as given
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.type is int:
+            if field.type is int or (field.name in ("q1", "q2") and value is not IDEAL):
                 if not (isinstance(value, Integral) or (
                         isinstance(value, Real) and float(value).is_integer())):
                     raise ConfigError(f"{field.name} must be a whole number, got {value!r}")
@@ -107,7 +108,7 @@ class ScenarioConfig:
                 raise ConfigError(f"|{name}| must be < 1")
         for name in ("q1", "q2"):
             bits = getattr(self, name)
-            if bits is not IDEAL and (bits != int(bits) or bits < 1):
+            if bits is not IDEAL and bits < 1:
                 raise ConfigError(f"{name} must be a positive integer or IDEAL, got {bits!r}")
         if self.csi not in CSI_MODES:
             raise ConfigError(f"csi must be one of {CSI_MODES}, got {self.csi!r}")

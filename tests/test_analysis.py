@@ -233,51 +233,51 @@ _LIMIT_ARGS = cfg.ScenarioConfig(K=2, betas=(1.0, 2.0), eta=0.5, q1=2, q2=3,
                                  sigma_R2=1.3, sigma_B2=0.7, E_U=4.0, E_R=9.0)
 
 
+_ALPHA1 = 1.0 - 0.1175        # q1 = 2
+_ALPHA2 = 1.0 - 0.03454       # q2 = 3
+_BETAS = np.array(_LIMIT_ARGS.betas)
+
+
 def _limit(**exponents):
-    """Limit of the second user of _LIMIT_ARGS at the given exponents."""
-    return analysis.power_scaling_limit(_LIMIT_ARGS.with_updates(**exponents), 1)
+    """(regime, limits) of _LIMIT_ARGS at the given exponents."""
+    return analysis.power_scaling_limit(_LIMIT_ARGS.with_updates(**exponents))
 
 
 def test_limit_unbounded_when_both_exponents_small():
-    lim = _limit(a=0.5, b=0.5)
-    assert lim.regime == "unbounded"
-    assert np.isinf(lim.value)
+    regime, limits = _limit(a=0.5, b=0.5)
+    assert regime == "unbounded"
+    assert limits.shape == (2,) and np.all(np.isinf(limits))
 
 
 def test_limit_vanishes_when_scaling_too_fast():
     for a, b in ((1.5, 1.0), (1.0, 1.2), (2.0, 2.0)):
-        lim = _limit(a=a, b=b)
-        assert lim.regime == "vanishing"
-        assert lim.value == 0.0
+        regime, limits = _limit(a=a, b=b)
+        assert regime == "vanishing"
+        np.testing.assert_array_equal(limits, [0.0, 0.0])
 
 
 def test_limit_user_power_only():
     # scaling only the user power with clean relay ADCs leaves
-    # beta * E_U / sigma_R^2 exactly
-    lim = analysis.power_scaling_limit(_LIMIT_ARGS.with_updates(
-        K=1, betas=(1.0,), q1=IDEAL, sigma_R2=1.0, a=1.0, b=0.5, E_U=10.0), 0)
-    assert lim.regime == "user-limited"
-    assert lim.value == pytest.approx(10.0, rel=1e-12)
+    # beta_k * E_U / sigma_R^2 exactly
+    regime, limits = _limit(q1=IDEAL, sigma_R2=1.0, a=1.0, b=0.5, E_U=10.0)
+    assert regime == "user-limited"
+    np.testing.assert_allclose(limits, _BETAS * 10.0, rtol=1e-12)
 
 
 def test_limit_relay_power_only():
-    lim = _limit(a=0.5, b=1.0)
-    assert lim.regime == "relay-limited"
-    alpha2 = 1.0 - 0.03454
-    expected = alpha2 * 4.0 * 0.5 * 9.0 / (0.7 * 5.0)
-    assert lim.value == pytest.approx(expected, rel=1e-6)
+    regime, limits = _limit(a=0.5, b=1.0)
+    assert regime == "relay-limited"
+    expected = _ALPHA2 * _BETAS ** 2 * 0.5 * 9.0 / (0.7 * 5.0)
+    np.testing.assert_allclose(limits, expected, rtol=1e-6)
 
 
 def test_limit_joint_scaling_hand_check():
-    lim = _limit(a=1.0, b=1.0)
-    assert lim.regime == "jointly-limited"
-    alpha1 = 1.0 - 0.1175
-    alpha2 = 1.0 - 0.03454
-    zeta = (alpha2 * 2.0 * 0.5 * 1.3 * 9.0
-            + 0.7 * (alpha1 * 4.0 * 5.0 + 1.3 * 3.0))
-    assert lim.zeta == pytest.approx(zeta, rel=1e-9)
-    expected = alpha1 * alpha2 * 4.0 * 0.5 * 4.0 * 9.0 / zeta
-    assert lim.value == pytest.approx(expected, rel=1e-9)
+    regime, limits = _limit(a=1.0, b=1.0)
+    assert regime == "jointly-limited"
+    zeta = (_ALPHA2 * _BETAS * 0.5 * 1.3 * 9.0
+            + 0.7 * (_ALPHA1 * 4.0 * 5.0 + 1.3 * 3.0))
+    expected = _ALPHA1 * _ALPHA2 * _BETAS ** 2 * 0.5 * 4.0 * 9.0 / zeta
+    np.testing.assert_allclose(limits, expected, rtol=1e-9)
 
 
 def test_joint_scaling_limit_is_approached():

@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -150,7 +151,7 @@ def _expected_cell(column, point):
     if column == "rate_closed":
         return repr(float(analysis.sum_rate_approx(scn).sum_rate))
     if column == "regime":
-        return analysis.power_scaling_limit(scn, 0).regime
+        return analysis.power_scaling_limit(scn)[0]
     if column == "rate_limit":
         return repr(float(analysis.asymptotic_sum_rate(scn)))
     return "nan"        # rate_mc, rate_mc_ci and rel_gap without Monte Carlo
@@ -361,6 +362,25 @@ def test_unwritable_out_path_exits_one_before_any_point(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.count("configuration error: cannot write --out") == 4
     assert "Traceback" not in err
+
+
+def test_invalid_grid_point_exits_one_before_any_point(tmp_path, capsys, monkeypatch):
+    # every point's scenario is built before the first point runs, so N = 8,
+    # too few antennas for the default ten users, stops the sweep before
+    # N = 256 runs either engine
+    calls = []
+
+    def engine(*args, **kwargs):
+        calls.append(args)
+        return types.SimpleNamespace(sum_rate=1.0, ci_halfwidth=0.0)
+
+    monkeypatch.setattr(cli, "sum_rate_approx", engine)
+    monkeypatch.setattr(link, "ergodic_sum_rate_mc", engine)
+    out = tmp_path / "r.csv"
+    assert _run(["rate-vs-n", "--n-values", "256,8", "--bits", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "configuration error: K = 10 users need K <= min(N, M) = min(8, 16)\n"
+    assert calls == [] and not out.exists()
 
 
 def test_numerical_failure_exits_two(capsys):

@@ -58,6 +58,8 @@ def test_with_updates_keeps_frozen_semantics():
     dict(r_B=0.6 + 0.9j),                 # magnitude >= 1
     dict(q1=0),
     dict(q2=2.5),
+    dict(q1=float("inf")),                # a resolution, like a count, is whole
+    dict(q2=float("nan")),
     dict(csi="oracle"),
     dict(trials=0),
     dict(K=3, betas=(1.0, 2.0)),          # wrong betas length
@@ -121,9 +123,9 @@ def test_whole_float_counts_run_like_their_int_twins():
     same(link.ergodic_sum_rate_mc(cfg.ScenarioConfig(N=64.0, K=3, trials=5)),
          link.ergodic_sum_rate_mc(cfg.ScenarioConfig(N=64, K=3, trials=5)))
     scn = cfg.ScenarioConfig(N=64.0, K=3.0, T=100.0, tau1=np.int64(10), trials=5.0,
-                             seed=7.0)
+                             seed=7.0, q1=2.0)
     assert all(type(getattr(scn, name)) is int
-               for name in ("N", "K", "T", "tau1", "tau2", "trials", "seed"))
+               for name in ("N", "K", "T", "tau1", "tau2", "trials", "seed", "q1"))
     twin = cfg.ScenarioConfig(N=64, K=3, trials=5, seed=7)
     assert scn.canonical_json() == twin.canonical_json()
     assert '"N":64,' in scn.canonical_json()

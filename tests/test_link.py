@@ -399,3 +399,25 @@ def test_engines_refuse_together_and_accepted_models_factor(scn):
             np.testing.assert_allclose(root, root.conj().T, rtol=0, atol=1e-12 * scale)
     event("refused" if refused else "accepted")
     assert (outcomes[0] == "accepted") == (not refused)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scn=_scenarios(), seed=st.integers(0, 2 ** 32))
+def test_moments_are_the_sampled_means_of_accepted_scenarios(scn, seed):
+    # the closed form's moments are the trial engine's true means on every
+    # scenario equivalent_form accepts, not only at fixed scenarios: within
+    # 5 standard errors, the bound of the fixed-scenario check. Strong
+    # correlation or few antennas give the raw fields heavy right tails,
+    # whose 400-trial means can sit over 5 standard errors below a correct
+    # moment; 1000 trials keep them within 4
+    try:
+        models = cfg.scenario_models(scn)
+    except DegenerateEstimateError:
+        event("refused")
+        return
+    event("accepted")
+    out = link.trial_outcomes(scn.with_updates(trials=1000, seed=seed), models)
+    for name, predicted in analysis.moments(*models, scn).items():
+        mean, se = channel.mean_and_stderr(out[name])
+        dev = np.abs(mean - predicted) / np.maximum(se, 1e-300)
+        assert dev.max() < 5.0, f"{name}: worst deviation {dev.max():.2f} se"
