@@ -206,7 +206,7 @@ def sinr_of(terms):
 
 @dataclass(frozen=True)
 class RateReport:
-    """Sum-rate result with its per-user decomposition and provenance."""
+    """Sum-rate result with its per-user decomposition."""
 
     signal: np.ndarray
     interference: np.ndarray
@@ -214,12 +214,8 @@ class RateReport:
     noise_bs: np.ndarray
     per_user_rate: np.ndarray
     sum_rate: float
-    mu: float
     kappa: float
-    chi: float
-    provenance: str              # "closed-form" or "monte-carlo"
     ci_halfwidth: float = 0.0
-    trials: int = 0
 
     def sinr(self):
         return sinr_of(vars(self))
@@ -241,8 +237,7 @@ def sum_rate_approx(scenario, models=None):
     terms = sinr_terms(raw, scenario, kappa)
     per_user = scenario.mu * np.log2(1.0 + sinr_of(terms))
     return RateReport(**terms, per_user_rate=per_user, sum_rate=float(per_user.sum()),
-                      mu=scenario.mu, kappa=kappa, chi=chi_factor(scenario, kappa),
-                      provenance="closed-form")
+                      kappa=kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -62,21 +62,24 @@ class ScenarioConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        # first, so that no check or property below meets a NaN, an inf or a
-        # count with a fractional part; a whole count or resolution is stored
-        # as an int, because sizes slice and index arrays and CSV cells and
-        # canonical_json write a resolution as given
+        # first, so that no check or property below meets a boolean, a NaN,
+        # an inf or a count with a fractional part; a whole count or
+        # resolution is stored as an int, because sizes slice and index arrays
+        # and CSV cells and canonical_json write a resolution as given
         for field in fields(self):
             value = getattr(self, field.name)
+            items = value if field.type is tuple and value is not None else (value,)
+            # Python and numpy read a boolean as the number 0 or 1
+            if field.type is not str and any(isinstance(v, (bool, np.bool_)) for v in items):
+                raise ConfigError(f"{field.name} takes numbers, not booleans, got {value!r}")
             if field.type is int or (field.name in ("q1", "q2") and value is not IDEAL):
                 if not (isinstance(value, Integral) or (
                         isinstance(value, Real) and float(value).is_integer())):
                     raise ConfigError(f"{field.name} must be a whole number, got {value!r}")
                 if type(value) is not int:
                     object.__setattr__(self, field.name, int(value))
-            values = (value if field.name in ("d_users", "betas")
-                      else (value,) if field.type in (float, complex) else ())
-            if value is not None and not all(cmath.isfinite(v) for v in values):
+            if (field.type in (float, complex, tuple) and value is not None
+                    and not all(cmath.isfinite(v) for v in items)):
                 raise ConfigError(f"{field.name} must be finite, got {value}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")

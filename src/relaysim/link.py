@@ -122,11 +122,10 @@ def ergodic_sum_rate_mc(scenario, models=None):
     models = cfg.scenario_models(scenario) if models is None else models
     stacks = trial_outcomes(scenario, models)
     rates = np.log2(1.0 + analysis.sinr_of(stacks))
-    mu, kappa = scenario.mu, stacks["kappa"]
+    mu = scenario.mu
     mean, ci = mean_and_stderr(rates.sum(axis=1), 1.96 * mu)
     return analysis.RateReport(
         **{name: stacks[name].mean(axis=0)
            for name in ("signal", "interference", "noise_relay", "noise_bs")},
-        per_user_rate=mu * rates.mean(axis=0),
-        sum_rate=float(mu * mean), mu=mu, kappa=kappa, chi=analysis.chi_factor(scenario, kappa),
-        provenance="monte-carlo", ci_halfwidth=float(ci), trials=len(rates))
+        per_user_rate=mu * rates.mean(axis=0), sum_rate=float(mu * mean),
+        kappa=stacks["kappa"], ci_halfwidth=float(ci))

@@ -199,8 +199,9 @@ def test_criterion_8_moment_growth_exponents(acceptance_log):
     for n in n_values:
         scn = cfg.table_defaults().with_updates(N=int(n), csi="perfect")
         report = analysis.sum_rate_approx(scn)
-        signal_raw.append(report.signal / report.chi)
-        interference_raw.append(report.interference / report.chi)
+        chi = analysis.chi_factor(scn, report.kappa)
+        signal_raw.append(report.signal / chi)
+        interference_raw.append(report.interference / chi)
     log_n = np.log(n_values)
     s_slopes = np.array([np.polyfit(log_n, np.log([row[k] for row in signal_raw]), 1)[0]
                          for k in range(10)])

@@ -59,6 +59,24 @@ def test_runs_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate-vs-n", "--n-values", "48", "--bits", "2"],
+    ["power-scaling", "--n-values", "48"],
+    ["correlation-impact", "--n-values", "48"],
+    ["adc-impact", "--n-values", "48"],
+    ["mse-sweep", "--hop", "first", "--bits", "2", "--powers-db", "10"],
+], ids=lambda argv: argv[0])
+def test_csv_regenerates_from_its_config_line(tmp_path, argv):
+    # the '# config=' JSON as --config, with the same grid flags and no
+    # --seed or --trials, writes the same bytes
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert _run(argv + ["--trials", "3", "--seed", "7", "--out", str(first)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(_read_csv(first)[2][-1].split("=", 1)[1])
+    assert _run(argv + ["--config", str(config), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
 def test_worker_count_does_not_change_csv(tmp_path):
     argv = ["rate-vs-n", "--n-values", "48", "--bits", "2", "--trials", "16"]
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"

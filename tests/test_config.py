@@ -99,6 +99,12 @@ def test_with_updates_keeps_frozen_semantics():
     dict(K=1, d_users=(182.0, -209.0)),
     # without betas the gains come from the distances
     dict(d_users=None),
+    # Python and numpy read a boolean as the number 0 or 1: no field takes one
+    dict(K=True),
+    dict(q1=True),
+    dict(delta=True),
+    dict(delta=np.True_),
+    dict(K=1, betas=(True,)),
 ])
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ConfigError):

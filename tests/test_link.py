@@ -247,8 +247,6 @@ def test_receive_gemms_per_chunk(monkeypatch, scn, per_chunk):
 def test_report_fields_and_reproducibility():
     report = link.ergodic_sum_rate_mc(_SCN)
     again = link.ergodic_sum_rate_mc(_SCN)
-    assert report.provenance == "monte-carlo"
-    assert report.trials == _SCN.trials
     assert report.ci_halfwidth > 0.0
     assert report.sum_rate == again.sum_rate
     per_user = _SCN.mu * np.log2(1.0 + report.sinr())

@@ -63,7 +63,7 @@ def test_perfect_csi_matches_pinned_values(scn, sum_rate, kappa, chi, per_user):
     report = analysis.sum_rate_approx(scn)
     assert report.sum_rate == pytest.approx(sum_rate, rel=RTOL, abs=0.0)
     assert report.kappa == pytest.approx(kappa, rel=RTOL, abs=0.0)
-    assert report.chi == pytest.approx(chi, rel=RTOL, abs=0.0)
+    assert analysis.chi_factor(scn, report.kappa) == pytest.approx(chi, rel=RTOL, abs=0.0)
     assert list(report.per_user_rate) == pytest.approx(per_user, rel=RTOL, abs=0.0)
 
 
