@@ -5,7 +5,11 @@ seed plus string tags (and indices such as the trial number), so results do
 not depend on the order in which grid points or chunks of trials run.
 """
 
+import contextlib
+import functools
 import math
+import os
+import threading
 import zlib
 
 import numpy as np
@@ -46,33 +50,110 @@ def chunk_size(shapes):
     return max(1, CHUNK_BYTES // (8 * normals_per_trial(shapes)))
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy ships in
+    numpy.libs, or None when it ships none; looked up once."""
+    import ctypes
+    import glob
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "lib*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            if hasattr(lib, f"{prefix}get_num_threads{suffix}"):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}")
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread inside the block and restore the
+    count it had on exit; without a bundled OpenBLAS, do nothing.
+
+    With a second BLAS thread, a GEMM's idle worker spins on the core that
+    sample's filler thread needs, for a while after every GEMM.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def sample(draws, trials, fill, stage):
     """Stacks over trials of the named arrays that stage makes of each chunk.
 
-    trials must be a whole number >= 1 (else ConfigError). normals is one
-    reused buffer of chunk_size(draws) rows, one per trial; fill(rows,
-    start) fills its first count rows, trials start, start + 1, ..., and
-    the rows past them are zero. Chunks begin at multiples of the chunk
-    size, so a trial's arithmetic depends on its index alone.
-    stage gets one (rows,) + shape view of the buffer per shape of draws,
-    in order, and returns a dict of arrays of one row per buffer row; the
+    trials must be a whole number >= 1 (else ConfigError). A chunk is
+    chunk_size(draws) rows of normals, one per trial; fill(rows, start)
+    fills its first count rows, trials start, start + 1, ..., and the rows
+    past them are zero. Chunks begin at multiples of the chunk size, so a
+    trial's arithmetic depends on its index alone.
+    stage gets one (rows,) + shape view of the chunk per shape of draws,
+    in order, and returns a dict of arrays of one row per chunk row; the
     real trials' rows go to (trials, ...) stacks under the same keys,
     allocated at the first chunk.
+
+    One filler thread fills the chunks, strictly in order and none past the
+    last, into two buffers: chunk i + 1 while stage runs on chunk i. So a
+    fill must share no state with stage; a generator the fills share sees
+    the draws of a serial loop. The filler is joined before sample returns
+    or raises, and an exception in fill or stage propagates. OpenBLAS is
+    held to one thread meanwhile (_one_blas_thread).
     """
     if trials < 1 or not float(trials).is_integer():
         raise ConfigError(f"trials must be >= 1 and whole, got {trials!r}")
     trials, size = int(trials), chunk_size(draws)
-    normals, stacks = np.empty((size, normals_per_trial(draws))), None
-    parts = split_normals(normals, *draws)
-    for start in range(0, trials, size):
-        count = min(size, trials - start)
-        fill(normals[:count], start)
-        normals[count:] = 0.0
-        out = stage(*parts)
-        stacks = stacks or {name: np.empty((trials,) + x.shape[1:], x.dtype)
-                            for name, x in out.items()}
-        for name, x in out.items():
-            stacks[name][start:start + count] = x[:count]
+    buffers = [np.empty((size, normals_per_trial(draws))) for _ in range(2)]
+    parts = [split_normals(normals, *draws) for normals in buffers]
+    chunks = [(start, min(size, trials - start)) for start in range(0, trials, size)]
+    free, ready, stop, failed = (threading.Semaphore(2), threading.Semaphore(0),
+                                 threading.Event(), [])
+
+    def filler():
+        try:
+            for chunk, (start, count) in enumerate(chunks):
+                free.acquire()
+                if stop.is_set():
+                    return
+                normals = buffers[chunk % 2]
+                fill(normals[:count], start)
+                normals[count:] = 0.0
+                ready.release()
+        except BaseException as exc:     # handed to the calling thread
+            failed.append(exc)
+            ready.release()
+
+    stacks = None
+    thread = threading.Thread(target=filler, name="relaysim-fill", daemon=True)
+    with _one_blas_thread():
+        thread.start()
+        try:
+            for chunk, (start, count) in enumerate(chunks):
+                ready.acquire()
+                if failed:
+                    raise failed[0]
+                out = stage(*parts[chunk % 2])
+                stacks = stacks or {name: np.empty((trials,) + x.shape[1:], x.dtype)
+                                    for name, x in out.items()}
+                for name, x in out.items():
+                    stacks[name][start:start + count] = x[:count]
+                free.release()
+        finally:
+            stop.set()
+            free.release()
+            thread.join()
     return stacks
 
 

@@ -24,7 +24,7 @@ from . import __version__
 from . import config as cfg
 from . import estimation, link, validate
 from .analysis import asymptotic_sum_rate, power_scaling_limit, sum_rate_approx
-from .channel import substream
+from .channel import _one_blas_thread, substream
 from .errors import ConfigError, NumericalError
 from .quantizer import IDEAL, AdcSpec, bits_label
 
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="skip the closed-form engine")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for old command lines (at least 1); "
-                            "trials run on one thread whatever its value")
+                            "trials run the same way whatever its value")
         for flag, _, _, default, axis_help in axes:
             p.add_argument(flag, default=default, help=axis_help)
         p.set_defaults(func=cmd_rate_sweep)
@@ -298,7 +298,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "out", None):
             _check_out(args.out)
-        return args.func(args)
+        # the whole command, not only channel.sample: a threaded GEMM before
+        # a point's trials (lmmse_filter's, say) leaves OpenBLAS's worker
+        # spinning into them, on the core sample's filler thread needs
+        with _one_blas_thread():
+            return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

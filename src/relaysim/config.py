@@ -10,6 +10,7 @@ form, or genie CSI) that the analysis and Monte Carlo engines consume.
 import cmath
 from dataclasses import asdict, dataclass, fields, replace
 import json
+import math
 from numbers import Integral, Real
 
 import numpy as np
@@ -68,6 +69,10 @@ class ScenarioConfig:
         # and CSV cells and canonical_json write a resolution as given
         for field in fields(self):
             value = getattr(self, field.name)
+            # a string would be read a character at a time
+            if (field.type is tuple and value is not None
+                    and not isinstance(value, (tuple, list))):
+                raise ConfigError(f"{field.name} takes a list of numbers, got {value!r}")
             items = value if field.type is tuple and value is not None else (value,)
             # Python and numpy read a boolean as the number 0 or 1
             if field.type is not str and any(isinstance(v, (bool, np.bool_)) for v in items):
@@ -78,9 +83,14 @@ class ScenarioConfig:
                     raise ConfigError(f"{field.name} must be a whole number, got {value!r}")
                 if type(value) is not int:
                     object.__setattr__(self, field.name, int(value))
-            if (field.type in (float, complex, tuple) and value is not None
-                    and not all(cmath.isfinite(v) for v in items)):
-                raise ConfigError(f"{field.name} must be finite, got {value}")
+            if field.type in (float, complex, tuple) and value is not None:
+                isfinite = cmath.isfinite if field.type is complex else math.isfinite
+                try:
+                    finite = all(isfinite(v) for v in items)
+                except TypeError:
+                    raise ConfigError(f"{field.name} takes numbers, got {value!r}") from None
+                if not finite:
+                    raise ConfigError(f"{field.name} must be finite, got {value}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
         if self.K < 1:

@@ -1,9 +1,13 @@
 """Channel sampling and RNG substream contract checks."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from relaysim import channel, config as cfg
+from relaysim import channel, cli, config as cfg
 from relaysim.correlation import exponential_correlation
 from relaysim.errors import ConfigError
 from relaysim.estimation import HopStatistics
@@ -131,3 +135,98 @@ def test_draw_guards():
     # the scenario refuses it before any hop is built
     with pytest.raises(ConfigError, match="betas"):
         cfg.ScenarioConfig(K=2, betas=(-1.0, 0.5))
+
+
+# three full chunks of 8 trials and a padded fourth
+_DRAWS = [(64, 128)]
+_TRIALS = 3 * channel.chunk_size(_DRAWS) + 5
+
+
+def _stamp(rows, start):
+    rows[:] = start + np.arange(len(rows))[:, None]
+
+
+def test_sample_stages_see_their_own_chunk():
+    # each stage sleeps while the filler runs ahead, and threads switch
+    # often; a filler that wrote into the buffer under a stage would change
+    # what the stage reads back
+    def stage(x):
+        first = x[:, 0, 0].copy()
+        time.sleep(0.02)
+        return {"first": first, "last": x[:, -1, -1].copy()}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stacks = channel.sample(_DRAWS, _TRIALS, _stamp, stage)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(stacks["first"], np.arange(_TRIALS))
+    np.testing.assert_array_equal(stacks["last"], np.arange(_TRIALS))
+
+
+def test_sample_pads_the_last_chunk_with_zeros():
+    size = channel.chunk_size(_DRAWS)
+    padded = []
+
+    def stage(x):
+        padded.append(x[_TRIALS % size:].copy())
+        return {"first": x[:, 0, 0].copy()}
+
+    channel.sample(_DRAWS, _TRIALS, _stamp, stage)
+    assert len(padded) == 4 and not padded[-1].any()
+
+
+class _Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["fill", "stage"])
+@pytest.mark.parametrize("chunk", [0, 2])
+def test_sample_raises_what_fill_or_stage_raised_and_leaves_no_thread(where, chunk):
+    err, threads = _Refused(where), threading.active_count()
+    start = chunk * channel.chunk_size(_DRAWS)
+
+    def fill(rows, at):
+        if where == "fill" and at == start:
+            raise err
+        _stamp(rows, at)
+
+    def stage(x):
+        if where == "stage" and x[0, 0, 0] == start:
+            raise err
+        return {"first": x[:, 0, 0].copy()}
+
+    with pytest.raises(_Refused) as raised:
+        channel.sample(_DRAWS, _TRIALS, fill, stage)
+    assert raised.value is err
+    assert threading.active_count() == threads
+
+
+def test_sample_draws_a_shared_generator_as_a_serial_loop_does():
+    # nothing is filled past the last chunk, and the chunks are filled in
+    # order: the generator ends where one draw of all trials leaves it
+    rng, serial = np.random.default_rng(5), np.random.default_rng(5)
+    stacks = channel.sample(_DRAWS, _TRIALS, lambda rows, _: rng.standard_normal(out=rows),
+                            lambda x: {"x": x.copy()})
+    np.testing.assert_array_equal(stacks["x"], serial.standard_normal((_TRIALS,) + _DRAWS[0]))
+    assert rng.bit_generator.state == serial.bit_generator.state
+
+
+def test_sample_and_cli_restore_the_blas_thread_count(tmp_path):
+    blas = channel._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy ships no OpenBLAS here")
+    get, put = blas
+    original = get()
+    argv = ["mse-sweep", "--hop", "first", "--bits", "2", "--powers-db", "10",
+            "--trials", "3", "--out", str(tmp_path / "mse.csv")]
+    try:
+        for before in (2, 1):
+            put(before)
+            seen = []
+            channel.sample(_DRAWS, 3, _stamp, lambda x: seen.append(get()) or {"x": x[:, 0, 0]})
+            assert seen == [1] and get() == before
+            assert cli.main(argv) == 0 and get() == before
+    finally:
+        put(original)

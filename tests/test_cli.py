@@ -1,6 +1,7 @@
 """End-to-end command-line checks: CSV shape, determinism, exit codes."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -455,26 +456,57 @@ def test_validate_subcommand_reports_a_check_that_raises(capsys, monkeypatch):
 
 _COLD_START = """
 import sys
+import threading
 sys.path.insert(0, sys.argv[3])
 import relaysim.cli
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy imported"
-pools = ("concurrent.futures.thread", "concurrent.futures.process", "multiprocessing")
 argv = ["rate-vs-n", "--n-values", "48", "--bits", "2", "--trials", "40"]
 assert relaysim.cli.main(argv + ["--out", sys.argv[1]]) == 0
 assert relaysim.cli.main(argv + ["--workers", "2", "--out", sys.argv[2]]) == 0
-assert not [m for m in pools if m in sys.modules], "a run imported a pool"
+pools = ("concurrent.futures.process", "multiprocessing")
+assert not [m for m in pools if m in sys.modules], "a run imported a process pool"
+assert threading.enumerate() == [threading.main_thread()], "a thread outlived main"
 """
+
+
+def _package_parent():
+    return str(pathlib.Path(cli.__file__).resolve().parent.parent)
 
 
 def test_cold_start_imports_no_scipy_and_serial_runs_no_pool(tmp_path):
     # a fresh interpreter, because this test session has imported all of
     # them; 40 trials at N = 48 are several chunks, and --workers 2 runs
-    # them on the one thread too, to the same bytes
+    # them the same way, to the same bytes; sample's filler thread is
+    # joined before main returns
     scn = cfg.table_defaults().with_updates(N=48)
     assert channel.chunk_size(link._trial_draws(scn)) < 20
-    package_parent = pathlib.Path(cli.__file__).resolve().parent.parent
     serial, two = tmp_path / "serial.csv", tmp_path / "two.csv"
     done = subprocess.run([sys.executable, "-c", _COLD_START, str(serial), str(two),
-                           str(package_parent)], capture_output=True, text=True)
+                           _package_parent()], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert two.read_bytes() == serial.read_bytes()
+
+
+_MAIN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import relaysim.cli
+sys.exit(relaysim.cli.main(sys.argv[2:]))
+"""
+
+
+def test_mse_sweep_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it; every
+    # command holds it to one thread whatever it started with
+    written = []
+    for name, threads in (("one.csv", "1"), ("default.csv", None)):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / name
+        done = subprocess.run([sys.executable, "-c", _MAIN, _package_parent(), "mse-sweep",
+                               "--trials", "40", "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]

@@ -105,6 +105,13 @@ def test_with_updates_keeps_frozen_semantics():
     dict(delta=True),
     dict(delta=np.True_),
     dict(K=1, betas=(True,)),
+    # d_users and betas take lists of numbers: nothing else is iterated
+    dict(d_users=5.0),
+    dict(d_users=True),
+    dict(K=2, betas="ab"),
+    dict(K=2, betas=("a", "b")),
+    dict(K=2, d_users=(182.0, 1j)),
+    dict(delta="2"),
 ])
 def test_invalid_configs_raise(kwargs):
     with pytest.raises(ConfigError):
