@@ -72,14 +72,19 @@ def _openblas_threads():
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
+def _one_blas_thread(draws):
     """Hold numpy's OpenBLAS to one thread inside the block and restore the
-    count it had on exit; without a bundled OpenBLAS, do nothing.
+    count it had on exit, when a chunk of draws holds more than one trial;
+    otherwise, or without a bundled OpenBLAS, do nothing.
 
-    With a second BLAS thread, a GEMM's idle worker spins on the core that
-    sample's filler thread needs, for a while after every GEMM.
+    Under it, sample fills the next chunk on a second thread. Where a chunk
+    holds several trials its GEMMs are small and a second BLAS thread adds
+    nothing; where it holds one (large N), they gain from it more than the
+    filler does. Only the pilot chain (estimation.pilot_mse) enters it: the
+    rate trials' and their models' last digits depend on the thread count
+    at some sizes (N = 200), and their CSVs would change.
     """
-    blas = _openblas_threads()
+    blas = _openblas_threads() if chunk_size(draws) > 1 else None
     if blas is None:
         yield
         return
@@ -105,12 +110,15 @@ def sample(draws, trials, fill, stage):
     real trials' rows go to (trials, ...) stacks under the same keys,
     allocated at the first chunk.
 
-    One filler thread fills the chunks, strictly in order and none past the
-    last, into two buffers: chunk i + 1 while stage runs on chunk i. So a
-    fill must share no state with stage; a generator the fills share sees
-    the draws of a serial loop. The filler is joined before sample returns
-    or raises, and an exception in fill or stage propagates. OpenBLAS is
-    held to one thread meanwhile (_one_blas_thread).
+    Chunks are filled strictly in order and none past the last, into two
+    buffers. While numpy's OpenBLAS runs one thread (as _one_blas_thread
+    holds it), one filler thread fills chunk i + 1 while stage runs on
+    chunk i; otherwise the calling thread fills each chunk before its
+    stage, since a second BLAS thread's worker spins after every GEMM on
+    the core the filler needs. So a fill must share no state with stage; a
+    generator the fills share sees the draws of a serial loop either way.
+    The filler is joined before sample returns or raises, and an exception
+    in fill or stage propagates.
     """
     if trials < 1 or not float(trials).is_integer():
         raise ConfigError(f"trials must be >= 1 and whole, got {trials!r}")
@@ -121,36 +129,46 @@ def sample(draws, trials, fill, stage):
     free, ready, stop, failed = (threading.Semaphore(2), threading.Semaphore(0),
                                  threading.Event(), [])
 
+    def fill_chunk(chunk):
+        start, count = chunks[chunk]
+        normals = buffers[chunk % 2]
+        fill(normals[:count], start)
+        normals[count:] = 0.0
+
     def filler():
         try:
-            for chunk, (start, count) in enumerate(chunks):
+            for chunk in range(len(chunks)):
                 free.acquire()
                 if stop.is_set():
                     return
-                normals = buffers[chunk % 2]
-                fill(normals[:count], start)
-                normals[count:] = 0.0
+                fill_chunk(chunk)
                 ready.release()
         except BaseException as exc:     # handed to the calling thread
             failed.append(exc)
             ready.release()
 
+    blas = _openblas_threads()
+    thread = (threading.Thread(target=filler, name="relaysim-fill", daemon=True)
+              if blas is not None and blas[0]() == 1 else None)
     stacks = None
-    thread = threading.Thread(target=filler, name="relaysim-fill", daemon=True)
-    with _one_blas_thread():
+    if thread is not None:
         thread.start()
-        try:
-            for chunk, (start, count) in enumerate(chunks):
+    try:
+        for chunk, (start, count) in enumerate(chunks):
+            if thread is None:
+                fill_chunk(chunk)
+            else:
                 ready.acquire()
                 if failed:
                     raise failed[0]
-                out = stage(*parts[chunk % 2])
-                stacks = stacks or {name: np.empty((trials,) + x.shape[1:], x.dtype)
-                                    for name, x in out.items()}
-                for name, x in out.items():
-                    stacks[name][start:start + count] = x[:count]
-                free.release()
-        finally:
+            out = stage(*parts[chunk % 2])
+            stacks = stacks or {name: np.empty((trials,) + x.shape[1:], x.dtype)
+                                for name, x in out.items()}
+            for name, x in out.items():
+                stacks[name][start:start + count] = x[:count]
+            free.release()
+    finally:
+        if thread is not None:
             stop.set()
             free.release()
             thread.join()

@@ -24,7 +24,7 @@ from . import __version__
 from . import config as cfg
 from . import estimation, link, validate
 from .analysis import asymptotic_sum_rate, power_scaling_limit, sum_rate_approx
-from .channel import _one_blas_thread, substream
+from .channel import substream
 from .errors import ConfigError, NumericalError
 from .quantizer import IDEAL, AdcSpec, bits_label
 
@@ -298,11 +298,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "out", None):
             _check_out(args.out)
-        # the whole command, not only channel.sample: a threaded GEMM before
-        # a point's trials (lmmse_filter's, say) leaves OpenBLAS's worker
-        # spinning into them, on the core sample's filler thread needs
-        with _one_blas_thread():
-            return args.func(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

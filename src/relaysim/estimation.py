@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import complex_stack, draw_hop, left_multiply, mean_and_stderr, sample
+from .channel import (_one_blas_thread, complex_stack, draw_hop, left_multiply,
+                      mean_and_stderr, sample)
 from .correlation import exponential_basis, exponential_correlation, exponential_eigenvalues
 from .errors import DegenerateEstimateError, IllConditionedError
 from .quantizer import aqnm_quantize
@@ -298,14 +299,19 @@ def pilot_mse(hop, adc, power, trials, rng):
     so every trial sees the numbers it would draw on its own.
     """
     n, k = hop.shape
-    lmmse = lmmse_filter(hop, adc, power)
+    draws = _pilot_draws(hop, adc)
+    # the filter's GEMM runs under the pin too: threaded, it would leave
+    # OpenBLAS's worker spinning into the trials, on the core that sample's
+    # filler thread needs
+    with _one_blas_thread(draws):
+        lmmse = lmmse_filter(hop, adc, power)
 
-    def stage(*parts):
-        chan, est = simulate_pilot(hop, adc, power, parts, lmmse)
-        return {"mse": _sum_abs2(est - chan, "i") / (n * k)}
+        def stage(*parts):
+            chan, est = simulate_pilot(hop, adc, power, parts, lmmse)
+            return {"mse": _sum_abs2(est - chan, "i") / (n * k)}
 
-    errs = sample(_pilot_draws(hop, adc), trials,
-                  lambda rows, _: rng.standard_normal(out=rows), stage)["mse"]
+        errs = sample(draws, trials, lambda rows, _: rng.standard_normal(out=rows),
+                      stage)["mse"]
     return tuple(map(float, mean_and_stderr(errs)))
 
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from relaysim import channel, cli, config as cfg
+from relaysim import channel, cli, config as cfg, estimation
 from relaysim.correlation import exponential_correlation
 from relaysim.errors import ConfigError
 from relaysim.estimation import HopStatistics
@@ -146,7 +146,27 @@ def _stamp(rows, start):
     rows[:] = start + np.arange(len(rows))[:, None]
 
 
-def test_sample_stages_see_their_own_chunk():
+@pytest.fixture(params=[2, 1], ids=["caller-fills", "filler-thread"])
+def blas_threads(request, monkeypatch):
+    """sample as it runs beside 2 BLAS threads (the calling thread fills)
+    and beside 1 (a filler thread fills), whatever BLAS numpy ships."""
+    monkeypatch.setattr(channel, "_openblas_threads",
+                        lambda: (lambda: request.param, lambda count: None))
+    return request.param
+
+
+def test_sample_fills_on_a_second_thread_only_beside_one_blas_thread(blas_threads):
+    fillers = set()
+
+    def fill(rows, start):
+        fillers.add(threading.current_thread() is threading.main_thread())
+        _stamp(rows, start)
+
+    channel.sample(_DRAWS, _TRIALS, fill, lambda x: {"first": x[:, 0, 0].copy()})
+    assert fillers == {blas_threads == 2}
+
+
+def test_sample_stages_see_their_own_chunk(blas_threads):
     # each stage sleeps while the filler runs ahead, and threads switch
     # often; a filler that wrote into the buffer under a stage would change
     # what the stage reads back
@@ -165,7 +185,7 @@ def test_sample_stages_see_their_own_chunk():
     np.testing.assert_array_equal(stacks["last"], np.arange(_TRIALS))
 
 
-def test_sample_pads_the_last_chunk_with_zeros():
+def test_sample_pads_the_last_chunk_with_zeros(blas_threads):
     size = channel.chunk_size(_DRAWS)
     padded = []
 
@@ -183,7 +203,8 @@ class _Refused(Exception):
 
 @pytest.mark.parametrize("where", ["fill", "stage"])
 @pytest.mark.parametrize("chunk", [0, 2])
-def test_sample_raises_what_fill_or_stage_raised_and_leaves_no_thread(where, chunk):
+def test_sample_raises_what_fill_or_stage_raised_and_leaves_no_thread(
+        blas_threads, where, chunk):
     err, threads = _Refused(where), threading.active_count()
     start = chunk * channel.chunk_size(_DRAWS)
 
@@ -203,7 +224,7 @@ def test_sample_raises_what_fill_or_stage_raised_and_leaves_no_thread(where, chu
     assert threading.active_count() == threads
 
 
-def test_sample_draws_a_shared_generator_as_a_serial_loop_does():
+def test_sample_draws_a_shared_generator_as_a_serial_loop_does(blas_threads):
     # nothing is filled past the last chunk, and the chunks are filled in
     # order: the generator ends where one draw of all trials leaves it
     rng, serial = np.random.default_rng(5), np.random.default_rng(5)
@@ -213,20 +234,41 @@ def test_sample_draws_a_shared_generator_as_a_serial_loop_does():
     assert rng.bit_generator.state == serial.bit_generator.state
 
 
-def test_sample_and_cli_restore_the_blas_thread_count(tmp_path):
+def test_blas_pin_holds_pilot_chunks_of_several_trials_and_restores_the_count(
+        tmp_path, monkeypatch):
     blas = channel._openblas_threads()
     if blas is None:
         pytest.skip("numpy ships no OpenBLAS here")
     get, put = blas
     original = get()
+    one_trial = [(channel.CHUNK_BYTES // 8,)]
+    assert channel.chunk_size(one_trial) == 1 < channel.chunk_size(_DRAWS)
+    filters = []
+    lmmse_filter = estimation.lmmse_filter
+    monkeypatch.setattr(estimation, "lmmse_filter",
+                        lambda *args: filters.append(get()) or lmmse_filter(*args))
     argv = ["mse-sweep", "--hop", "first", "--bits", "2", "--powers-db", "10",
             "--trials", "3", "--out", str(tmp_path / "mse.csv")]
     try:
         for before in (2, 1):
             put(before)
-            seen = []
-            channel.sample(_DRAWS, 3, _stamp, lambda x: seen.append(get()) or {"x": x[:, 0, 0]})
-            assert seen == [1] and get() == before
+            for draws, inside in ((_DRAWS, 1), (one_trial, before)):
+                with channel._one_blas_thread(draws):
+                    assert get() == inside
+                assert get() == before
+            # sample itself leaves the count alone: rate trials run with it,
+            # filled on the calling thread unless that count is 1
+            seen, fillers = [], []
+
+            def fill(rows, start):
+                fillers.append(threading.current_thread())
+                _stamp(rows, start)
+
+            channel.sample(_DRAWS, 3, fill, lambda x: seen.append(get()) or {"x": x[:, 0, 0]})
+            assert seen == [before] and get() == before
+            assert (fillers == [threading.main_thread()]) == (before == 2)
+            filters.clear()
             assert cli.main(argv) == 0 and get() == before
+            assert filters == [1]
     finally:
         put(original)

@@ -496,8 +496,8 @@ sys.exit(relaysim.cli.main(sys.argv[2:]))
 
 
 def test_mse_sweep_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
-    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it; every
-    # command holds it to one thread whatever it started with
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it; the
+    # pilot chain runs under a one-thread pin (channel._one_blas_thread)
     written = []
     for name, threads in (("one.csv", "1"), ("default.csv", None)):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -510,3 +510,18 @@ def test_mse_sweep_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
         assert done.returncode == 0, done.stderr
         written.append(out.read_bytes())
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlation-impact", "--deltas", "2", "--coefficients", "0.8:0", "--trials", "20"],
+    ["mse-sweep", "--bits", "1,ideal", "--powers-db", "0,30", "--trials", "20"],
+])
+def test_blas_pin_changes_no_number(tmp_path, monkeypatch, argv):
+    # at N = 200 the estimate models' and the rate trials' last digits
+    # depend on the BLAS thread count, so nothing on the rate engine's path
+    # runs pinned; the pilot chain's do not at these sizes
+    pinned, free = tmp_path / "pinned.csv", tmp_path / "free.csv"
+    assert cli.main(argv + ["--out", str(pinned)]) == 0
+    monkeypatch.setattr(channel, "_openblas_threads", lambda: None)
+    assert cli.main(argv + ["--out", str(free)]) == 0
+    assert free.read_bytes() == pinned.read_bytes()
