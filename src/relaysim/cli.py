@@ -14,11 +14,10 @@ powers with the same key are refused, since either would alias streams.
 
 import argparse
 import itertools
+import math
 import os
 import re
 import sys
-
-import numpy as np
 
 from . import __version__
 from . import config as cfg
@@ -36,39 +35,24 @@ def _format_value(value):
     return str(value) if isinstance(value, (str, int)) else repr(float(value))
 
 
-def _convert(kind, token):
-    """kind(token), with an unreadable or non-finite token reported as a
-    ConfigError."""
+def _entries(flag, text):
+    """The non-empty comma-separated entries of flag's sweep list."""
+    entries = [entry for entry in text.split(",") if entry.strip()]
+    if not entries:
+        raise ConfigError(f"{flag}: empty sweep value list")
+    return entries
+
+
+def _power_db(token):
+    """One --powers-db value, a finite number of decibels: the one sweep
+    value that sets no scenario field."""
     try:
-        value = kind(token)
-    except ConfigError:
-        raise
+        power_db = float(token)
     except ValueError:
-        raise ConfigError(f"unreadable sweep value {token.strip()!r}")
-    if isinstance(value, float) and not np.isfinite(value):
-        raise ConfigError(f"sweep value {token.strip()!r} is not finite")
-    return value
-
-
-def _parse_list(text, kind=float, sep=","):
-    values = [_convert(kind, tok) for tok in text.split(sep) if tok.strip()]
-    if not values:
-        raise ConfigError("empty sweep value list")
-    return values
-
-
-def _bits(flag):
-    return lambda token: cfg.parse_adc_bits(token, flag)
-
-
-def _pair(kind):
-    """Token parser of one left:right pair of kind values."""
-    def parse(token):
-        pair = _parse_list(token, kind, sep=":")
-        if len(pair) != 2:
-            raise ConfigError(f"expected left:right pair, got {token.strip()!r}")
-        return tuple(pair)
-    return parse
+        power_db = float("nan")
+    if not math.isfinite(power_db):
+        raise ConfigError(f"--powers-db: expected a finite number, got {token.strip()!r}")
+    return power_db
 
 
 def write_csv(stream, header, rows, scenario):
@@ -100,26 +84,21 @@ def _base_scenario(args):
     base = cfg.table_defaults()
     if args.config:
         base = cfg.load_scenario_file(args.config, base=base)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if updates:
-        base = base.with_updates(**updates)
-    return base
+    flags = {"seed": args.seed, "trials": args.trials}
+    return cfg.scenario_from_mapping(
+        {field: token for field, token in flags.items() if token is not None}, base=base)
 
 
 def cmd_mse_sweep(args) -> int:
     scn = _base_scenario(args)
-    powers_db = _parse_list(args.powers_db)
+    powers_db = [_power_db(token) for token in _entries("--powers-db", args.powers_db)]
     # a point's stream is keyed by its power to 6 significant digits (:g)
     for one, other in itertools.combinations(powers_db, 2):
         if one != other and f"{one:g}" == f"{other:g}":
             raise ConfigError(f"--powers-db values {one!r} and {other!r} share the stream "
                               f"key {one:g}; they would draw the same normals")
     powers = [cfg.db_to_linear(power_db, "--powers-db") for power_db in powers_db]
-    bits_grid = _parse_list(args.bits, _bits("--bits"))
+    bits_grid = [cfg.parse_adc_bits(token, "--bits") for token in _entries("--bits", args.bits)]
     names = ("first", "second") if args.hop == "both" else (args.hop,)
     stats = dict(zip(("first", "second"), cfg.scenario_hops(scn)))
     rows = []
@@ -159,7 +138,7 @@ def _relative_gap(point, cells):
     return abs(cells["rate_mc"] - closed) / closed if closed > 0.0 else float("nan")
 
 
-# CSV columns that are neither a grid field nor one of the two engines' rates
+# CSV columns that are neither a scenario field nor one of the two engines' rates
 _DERIVED = {
     "rel_gap": _relative_gap,
     "regime": lambda point, cells: power_scaling_limit(point)[0],
@@ -167,40 +146,41 @@ _DERIVED = {
 }
 
 # The rate subcommands: help, grid axes outermost first, CSV columns. Each
-# axis is (flag, token parser, the scenario fields one value sets, default,
-# help); a pair sets its two fields, a single value sets every field.
+# axis is (flag, the scenario fields one value sets, default, help), the
+# fields spelled as a value is: "a:b" takes a left:right pair that sets a and
+# b, "q1 q2" one value that sets both.
 _RATE_SWEEPS = {
     "rate-vs-n": ("sum rate vs antenna count", (
-        ("--n-values", int, ("N",), "64,128,256", None),
-        ("--bits", _bits("--bits"), ("q1", "q2"), "1,2,ideal",
-         "resolutions applied to both hops"),
+        ("--n-values", "N", "64,128,256", None),
+        ("--bits", "q1 q2", "1,2,ideal", "resolutions applied to both hops"),
     ), ("N", "q1", "q2", "rate_mc", "rate_mc_ci", "rate_closed", "rel_gap")),
     "power-scaling": ("rate vs N under scaled powers", (
-        ("--exponents", _pair(float), ("a", "b"), "1:1",
-         "comma-separated a:b exponent pairs"),
-        ("--n-values", int, ("N",), "128,256,512,1024", None),
+        ("--exponents", "a:b", "1:1", "comma-separated a:b exponent pairs"),
+        ("--n-values", "N", "128,256,512,1024", None),
     ), ("N", "a", "b", "rate_closed", "rate_mc", "rate_mc_ci", "regime", "rate_limit")),
     "correlation-impact": ("rate vs correlation split", (
-        ("--deltas", float, ("delta",), "0.5,2", None),
-        ("--coefficients", _pair(float), ("r_R", "r_B"), "0:0.8,0.8:0",
-         "comma-separated r_R:r_B pairs"),
-        ("--n-values", int, ("N",), "200", None),
+        ("--deltas", "delta", "0.5,2", None),
+        ("--coefficients", "r_R:r_B", "0:0.8,0.8:0", "comma-separated r_R:r_B pairs"),
+        ("--n-values", "N", "200", None),
     ), ("N", "delta", "r_R", "r_B", "rate_closed", "rate_mc", "rate_mc_ci")),
     "adc-impact": ("rate vs per-hop ADC resolution", (
-        ("--deltas", float, ("delta",), "0.5,2", None),
-        ("--bits-pairs", _pair(_bits("--bits-pairs")), ("q1", "q2"), "3:1,1:3",
-         "comma-separated q1:q2 pairs"),
-        ("--n-values", int, ("N",), "200", None),
+        ("--deltas", "delta", "0.5,2", None),
+        ("--bits-pairs", "q1:q2", "3:1,1:3", "comma-separated q1:q2 pairs"),
+        ("--n-values", "N", "200", None),
     ), ("N", "delta", "q1", "q2", "rate_closed", "rate_mc", "rate_mc_ci")),
 }
 
 
-def _axis_points(text, kind, fields):
-    """[{field: value}] of one grid axis, in the order its values are given."""
+def _axis_points(flag, text, fields):
+    """[{field: token}] of one grid axis, in the order its values are given."""
+    sides = [side.split() for side in fields.split(":")]
     points = []
-    for value in _parse_list(text, kind):
-        parts = value if isinstance(value, tuple) else (value,) * len(fields)
-        points.append(dict(zip(fields, parts)))
+    for entry in _entries(flag, text):
+        tokens = entry.split(":")
+        if len(tokens) != len(sides):
+            form = "a left:right pair" if len(sides) == 2 else "a single value"
+            raise ConfigError(f"{flag}: expected {form}, got {entry.strip()!r}")
+        points.append({field: token for side, token in zip(sides, tokens) for field in side})
     return points
 
 
@@ -208,16 +188,17 @@ def cmd_rate_sweep(args) -> int:
     """One row per point of the product of the subcommand's axes."""
     _, axes, columns = _RATE_SWEEPS[args.command]
     scn = _base_scenario(args)
-    grids = [_axis_points(getattr(args, flag.lstrip("-").replace("-", "_")), kind, fields)
-             for flag, kind, fields, _, _ in axes]
-    # every point's scenario is built, and so checked, before any point runs
-    point_values = [{field: value for axis in combo for field, value in axis.items()}
-                    for combo in itertools.product(*grids)]
-    points = [scn.with_updates(**values) for values in point_values]
+    grids = [_axis_points(flag, getattr(args, flag.lstrip("-").replace("-", "_")), fields)
+             for flag, fields, _, _ in axes]
+    # every point's scenario is read as a config file's fields are, and so
+    # checked, before any point runs
+    points = [cfg.scenario_from_mapping({field: token for axis in combo
+                                         for field, token in axis.items()}, base=scn)
+              for combo in itertools.product(*grids)]
     rows = []
-    for values, point in zip(point_values, points):
+    for point in points:
         closed, mc, ci = _rate_pair(point, args)
-        cells = dict(values, rate_closed=closed, rate_mc=mc, rate_mc_ci=ci)
+        cells = dict(vars(point), rate_closed=closed, rate_mc=mc, rate_mc_ci=ci)
         rows.append(tuple(cells[c] if c in cells else _DERIVED[c](point, cells)
                           for c in columns))
     _emit(args, columns, rows, scn)
@@ -256,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON scenario file layered over defaults")
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
+        p.add_argument("--seed", help="base RNG seed")
+        p.add_argument("--trials", help="Monte Carlo trials per point")
         p.add_argument("--out", help="CSV output path (default stdout)")
 
     p = sub.add_parser("mse-sweep", help="estimation MSE vs pilot power")
@@ -278,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for old command lines (at least 1); "
                             "trials run the same way whatever its value")
-        for flag, _, _, default, axis_help in axes:
+        for flag, _, default, axis_help in axes:
             p.add_argument(flag, default=default, help=axis_help)
         p.set_defaults(func=cmd_rate_sweep)
 

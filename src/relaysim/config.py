@@ -19,7 +19,7 @@ from . import estimation
 from .channel import large_scale_gains, path_loss
 from .correlation import select_transmit_correlation
 from .errors import ConfigError
-from .quantizer import IDEAL, AdcSpec
+from .quantizer import IDEAL, AdcSpec, bits_label
 
 # measurement campaign defaults: 10 users at fixed distances from the relay,
 # relay-to-destination 250 m, 20 / 25 dB transmit powers, 2.2 / 1.5 dB noise
@@ -64,9 +64,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # first, so that no check or property below meets a boolean, a NaN,
-        # an inf or a count with a fractional part; a whole count or
+        # an inf or a count with a fractional part. A whole count or
         # resolution is stored as an int, because sizes slice and index arrays
-        # and CSV cells and canonical_json write a resolution as given
+        # and CSV cells and canonical_json write a resolution as given; any
+        # other number as a Python float (a complex off the real line) and a
+        # list as a tuple of floats, so that equal scenarios compare, hash and
+        # serialize alike
         for field in fields(self):
             value = getattr(self, field.name)
             # a string would be read a character at a time
@@ -91,6 +94,14 @@ class ScenarioConfig:
                     raise ConfigError(f"{field.name} takes numbers, got {value!r}") from None
                 if not finite:
                     raise ConfigError(f"{field.name} must be finite, got {value}")
+                if field.type is tuple:
+                    plain = tuple(map(float, value))
+                else:
+                    number = complex(value)
+                    plain = number.real if number.imag == 0.0 else number
+                object.__setattr__(self, field.name, plain)
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
         if self.K < 1:
@@ -182,11 +193,9 @@ class ScenarioConfig:
         record = asdict(self)
         for key, val in record.items():
             if val is IDEAL and key in ("q1", "q2"):
-                record[key] = "ideal"
+                record[key] = bits_label(val)
             elif isinstance(val, complex):
-                record[key] = val.real if val.imag == 0.0 else [val.real, val.imag]
-            elif isinstance(val, tuple):
-                record[key] = list(val)
+                record[key] = [val.real, val.imag]
         return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 

@@ -263,6 +263,15 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert _run(["correlation-impact", "--deltas", "two"]) == 1
     assert _run(["correlation-impact", "--coefficients", "0:0.8,x:0"]) == 1
     assert _run(["adc-impact", "--deltas", "0.5,?"]) == 1
+    # a value with more or fewer sides than its axis is refused, not read
+    # with a side dropped or copied
+    assert _run(["power-scaling", "--closed-form-only", "--n-values", "128",
+                 "--exponents", "1::1"]) == 1
+    assert _run(["correlation-impact", "--closed-form-only", "--n-values", "64",
+                 "--coefficients", ":0:0.8:"]) == 1
+    assert _run(["adc-impact", "--closed-form-only", "--n-values", "64",
+                 "--bits-pairs", "3"]) == 1
+    assert _run(["rate-vs-n", "--closed-form-only", "--n-values", "64", "--bits", "1:2"]) == 1
     # non-finite sweep values, in configuration fields and in pilot powers
     assert _run(["power-scaling", "--closed-form-only", "--n-values", "128",
                  "--exponents", "nan:1"]) == 1
@@ -287,6 +296,36 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "configuration error" in err
     assert "configuration error: d_users must be positive, got (0.0, 200.0)" in err
     assert "configuration error: d_users must be given when betas is not" in err
+    assert "configuration error: --bits: empty sweep value list" in err
+
+
+@pytest.mark.parametrize("command", RATE_COMMANDS)
+def test_unreadable_axis_value_exits_one_naming_its_field(capsys, command):
+    # a grid value is read as the same field in a config file is, so each
+    # side of an axis value that cannot be read is named by its field
+    _, axes, _ = cli._RATE_SWEEPS[command]
+    for flag, fields, default, _ in axes:
+        sides = default.split(",")[0].split(":")
+        for side, side_fields in enumerate(fields.split(":")):
+            value = ":".join("x" if i == side else text for i, text in enumerate(sides))
+            assert _run([command, "--closed-form-only", flag, value]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"configuration error: field {side_fields.split()[0]}: expected ")
+
+
+def test_seed_and_trials_are_refused_before_any_point(tmp_path, capsys):
+    # --seed and --trials are read as config fields, so a seed outside 64
+    # bits stops a closed-form run too, before any point or CSV
+    out = tmp_path / "r.csv"
+    argv = ["rate-vs-n", "--closed-form-only", "--n-values", "64", "--out", str(out)]
+    for seed in ("-1", str(2 ** 64)):
+        assert _run(argv + ["--seed", seed]) == 1
+        assert capsys.readouterr().err == \
+            f"configuration error: seed must be in [0, 2**64), got {seed}\n"
+    assert _run(argv + ["--trials", "1.5"]) == 1
+    assert capsys.readouterr().err == \
+        "configuration error: field trials: expected an integer, got '1.5'\n"
+    assert not out.exists()
 
 
 _SEEDED_RUNS = {

@@ -93,6 +93,9 @@ def test_with_updates_keeps_frozen_semantics():
     dict(trials=float("inf")),
     dict(seed=1.5),
     dict(seed=float("nan")),
+    # a seed outside 64 bits would wrap onto another seed's streams
+    dict(seed=-1),
+    dict(seed=2 ** 64),
     dict(N="64"),
     # user distances, like the other distances, must be positive
     dict(K=2, d_users=(0.0, 200.0)),
@@ -120,7 +123,7 @@ def test_invalid_configs_raise(kwargs):
 
 def test_whole_counts_are_kept_as_given():
     # the whole-number check never converts an int to float
-    assert cfg.ScenarioConfig(seed=10 ** 30).seed == 10 ** 30
+    assert cfg.ScenarioConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
     assert cfg.ScenarioConfig(N=64.0).M == 128
 
 
@@ -142,6 +145,26 @@ def test_whole_float_counts_run_like_their_int_twins():
     twin = cfg.ScenarioConfig(N=64, K=3, trials=5, seed=7)
     assert scn.canonical_json() == twin.canonical_json()
     assert '"N":64,' in scn.canonical_json()
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(E_U=100, d_RB=250, a=1),
+    dict(delta=np.float32(2.0), E_U=np.int64(100), b=np.float64(0.5), eta=np.float32(0.5)),
+    dict(K=2, betas=[1.0, 0.5], d_users=[182, np.float32(209.0)]),
+    dict(r_R=complex(0.5, 0.0), r_B=np.complex128(0.3 + 0.2j)),
+], ids=["ints", "numpy", "lists", "complex"])
+def test_equal_scenarios_serialize_compare_and_hash_alike(kwargs):
+    # numbers are stored as Python floats (complex only off the real line)
+    # and lists as tuples, so a scenario read back from its own config line
+    # is the same scenario and writes the same line
+    scn = cfg.ScenarioConfig(**kwargs)
+    text = scn.canonical_json()
+    again = cfg.scenario_from_mapping(json.loads(text))
+    assert again.canonical_json() == text
+    assert again == scn and hash(again) == hash(scn)
+    twin = {key: tuple(value) if isinstance(value, list) else value
+            for key, value in kwargs.items()}
+    assert cfg.ScenarioConfig(**twin) == scn
 
 
 def test_scenario_matrices_shapes():
