@@ -9,7 +9,6 @@ import contextlib
 import functools
 import math
 import os
-import threading
 import zlib
 
 import numpy as np
@@ -112,13 +111,14 @@ def sample(draws, trials, fill, stage):
 
     Chunks are filled strictly in order and none past the last, into two
     buffers. While numpy's OpenBLAS runs one thread (as _one_blas_thread
-    holds it), one filler thread fills chunk i + 1 while stage runs on
-    chunk i; otherwise the calling thread fills each chunk before its
-    stage, since a second BLAS thread's worker spins after every GEMM on
-    the core the filler needs. So a fill must share no state with stage; a
-    generator the fills share sees the draws of a serial loop either way.
-    The filler is joined before sample returns or raises, and an exception
-    in fill or stage propagates.
+    holds it), a one-worker executor fills them, queued two ahead: chunks 0
+    and 1 at the start, chunk i + 2 once chunk i's rows are stacked; so
+    chunk i + 1 fills while stage runs on chunk i. Otherwise the calling
+    thread fills each chunk before its stage, since a second BLAS thread's
+    worker spins after every GEMM on the core the filler needs. So a fill
+    must share no state with stage; a generator the fills share sees the
+    draws of a serial loop either way. An exception in fill or stage
+    propagates; no queued fill starts after it, and the worker is joined.
     """
     if trials < 1 or not float(trials).is_integer():
         raise ConfigError(f"trials must be >= 1 and whole, got {trials!r}")
@@ -126,52 +126,37 @@ def sample(draws, trials, fill, stage):
     buffers = [np.empty((size, normals_per_trial(draws))) for _ in range(2)]
     parts = [split_normals(normals, *draws) for normals in buffers]
     chunks = [(start, min(size, trials - start)) for start in range(0, trials, size)]
-    free, ready, stop, failed = (threading.Semaphore(2), threading.Semaphore(0),
-                                 threading.Event(), [])
+    stacks = {}
 
     def fill_chunk(chunk):
-        start, count = chunks[chunk]
-        normals = buffers[chunk % 2]
+        (start, count), normals = chunks[chunk], buffers[chunk % 2]
         fill(normals[:count], start)
         normals[count:] = 0.0
 
-    def filler():
-        try:
-            for chunk in range(len(chunks)):
-                free.acquire()
-                if stop.is_set():
-                    return
-                fill_chunk(chunk)
-                ready.release()
-        except BaseException as exc:     # handed to the calling thread
-            failed.append(exc)
-            ready.release()
+    def stage_chunk(chunk):
+        start, count = chunks[chunk]
+        for name, x in stage(*parts[chunk % 2]).items():
+            if name not in stacks:
+                stacks[name] = np.empty((trials,) + x.shape[1:], x.dtype)
+            stacks[name][start:start + count] = x[:count]
 
     blas = _openblas_threads()
-    thread = (threading.Thread(target=filler, name="relaysim-fill", daemon=True)
-              if blas is not None and blas[0]() == 1 else None)
-    stacks = None
-    if thread is not None:
-        thread.start()
+    if blas is None or blas[0]() != 1:
+        for chunk in range(len(chunks)):
+            fill_chunk(chunk)
+            stage_chunk(chunk)
+        return stacks
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(1, thread_name_prefix="relaysim-fill")
     try:
-        for chunk, (start, count) in enumerate(chunks):
-            if thread is None:
-                fill_chunk(chunk)
-            else:
-                ready.acquire()
-                if failed:
-                    raise failed[0]
-            out = stage(*parts[chunk % 2])
-            stacks = stacks or {name: np.empty((trials,) + x.shape[1:], x.dtype)
-                                for name, x in out.items()}
-            for name, x in out.items():
-                stacks[name][start:start + count] = x[:count]
-            free.release()
+        fills = [pool.submit(fill_chunk, chunk) for chunk in range(min(2, len(chunks)))]
+        for chunk in range(len(chunks)):
+            fills[chunk].result()
+            stage_chunk(chunk)
+            if chunk + 2 < len(chunks):
+                fills.append(pool.submit(fill_chunk, chunk + 2))
     finally:
-        if thread is not None:
-            stop.set()
-            free.release()
-            thread.join()
+        pool.shutdown(cancel_futures=True)
     return stacks
 
 

@@ -71,30 +71,30 @@ class ScenarioConfig:
         # list as a tuple of floats, so that equal scenarios compare, hash and
         # serialize alike
         for field in fields(self):
-            value = getattr(self, field.name)
+            kind, value = field.type, getattr(self, field.name)
+            many = kind is tuple and value is not None
             # a string would be read a character at a time
-            if (field.type is tuple and value is not None
-                    and not isinstance(value, (tuple, list))):
+            if many and not isinstance(value, (tuple, list)):
                 raise ConfigError(f"{field.name} takes a list of numbers, got {value!r}")
-            items = value if field.type is tuple and value is not None else (value,)
             # Python and numpy read a boolean as the number 0 or 1
-            if field.type is not str and any(isinstance(v, (bool, np.bool_)) for v in items):
+            if kind is not str and (any(isinstance(v, (bool, np.bool_)) for v in value)
+                                    if many else isinstance(value, (bool, np.bool_))):
                 raise ConfigError(f"{field.name} takes numbers, not booleans, got {value!r}")
-            if field.type is int or (field.name in ("q1", "q2") and value is not IDEAL):
+            if type(value) is not int and (
+                    kind is int or (field.name in ("q1", "q2") and value is not IDEAL)):
                 if not (isinstance(value, Integral) or (
                         isinstance(value, Real) and float(value).is_integer())):
                     raise ConfigError(f"{field.name} must be a whole number, got {value!r}")
-                if type(value) is not int:
-                    object.__setattr__(self, field.name, int(value))
-            if field.type in (float, complex, tuple) and value is not None:
-                isfinite = cmath.isfinite if field.type is complex else math.isfinite
+                object.__setattr__(self, field.name, int(value))
+            if kind in (float, complex, tuple) and value is not None:
+                isfinite = cmath.isfinite if kind is complex else math.isfinite
                 try:
-                    finite = all(isfinite(v) for v in items)
+                    finite = all(map(isfinite, value)) if many else isfinite(value)
                 except TypeError:
                     raise ConfigError(f"{field.name} takes numbers, got {value!r}") from None
                 if not finite:
                     raise ConfigError(f"{field.name} must be finite, got {value}")
-                if field.type is tuple:
+                if many:
                     plain = tuple(map(float, value))
                 else:
                     number = complex(value)
@@ -298,8 +298,8 @@ def scenario_from_mapping(mapping, base=None):
 
     Keys match ScenarioConfig field names. Any power or noise field may be
     given in decibels with a '-dB' suffix (e.g. 'E_U-dB': 20), converted once
-    here as linear = 10^(dB/10). Unknown keys raise ConfigError naming the
-    offending field.
+    here as linear = 10^(dB/10). Unknown keys, and a field given both
+    linear and in decibels, raise ConfigError naming the offending keys.
     """
     base = base or ScenarioConfig()
     updates = {}
@@ -308,6 +308,8 @@ def scenario_from_mapping(mapping, base=None):
         field = key[:-3] if key.endswith("-dB") else key
         if field != key and field not in _DB_PREFIXES:
             raise ConfigError(f"field {key}: '-dB' form not supported for {field!r}")
+        if field != key and field in mapping:
+            raise ConfigError(f"fields {field!r} and {key!r} both set {field}; give one")
         if field not in valid:
             raise ConfigError(f"unknown config field {key!r}")
         try:

@@ -302,7 +302,7 @@ def pilot_mse(hop, adc, power, trials, rng):
     draws = _pilot_draws(hop, adc)
     # the filter's GEMM runs under the pin too: threaded, it would leave
     # OpenBLAS's worker spinning into the trials, on the core that sample's
-    # filler thread needs
+    # fill worker needs
     with _one_blas_thread(draws):
         lmmse = lmmse_filter(hop, adc, power)
 

@@ -259,6 +259,22 @@ def test_config_file_boolean_exits_one(tmp_path, capsys):
     assert "field q1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mapping", [{"E_U": 100, "E_U-dB": 30}, {"E_U-dB": 30, "E_U": 100}])
+def test_mapping_refuses_a_field_given_linear_and_in_db(mapping):
+    # neither spelling wins by its place in the mapping
+    with pytest.raises(ConfigError, match="'E_U' and 'E_U-dB'"):
+        cfg.scenario_from_mapping(mapping)
+
+
+def test_config_file_setting_a_field_twice_exits_one(tmp_path, capsys):
+    path, out = tmp_path / "scn.json", tmp_path / "out.csv"
+    path.write_text(json.dumps({"P1": 5, "P1-dB": 40}))
+    assert cli.main(["rate-vs-n", "--config", str(path), "--closed-form-only",
+                     "--out", str(out)]) == 1
+    assert "'P1' and 'P1-dB'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_adc_bits_parser_reads_words_and_counts():
     for word in ("ideal", " Inf ", "NONE", None):
         assert cfg.parse_adc_bits(word, "q1") is IDEAL

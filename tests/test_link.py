@@ -1,6 +1,7 @@
 """Monte Carlo engine checks: bookkeeping, determinism, and consistency."""
 
 import cmath
+import threading
 
 import numpy as np
 import pytest
@@ -170,6 +171,35 @@ def test_trials_are_keyed_by_index_across_chunks(monkeypatch):
         for name, stack in _stacks(short).items():
             assert stack.shape == (trials, _SCN.K)
             np.testing.assert_array_equal(stack, long[name][:trials])
+
+
+def test_rate_trials_filled_off_the_main_thread_give_the_same_stacks(monkeypatch):
+    # beside one BLAS thread channel.sample fills each chunk of rate trials
+    # on its worker, beside two on the calling thread; at N = 48 a chunk
+    # holds 11 trials, so 23 trials are two full chunks and a padded one
+    scn = cfg.table_defaults().with_updates(N=48, trials=23)
+    assert _trial_size(scn) == 11
+    models = cfg.scenario_models(scn)
+    substreams, outcomes, on_main = link._substreams, {}, {}
+
+    def recording(seed):
+        fill = substreams(seed)
+
+        def fill_and_record(rows, start):
+            on_main[threads].add(threading.current_thread() is threading.main_thread())
+            fill(rows, start)
+        return fill_and_record
+
+    monkeypatch.setattr(link, "_substreams", recording)
+    for threads in (1, 2):
+        on_main[threads] = set()
+        monkeypatch.setattr(channel, "_openblas_threads",
+                            lambda count=threads: (lambda: count, lambda _: None))
+        outcomes[threads] = link.trial_outcomes(scn, models)
+    assert on_main == {1: {False}, 2: {True}}
+    assert set(outcomes[1]) == set(outcomes[2])
+    for name, stack in outcomes[2].items():
+        assert np.asarray(outcomes[1][name]).tobytes() == np.asarray(stack).tobytes(), name
 
 
 _PERFECT = _SCN.with_updates(csi="perfect")
