@@ -30,6 +30,13 @@ DEFAULT_SEED = 42
 CSI_MODES = ("estimated", "perfect")
 
 
+def check_seed(seed):
+    """Refuse a seed outside [0, 2**64): a seed is used as given, never
+    wrapped modulo 2**64 onto another seed's streams."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One operating point of the two-hop link."""
@@ -100,8 +107,7 @@ class ScenarioConfig:
                     number = complex(value)
                     plain = number.real if number.imag == 0.0 else number
                 object.__setattr__(self, field.name, plain)
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
         if self.K < 1:

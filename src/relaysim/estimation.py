@@ -28,10 +28,16 @@ from .quantizer import aqnm_quantize
 MAX_CONDITION = 1e14
 
 
-def _root(s, u):
+def _root(s, u, overwrite=False):
     """u diag(sqrt(s)) u^H: the square root of the Hermitian matrix with
-    eigenvalues s and orthonormal eigenvectors u."""
-    return (u * np.sqrt(s)) @ u.conj().T
+    eigenvalues s and orthonormal eigenvectors u.
+
+    It is the Gram product w w^H of w = u diag(s^(1/4)), which numpy runs
+    as one symmetric rank-k update for real u, so a real root comes out
+    exactly symmetric. overwrite scales u itself into w instead of a copy.
+    """
+    w = np.multiply(u, s ** 0.25, out=u if overwrite else None)
+    return w @ w.conj().T
 
 
 def orthonormal_pilots(tau, n_users):
@@ -135,8 +141,8 @@ class EstimateModel:
     f + g = lam. obs = (a, c) are the constants of the pilot observation
     covariance a R + c I and split = (f, g), both as `observation` formed
     them; genie CSI (estimate = truth) is c = 0, f = lam and g = 0 exactly.
-    U (hop.basis), R and receive_err are built on demand, and receive_hat
-    only by validate, as R - receive_err.
+    U, R and receive_err are built on demand (receive_sqrt builds its own U
+    and keeps none), and receive_hat only by validate, as R - receive_err.
 
     The estimate is receive_hat^(1/2) @ H1 @ sqrt(transmit_hat) and the
     error receive_err^(1/2) @ H2 @ sqrt(transmit_err) with H1, H2 iid
@@ -159,9 +165,16 @@ class EstimateModel:
     @cached_property
     def receive_sqrt(self):
         """(receive_hat^(1/2), receive_err^(1/2)) from the split; the
-        error's is None, and never built, where the error is zero (c = 0)."""
-        u, (f, g) = self.hop.basis, self.split
-        return _root(f, u), (_root(g, u) if self.obs[1] else None)
+        error's is None, and never built, where the error is zero (c = 0).
+
+        The eigenbasis U is built here, not read from the hop's cache: the
+        error's root is formed from it, then U is scaled in place into the
+        estimate's, so no more than three receive-size arrays are alive at
+        once and U is gone when the build returns."""
+        hop, (f, g) = self.hop, self.split
+        u = exponential_basis(hop.r, hop.spectrum[1])
+        err = _root(g, u) if self.obs[1] else None
+        return _root(f, u, overwrite=True), err
 
     @cached_property
     def transmit_sqrt(self):

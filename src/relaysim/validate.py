@@ -158,8 +158,10 @@ def run_validation(seed: int = cfg.DEFAULT_SEED, name_filter=None):
     name_filter selects checks by substring match on their names. A check
     that raises AssertionError, NumericalError or ArithmeticError fails,
     with an infinite deviation and the error as its detail, and the rest
-    still run.
+    still run. A seed outside [0, 2**64) is refused (ConfigError) before
+    any check runs.
     """
+    cfg.check_seed(seed)
     results = []
     run = _Run(seed)
     for name, check, threshold in _CHECKS:

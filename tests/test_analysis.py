@@ -388,6 +388,24 @@ def test_monte_carlo_builds_each_receive_basis_once(monkeypatch):
     assert calls == []
 
 
+def test_model_factor_build_keeps_no_basis():
+    # each model builds its receive eigenbasis for its factors alone and
+    # scales it in place into the estimate's: at N = 256 (M = 512) the
+    # M-size build holds the basis, one scaled copy and the error's root at
+    # most, beside the two N-size factors kept, and neither hop keeps a basis
+    scn = cfg.table_defaults().with_updates(N=256)
+    models = cfg.scenario_models(scn)
+    tracemalloc.start()
+    try:
+        _ = [model.receive_sqrt for model in models]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [model.hop.n for model in models] == [scn.N, scn.M]
+    assert peak < 3 * scn.M ** 2 * 8 + 2 * scn.N ** 2 * 8 + 2 ** 18
+    assert not any("basis" in model.hop.__dict__ for model in models)
+
+
 def test_large_closed_form_builds_no_eigenvectors(monkeypatch):
     # at N = 4096 (M = 8192) one eigenvector basis would take 512 MiB; the
     # closed form reads eigenvalues and pivot sweeps in O(N) memory

@@ -347,6 +347,18 @@ def test_seeds_outside_64_bits_exit_one(capsys, command):
     assert _run(argv + ["--seed", str(2 ** 64 - 1)]) == 0
 
 
+@pytest.mark.parametrize("name_filter", [None, "lloyd", "energy"])
+def test_validate_refuses_a_seed_outside_64_bits_before_any_check(capsys, name_filter):
+    # the seed is refused once, with the sweeps' message, whichever checks
+    # the filter selects: also those that draw nothing
+    argv = ["validate"] + (["--filter", name_filter] if name_filter else [])
+    for seed in (-1, 2 ** 64):
+        assert _run(argv + ["--seed", str(seed)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"configuration error: seed must be in [0, 2**64), got {seed}\n"
+
+
 def test_mse_powers_sharing_a_stream_key_exit_one_before_any_point(capsys, monkeypatch):
     # a point's stream is keyed by its power to 6 significant digits, so two
     # powers closer than that would draw the same normals; a power given

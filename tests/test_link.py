@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from relaysim import analysis, channel, config as cfg, estimation as est, link, quantizer
+from relaysim import (analysis, channel, config as cfg, correlation as corr,
+                      estimation as est, link, quantizer)
 from relaysim.channel import substream
 from relaysim.errors import ConfigError, DegenerateEstimateError
 from relaysim.quantizer import IDEAL
@@ -207,22 +208,30 @@ _PERFECT = _SCN.with_updates(csi="perfect")
 
 def test_genie_error_receive_factor_is_none_and_never_built(monkeypatch):
     # c = 0 makes the error exactly zero, so its square root is not formed
-    # at all; the estimate's factor is built once and then cached
+    # at all; the estimate's factor is built once and then cached. An
+    # estimated model forms the error's root first, from a basis it then
+    # scales in place into the estimate's
     roots = []
     original = est._root
 
-    def counting(s, u):
-        roots.append(s)
-        return original(s, u)
+    def counting(s, u, overwrite=False):
+        roots.append((s, overwrite))
+        return original(s, u, overwrite)
 
     monkeypatch.setattr(est, "_root", counting)
     for model in cfg.scenario_models(_PERFECT):
         root_hat, root_err = model.receive_sqrt
         assert root_err is None
-        assert len(roots) == 1 and roots.pop() is model.split[0]
+        [(hat, overwrite)] = roots
+        assert hat is model.split[0] and overwrite
+        roots.clear()
         assert model.receive_sqrt[0] is root_hat and roots == []
     for model in cfg.scenario_models(_SCN):
         assert model.receive_sqrt[1] is not None and model.receive_sqrt[1].any()
+        (err, err_overwrite), (hat, hat_overwrite) = roots
+        assert err is model.split[1] and hat is model.split[0]
+        assert (err_overwrite, hat_overwrite) == (False, True)
+        roots.clear()
 
 
 def test_perfect_csi_error_stacks_are_exactly_zero():
@@ -389,6 +398,24 @@ def _scenarios(draw):
         eta=draw(st.floats(0.05, 2.0)), trials=1)
 
 
+def _check_receive_factors(model):
+    """Each receive factor times its conjugate transpose gives its side of
+    the split, U f U^H and U g U^H, to 1e-12 of the largest eigenvalue; a
+    real coefficient gives exactly symmetric factors. A factor that is not
+    built (genie CSI's error) stands for an error spectrum of zeros."""
+    hop = model.hop
+    lam, theta = hop.spectrum
+    u = corr.exponential_basis(hop.r, theta)
+    for root, s in zip(model.receive_sqrt, model.split):
+        if root is None:
+            assert not s.any()
+            continue
+        np.testing.assert_allclose(root @ root.conj().T, (u * s) @ u.conj().T,
+                                   rtol=0, atol=1e-12 * float(lam.max()))
+        if complex(hop.r).imag == 0.0:
+            assert np.isrealobj(root) and np.array_equal(root, root.T)
+
+
 def _error_transmit_eigenvalues(hop, adc, power):
     """Eigenvalues of the error transmit matrix as equivalent_form would
     build it, by a dense eigensolver and without its refusal."""
@@ -421,6 +448,8 @@ def test_engines_refuse_together_and_accepted_models_factor(scn):
             continue
         assert _error_transmit_eigenvalues(hop, adc, power)[0] > -1e-12
         assert model.validate() <= 1e-8
+        _check_receive_factors(model)
+        _check_receive_factors(est.perfect_model(hop))
         for root, mat in zip(model.transmit_sqrt, (model.transmit_hat, model.transmit_err)):
             scale = max(1.0, float(np.abs(mat).max()))
             np.testing.assert_allclose(root @ root, mat, rtol=0, atol=1e-12 * scale)
