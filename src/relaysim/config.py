@@ -2,16 +2,20 @@
 
 ScenarioConfig is a plain, serializable record of one operating point:
 array sizes, frame and pilot structure, powers and their scaling exponents,
-ADC resolutions, correlation coefficients, and geometry. Helpers build the
-per-hop channel statistics and the estimate models (LMMSE equivalent
-form, or genie CSI) that the analysis and Monte Carlo engines consume.
+ADC resolutions, correlation coefficients, and geometry. Its constructor
+alone checks each value and stores it in one form (a count or resolution
+as an int, other numbers as floats or complex, lists as tuples of floats);
+scenario_from_mapping only reads what a config file or grid value spells as
+text, [re, im] or decibels, so either way a bad value gets the same message.
+Helpers build the per-hop channel statistics and the estimate models (LMMSE
+equivalent form, or genie CSI) that the analysis and Monte Carlo engines use.
 """
 
 import cmath
 from dataclasses import asdict, dataclass, fields, replace
 import json
 import math
-from numbers import Integral, Real
+from numbers import Complex, Real
 
 import numpy as np
 
@@ -30,9 +34,60 @@ DEFAULT_SEED = 42
 CSI_MODES = ("estimated", "perfect")
 
 
+def _refusal(name, what, value):
+    return ConfigError(f"field {name}: expected {what}, got {value!r}")
+
+
+def _number(name, value, what="a number", kind=Real):
+    """value as a finite float (a complex off the real line, where kind is
+    Complex); a boolean, which Python reads as 0 or 1, is no number here."""
+    if type(value) in (float, int) or isinstance(value, kind) and not isinstance(value, bool):
+        try:
+            number = (float if kind is Real else complex)(value)
+        except OverflowError:        # an integer past the float range
+            number = math.inf
+        if cmath.isfinite(number):
+            return number if number.imag else number.real
+    raise _refusal(name, what, value)
+
+
+def _numbers(name, value):
+    """A list of numbers as a tuple of floats; a string is no such list."""
+    if not isinstance(value, (list, tuple)):
+        raise _refusal(name, "a list of numbers", value)
+    return tuple([_number(name, item) for item in value])
+
+
+def _integer(name, value, what="an integer"):
+    """A count as an int, since sizes index arrays; a fraction is refused, not truncated."""
+    if type(value) is not int and not _number(name, value, what).is_integer():
+        raise _refusal(name, what, value)
+    return int(value)
+
+
+def _bits(name, value, what="a bit count >= 1 or 'ideal'"):
+    """An ADC resolution of at least 1 bit, as an int."""
+    if (bits := _integer(name, value, what)) < 1:
+        raise _refusal(name, what, value)
+    return bits
+
+
+def _csi(name, value):
+    if not (isinstance(value, str) and value in CSI_MODES):
+        raise ConfigError(f"csi must be one of {CSI_MODES}, got {value!r}")
+    return str(value)
+
+
+def _scaled(power, size, exponent):
+    """power / size ** exponent; 0.0, its limit, where size ** exponent overflows."""
+    try:
+        return power / size ** exponent
+    except OverflowError:
+        return 0.0
+
+
 def check_seed(seed):
-    """Refuse a seed outside [0, 2**64): a seed is used as given, never
-    wrapped modulo 2**64 onto another seed's streams."""
+    """Refuse a seed outside [0, 2**64): it is used as given, never wrapped onto another."""
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
 
@@ -70,43 +125,13 @@ class ScenarioConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        # first, so that no check or property below meets a boolean, a NaN,
-        # an inf or a count with a fractional part. A whole count or
-        # resolution is stored as an int, because sizes slice and index arrays
-        # and CSV cells and canonical_json write a resolution as given; any
-        # other number as a Python float (a complex off the real line) and a
-        # list as a tuple of floats, so that equal scenarios compare, hash and
-        # serialize alike
-        for field in fields(self):
-            kind, value = field.type, getattr(self, field.name)
-            many = kind is tuple and value is not None
-            # a string would be read a character at a time
-            if many and not isinstance(value, (tuple, list)):
-                raise ConfigError(f"{field.name} takes a list of numbers, got {value!r}")
-            # Python and numpy read a boolean as the number 0 or 1
-            if kind is not str and (any(isinstance(v, (bool, np.bool_)) for v in value)
-                                    if many else isinstance(value, (bool, np.bool_))):
-                raise ConfigError(f"{field.name} takes numbers, not booleans, got {value!r}")
-            if type(value) is not int and (
-                    kind is int or (field.name in ("q1", "q2") and value is not IDEAL)):
-                if not (isinstance(value, Integral) or (
-                        isinstance(value, Real) and float(value).is_integer())):
-                    raise ConfigError(f"{field.name} must be a whole number, got {value!r}")
-                object.__setattr__(self, field.name, int(value))
-            if kind in (float, complex, tuple) and value is not None:
-                isfinite = cmath.isfinite if kind is complex else math.isfinite
-                try:
-                    finite = all(map(isfinite, value)) if many else isfinite(value)
-                except TypeError:
-                    raise ConfigError(f"{field.name} takes numbers, got {value!r}") from None
-                if not finite:
-                    raise ConfigError(f"{field.name} must be finite, got {value}")
-                if many:
-                    plain = tuple(map(float, value))
-                else:
-                    number = complex(value)
-                    plain = number.real if number.imag == 0.0 else number
-                object.__setattr__(self, field.name, plain)
+        # first, so that no check or property below meets a value of the
+        # wrong kind. None means an ideal ADC for q1 and q2, and a value
+        # derived from the other fields for d_users, betas and eta
+        for name, read in _READERS.items():
+            value = getattr(self, name)
+            if value is not None or name not in ("q1", "q2", "d_users", "betas", "eta"):
+                object.__setattr__(self, name, read(name, value))
         check_seed(self.seed)
         if self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
@@ -116,13 +141,17 @@ class ScenarioConfig:
         # bad input (exit 1), not a numerical failure of the model built from
         # it (exit 2)
         for name in ("delta", "E_U", "E_R", "P1", "P2", "sigma_R2", "sigma_B2",
-                     "d_ref", "d_RB", "eta"):
+                     "d_ref", "d_RB", "eta", "betas", "d_users"):
             value = getattr(self, name)
-            if value is not None and value <= 0.0:
+            if value is not None and not (
+                    min(value, default=1.0) if isinstance(value, tuple) else value) > 0.0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if self.M < self.K or self.N < self.K:
-            raise ConfigError(
-                f"K = {self.K} users need K <= min(N, M) = min({self.N}, {self.M})")
+        try:
+            M = self.M
+        except OverflowError:
+            raise ConfigError(f"delta N = {self.delta} * {self.N} overflows a float") from None
+        if M < self.K or self.N < self.K:
+            raise ConfigError(f"K = {self.K} users need K <= min(N, M) = min({self.N}, {M})")
         if self.tau1 < self.K or self.tau2 < self.K:
             raise ConfigError(
                 f"pilot lengths must be >= K = {self.K}, got ({self.tau1}, {self.tau2})")
@@ -134,14 +163,8 @@ class ScenarioConfig:
         if self.nu < 0.0:
             raise ConfigError(f"path-loss exponent must be non-negative, got {self.nu}")
         for name in ("r_R", "r_B"):
-            if abs(complex(getattr(self, name))) >= 1.0:
+            if abs(getattr(self, name)) >= 1.0:
                 raise ConfigError(f"|{name}| must be < 1")
-        for name in ("q1", "q2"):
-            bits = getattr(self, name)
-            if bits is not IDEAL and bits < 1:
-                raise ConfigError(f"{name} must be a positive integer or IDEAL, got {bits!r}")
-        if self.csi not in CSI_MODES:
-            raise ConfigError(f"csi must be one of {CSI_MODES}, got {self.csi!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.betas is None and self.d_users is None:
@@ -150,12 +173,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"K = {self.K} users but only {len(self.d_users)} distances configured")
         if self.betas is not None and len(self.betas) != self.K:
-            raise ConfigError(
-                f"betas must have K = {self.K} entries, got {len(self.betas)}")
-        if self.betas is not None and not all(b > 0.0 for b in self.betas):
-            raise ConfigError(f"betas must be positive, got {self.betas}")
-        if self.d_users is not None and not all(d > 0.0 for d in self.d_users):
-            raise ConfigError(f"d_users must be positive, got {self.d_users}")
+            raise ConfigError(f"betas must have K = {self.K} entries, got {len(self.betas)}")
 
     @property
     def M(self):
@@ -167,11 +185,11 @@ class ScenarioConfig:
 
     @property
     def P_U(self):
-        return self.E_U / self.N ** self.a
+        return _scaled(self.E_U, self.N, self.a)
 
     @property
     def P_R(self):
-        return self.E_R / self.M ** self.b
+        return _scaled(self.E_R, self.M, self.b)
 
     @property
     def adc1(self):
@@ -205,6 +223,12 @@ class ScenarioConfig:
         return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+# the check that stores each field's value in its one form, by its annotation
+_READERS = {field.name: {int: _integer, float: _number, tuple: _numbers, object: _bits,
+                         str: _csi, complex: lambda name, value: _number(name, value, kind=Complex)
+                         }[field.type] for field in fields(ScenarioConfig)}
+
+
 def scenario_hops(scn):
     """HopStatistics of the user-to-relay and relay-to-destination hops.
 
@@ -236,8 +260,7 @@ _DB_PREFIXES = ("E_U", "E_R", "P1", "P2", "sigma_R2", "sigma_B2")
 
 
 def db_to_linear(db, name):
-    """10 ** (db / 10); a db that overflows a float, or underflows to zero,
-    is bad input."""
+    """10 ** (db / 10); a db whose linear form overflows or underflows to 0 is bad input."""
     try:
         linear = 10.0 ** (float(db) / 10.0)
     except OverflowError:
@@ -247,96 +270,71 @@ def db_to_linear(db, name):
     return linear
 
 
-def parse_adc_bits(value, key):
-    """An ADC resolution: IDEAL for the words ideal, inf and none (any case),
-    otherwise a bit count of at least 1. Anything else is a ConfigError
-    naming key."""
-    if value is IDEAL or (isinstance(value, str)
-                          and value.strip().lower() in ("ideal", "inf", "none")):
+def _from_text(field, value):
+    """value, or the number its text spells for field: int() for a count or
+    resolution, so a 20-digit seed stays exact, IDEAL for the words ideal, inf
+    and none, float() otherwise. Text that spells none is left to refuse."""
+    read = _READERS[field]
+    if not isinstance(value, str) or read in (_csi, _numbers):
+        return value
+    if read is _bits and value.strip().lower() in ("ideal", "inf", "none"):
         return IDEAL
-    expected = "a bit count >= 1 or 'ideal'"
-    bits = _parse_int(value, key, expected)
-    if bits < 1:
-        raise ConfigError(f"field {key}: expected {expected}, got {value!r}")
-    return bits
-
-
-def _parse_int(value, key, expected="an integer"):
-    """int(value), refusing anything int() cannot read or would truncate."""
     try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (isinstance(value, float) and number != value):
-        raise ConfigError(f"field {key}: expected {expected}, got {value!r}")
-    return number
+        return (int if read in (_integer, _bits) else float)(value)
+    except ValueError:
+        return value
 
 
-def _parse_field(key, value):
-    """value of a ScenarioConfig field converted from its mapping form
-    (key, which may carry the '-dB' suffix)."""
-    if key == "csi":
-        return str(value)
-    # Python reads a boolean as the number 0 or 1
-    if any(isinstance(item, bool) for item in
-           (value if isinstance(value, (list, tuple)) else (value,))):
-        raise ConfigError(f"field {key}: expected a number, got {value!r}")
-    if key.endswith("-dB"):
-        return db_to_linear(value, f"field {key}")
-    if key in ("q1", "q2"):
-        return parse_adc_bits(value, key)
-    if key in ("N", "K", "T", "tau1", "tau2", "trials", "seed"):
-        return _parse_int(value, key)
-    if value is None and key in ("d_users", "betas", "eta"):
-        return None
-    if key in ("d_users", "betas"):
-        # a string would be read a character at a time
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"field {key}: expected a list of numbers, got {value!r}")
-        return tuple(float(v) for v in value)
-    if key in ("r_R", "r_B") and isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    return float(value)
+def parse_adc_bits(value, key):
+    """An ADC resolution read as a config file's q1 is: IDEAL, or a bit count
+    of at least 1. Anything else is a ConfigError naming key."""
+    bits = _from_text("q1", value)
+    return bits if bits is IDEAL else _bits(key, bits)
 
 
 def scenario_from_mapping(mapping, base=None):
     """Build a ScenarioConfig from a flat mapping (config file or CLI overrides).
 
-    Keys match ScenarioConfig field names. Any power or noise field may be
-    given in decibels with a '-dB' suffix (e.g. 'E_U-dB': 20), converted once
-    here as linear = 10^(dB/10). Unknown keys, and a field given both
-    linear and in decibels, raise ConfigError naming the offending keys.
+    Keys match ScenarioConfig field names; values are what its constructor
+    takes and checks, or text that spells one, a coefficient also [re, im].
+    A power or noise field may be given in decibels with a '-dB' suffix
+    (e.g. 'E_U-dB': 20), converted here as linear = 10^(dB/10). Unknown keys,
+    and a field given both linear and in decibels, are a ConfigError.
     """
-    base = base or ScenarioConfig()
     updates = {}
-    valid = set(ScenarioConfig.__dataclass_fields__)
     for key, value in mapping.items():
         field = key[:-3] if key.endswith("-dB") else key
         if field != key and field not in _DB_PREFIXES:
             raise ConfigError(f"field {key}: '-dB' form not supported for {field!r}")
         if field != key and field in mapping:
             raise ConfigError(f"fields {field!r} and {key!r} both set {field}; give one")
-        if field not in valid:
+        if field not in _READERS:
             raise ConfigError(f"unknown config field {key!r}")
-        try:
-            updates[field] = _parse_field(key, value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"field {key}: expected a number, got {value!r}")
-    try:
-        return base.with_updates(**updates)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
+        value = _from_text(field, value)
+        if field != key:
+            _number(key, value)      # a number of decibels, checked as E_U is
+            value = db_to_linear(value, f"field {key}")
+        elif field in ("r_R", "r_B") and isinstance(value, (list, tuple)) and len(value) == 2:
+            value = complex(*(_number(key, _from_text(field, part)) for part in value))
+        updates[field] = value
+    return (base or ScenarioConfig()).with_updates(**updates)
+
+
+def _refuse_duplicate_keys(pairs):
+    """A JSON object that gives no key twice: no place in a file picks a value."""
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise ConfigError(f"config field {key!r} is given more than once")
+        mapping[key] = value
+    return mapping
 
 
 def load_scenario_file(path, base=None):
     """Read a JSON config file into a ScenarioConfig."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            mapping = json.load(fh)
+            mapping = json.load(fh, object_pairs_hook=_refuse_duplicate_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     except json.JSONDecodeError as exc:

@@ -254,6 +254,20 @@ def test_limit_vanishes_when_scaling_too_fast():
         np.testing.assert_array_equal(limits, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("exponent", ["a", "b"])
+def test_power_that_overflows_is_zero_and_its_rate_vanishes(exponent):
+    # N ** 150 and M ** 150 overflow a float: the scaled power is its limit,
+    # 0.0, and both engines give a zero rate; an exponent whose power does
+    # not overflow keeps the formula's value
+    scn = cfg.ScenarioConfig(trials=4, **{exponent: 150.0})
+    assert (scn.P_U == 0.0) == (exponent == "a") and (scn.P_R == 0.0) == (exponent == "b")
+    assert analysis.sum_rate_approx(scn).sum_rate == 0.0
+    assert link.ergodic_sum_rate_mc(scn).sum_rate == 0.0
+    assert analysis.power_scaling_limit(scn)[0] == "vanishing"
+    assert cfg.ScenarioConfig(a=140.0).P_U == 100.0 / 128 ** 140.0
+    assert cfg.ScenarioConfig(b=120.0).P_R == 10.0 ** 2.5 / 256 ** 120.0
+
+
 def test_limit_user_power_only():
     # scaling only the user power with clean relay ADCs leaves
     # beta_k * E_U / sigma_R^2 exactly

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -272,6 +273,84 @@ def test_config_file_setting_a_field_twice_exits_one(tmp_path, capsys):
     assert cli.main(["rate-vs-n", "--config", str(path), "--closed-form-only",
                      "--out", str(out)]) == 1
     assert "'P1' and 'P1-dB'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_FIELDS = [field.name for field in dataclasses.fields(cfg.ScenarioConfig)]
+_SCALARS = st.one_of(
+    st.integers(-3, 300),
+    st.integers(-3, 300).map(float),                       # whole floats
+    st.floats(allow_nan=True, allow_infinity=True),        # fractions, NaN, +-inf, 1e308
+    st.sampled_from([2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, -2 ** 64, 10 ** 400,
+                     True, False, np.True_, np.False_, None, 0.8 + 0.1j]),
+    st.integers(-3, 300).map(np.int64),
+    st.floats(-1e3, 1e3).map(np.float32),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=12),
+                    st.lists(_SCALARS, max_size=12).map(tuple), st.text(max_size=6))
+
+
+def _outcome(build):
+    """(scenario, None) of a build, or (None, message) of its ConfigError."""
+    try:
+        return build(), None
+    except ConfigError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_VALUES)
+@example(field="E_U", value=10 ** 400)
+@example(field="delta", value=1e308)                       # M = round(delta N) overflows
+@example(field="N", value=10 ** 400)
+@example(field="seed", value=2 ** 64 - 1)
+@example(field="trials", value=2.7)
+@example(field="q1", value=np.True_)
+@example(field="d_users", value=[182.0, np.float32(209.0), 197] + [200.0] * 7)
+def test_constructor_and_mapping_agree_on_every_field(field, value):
+    # the constructor checks every value; a mapping only reads what the
+    # constructor cannot take (text, and [re, im] for a coefficient), so any
+    # other value builds the same scenario, or is refused with the same
+    # message, whichever way it comes in
+    direct = _outcome(lambda: cfg.ScenarioConfig(**{field: value}))
+    mapped = _outcome(lambda: cfg.scenario_from_mapping({field: value}))
+    pair = field in ("r_R", "r_B") and isinstance(value, (list, tuple)) and len(value) == 2
+    if isinstance(value, str) or pair:
+        assert direct[0] is None or field == "csi"
+        return
+    assert direct == mapped
+    if direct[0] is not None:
+        assert direct[0].canonical_json() == mapped[0].canonical_json()
+
+
+@pytest.mark.parametrize("field", ["E_U", "E_R", "P1", "P2", "sigma_R2", "sigma_B2", "d_ref",
+                                   "d_RB", "delta", "a", "b", "r_R", "r_B", "nu"])
+def test_none_is_refused_where_it_means_nothing(field):
+    message = f"field {field}: expected a number, got None"
+    for build in (cfg.ScenarioConfig, lambda **kw: cfg.scenario_from_mapping(kw)):
+        with pytest.raises(ConfigError) as refused:
+            build(**{field: None})
+        assert str(refused.value) == message
+
+
+def test_none_keeps_its_meaning_where_it_has_one():
+    # an ideal ADC, or a value derived from the other fields
+    scn = cfg.ScenarioConfig(q1=None, q2=None, eta=None, betas=None)
+    assert scn.q1 is scn.q2 is IDEAL and scn.relay_gain() > 0.0
+    assert cfg.ScenarioConfig(K=2, betas=[1.0, 0.5], d_users=None).d_users is None
+
+
+@pytest.mark.parametrize("text, key", [('{"N": 64, "N": 96}', "N"),
+                                       ('{"trials": 3, "K": 4, "trials": 2}', "trials")])
+def test_config_file_giving_a_key_twice_exits_one(tmp_path, capsys, text, key):
+    # a key's place in the file must not pick its value
+    path, out = tmp_path / "scn.json", tmp_path / "out.csv"
+    path.write_text(text)
+    assert cli.main(["rate-vs-n", "--config", str(path), "--closed-form-only",
+                     "--n-values", "64", "--bits", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"configuration error: config field {key!r} is given more than once\n"
     assert not out.exists()
 
 

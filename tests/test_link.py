@@ -77,7 +77,7 @@ def test_rate_trial_count_below_one_is_refused(trials):
 @pytest.mark.parametrize("trials", [2.7, 0.5, float("nan"), float("inf")])
 def test_rate_trial_count_that_is_not_whole_is_refused(trials):
     # a fractional count is not rounded down to some other number of trials
-    with pytest.raises(ConfigError, match="trials must be a whole number"):
+    with pytest.raises(ConfigError, match="field trials: expected an integer, got "):
         link.ergodic_sum_rate_mc(_SCN.with_updates(trials=trials))
 
 
