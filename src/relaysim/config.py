@@ -337,9 +337,10 @@ def load_scenario_file(path, base=None):
             mapping = json.load(fh, object_pairs_hook=_refuse_duplicate_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: "
-                          f"line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except ValueError as exc:
+        # bad syntax, text that is not UTF-8, or an integer past int()'s digit limit
+        raise exc if isinstance(exc, ConfigError) else ConfigError(
+            f"config file {path} is not valid JSON: {exc}")
     if not isinstance(mapping, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return scenario_from_mapping(mapping, base=base)

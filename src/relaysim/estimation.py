@@ -12,6 +12,7 @@ exactly. Rate analysis and Monte Carlo trials both consume that equivalent
 form, via EstimateModel.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,11 +21,10 @@ import numpy as np
 from .channel import (_one_blas_thread, complex_stack, draw_hop, left_multiply,
                       mean_and_stderr, sample)
 from .correlation import exponential_basis, exponential_correlation, exponential_eigenvalues
-from .errors import DegenerateEstimateError, IllConditionedError
+from .errors import DegenerateEstimateError, IllConditionedError, NumericalError
 from .quantizer import aqnm_quantize
 
-# refuse to build LMMSE filters from observation covariances with a worse
-# spectral condition number than this
+# observation refuses covariances of a worse spectral condition number
 MAX_CONDITION = 1e14
 
 
@@ -64,13 +64,12 @@ class HopStatistics:
     relay splits its budget over K antennas. noise_var is the receiver's
     thermal noise variance.
 
-    The closed-form eigenvalues of R (spectrum) serve the closed-form MSE
-    and the equivalent form in O(n). Its eigenvectors (basis), O(n^2), are
-    built only for the LMMSE filter and the square-root factor the pilot
-    simulation draws with, and R itself (recv_corr) only when asked for.
-    The K x K transmit matrix is decomposed once (tx_spectrum); its
-    eigenbasis also diagonalizes the estimate and error transmit matrices
-    of the equivalent form.
+    The record holds no receive-size matrix: the closed-form eigenvalues
+    of R (spectrum) serve the closed-form MSE and the equivalent form in
+    O(n), and a call that needs R's eigenvectors or R (recv_corr) builds
+    them and keeps none. The K x K transmit matrix is decomposed once
+    (tx_spectrum); its eigenbasis also diagonalizes the estimate and error
+    transmit matrices of the equivalent form.
     """
 
     r: complex
@@ -107,23 +106,10 @@ class HopStatistics:
         return exponential_eigenvalues(self.r, self.n)
 
     @cached_property
-    def basis(self):
-        """Eigenvectors U of the receive correlation, one per eigenvalue."""
-        return exponential_basis(self.r, self.spectrum[1])
-
-    @cached_property
     def tx_spectrum(self):
         """(mu, V): ascending eigenvalues and eigenvectors of the transmit
         matrix."""
         return np.linalg.eigh(self.transmit)
-
-    @cached_property
-    def recv_sqrt(self):
-        return _root(self.spectrum[0], self.basis)
-
-    @cached_property
-    def tx_sqrt(self):
-        return _root(*self.tx_spectrum)
 
     @cached_property
     def pilots(self):
@@ -141,8 +127,8 @@ class EstimateModel:
     f + g = lam. obs = (a, c) are the constants of the pilot observation
     covariance a R + c I and split = (f, g), both as `observation` formed
     them; genie CSI (estimate = truth) is c = 0, f = lam and g = 0 exactly.
-    U, R and receive_err are built on demand (receive_sqrt builds its own U
-    and keeps none), and receive_hat only by validate, as R - receive_err.
+    U, R and receive_err are built on demand (each call that needs U builds
+    its own), and receive_hat only by validate, as R - receive_err.
 
     The estimate is receive_hat^(1/2) @ H1 @ sqrt(transmit_hat) and the
     error receive_err^(1/2) @ H2 @ sqrt(transmit_err) with H1, H2 iid
@@ -159,7 +145,7 @@ class EstimateModel:
 
     @property
     def receive_err(self):
-        u = self.hop.basis
+        u = exponential_basis(self.hop.r, self.hop.spectrum[1])
         return (u * self.split[1]) @ u.conj().T
 
     @cached_property
@@ -167,10 +153,9 @@ class EstimateModel:
         """(receive_hat^(1/2), receive_err^(1/2)) from the split; the
         error's is None, and never built, where the error is zero (c = 0).
 
-        The eigenbasis U is built here, not read from the hop's cache: the
-        error's root is formed from it, then U is scaled in place into the
-        estimate's, so no more than three receive-size arrays are alive at
-        once and U is gone when the build returns."""
+        The error's root is formed from the eigenbasis U, then U is scaled
+        in place into the estimate's, so no more than three receive-size
+        arrays are alive at once and U is gone when the build returns."""
         hop, (f, g) = self.hop, self.split
         u = exponential_basis(hop.r, hop.spectrum[1])
         err = _root(g, u) if self.obs[1] else None
@@ -197,8 +182,8 @@ class EstimateModel:
         * gain equals n * gain * transmit entrywise. Returns the largest
         entrywise residual of that split over its largest entry (above 1e-8 raises).
         """
-        hop = self.hop
-        u, (f, g) = hop.basis, self.split
+        hop, (f, g) = self.hop, self.split
+        u = exponential_basis(hop.r, hop.spectrum[1])
         total = (u * (f + g)) @ u.conj().T
         recv = hop.recv_corr
         if not np.allclose(total, recv, rtol=0.0, atol=1e-10 * max(1.0, abs(np.trace(recv)))):
@@ -226,28 +211,42 @@ def observation(hop, adc, power):
     lam: the estimate and error spectra f = a lam^2 / (a lam + c) and
     g = c lam / (a lam + c), and the filter gains h = a lam / (a lam + c).
     The error spectrum is formed directly, never as a difference of large
-    numbers, so it stays accurate as pilot power grows without bound.
+    numbers, so it stays accurate as pilot power grows without bound. The
+    split and the condition number use (a, c) scaled exactly by a power of
+    two to put the larger near 1: only an a or c that overflows is refused.
     """
     total_gain = hop.total_gain
     a = adc.alpha ** 2 * hop.tau * power * total_gain
     c = hop.shape[1] * adc.alpha * ((1.0 - adc.alpha) * power * total_gain + hop.noise_var)
+    if not math.isfinite(max(a, c)):
+        raise NumericalError(f"observation constants overflow: a = {a:.3e}, c = {c:.3e}")
+    shift = -math.frexp(max(a, c))[1]
+    scaled_a, scaled_c = math.ldexp(a, shift), math.ldexp(c, shift)
     lam = hop.spectrum[0]
-    denom = a * lam + c
+    denom = scaled_a * lam + scaled_c
     cond = float(denom.max() / denom.min()) if denom.size else 1.0
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise IllConditionedError(
             f"observation covariance condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
-    h = a * lam / denom
-    return (a, c), (h * lam, c * lam / denom, h)
+    h = scaled_a * lam / denom
+    return (a, c), (h * lam, scaled_c * lam / denom, h)
 
 
-def lmmse_filter(hop, adc, power):
-    """LMMSE filter mapping despread observations to the channel estimate,
-    scale * R @ inv(a R + c I) applied in the eigenbasis of R."""
+def pilot_factors(hop, adc, power):
+    """(recv_sqrt, tx_sqrt, lmmse): the channel's roots R^(1/2) and
+    transmit^(1/2), and the LMMSE filter scale * R @ inv(a R + c I) from
+    despread observations to the estimate. The filter is formed in R's
+    eigenbasis U, then U is scaled in place into R^(1/2): at most three
+    receive-size arrays are alive at once, and U is dropped. The chain
+    draws unscaled, so a power where scale or a lam + c overflows is refused."""
     (a, c), _ = observation(hop, adc, power)
-    lam, u = hop.spectrum[0], hop.basis
+    lam, theta = hop.spectrum
     scale = adc.alpha * np.sqrt(hop.tau * power * hop.streams) * hop.total_gain
-    return (u * (scale * lam / (a * lam + c))) @ u.conj().T
+    if not math.isfinite(max(scale, a * float(lam[-1]) + c)):
+        raise NumericalError(f"pilot chain overflows a float at pilot power {power:.3e}")
+    u = exponential_basis(hop.r, theta)
+    lmmse = (u * (scale * lam / (a * lam + c))) @ u.conj().T
+    return _root(lam, u, overwrite=True), _root(*hop.tx_spectrum), lmmse
 
 
 def mse_closed_form(hop, adc, power):
@@ -276,7 +275,7 @@ def _sum_abs2(x, kept):
     return np.einsum(f"ijk,ijk->{kept}", parts, parts)
 
 
-def simulate_pilot(hop, adc, power, parts, lmmse):
+def simulate_pilot(hop, adc, power, parts, factors):
     """Run the quantized pilot phase on a chunk of trials and return the
     (channel, estimate) stacks, each (b, n, k).
 
@@ -285,14 +284,13 @@ def simulate_pilot(hop, adc, power, parts, lmmse):
     quantizer is the realized time-averaged pilot power (power / streams)
     * ||row||^2 + noise_var, constant over the pilot block because the
     pilot columns are orthonormal. The chunk runs in the (n, b, .) layout
-    of complex_stack: each receive factor (the channel's square root and
-    the LMMSE filter lmmse, lmmse_filter's for the same hop, ADC and power)
-    meets it as one GEMM, and so do the pilots.
+    of complex_stack: each receive factor of pilot_factors (the channel's
+    root and the LMMSE filter) meets it as one GEMM, and so do the pilots.
     """
     n, k = hop.shape
-    pilots = hop.pilots
+    (recv_sqrt, tx_sqrt, lmmse), pilots = factors, hop.pilots
     h_re, h_im, w_re, w_im, *quant = parts
-    chan = draw_hop(hop.recv_sqrt, hop.tx_sqrt, hop.gain, h=complex_stack(h_re, h_im))
+    chan = draw_hop(recv_sqrt, tx_sqrt, hop.gain, h=complex_stack(h_re, h_im))
     received = ((np.sqrt(hop.tau * power / hop.streams) * chan).reshape(-1, k) @ pilots.T
                 ).reshape(n, -1, hop.tau)
     received += complex_stack(w_re, w_im, np.sqrt(hop.noise_var / 2.0))
@@ -313,14 +311,14 @@ def pilot_mse(hop, adc, power, trials, rng):
     """
     n, k = hop.shape
     draws = _pilot_draws(hop, adc)
-    # the filter's GEMM runs under the pin too: threaded, it would leave
+    # the factors' GEMMs run under the pin too: threaded, they would leave
     # OpenBLAS's worker spinning into the trials, on the core that sample's
     # fill worker needs
     with _one_blas_thread(draws):
-        lmmse = lmmse_filter(hop, adc, power)
+        factors = pilot_factors(hop, adc, power)
 
         def stage(*parts):
-            chan, est = simulate_pilot(hop, adc, power, parts, lmmse)
+            chan, est = simulate_pilot(hop, adc, power, parts, factors)
             return {"mse": _sum_abs2(est - chan, "i") / (n * k)}
 
         errs = sample(draws, trials, lambda rows, _: rng.standard_normal(out=rows),

@@ -133,7 +133,7 @@ def test_genie_scalars_match_their_eigendata():
                 _GENIE_SCENARIO.with_updates(r_R=0.5 + 0.3j, r_B=0.0)):
         for model, hop in zip(cfg.scenario_models(scn), cfg.scenario_hops(scn)):
             tr, fro, cross, diag_sq, diag_mix = analysis._receive_sums(model)
-            u, (lam, err) = model.hop.basis, model.split
+            u, (lam, err) = corr.exponential_basis(hop.r, hop.spectrum[1]), model.split
             np.testing.assert_array_equal(lam, hop.spectrum[0])
             assert not np.any(err)
             assert tr == pytest.approx(hop.n, rel=1e-12)
@@ -326,13 +326,15 @@ def test_rate_converges_to_perfect_csi_as_pilot_power_grows():
 
 
 def test_rate_holds_its_limit_at_extreme_pilot_power():
-    # a * c overflows past pilot power 1e154 or so; the rate must not turn NaN
+    # a * c overflows past pilot power 1e154 or so, and a * lam past 1e306;
+    # the rate must neither turn NaN nor be refused (nor warn: pytest makes
+    # a RuntimeWarning an error)
     base = cfg.table_defaults().with_updates(N=128)
     for bits, limit in ((2, analysis.sum_rate_approx(base.with_updates(
                             q1=2, q2=2, P1=1e30, P2=1e30)).sum_rate),
                         (IDEAL, analysis.sum_rate_approx(base.with_updates(
                             q1=IDEAL, q2=IDEAL, csi="perfect")).sum_rate)):
-        for power in (1e160, 1e300):
+        for power in (1e160, 1e300, 1e307):
             rate = analysis.sum_rate_approx(
                 base.with_updates(q1=bits, q2=bits, P1=power, P2=power)).sum_rate
             assert abs(rate - limit) / limit <= 1e-12

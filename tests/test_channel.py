@@ -76,7 +76,8 @@ def test_first_hop_column_covariance():
     gains = np.array([1.0, 0.4, 2.2])
     rng = channel.substream(9, "first-hop-cov")
     hop = HopStatistics(0.7, n, np.diag(gains), k, 1.0)
-    recv_sqrt, gains_sqrt = hop.recv_sqrt, hop.tx_sqrt
+    model = estimation.perfect_model(hop)
+    recv_sqrt, gains_sqrt = model.receive_sqrt[0], model.transmit_sqrt[0]
     acc = np.zeros((k, n, n), dtype=np.complex128)
     for _ in range(draws):
         f = channel.draw_hop(recv_sqrt, gains_sqrt, 1.0, channel.complex_normal(rng, (n, k)))
@@ -96,7 +97,8 @@ def test_second_hop_gram_means():
     tx = exponential_correlation(0.8, k)
     rng = channel.substream(10, "second-hop-cov")
     hop = HopStatistics(0.5, m, tx, k, 1.0, gain=eta, streams=k)
-    recv_sqrt, tx_sqrt = hop.recv_sqrt, hop.tx_sqrt
+    model = estimation.perfect_model(hop)
+    recv_sqrt, tx_sqrt = model.receive_sqrt[0], model.transmit_sqrt[0]
     left = np.zeros((m, m), dtype=np.complex128)
     right = np.zeros((k, k), dtype=np.complex128)
     for _ in range(draws):
@@ -127,7 +129,7 @@ def test_draw_hop_with_rectangular_factors_is_the_product(dtype):
 
 
 def test_draw_guards():
-    recv_sqrt = HopStatistics(0.5, 4, np.eye(2), 2, 1.0).recv_sqrt
+    recv_sqrt = estimation.perfect_model(HopStatistics(0.5, 4, np.eye(2), 2, 1.0)).receive_sqrt[0]
     h = channel.complex_normal(channel.substream(11, "guards"), (4, 2))
     with pytest.raises(ValueError, match="gain must be non-negative"):
         channel.draw_hop(recv_sqrt, np.eye(2), -0.1, h)
@@ -243,10 +245,10 @@ def test_blas_pin_holds_pilot_chunks_of_several_trials_and_restores_the_count(
     original = get()
     one_trial = [(channel.CHUNK_BYTES // 8,)]
     assert channel.chunk_size(one_trial) == 1 < channel.chunk_size(_DRAWS)
-    filters = []
-    lmmse_filter = estimation.lmmse_filter
-    monkeypatch.setattr(estimation, "lmmse_filter",
-                        lambda *args: filters.append(get()) or lmmse_filter(*args))
+    builds = []
+    pilot_factors = estimation.pilot_factors
+    monkeypatch.setattr(estimation, "pilot_factors",
+                        lambda *args: builds.append(get()) or pilot_factors(*args))
     argv = ["mse-sweep", "--hop", "first", "--bits", "2", "--powers-db", "10",
             "--trials", "3", "--out", str(tmp_path / "mse.csv")]
     try:
@@ -267,8 +269,8 @@ def test_blas_pin_holds_pilot_chunks_of_several_trials_and_restores_the_count(
             channel.sample(_DRAWS, 3, fill, lambda x: seen.append(get()) or {"x": x[:, 0, 0]})
             assert seen == [before] and get() == before
             assert (fillers == [threading.main_thread()]) == (before == 2)
-            filters.clear()
+            builds.clear()
             assert cli.main(argv) == 0 and get() == before
-            assert filters == [1]
+            assert builds == [1]
     finally:
         put(original)

@@ -354,6 +354,20 @@ def test_config_file_giving_a_key_twice_exits_one(tmp_path, capsys, text, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [b'{"E_U": 1' + b'0' * 5000 + b'}', b'{"N": "\xff"}'],
+                         ids=["integer-past-the-digit-limit", "not-utf-8"])
+def test_config_file_json_cannot_read_exits_one(tmp_path, capsys, content):
+    # json.load raises a plain ValueError for these, not a JSONDecodeError
+    path, out = tmp_path / "scn.json", tmp_path / "out.csv"
+    path.write_bytes(content)
+    assert cli.main(["rate-vs-n", "--config", str(path), "--closed-form-only",
+                     "--n-values", "64", "--bits", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config file {path} is not valid JSON: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_adc_bits_parser_reads_words_and_counts():
     for word in ("ideal", " Inf ", "NONE", None):
         assert cfg.parse_adc_bits(word, "q1") is IDEAL

@@ -1,6 +1,7 @@
 """LMMSE estimation checks: filters, closed-form MSE, equivalent forms."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from relaysim import analysis, channel, config as cfg, estimation as est
 from relaysim.channel import substream
 from relaysim.correlation import exponential_correlation, select_transmit_correlation
-from relaysim.errors import ConfigError, DegenerateEstimateError, IllConditionedError
+from relaysim.errors import (ConfigError, DegenerateEstimateError, IllConditionedError,
+                             NumericalError)
 from relaysim.quantizer import IDEAL, AdcSpec, aqnm_quantize
 
 IDEAL_ADC = AdcSpec.from_bits(IDEAL)
@@ -34,16 +36,17 @@ def test_pilots_are_orthonormal():
 
 @pytest.mark.parametrize("r", [0.0, 0.6, 0.95, -0.7, 0.3 + 0.4j])
 def test_hop_square_roots_roundtrip(r):
-    # recv_sqrt comes from the closed-form spectrum, tx_sqrt from the
-    # transmit eigenbasis; both are Hermitian square roots
+    # pilot_factors' recv_sqrt comes from the closed-form spectrum, its
+    # tx_sqrt from the transmit eigenbasis; both are Hermitian square roots
     hops = (_first_hop(r, 24, [1.0, 0.05, 2.5], 3, 1.0),
             _second_hop(r, 24, select_transmit_correlation(r, 24, 6), 0.8, 6, 1.0))
-    for hop in hops:
-        for root, mat in ((hop.recv_sqrt, hop.recv_corr), (hop.tx_sqrt, hop.transmit)):
+    roots = [est.pilot_factors(hop, TWO_BIT, 10.0)[:2] for hop in hops]
+    for hop, (recv_sqrt, tx_sqrt) in zip(hops, roots):
+        for root, mat in ((recv_sqrt, hop.recv_corr), (tx_sqrt, hop.transmit)):
             np.testing.assert_allclose(root @ root, mat, atol=1e-12 * np.abs(mat).max())
             np.testing.assert_allclose(root, root.conj().T, atol=1e-14)
     # a diagonal transmit matrix has the elementwise root
-    np.testing.assert_allclose(hops[0].tx_sqrt, np.diag(np.sqrt([1.0, 0.05, 2.5])),
+    np.testing.assert_allclose(roots[0][1], np.diag(np.sqrt([1.0, 0.05, 2.5])),
                                atol=1e-15)
 
 
@@ -53,7 +56,7 @@ def test_lmmse_filter_identity_case():
     # and the filter T (a T + c I)^-1 is exactly I / 2
     for hop in (_first_hop(0.0, 3, [1.0], 1, 1.0),
                 _second_hop(0.0, 3, np.eye(1), 1.0, 1, 1.0)):
-        np.testing.assert_allclose(est.lmmse_filter(hop, IDEAL_ADC, 1.0),
+        np.testing.assert_allclose(est.pilot_factors(hop, IDEAL_ADC, 1.0)[2],
                                    0.5 * np.eye(3), atol=1e-14)
 
 
@@ -194,7 +197,7 @@ def test_smallest_accepted_antenna_count(r, smallest):
 
 
 @pytest.mark.parametrize("reader", [
-    est.equivalent_form, est.lmmse_filter, est.mse_closed_form,
+    est.equivalent_form, est.pilot_factors, est.mse_closed_form,
     lambda hop, adc, power: est.pilot_mse(hop, adc, power, 2, substream(1, "singular")),
 ], ids=["equivalent_form", "lmmse_filter", "mse_closed_form", "pilot_mse"])
 def test_singular_observation_covariance_raises(reader):
@@ -204,6 +207,33 @@ def test_singular_observation_covariance_raises(reader):
     hop = _first_hop(1.0 - 1e-13, 64, [1.0], 4, 0.0)
     with pytest.raises(IllConditionedError, match="condition number"):
         reader(hop, IDEAL_ADC, 1.0)
+
+
+def test_observation_constants_that_overflow_are_named():
+    # past pilot power 3.2e307 on the default first hop a itself is inf: that
+    # is what the refusal names, not a condition number
+    hop = cfg.scenario_hops(cfg.table_defaults())[0]
+    message = r"^observation constants overflow: a = inf, c = 7\.423e\+307$"
+    with pytest.raises(NumericalError, match=message) as info:
+        est.observation(hop, TWO_BIT, 1e308)
+    assert not isinstance(info.value, IllConditionedError)
+
+
+def test_pilot_chain_refuses_a_power_where_its_own_arithmetic_overflows():
+    # observation holds at pilot power 1e307, but the pilot chain draws and
+    # filters unscaled: a lam + c overflows on the default first hop and the
+    # filter's scale on the second, and each is refused rather than run into
+    # a wrong or NaN MSE; at 1e306 the first hop still meets its closed form
+    scn = cfg.table_defaults()
+    hops = cfg.scenario_hops(scn)
+    for hop in hops:
+        est.observation(hop, TWO_BIT, 1e307)
+        with pytest.raises(NumericalError,
+                           match=r"^pilot chain overflows a float at pilot power 1\.000e\+307$"):
+            est.pilot_mse(hop, TWO_BIT, 1e307, 2, substream(1, "overflow"))
+    mean, stderr = est.pilot_mse(hops[0], TWO_BIT, 1e306, 20, substream(1, "overflow"))
+    closed = est.mse_closed_form(hops[0], TWO_BIT, 1e306) / (hops[0].n * scn.K)
+    assert abs(mean - closed) < 4.0 * stderr
 
 
 def test_equivalent_form_keeps_the_one_observation(monkeypatch):
@@ -235,15 +265,16 @@ def test_pilot_simulation_shapes():
         normals = rng.standard_normal((5, channel.normals_per_trial(draws)))
         parts = channel.split_normals(normals, *draws)
         chan, estimate = est.simulate_pilot(hop, TWO_BIT, 10.0, parts,
-                                            est.lmmse_filter(hop, TWO_BIT, 10.0))
+                                            est.pilot_factors(hop, TWO_BIT, 10.0))
         assert chan.shape == (5, 12, 3) and estimate.shape == (5, 12, 3)
 
 
-def _pilot_trial(hop, adc, power, rng, lmmse):
+def _pilot_trial(hop, adc, power, rng, factors):
     """One pilot trial drawn the documented way, one draw after another:
     the channel's H, the receiver noise (complex_normal each), then the
     quantization noise's real and imaginary parts (non-ideal ADCs only)."""
-    chan = channel.draw_hop(hop.recv_sqrt, hop.tx_sqrt, hop.gain,
+    recv_sqrt, tx_sqrt, lmmse = factors
+    chan = channel.draw_hop(recv_sqrt, tx_sqrt, hop.gain,
                             channel.complex_normal(rng, hop.shape))
     received = (np.sqrt(hop.tau * power / hop.streams) * chan @ hop.pilots.T
                 + channel.complex_normal(rng, (hop.shape[0], hop.tau), hop.noise_var))
@@ -272,14 +303,34 @@ def test_stacked_pilot_chain_follows_the_stream_order(monkeypatch, hop, adc, tri
         draws = est._pilot_draws(hop, adc)
         monkeypatch.setattr(channel, "CHUNK_BYTES",
                             8 * channel.normals_per_trial(draws) * trials_per_chunk)
-    lmmse = est.lmmse_filter(hop, adc, power)
+    factors = est.pilot_factors(hop, adc, power)
     rng = substream(12, "oracle")
     n, k = hop.shape
     errs = np.array([np.sum(np.abs(est_ - chan) ** 2) / (n * k) for chan, est_ in
-                     (_pilot_trial(hop, adc, power, rng, lmmse) for _ in range(trials))])
+                     (_pilot_trial(hop, adc, power, rng, factors) for _ in range(trials))])
     stacked = est.pilot_mse(hop, adc, power, trials, substream(12, "oracle"))
     oracle = (errs.mean(), errs.std(ddof=1) / np.sqrt(trials))
     assert stacked == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_pilot_mse_keeps_no_receive_size_array():
+    # one pilot point builds its receive eigenbasis, forms the filter in it
+    # and scales it in place into the channel's root: three M x M arrays at
+    # most beside the two chunk buffers, and none is kept after the call
+    scn = cfg.table_defaults().with_updates(N=512)
+    hop = cfg.scenario_hops(scn)[1]
+    draws = est._pilot_draws(hop, scn.adc2)
+    buffers = 2 * 8 * channel.chunk_size(draws) * channel.normals_per_trial(draws)
+    tracemalloc.start()
+    try:
+        est.pilot_mse(hop, scn.adc2, scn.P2, 4, substream(1, "memory"))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hop.n == scn.M
+    assert peak < 3 * scn.M ** 2 * 8 + buffers + 2 ** 19
+    assert kept < scn.M ** 2 * 8
+    assert not {"basis", "recv_sqrt", "tx_sqrt"} & set(hop.__dict__)
 
 
 def test_single_trial_pilot_chunks_agree_with_default_chunks(monkeypatch):

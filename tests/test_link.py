@@ -253,7 +253,8 @@ def test_skipped_error_products_equal_products_with_zero():
     models = cfg.scenario_models(_PERFECT)
     zeros = cfg.scenario_models(_PERFECT)
     for model in zeros:
-        u, (f, g) = model.hop.basis, model.split
+        u = corr.exponential_basis(model.hop.r, model.hop.spectrum[1])
+        f, g = model.split
         # the factor the error would have were it not skipped, in the cache
         model.__dict__["receive_sqrt"] = (est._root(f, u), est._root(g, u))
         assert not model.receive_sqrt[1].any()

@@ -69,10 +69,10 @@ def test_pilot_mse_matches_pinned_values():
 
 
 def test_mse_sweep_decomposes_each_receive_array_once(monkeypatch, tmp_path):
-    # default grid: 2 hops x 4 resolutions x 5 pilot powers share the two
-    # closed-form receive spectra of the hop records: eigenvalues for the
-    # closed form, eigenvectors for the LMMSE filter and the pilot draws,
-    # each once per array; no receive array reaches a dense eigensolver
+    # default grid: 2 hops x 4 resolutions x 5 pilot powers share the
+    # eigenvalues of the hop records, once per array; the eigenvectors are
+    # built once per pilot point, for its LMMSE filter and pilot draws, and
+    # kept by none; no receive array reaches a dense eigensolver
     parts = ("exponential_eigenvalues", "exponential_basis")
     calls = {name: [] for name in ("eigh", "eigvalsh") + parts}
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
@@ -87,6 +87,7 @@ def test_mse_sweep_decomposes_each_receive_array_once(monkeypatch, tmp_path):
     assert cli.main(["mse-sweep", "--trials", "4", "--out", str(tmp_path / "mse.csv")]) == 0
     scn = cfg.table_defaults()
     assert sorted(n for _, n in calls["exponential_eigenvalues"]) == [scn.N, scn.M]
-    assert sorted(len(theta) for _, theta in calls["exponential_basis"]) == [scn.N, scn.M]
+    assert sorted(len(theta) for _, theta in calls["exponential_basis"]) == \
+        [scn.N] * 20 + [scn.M] * 20
     assert [mat.shape for mat, *_ in calls["eigh"] if len(mat) > scn.K] == []
     assert calls["eigvalsh"] == []
