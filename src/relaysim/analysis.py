@@ -17,6 +17,7 @@ import numpy as np
 from . import config as cfg
 from .channel import complex_stack, draw_hop, mean_and_stderr, sample
 from .correlation import exponential_split_diagonals
+from .errors import NumericalError
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +200,13 @@ def sinr_terms(raw, scenario, kappa):
 
 
 def sinr_of(terms):
-    """Post-combining SINR of the four terms keyed as sinr_terms keys them."""
-    return terms["signal"] / (terms["interference"] + terms["noise_relay"]
-                              + terms["noise_bs"])
+    """Post-combining SINR of the four terms keyed as sinr_terms keys them;
+    a SINR whose interference and noise all underflow to zero is refused."""
+    rest = terms["interference"] + terms["noise_relay"] + terms["noise_bs"]
+    if np.any(rest == 0.0):
+        raise NumericalError(f"SINR {np.max(terms['signal'][rest == 0.0]):g}/0: its "
+                             "interference and noise terms all underflow to zero")
+    return terms["signal"] / rest
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ powers with the same key are refused, since either would alias streams.
 
 import argparse
 import itertools
-import math
 import os
 import re
 import sys
@@ -25,7 +24,7 @@ from . import estimation, link, validate
 from .analysis import asymptotic_sum_rate, power_scaling_limit, sum_rate_approx
 from .channel import substream
 from .errors import ConfigError, NumericalError
-from .quantizer import IDEAL, AdcSpec, bits_label
+from .quantizer import IDEAL, bits_label
 
 
 def _format_value(value):
@@ -41,18 +40,6 @@ def _entries(flag, text):
     if not entries:
         raise ConfigError(f"{flag}: empty sweep value list")
     return entries
-
-
-def _power_db(token):
-    """One --powers-db value, a finite number of decibels: the one sweep
-    value that sets no scenario field."""
-    try:
-        power_db = float(token)
-    except ValueError:
-        power_db = float("nan")
-    if not math.isfinite(power_db):
-        raise ConfigError(f"--powers-db: expected a finite number, got {token.strip()!r}")
-    return power_db
 
 
 def write_csv(stream, header, rows, scenario):
@@ -91,27 +78,23 @@ def _base_scenario(args):
 
 def cmd_mse_sweep(args) -> int:
     scn = _base_scenario(args)
-    powers_db = [_power_db(token) for token in _entries("--powers-db", args.powers_db)]
+    grid = [(float(tokens["P1-dB"]), point) for tokens, point in _grid_points(
+        args, (("--bits", "q1 q2"), ("--powers-db", "P1-dB P2-dB")), scn)]
     # a point's stream is keyed by its power to 6 significant digits (:g)
-    for one, other in itertools.combinations(powers_db, 2):
-        if one != other and f"{one:g}" == f"{other:g}":
+    for one, other in itertools.combinations(dict.fromkeys(db for db, _ in grid), 2):
+        if f"{one:g}" == f"{other:g}":
             raise ConfigError(f"--powers-db values {one!r} and {other!r} share the stream "
                               f"key {one:g}; they would draw the same normals")
-    powers = [cfg.db_to_linear(power_db, "--powers-db") for power_db in powers_db]
-    bits_grid = [cfg.parse_adc_bits(token, "--bits") for token in _entries("--bits", args.bits)]
-    names = ("first", "second") if args.hop == "both" else (args.hop,)
-    stats = dict(zip(("first", "second"), cfg.scenario_hops(scn)))
     rows = []
-    for name in names:
-        hop = stats[name]
-        for bits in bits_grid:
-            adc = AdcSpec.from_bits(bits)
-            for power_db, power in zip(powers_db, powers):
-                rng = substream(scn.seed, "mse-sweep", name,
-                                bits_label(bits), f"{power_db:g}")
-                closed = estimation.mse_closed_form(hop, adc, power) / (scn.K * hop.shape[0])
-                sim, stderr = estimation.pilot_mse(hop, adc, power, scn.trials, rng)
-                rows.append((name, power_db, bits, sim, stderr, closed))
+    for name, hop in zip(("first", "second"), cfg.scenario_hops(scn)):
+        if args.hop not in (name, "both"):
+            continue
+        for power_db, point in grid:
+            adc, power = (point.adc1, point.P1) if name == "first" else (point.adc2, point.P2)
+            rng = substream(scn.seed, "mse-sweep", name, bits_label(adc.bits), f"{power_db:g}")
+            closed = estimation.mse_closed_form(hop, adc, power) / (scn.K * hop.shape[0])
+            sim, stderr = estimation.pilot_mse(hop, adc, power, scn.trials, rng)
+            rows.append((name, power_db, adc.bits, sim, stderr, closed))
     header = ("hop", "axis_value", "q", "mse_sim", "mse_sim_stderr", "mse_closed")
     _emit(args, header, rows, scn)
     return 0
@@ -184,19 +167,22 @@ def _axis_points(flag, text, fields):
     return points
 
 
+def _grid_points(args, axes, base):
+    """[(tokens, scenario)] of each point of the axes' product, outermost first, every
+    scenario read as a config file's fields are, and so checked, before any point runs."""
+    grids = [_axis_points(flag, getattr(args, flag.lstrip("-").replace("-", "_")), fields)
+             for flag, fields, *_ in axes]
+    combos = [{field: token for axis in combo for field, token in axis.items()}
+              for combo in itertools.product(*grids)]
+    return [(tokens, cfg.scenario_from_mapping(tokens, base=base)) for tokens in combos]
+
+
 def cmd_rate_sweep(args) -> int:
     """One row per point of the product of the subcommand's axes."""
     _, axes, columns = _RATE_SWEEPS[args.command]
     scn = _base_scenario(args)
-    grids = [_axis_points(flag, getattr(args, flag.lstrip("-").replace("-", "_")), fields)
-             for flag, fields, _, _ in axes]
-    # every point's scenario is read as a config file's fields are, and so
-    # checked, before any point runs
-    points = [cfg.scenario_from_mapping({field: token for axis in combo
-                                         for field, token in axis.items()}, base=scn)
-              for combo in itertools.product(*grids)]
     rows = []
-    for point in points:
+    for _, point in _grid_points(args, axes, scn):
         closed, mc, ci = _rate_pair(point, args)
         cells = dict(vars(point), rate_closed=closed, rate_mc=mc, rate_mc_ci=ci)
         rows.append(tuple(cells[c] if c in cells else _DERIVED[c](point, cells)

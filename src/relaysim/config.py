@@ -285,13 +285,6 @@ def _from_text(field, value):
         return value
 
 
-def parse_adc_bits(value, key):
-    """An ADC resolution read as a config file's q1 is: IDEAL, or a bit count
-    of at least 1. Anything else is a ConfigError naming key."""
-    bits = _from_text("q1", value)
-    return bits if bits is IDEAL else _bits(key, bits)
-
-
 def scenario_from_mapping(mapping, base=None):
     """Build a ScenarioConfig from a flat mapping (config file or CLI overrides).
 

@@ -4,11 +4,11 @@ The antenna arrays at both ends of each hop follow the exponential
 correlation model: entry (i, j) equals r**(j - i) above the diagonal and the
 conjugate mirror below it, with |r| < 1. Its eigendecomposition is known in
 closed form (exponential_eigenvalues, exponential_basis), so no receive
-array is ever handed to a dense eigensolver, and the diagonals of its LMMSE
-estimate/error split take one O(n) pivot sweep each way
-(exponential_split_diagonals). The relay transmit side uses K out of N
-antennas, equally spaced, which raises the effective neighbour coefficient
-to r**(N / K).
+array is handed to a dense eigensolver but by the PSD checks of the oracle
+EstimateModel.validate, and the diagonals of its LMMSE estimate/error split
+take one O(n) pivot sweep each way (exponential_split_diagonals). The relay
+transmit side uses K out of N antennas, equally spaced, which raises the
+effective neighbour coefficient to r**(N / K).
 """
 
 import math

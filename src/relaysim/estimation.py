@@ -188,7 +188,7 @@ class EstimateModel:
         recv = hop.recv_corr
         if not np.allclose(total, recv, rtol=0.0, atol=1e-10 * max(1.0, abs(np.trace(recv)))):
             raise AssertionError("receive-side split does not sum to the true correlation")
-        receive_err = self.receive_err
+        receive_err = (u * g) @ u.conj().T
         receive_hat = recv - receive_err
         for mat in (receive_hat, receive_err, self.transmit_hat, self.transmit_err):
             w = np.linalg.eigvalsh(mat)

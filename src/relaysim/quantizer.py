@@ -39,7 +39,7 @@ def distortion_factor(bits):
 
     bits may be a positive integer or IDEAL (no quantization, rho = 0).
     Resolutions 1..5 use the tabulated optimal values; 6 bits and up use the
-    high-resolution asymptote.
+    high-resolution asymptote, which is 0.0, the ideal limit, from 538 bits.
     """
     if bits is IDEAL:
         return 0.0
@@ -48,7 +48,7 @@ def distortion_factor(bits):
     bits = int(bits)
     if bits in DISTORTION_TABLE:
         return DISTORTION_TABLE[bits]
-    return math.sqrt(3.0) * math.pi / 2.0 * 2.0 ** (-2 * bits)
+    return math.sqrt(3.0) * math.pi / 2.0 * math.ldexp(1.0, -2 * bits)
 
 
 @dataclass(frozen=True)

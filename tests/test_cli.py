@@ -374,6 +374,28 @@ def test_mse_powers_sharing_a_stream_key_exit_one_before_any_point(capsys, monke
     assert len(points) == 2
 
 
+
+def test_mse_sweep_grid_values_are_read_as_fields_before_any_point(capsys, monkeypatch):
+    # --bits sets q1 and q2, --powers-db P1-dB and P2-dB: each value is read
+    # as the same field in a config file, and every point before the first runs
+    points = []
+    monkeypatch.setattr(estimation, "pilot_mse", lambda *args: points.append(args) or (0.0, 0.0))
+    for flag, value, message in (
+            ("--powers-db", "10,abc", "field P1-dB: expected a number, got 'abc'"),
+            ("--bits", "2,1:2", "--bits: expected a single value, got '1:2'"),
+            ("--bits", "2,0", "field q1: expected a bit count >= 1 or 'ideal', got 0")):
+        assert _run(["mse-sweep", "--trials", "2", flag, value]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert points == []
+
+
+def test_mse_sweep_reads_bits_none_as_ideal(tmp_path):
+    outs = [tmp_path / f"{word}.csv" for word in ("NONE", "ideal")]
+    for word, out in zip(("NONE", "ideal"), outs):
+        assert _run(["mse-sweep", "--bits", f"2,{word}", "--powers-db", "0,20",
+                     "--trials", "3", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
 def test_decibels_that_overflow_exit_one_naming_the_value(tmp_path, capsys, monkeypatch):
     # one dB conversion serves the config file and mse-sweep; a value whose
     # linear form overflows, or underflows to zero, is bad input, refused
@@ -385,7 +407,7 @@ def test_decibels_that_overflow_exit_one_naming_the_value(tmp_path, capsys, monk
                      "--powers-db", f"10,{db}"]) == 1
         assert points == []
         assert capsys.readouterr().err == \
-            f"configuration error: --powers-db: {float(db)!r} dB {fate}\n"
+            f"configuration error: field P1-dB: {float(db)!r} dB {fate}\n"
         scn = tmp_path / "loud.json"
         scn.write_text(f'{{"P1-dB": {db}}}')
         assert _run(["rate-vs-n", "--n-values", "64", "--closed-form-only",
@@ -476,6 +498,42 @@ def test_arithmetic_failure_exits_two(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "Traceback" not in err
 
+
+
+def test_resolution_past_the_float_range_runs_as_ideal(tmp_path):
+    # from 538 bits the distortion is 0.0, the ideal limit, even where
+    # 2 ** (-2 q) has no float
+    huge = "1" + "0" * 400
+    for argv, column in (
+            (["rate-vs-n", "--closed-form-only", "--n-values", "64"], "rate_closed"),
+            (["mse-sweep", "--hop", "first", "--powers-db", "10", "--trials", "2"],
+             "mse_closed")):
+        cells = []
+        for bits in (huge, "ideal"):
+            out = tmp_path / f"{argv[0]}-{bits[:5]}.csv"
+            assert _run(argv + ["--bits", bits, "--out", str(out)]) == 0
+            header, rows, _ = _read_csv(out)
+            cells.append(rows[0][header.index(column)])
+        assert cells[0] == cells[1]
+
+
+@pytest.mark.parametrize("engine", ["--closed-form-only", "--mc-only"])
+def test_sinr_whose_every_term_underflows_exits_two(tmp_path, capsys, engine):
+    # a relay gain of 1e-170 takes every SINR term below the smallest float:
+    # 0/0 is a numerical failure, not a NaN rate
+    scn, out = tmp_path / "faint.json", tmp_path / "faint.csv"
+    argv = ["rate-vs-n", engine, "--n-values", "64", "--bits", "2", "--trials", "8",
+            "--config", str(scn), "--out", str(out)]
+    scn.write_text('{"eta": 1e-170}')
+    assert _run(argv) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: SINR 0/0: ")
+    assert not out.exists()
+    # a gain of 1e-100 keeps the terms apart from zero: the rate is 0.0
+    scn.write_text('{"eta": 1e-100}')
+    assert _run(argv) == 0
+    header, rows, _ = _read_csv(out)
+    column = "rate_closed" if engine == "--closed-form-only" else "rate_mc"
+    assert float(rows[0][header.index(column)]) == 0.0
 
 def test_validate_subcommand(capsys):
     assert _run(["validate", "--filter", "lloydmax"]) == 0

@@ -370,12 +370,12 @@ def test_config_file_json_cannot_read_exits_one(tmp_path, capsys, content):
 
 def test_adc_bits_parser_reads_words_and_counts():
     for word in ("ideal", " Inf ", "NONE", None):
-        assert cfg.parse_adc_bits(word, "q1") is IDEAL
-    assert cfg.parse_adc_bits(" 3 ", "q1") == 3
-    assert cfg.parse_adc_bits(2.0, "q1") == 2
+        assert cfg.scenario_from_mapping({"q1": word}).q1 is IDEAL
+    assert cfg.scenario_from_mapping({"q1": " 3 "}).q1 == 3
+    assert cfg.scenario_from_mapping({"q1": 2.0}).q1 == 2
     for value in ("0", 0, -2, "2.5", 2.5, "two", "", float("nan")):
-        with pytest.raises(ConfigError, match="--bits"):
-            cfg.parse_adc_bits(value, "--bits")
+        with pytest.raises(ConfigError, match="field q1"):
+            cfg.scenario_from_mapping({"q1": value})
 
 
 def test_mapping_handles_complex_coefficients_and_base():

@@ -132,23 +132,35 @@ def test_validate_refuses_a_split_two_parts_per_million_off():
 
 
 def test_validate_builds_each_receive_matrix_once(monkeypatch):
-    # R and the error's receive matrix are n x n builds; the estimate's is
-    # their difference, so one of each serves every check, and the residual
-    # is bitwise the one that difference gives
+    # R and the eigenbasis U are n x n builds; the error's receive matrix is
+    # formed from that U and the estimate's is their difference, so one of
+    # each serves every check, and the residual is bitwise the one that
+    # difference gives
     model = est.equivalent_form(_first_hop(0.7, 24, [1.0, 0.8], 6, 1.0), TWO_BIT, 30.0)
     hop, built = model.hop, []
-    correlation, receive_err = est.exponential_correlation, est.EstimateModel.receive_err
+    correlation, basis = est.exponential_correlation, est.exponential_basis
     monkeypatch.setattr(est, "exponential_correlation",
                         lambda r, n: built.append("R") or correlation(r, n))
-    monkeypatch.setattr(est.EstimateModel, "receive_err",
-                        property(lambda m: built.append("err") or receive_err.fget(m)))
+    monkeypatch.setattr(est, "exponential_basis",
+                        lambda r, theta: built.append("U") or basis(r, theta))
     residual = model.validate()
-    assert sorted(built) == ["R", "err"]
+    assert sorted(built) == ["R", "U"]
     lhs = (np.trace(model.hop.recv_corr - model.receive_err).real * model.transmit_hat
            + np.trace(model.receive_err).real * model.transmit_err) * hop.gain
     rhs = hop.n * hop.gain * hop.transmit
     assert residual == float(np.abs(lhs - rhs).max()) / float(np.abs(rhs).max())
 
+
+
+def test_validate_builds_one_eigenbasis_per_default_model(monkeypatch):
+    # the split-sum check and the error's receive matrix share one U
+    models = cfg.scenario_models(cfg.ScenarioConfig())
+    sizes, basis = [], est.exponential_basis
+    monkeypatch.setattr(est, "exponential_basis",
+                        lambda r, theta: sizes.append(len(theta)) or basis(r, theta))
+    for model in models:
+        model.validate()
+    assert sizes == [128, 256]
 
 def test_equivalent_form_approaches_perfect_with_clean_pilots():
     gains = np.array([1.0, 0.8])

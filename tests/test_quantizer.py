@@ -29,6 +29,16 @@ def test_high_resolution_formula():
     assert qz.distortion_factor(7) == pytest.approx(qz.distortion_factor(6) / 4)
 
 
+
+def test_high_resolution_formula_is_bitwise_the_power_of_two_and_zero_past_floats():
+    # the asymptote is the same float 2.0 ** (-2 q) gives wherever that power
+    # exists, and the ideal limit 0.0 where its exponent leaves the float range
+    for bits in range(6, 601):
+        assert qz.distortion_factor(bits) == math.sqrt(3.0) * math.pi / 2.0 * 2.0 ** (-2 * bits)
+    assert qz.distortion_factor(537) > 0.0
+    assert qz.distortion_factor(538) == qz.distortion_factor(10 ** 400) == 0.0
+    assert qz.AdcSpec.from_bits(10 ** 400).is_ideal
+
 def test_distortion_monotone_and_continuous_at_transition():
     values = [qz.distortion_factor(b) for b in range(1, 11)]
     assert all(a > b for a, b in zip(values, values[1:]))
