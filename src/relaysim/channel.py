@@ -216,14 +216,19 @@ def left_multiply(mat, x):
 
 
 def path_loss(d_ref, d, exponent):
-    """Distance-based large-scale gain (d_ref / d) ** exponent."""
+    """Distance-based large-scale gain (d_ref / d) ** exponent, refused past floats."""
     if d_ref <= 0.0:
         raise ValueError(f"reference distance must be positive, got {d_ref}")
     if d <= 0.0:
         raise ValueError(f"distance must be positive, got {d}")
     if exponent < 0.0:
         raise ValueError(f"path-loss exponent must be non-negative, got {exponent}")
-    return float((d_ref / d) ** exponent)
+    try:
+        if math.isfinite(gain := float((d_ref / d) ** exponent)):
+            return gain
+    except OverflowError:
+        pass
+    raise OverflowError(f"path-loss gain ({d_ref:g} / {d:g}) ** {exponent:g} overflows a float")
 
 
 def large_scale_gains(d_ref, distances, exponent):

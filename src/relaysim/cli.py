@@ -265,7 +265,13 @@ def main(argv=None) -> int:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         if getattr(args, "out", None):
             _check_out(args.out)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()      # a closed stdout is met here, not at exit
+        return status
+    except BrokenPipeError:
+        # 128 + SIGPIPE, quietly: on devnull, the exit flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -174,6 +174,11 @@ class ScenarioConfig:
                 f"K = {self.K} users but only {len(self.d_users)} distances configured")
         if self.betas is not None and len(self.betas) != self.K:
             raise ConfigError(f"betas must have K = {self.K} entries, got {len(self.betas)}")
+        for name, gains in (("d_users", self.user_gains), ("d_RB", self.relay_gain)):
+            try:
+                gains()
+            except OverflowError as exc:
+                raise ConfigError(f"field {name}: {exc}") from None
 
     @property
     def M(self):

@@ -120,21 +120,16 @@ class HopStatistics:
 class EstimateModel:
     """Equivalent-form description of a channel estimate of one hop.
 
-    The hop's true receive correlation R = hop.recv_corr =
-    U diag(lam) U^H splits in its own eigenbasis: the estimate keeps
-    receive_hat = U diag(f) U^H and the error receive_err = U diag(g) U^H,
-    with f = a lam^2 / (a lam + c) and g = c lam / (a lam + c), so
-    f + g = lam. obs = (a, c) are the constants of the pilot observation
-    covariance a R + c I and split = (f, g), both as `observation` formed
-    them; genie CSI (estimate = truth) is c = 0, f = lam and g = 0 exactly.
-    U, R and receive_err are built on demand (each call that needs U builds
-    its own), and receive_hat only by validate, as R - receive_err.
-
-    The estimate is receive_hat^(1/2) @ H1 @ sqrt(transmit_hat) and the
-    error receive_err^(1/2) @ H2 @ sqrt(transmit_err) with H1, H2 iid
-    CN(0, 1) and independent; the hop's gain multiplies the second hop
-    only (1.0 for the first hop). transmit_hat / transmit_err are K x K
-    (diagonal for the first hop, where they hold the per-user gains).
+    The hop's true receive correlation R = U diag(lam) U^H splits in its
+    own eigenbasis: the estimate keeps receive_hat = U diag(f) U^H and the
+    error receive_err = U diag(g) U^H, with f = a lam^2 / (a lam + c) and
+    g = c lam / (a lam + c), so f + g = lam. obs = (a, c) are the constants
+    of the pilot observation covariance a R + c I and split = (f, g), both
+    as `observation` formed them; genie CSI (estimate = truth) is c = 0,
+    f = lam and g = 0 exactly. transmit_hat / transmit_err are K x K
+    (diagonal for the first hop, where they hold the per-user gains). The
+    record keeps no receive-size matrix and no square root: validate builds
+    what it checks, and model_factors the roots the trials draw with.
     """
 
     hop: HopStatistics
@@ -142,35 +137,6 @@ class EstimateModel:
     transmit_err: np.ndarray
     obs: tuple
     split: tuple
-
-    @property
-    def receive_err(self):
-        u = exponential_basis(self.hop.r, self.hop.spectrum[1])
-        return (u * self.split[1]) @ u.conj().T
-
-    @cached_property
-    def receive_sqrt(self):
-        """(receive_hat^(1/2), receive_err^(1/2)) from the split; the
-        error's is None, and never built, where the error is zero (c = 0).
-
-        The error's root is formed from the eigenbasis U, then U is scaled
-        in place into the estimate's, so no more than three receive-size
-        arrays are alive at once and U is gone when the build returns."""
-        hop, (f, g) = self.hop, self.split
-        u = exponential_basis(hop.r, hop.spectrum[1])
-        err = _root(g, u) if self.obs[1] else None
-        return _root(f, u, overwrite=True), err
-
-    @cached_property
-    def transmit_sqrt(self):
-        """(transmit_hat^(1/2), transmit_err^(1/2)) in the eigenbasis V of
-        the hop's transmit matrix, which diagonalizes both: their spectra
-        are diag(V^H T V), with rounding below zero on the error side
-        clamped."""
-        v = self.hop.tx_spectrum[1]
-        spectra = (np.einsum("ij,ij->j", v.conj(), t @ v).real
-                   for t in (self.transmit_hat, self.transmit_err))
-        return tuple(_root(np.maximum(s, 0.0), v) for s in spectra)
 
     def validate(self):
         """Check the construction identities against the hop's true statistics.
@@ -247,6 +213,26 @@ def pilot_factors(hop, adc, power):
     u = exponential_basis(hop.r, theta)
     lmmse = (u * (scale * lam / (a * lam + c))) @ u.conj().T
     return _root(lam, u, overwrite=True), _root(*hop.tx_spectrum), lmmse
+
+
+def model_factors(model):
+    """((receive_hat^(1/2), receive_err^(1/2)), (transmit_hat^(1/2),
+    transmit_err^(1/2))), the roots draw_hop draws the model's estimate and
+    error with, built per call and kept nowhere. The error's receive root is
+    None, and never built, where the error is zero (c = 0); it is formed
+    first, then U is scaled in place into the estimate's, as pilot_factors
+    does. The transmit roots are taken in the eigenbasis V of the hop's
+    transmit matrix, which diagonalizes both: their spectra are
+    diag(V^H T V), with rounding below zero on the error side clamped.
+    """
+    hop, (f, g) = model.hop, model.split
+    u = exponential_basis(hop.r, hop.spectrum[1])
+    err = _root(g, u) if model.obs[1] else None
+    receive = _root(f, u, overwrite=True), err
+    v = hop.tx_spectrum[1]
+    spectra = (np.einsum("ij,ij->j", v.conj(), t @ v).real
+               for t in (model.transmit_hat, model.transmit_err))
+    return receive, tuple(_root(np.maximum(s, 0.0), v) for s in spectra)
 
 
 def mse_closed_form(hop, adc, power):

@@ -1,15 +1,15 @@
 """Monte Carlo trial engine for the two-hop quantized relay uplink.
 
 Each trial draws the per-hop channel estimates and errors from their
-equivalent-form distributions, with the square-root factors cached on the
-hops' EstimateModels, forms the matched-filter combiners from the
-estimates, and samples the raw moments of the SINR and of kappa whose
-expectations the closed form computes (analysis.moments, same names). The
-closed form's own assemblies turn the stacks into SINR terms at the
-closed-form kappa (analysis.sinr_terms) and into a sampled kappa
-(analysis.amplification_factor). Thermal and quantization noise enter in
-conditional expectation given the channel draw (quadratic forms against
-the diagonal AQNM covariances), never drawn.
+equivalent-form distributions, with the square-root factors that
+estimation.model_factors builds once per trial_outcomes call, forms the
+matched-filter combiners from the estimates, and samples the raw moments
+of the SINR and of kappa whose expectations the closed form computes
+(analysis.moments, same names). The closed form's own assemblies turn the
+stacks into SINR terms at the closed-form kappa (analysis.sinr_terms) and
+into a sampled kappa (analysis.amplification_factor). Thermal and
+quantization noise enter in conditional expectation given the channel
+draw (quadratic forms against the diagonal AQNM covariances), never drawn.
 
 Trials run through channel.sample, each trial's row of normals from its
 own substream (seed, "rate-trial", index). _channel_stacks draws each
@@ -20,7 +20,7 @@ those four stacks alone and returns the raw fields that sample stacks.
 
 import numpy as np
 
-from . import analysis
+from . import analysis, estimation
 from . import config as cfg
 from .channel import complex_stack, draw_hop, mean_and_stderr, sample, substream
 
@@ -41,13 +41,11 @@ def _substreams(seed):
     return fill
 
 
-def _channel_stacks(models, parts):
+def _channel_stacks(factors, parts):
     """(f_hat, f_err, g_hat, g_err), each (b, n, k) or (b, m, k), from the
-    split normals of a chunk of rate trials (_trial_draws), drawn by
-    draw_hop with the models' square-root factors; exact zeros, without a
-    GEMM, where the error's receive factor is None (genie CSI)."""
-    factors = [(root, tx_sqrt, model.hop.gain) for model in models
-               for root, tx_sqrt in zip(model.receive_sqrt, model.transmit_sqrt)]
+    split normals of a chunk of rate trials (_trial_draws), drawn by draw_hop
+    with one (receive root, transmit root, gain) of factors each; exact
+    zeros, without a GEMM, where the root is None (genie CSI's error)."""
     return tuple(np.zeros(re.shape, dtype=np.complex128) if root is None else
                  draw_hop(root, tx_sqrt, gain, h=complex_stack(re, im)).transpose(1, 0, 2)
                  for (root, tx_sqrt, gain), re, im in zip(factors, parts[0::2], parts[1::2]))
@@ -106,12 +104,11 @@ def trial_outcomes(scenario, models):
     returns under their own names.
     """
     kappa = analysis.amplification_factor(scenario, analysis.moments(*models, scenario))
-    # build the models' cached square-root factors before the first chunk:
-    # left to the first chunk's stage, they raised a rate sweep's peak RSS
-    # by about 0.6 MB
-    _ = [(model.receive_sqrt, model.transmit_sqrt) for model in models]
+    # built here, not in the first chunk's stage, which raised peak RSS 0.6 MB
+    factors = [(root, tx_sqrt, model.hop.gain) for model in models
+               for root, tx_sqrt in zip(*estimation.model_factors(model))]
     raw = sample(_trial_draws(scenario), scenario.trials, _substreams(scenario.seed),
-                 lambda *parts: _combine(scenario, *_channel_stacks(models, parts)))
+                 lambda *parts: _combine(scenario, *_channel_stacks(factors, parts)))
     return dict(raw, **analysis.sinr_terms(raw, scenario, kappa), kappa=kappa)
 
 

@@ -99,7 +99,9 @@ def test_moments_are_keyed_like_the_raw_trial_fields():
     models = cfg.scenario_models(scn)
     draws = link._trial_draws(scn)
     normals = substream(2, "chunk").standard_normal((3, channel.normals_per_trial(draws)))
-    stacks = link._channel_stacks(models, channel.split_normals(normals, *draws))
+    factors = [(root, tx_sqrt, model.hop.gain) for model in models
+               for root, tx_sqrt in zip(*est.model_factors(model))]
+    stacks = link._channel_stacks(factors, channel.split_normals(normals, *draws))
     combined = link._combine(scn, *stacks)
     assert list(analysis.moments(*models, scn)) == list(combined)
     assert len(combined) == 10 and all(name.endswith("_raw") for name in combined)
@@ -386,11 +388,12 @@ def test_closed_form_decomposes_each_receive_array_once(monkeypatch):
 
 
 def test_monte_carlo_builds_each_receive_basis_once(monkeypatch):
-    # the Monte Carlo engine draws with the models' cached square-root
-    # factors: however often it runs on one model pair, each receive
-    # array's eigenvectors are built once, the models' eigenvalues are
-    # reused and the transmit roots are taken in the eigenbasis the models
-    # refused by; one-trial chunks make each run several chunks
+    # the Monte Carlo engine builds the models' square-root factors once
+    # per call, before its first chunk: each run on one model pair builds
+    # each receive array's eigenvectors once, however many chunks it has,
+    # the models' eigenvalues are reused and the transmit roots are taken
+    # in the eigenbasis the models refused by; one-trial chunks make each
+    # run several chunks
     scn = cfg.table_defaults().with_updates(N=64, trials=3)
     models = cfg.scenario_models(scn)
     calls = _count_eigh(monkeypatch)
@@ -400,7 +403,7 @@ def test_monte_carlo_builds_each_receive_basis_once(monkeypatch):
         link.ergodic_sum_rate_mc(scn, models=models)
     link.trial_outcomes(scn, models)
     assert spectra["eigenvalues"] == []
-    assert sorted(spectra["basis"]) == [scn.N, scn.M]
+    assert sorted(spectra["basis"]) == [scn.N] * 3 + [scn.M] * 3
     assert calls == []
 
 
@@ -413,7 +416,7 @@ def test_model_factor_build_keeps_no_basis():
     models = cfg.scenario_models(scn)
     tracemalloc.start()
     try:
-        _ = [model.receive_sqrt for model in models]
+        _ = [est.model_factors(model) for model in models]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

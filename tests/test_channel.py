@@ -77,7 +77,7 @@ def test_first_hop_column_covariance():
     rng = channel.substream(9, "first-hop-cov")
     hop = HopStatistics(0.7, n, np.diag(gains), k, 1.0)
     model = estimation.perfect_model(hop)
-    recv_sqrt, gains_sqrt = model.receive_sqrt[0], model.transmit_sqrt[0]
+    (recv_sqrt, _), (gains_sqrt, _) = estimation.model_factors(model)
     acc = np.zeros((k, n, n), dtype=np.complex128)
     for _ in range(draws):
         f = channel.draw_hop(recv_sqrt, gains_sqrt, 1.0, channel.complex_normal(rng, (n, k)))
@@ -98,7 +98,7 @@ def test_second_hop_gram_means():
     rng = channel.substream(10, "second-hop-cov")
     hop = HopStatistics(0.5, m, tx, k, 1.0, gain=eta, streams=k)
     model = estimation.perfect_model(hop)
-    recv_sqrt, tx_sqrt = model.receive_sqrt[0], model.transmit_sqrt[0]
+    (recv_sqrt, _), (tx_sqrt, _) = estimation.model_factors(model)
     left = np.zeros((m, m), dtype=np.complex128)
     right = np.zeros((k, k), dtype=np.complex128)
     for _ in range(draws):
@@ -129,7 +129,8 @@ def test_draw_hop_with_rectangular_factors_is_the_product(dtype):
 
 
 def test_draw_guards():
-    recv_sqrt = estimation.perfect_model(HopStatistics(0.5, 4, np.eye(2), 2, 1.0)).receive_sqrt[0]
+    model = estimation.perfect_model(HopStatistics(0.5, 4, np.eye(2), 2, 1.0))
+    (recv_sqrt, _), _ = estimation.model_factors(model)
     h = channel.complex_normal(channel.substream(11, "guards"), (4, 2))
     with pytest.raises(ValueError, match="gain must be non-negative"):
         channel.draw_hop(recv_sqrt, np.eye(2), -0.1, h)

@@ -535,6 +535,37 @@ def test_sinr_whose_every_term_underflows_exits_two(tmp_path, capsys, engine):
     column = "rate_closed" if engine == "--closed-form-only" else "rate_mc"
     assert float(rows[0][header.index(column)]) == 0.0
 
+
+@pytest.mark.parametrize("config, message", [
+    ('{"d_users": [1e-300, 1, 1, 1, 1, 1, 1, 1, 1, 1]}',
+     "field d_users: path-loss gain (100 / 1e-300) ** 3.8 overflows a float"),
+    ('{"d_RB": 1e-300}', "field d_RB: path-loss gain (100 / 1e-300) ** 3.8 overflows a float"),
+    ('{"d_ref": 1e300}', "field d_users: path-loss gain (1e+300 / 182) ** 3.8 overflows a float"),
+], ids=["user-distance", "relay-distance", "reference-distance"])
+def test_path_loss_gain_past_the_float_range_exits_one(tmp_path, capsys, monkeypatch,
+                                                       config, message):
+    # the gain (d_ref / d) ** nu itself has no float: bad input, refused
+    # with the field named before any point runs
+    calls = []
+    monkeypatch.setattr(cli, "sum_rate_approx", lambda *args, **kwargs: calls.append(args))
+    scn, out = tmp_path / "far.json", tmp_path / "far.csv"
+    scn.write_text(config)
+    assert _run(["rate-vs-n", "--n-values", "64", "--bits", "2", "--trials", "8",
+                 "--config", str(scn), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert calls == [] and not out.exists()
+
+
+def test_path_loss_gain_that_is_still_a_float_is_a_model_refusal(tmp_path, capsys):
+    # nu = 1000 gives gains of about 1e-260, still floats: the weak users
+    # leave the error model indefinite, a numerical failure
+    scn, out = tmp_path / "steep.json", tmp_path / "steep.csv"
+    scn.write_text('{"nu": 1000}')
+    assert _run(["rate-vs-n", "--n-values", "64", "--bits", "2", "--trials", "8",
+                 "--config", str(scn), "--out", str(out)]) == 2
+    assert "indefinite" in capsys.readouterr().err and not out.exists()
+
+
 def test_validate_subcommand(capsys):
     assert _run(["validate", "--filter", "lloydmax"]) == 0
     out = capsys.readouterr().out
@@ -619,6 +650,27 @@ def test_mse_sweep_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
         assert done.returncode == 0, done.stderr
         written.append(out.read_bytes())
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["rate-vs-n", "--closed-form-only", "--n-values", "64", "--bits", "2"],
+    ["mse-sweep", "--hop", "first", "--bits", "2", "--powers-db", "10", "--trials", "2"],
+    ["validate", "--filter", "lloydmax"],
+], ids=["rate-vs-n", "mse-sweep", "validate"])
+def test_closed_stdout_stops_quietly_with_sigpipe_status(argv, unbuffered):
+    # stdout is a pipe whose reader has gone: the run stops as a shell
+    # reports a process a closed pipe stopped, 128 + SIGPIPE, and prints
+    # nothing, whether the output meets the pipe at a write or at the flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-c", _MAIN, _package_parent(), *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 @pytest.mark.parametrize("argv", [

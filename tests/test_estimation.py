@@ -8,7 +8,8 @@ import pytest
 
 from relaysim import analysis, channel, config as cfg, estimation as est
 from relaysim.channel import substream
-from relaysim.correlation import exponential_correlation, select_transmit_correlation
+from relaysim.correlation import (exponential_basis, exponential_correlation,
+                                  select_transmit_correlation)
 from relaysim.errors import (ConfigError, DegenerateEstimateError, IllConditionedError,
                              NumericalError)
 from relaysim.quantizer import IDEAL, AdcSpec, aqnm_quantize
@@ -26,6 +27,12 @@ def _first_hop(r, n, gains, tau, noise_var):
 def _second_hop(r, n, tx, relay_gain, tau, noise_var):
     return est.HopStatistics(r, n, tx, tau, noise_var, gain=relay_gain,
                              streams=tx.shape[0])
+
+
+def _receive_err(model):
+    """The model's error receive matrix U diag(g) U^H."""
+    u = exponential_basis(model.hop.r, model.hop.spectrum[1])
+    return (u * model.split[1]) @ u.conj().T
 
 
 def test_pilots_are_orthonormal():
@@ -117,7 +124,7 @@ def test_equivalent_form_invariants(hop, power):
     assert model.validate() <= 1e-8
     # captured energy matches the closed-form MSE through the split
     mse = est.mse_closed_form(hop, TWO_BIT, power)
-    err_energy = (model.hop.gain * np.trace(model.receive_err).real
+    err_energy = (model.hop.gain * np.trace(_receive_err(model)).real
                   * np.trace(model.transmit_err).real)
     assert err_energy == pytest.approx(mse, rel=1e-10)
 
@@ -145,8 +152,9 @@ def test_validate_builds_each_receive_matrix_once(monkeypatch):
                         lambda r, theta: built.append("U") or basis(r, theta))
     residual = model.validate()
     assert sorted(built) == ["R", "U"]
-    lhs = (np.trace(model.hop.recv_corr - model.receive_err).real * model.transmit_hat
-           + np.trace(model.receive_err).real * model.transmit_err) * hop.gain
+    receive_err = _receive_err(model)
+    lhs = (np.trace(model.hop.recv_corr - receive_err).real * model.transmit_hat
+           + np.trace(receive_err).real * model.transmit_err) * hop.gain
     rhs = hop.n * hop.gain * hop.transmit
     assert residual == float(np.abs(lhs - rhs).max()) / float(np.abs(rhs).max())
 
@@ -167,16 +175,16 @@ def test_equivalent_form_approaches_perfect_with_clean_pilots():
     hop = _first_hop(0.5, 24, gains, 8, 1.0)
     model = est.equivalent_form(hop, IDEAL_ADC, 1e9)
     perfect = est.perfect_model(hop)
-    np.testing.assert_allclose(model.hop.recv_corr - model.receive_err,
-                               perfect.hop.recv_corr - perfect.receive_err, atol=1e-6)
-    assert np.trace(model.receive_err).real < 1e-6
+    np.testing.assert_allclose(model.hop.recv_corr - _receive_err(model),
+                               perfect.hop.recv_corr - _receive_err(perfect), atol=1e-6)
+    assert np.trace(_receive_err(model)).real < 1e-6
 
 
 def test_perfect_models():
     recv = exponential_correlation(0.6, 16)
     gains = np.array([1.0, 0.5])
     model = est.perfect_model(_first_hop(0.6, 16, gains, 2, 1.0))
-    np.testing.assert_array_equal(model.hop.recv_corr - model.receive_err, recv)
+    np.testing.assert_array_equal(model.hop.recv_corr - _receive_err(model), recv)
     assert np.all(np.diag(model.transmit_err) == 0.0)
     tx = select_transmit_correlation(0.6, 16, 2)
     model2 = est.perfect_model(_second_hop(0.6, 16, tx, 0.7, 2, 1.0))

@@ -2,6 +2,7 @@
 
 import cmath
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ _SCN = cfg.ScenarioConfig(N=20, delta=1.5, K=3, tau1=6, tau2=6, q1=2, q2=2,
 def _outcomes(models, trials, seed=9, scn=_SCN):
     """link.trial_outcomes over the given trial count and seed."""
     return link.trial_outcomes(scn.with_updates(trials=trials, seed=seed), models)
+
+
+def _draw_factors(models):
+    """The (receive root, transmit root, gain) link._channel_stacks draws
+    each of its four stacks with, as trial_outcomes builds them."""
+    return [(root, tx_sqrt, model.hop.gain) for model in models
+            for root, tx_sqrt in zip(*est.model_factors(model))]
 
 
 def _stacks(out):
@@ -208,9 +216,9 @@ _PERFECT = _SCN.with_updates(csi="perfect")
 
 def test_genie_error_receive_factor_is_none_and_never_built(monkeypatch):
     # c = 0 makes the error exactly zero, so its square root is not formed
-    # at all; the estimate's factor is built once and then cached. An
-    # estimated model forms the error's root first, from a basis it then
-    # scales in place into the estimate's
+    # at all. An estimated model forms the error's root first, from a basis
+    # it then scales in place into the estimate's; the two transmit roots
+    # follow
     roots = []
     original = est._root
 
@@ -220,48 +228,88 @@ def test_genie_error_receive_factor_is_none_and_never_built(monkeypatch):
 
     monkeypatch.setattr(est, "_root", counting)
     for model in cfg.scenario_models(_PERFECT):
-        root_hat, root_err = model.receive_sqrt
+        (_, root_err), _ = est.model_factors(model)
         assert root_err is None
-        [(hat, overwrite)] = roots
-        assert hat is model.split[0] and overwrite
+        (hat, overwrite), *transmit = roots
+        assert hat is model.split[0] and overwrite and len(transmit) == 2
         roots.clear()
-        assert model.receive_sqrt[0] is root_hat and roots == []
     for model in cfg.scenario_models(_SCN):
-        assert model.receive_sqrt[1] is not None and model.receive_sqrt[1].any()
-        (err, err_overwrite), (hat, hat_overwrite) = roots
+        (_, root_err), _ = est.model_factors(model)
+        assert root_err is not None and root_err.any()
+        (err, err_overwrite), (hat, hat_overwrite), *transmit = roots
         assert err is model.split[1] and hat is model.split[0]
-        assert (err_overwrite, hat_overwrite) == (False, True)
+        assert (err_overwrite, hat_overwrite) == (False, True) and len(transmit) == 2
         roots.clear()
 
 
 def test_perfect_csi_error_stacks_are_exactly_zero():
     models = cfg.scenario_models(_PERFECT)
-    assert all(model.receive_sqrt[1] is None for model in models)
+    assert all(est.model_factors(model)[0][1] is None for model in models)
     draws = link._trial_draws(_PERFECT)
     normals = substream(3, "normals").standard_normal((4, channel.normals_per_trial(draws)))
     f_hat, f_err, g_hat, g_err = link._channel_stacks(
-        models, channel.split_normals(normals, *draws))
+        _draw_factors(models), channel.split_normals(normals, *draws))
     assert f_err.shape == f_hat.shape == (4, _SCN.N, _SCN.K)
     assert g_err.shape == g_hat.shape == (4, _SCN.M, _SCN.K)
     assert np.all(f_err == 0.0) and np.all(g_err == 0.0)
     assert np.all(f_hat != 0.0) and np.all(g_hat != 0.0)
 
 
-def test_skipped_error_products_equal_products_with_zero():
+def test_skipped_error_products_equal_products_with_zero(monkeypatch):
     # the skipped GEMMs give exactly what multiplying the normals by the
-    # all-zero error factors gives; the normals are drawn either way
-    models = cfg.scenario_models(_PERFECT)
-    zeros = cfg.scenario_models(_PERFECT)
-    for model in zeros:
+    # all-zero error factors gives; the normals are drawn either way. Each
+    # chunk of the skipped run multiplies the two estimates' roots alone,
+    # each of the multiplied run also the two all-zero error roots after them
+    factors, original = est.model_factors, channel.left_multiply
+    nonzero = []
+    monkeypatch.setattr(channel, "left_multiply",
+                        lambda mat, x: nonzero.append(bool(mat.any())) or original(mat, x))
+
+    def with_zero_errors(model):
+        # the factor the error would have were it not skipped
+        (root_hat, _), transmit = factors(model)
         u = corr.exponential_basis(model.hop.r, model.hop.spectrum[1])
-        f, g = model.split
-        # the factor the error would have were it not skipped, in the cache
-        model.__dict__["receive_sqrt"] = (est._root(f, u), est._root(g, u))
-        assert not model.receive_sqrt[1].any()
+        return (root_hat, est._root(model.split[1], u)), transmit
+
+    models = cfg.scenario_models(_PERFECT)
     skipped = _outcomes(models, 12, seed=4, scn=_PERFECT)
-    multiplied = _outcomes(zeros, 12, seed=4, scn=_PERFECT)
+    hats, nonzero[:] = list(nonzero), []
+    monkeypatch.setattr(est, "model_factors", with_zero_errors)
+    multiplied = _outcomes(models, 12, seed=4, scn=_PERFECT)
+    assert hats and all(hats)
+    assert nonzero == [True, False] * len(hats)
     for name, stack in skipped.items():
         np.testing.assert_array_equal(stack, multiplied[name])
+
+
+def test_no_record_keeps_a_draw_factor(monkeypatch):
+    # the rate draw's square roots are built per call and dropped when it
+    # returns: at N = 256 (M = 512) the four receive roots take about
+    # 5 MiB, and a model keeps no matrix beyond its K x K transmit ones.
+    # A small run first makes the one-time imports and lookups of a
+    # process's first run, which would read as kept memory
+    _outcomes(cfg.scenario_models(_SCN), 2)
+    scn = cfg.table_defaults().with_updates(N=256, trials=4)
+    models = cfg.scenario_models(scn)
+    sizes, basis = [], est.exponential_basis
+    monkeypatch.setattr(est, "exponential_basis",
+                        lambda r, theta: sizes.append(len(theta)) or basis(r, theta))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        link.ergodic_sum_rate_mc(scn, models)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.5 * 2 ** 20
+    assert sizes == [scn.N, scn.M]
+    link.ergodic_sum_rate_mc(scn, models)
+    assert sizes == [scn.N, scn.M] * 2
+    for model in models:
+        matrices = [value for field in vars(model).values()
+                    for value in (field if isinstance(field, tuple) else (field,))
+                    if isinstance(value, np.ndarray) and value.ndim == 2]
+        assert len(matrices) == 2 and all(m.shape == (scn.K, scn.K) for m in matrices)
 
 
 @pytest.mark.parametrize("scn, per_chunk", [(_SCN, 4), (_PERFECT, 2)],
@@ -309,7 +357,7 @@ def test_quantization_terms_are_conditional_means_of_drawn_noise(bits):
     models = cfg.scenario_models(scn)
     draws = link._trial_draws(scn)
     normals = substream(8, "chunk").standard_normal((4, channel.normals_per_trial(draws)))
-    stacks = link._channel_stacks(models, channel.split_normals(normals, *draws))
+    stacks = link._channel_stacks(_draw_factors(models), channel.split_normals(normals, *draws))
     out = link._combine(scn, *stacks)
     f_hat, f_err, g_hat, g_err = stacks
     f_full, g_full = f_hat + f_err, g_hat + g_err
@@ -344,7 +392,7 @@ def test_kappa_moments_are_the_powers_of_the_combined_first_hop_signal():
     models = cfg.scenario_models(scn)
     draws = link._trial_draws(scn)
     normals = substream(8, "chunk").standard_normal((4, channel.normals_per_trial(draws)))
-    stacks = link._channel_stacks(models, channel.split_normals(normals, *draws))
+    stacks = link._channel_stacks(_draw_factors(models), channel.split_normals(normals, *draws))
     out = link._combine(scn, *stacks)
     f_hat, f_err = stacks[:2]
     for f, matches in ((f_hat + f_err, True), (f_hat, False)):
@@ -407,7 +455,7 @@ def _check_receive_factors(model):
     hop = model.hop
     lam, theta = hop.spectrum
     u = corr.exponential_basis(hop.r, theta)
-    for root, s in zip(model.receive_sqrt, model.split):
+    for root, s in zip(est.model_factors(model)[0], model.split):
         if root is None:
             assert not s.any()
             continue
@@ -451,7 +499,8 @@ def test_engines_refuse_together_and_accepted_models_factor(scn):
         assert model.validate() <= 1e-8
         _check_receive_factors(model)
         _check_receive_factors(est.perfect_model(hop))
-        for root, mat in zip(model.transmit_sqrt, (model.transmit_hat, model.transmit_err)):
+        for root, mat in zip(est.model_factors(model)[1],
+                             (model.transmit_hat, model.transmit_err)):
             scale = max(1.0, float(np.abs(mat).max()))
             np.testing.assert_allclose(root @ root, mat, rtol=0, atol=1e-12 * scale)
             np.testing.assert_allclose(root, root.conj().T, rtol=0, atol=1e-12 * scale)
