@@ -10,6 +10,7 @@ import functools
 import math
 import os
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,6 +199,59 @@ def complex_stack(re, im, scale=np.sqrt(0.5)):
     return out
 
 
+def _sum_abs2(x, kept):
+    """Sums of |x|^2 over the axes of a three-axis complex stack that the
+    einsum labels kept (of "ijk") leave out, read as real and imaginary
+    parts."""
+    parts = x.view(np.float64)
+    return np.einsum(f"ijk,ijk->{kept}", parts, parts)
+
+
+class CentroRoot(NamedTuple):
+    """The n x n matrix diag(phase) X diag(conj(phase)), X real symmetric
+    and centrosymmetric (X = J X J, J the exchange matrix), held as X's two
+    half-size blocks: plus, ceil(n/2) square, and minus, floor(n/2) square.
+
+    With y_k = x_k + x_(n-1-k) and z_k = x_k - x_(n-1-k) for k < n // 2 (and
+    y keeping the middle row of an odd n), X x has rows k and n-1-k equal to
+    (plus y)_k + (minus z)_k and (plus y)_k - (minus z)_k, and its middle
+    row (plus y)_(n//2). phase is None for ones. The receive roots of an
+    exponential correlation take this form (correlation.exponential_half_basis),
+    in half the memory and half the GEMM flops of the dense matrix.
+    """
+
+    plus: np.ndarray
+    minus: np.ndarray
+    phase: np.ndarray
+
+
+def _centro_multiply(root, x):
+    """root @ x for a CentroRoot and an (n, w) array: a butterfly folds x's
+    mirrored rows into sums and differences, plus and minus meet those as
+    two real GEMMs (on a complex x's float64 view) and a butterfly unfolds
+    the products, between the conjugate phase and the phase."""
+    plus, minus, phase = root
+    if phase is not None:
+        x = np.conj(phase)[:, None] * x
+    parts = x.view(np.float64) if np.iscomplexobj(x) else x
+    mid, low = len(plus), len(minus)
+    top, mirror = parts[:low], parts[::-1][:low]
+    folded = np.empty_like(parts)
+    np.add(top, mirror, out=folded[:low])
+    folded[low:mid] = parts[low:mid]
+    np.subtract(top, mirror, out=folded[mid:])
+    products = np.empty_like(parts)
+    np.matmul(plus, folded[:mid], out=products[:mid])
+    np.matmul(minus, folded[mid:], out=products[mid:])
+    np.add(products[:low], products[mid:], out=folded[:low])
+    folded[low:mid] = products[low:mid]
+    np.subtract(products[:low], products[mid:], out=folded[::-1][:low])
+    out = folded.view(x.dtype)
+    if phase is not None:
+        out *= phase[:, None]
+    return out
+
+
 def left_multiply(mat, x):
     """mat @ x on x's first axis, without upcasting a real mat to complex.
 
@@ -205,18 +259,22 @@ def left_multiply(mat, x):
     mat as one GEMM over all its trailing columns. A real mat meets a
     complex x as one real GEMM on x's float64 view (real and imaginary parts
     side by side), which costs half of the complex product numpy would
-    otherwise form.
+    otherwise form. A CentroRoot meets it as two real GEMMs of half size,
+    whatever its phase.
     """
     flat = np.ascontiguousarray(x).reshape(x.shape[0], -1)
-    if np.iscomplexobj(mat) or not np.iscomplexobj(x):
+    if isinstance(mat, CentroRoot):
+        out = _centro_multiply(mat, flat)
+    elif np.iscomplexobj(mat) or not np.iscomplexobj(x):
         out = mat @ flat
     else:
         out = (mat @ flat.view(np.float64)).view(np.complex128)
-    return out.reshape(mat.shape[:1] + x.shape[1:])
+    return out.reshape(out.shape[:1] + x.shape[1:])
 
 
 def path_loss(d_ref, d, exponent):
-    """Distance-based large-scale gain (d_ref / d) ** exponent, refused past floats."""
+    """Distance-based large-scale gain (d_ref / d) ** exponent: OverflowError
+    where it has no float, FloatingPointError where it underflows to zero."""
     if d_ref <= 0.0:
         raise ValueError(f"reference distance must be positive, got {d_ref}")
     if d <= 0.0:
@@ -224,11 +282,15 @@ def path_loss(d_ref, d, exponent):
     if exponent < 0.0:
         raise ValueError(f"path-loss exponent must be non-negative, got {exponent}")
     try:
-        if math.isfinite(gain := float((d_ref / d) ** exponent)):
-            return gain
+        gain = float((d_ref / d) ** exponent)
     except OverflowError:
-        pass
-    raise OverflowError(f"path-loss gain ({d_ref:g} / {d:g}) ** {exponent:g} overflows a float")
+        gain = math.inf
+    if 0.0 < gain < math.inf:
+        return gain
+    gain_text = f"path-loss gain ({d_ref:g} / {d:g}) ** {exponent:g}"
+    if gain:
+        raise OverflowError(f"{gain_text} overflows a float")
+    raise FloatingPointError(f"{gain_text} underflows to zero")
 
 
 def large_scale_gains(d_ref, distances, exponent):
@@ -245,7 +307,8 @@ def draw_hop(recv_sqrt, tx_sqrt, gain, h):
     tr(recv) * tx for the squared factors recv and tx. h holds H already
     drawn: one (n, k) draw (complex_normal), or an (n, b, k) stack from
     complex_stack, which meets each square root as one GEMM and gives an
-    (m, b, c) stack for (m, n) and (k, c) factors, square or not.
+    (m, b, c) stack for (m, n) and (k, c) factors, square or not. recv_sqrt
+    may be a CentroRoot, which left_multiply applies as two half-size GEMMs.
     """
     if gain < 0.0:
         raise ValueError(f"large-scale gain must be non-negative, got {gain}")

@@ -174,10 +174,12 @@ class ScenarioConfig:
                 f"K = {self.K} users but only {len(self.d_users)} distances configured")
         if self.betas is not None and len(self.betas) != self.K:
             raise ConfigError(f"betas must have K = {self.K} entries, got {len(self.betas)}")
+        # a gain past the float range, or one that underflows to zero, leaves
+        # no model to build: bad input, named by its distance field
         for name, gains in (("d_users", self.user_gains), ("d_RB", self.relay_gain)):
             try:
                 gains()
-            except OverflowError as exc:
+            except (OverflowError, FloatingPointError) as exc:
                 raise ConfigError(f"field {name}: {exc}") from None
 
     @property

@@ -3,7 +3,9 @@
 The antenna arrays at both ends of each hop follow the exponential
 correlation model: entry (i, j) equals r**(j - i) above the diagonal and the
 conjugate mirror below it, with |r| < 1. Its eigendecomposition is known in
-closed form (exponential_eigenvalues, exponential_basis), so no receive
+closed form (exponential_eigenvalues, exponential_basis, and
+exponential_half_basis for the half-size blocks the rate draw's roots are
+held as), so no receive
 array is handed to a dense eigensolver but by the PSD checks of the oracle
 EstimateModel.validate, and the diagonals of its LMMSE estimate/error split
 take one O(n) pivot sweep each way (exponential_split_diagonals). The relay
@@ -139,11 +141,52 @@ def exponential_basis(r, theta):
     u += phi
     np.sin(u, out=u)
     u /= np.sqrt(np.einsum("ij,ij->j", u, u))
+    phase = _row_phase(r, n)
+    return u if phase is None else phase[:, None] * u
+
+
+def _row_phase(r, n):
+    """The row phase d of exponential_basis(r, .) = diag(d) V, V real:
+    None for r >= 0, exactly +-1 for a negative r, exp(-i k arg r) for a
+    complex one."""
     if r.imag != 0.0:
-        return np.exp(-1j * np.angle(r) * np.arange(n))[:, None] * u
+        return np.exp(-1j * np.angle(r) * np.arange(n))
     if r.real < 0.0:
-        u[1::2] *= -1.0
-    return u
+        return np.where(np.arange(n) % 2, -1.0, 1.0)
+    return None
+
+
+def exponential_half_basis(r, theta):
+    """exponential_basis(r, theta) as two half-size real blocks and a row
+    phase, in O(n^2 / 2): (((plus, even), (minus, odd)), phase).
+
+    |r|**|i - j| is symmetric and centrosymmetric, so each eigenvector is
+    even or odd about the array's centre, x_k = +-x_(n+1-k) (Cantoni and
+    Butler, 1976); the sinusoid of the j-th smallest angle is even for odd
+    j. even and odd are the slices of theta (ascending eigenvalues) that
+    pick those columns, ceil(n/2) and floor(n/2) of them. plus holds the
+    first ceil(n/2) rows of the even columns, the middle row of an odd n
+    included, and minus the first floor(n/2) rows of the odd ones; each
+    column is scaled to unit norm over the full vector it stands for.
+    Then f(R) = diag(d) F diag(conj d) for any F = V diag(s) V^T, with
+    d = phase (None where r >= 0, which stands for ones) and F's
+    butterflied blocks plus diag(s[even]) plus^T and minus diag(s[odd])
+    minus^T (channel.CentroRoot).
+    """
+    r, n = _checked(r, len(theta))
+    m = n // 2
+    even, odd = slice(1 - n % 2, None, 2), slice(n % 2, None, 2)
+    blocks = []
+    for cols, rows in ((even, n - m), (odd, m)):
+        u = np.outer(np.arange(1, rows + 1, dtype=np.float64), theta[cols])
+        u += _sinusoid_phase(theta[cols], abs(r))[0]
+        np.sin(u, out=u)
+        norm = 2.0 * np.einsum("ij,ij->j", u[:m], u[:m])
+        if rows > m:
+            norm += u[m] * u[m]
+        u /= np.sqrt(norm)
+        blocks.append((u, cols))
+    return tuple(blocks), _row_phase(r, n)
 
 
 def exponential_split_diagonals(r, n, a, c):

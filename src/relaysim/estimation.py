@@ -18,9 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import (_one_blas_thread, complex_stack, draw_hop, left_multiply,
-                      mean_and_stderr, sample)
-from .correlation import exponential_basis, exponential_correlation, exponential_eigenvalues
+from .channel import (CentroRoot, _one_blas_thread, _sum_abs2, complex_stack, draw_hop,
+                      left_multiply, mean_and_stderr, sample)
+from .correlation import (exponential_basis, exponential_correlation, exponential_eigenvalues,
+                          exponential_half_basis)
 from .errors import DegenerateEstimateError, IllConditionedError, NumericalError
 from .quantizer import aqnm_quantize
 
@@ -215,20 +216,35 @@ def pilot_factors(hop, adc, power):
     return _root(lam, u, overwrite=True), _root(*hop.tx_spectrum), lmmse
 
 
+def _centro_root(s, halves, phase, overwrite=False):
+    """The CentroRoot of U diag(sqrt(s)) U^H from U's half-size blocks and
+    row phase (exponential_half_basis): one real Gram product per block."""
+    return CentroRoot(*(_root(s[cols], u, overwrite) for u, cols in halves), phase)
+
+
 def model_factors(model):
     """((receive_hat^(1/2), receive_err^(1/2)), (transmit_hat^(1/2),
     transmit_err^(1/2))), the roots draw_hop draws the model's estimate and
-    error with, built per call and kept nowhere. The error's receive root is
-    None, and never built, where the error is zero (c = 0); it is formed
-    first, then U is scaled in place into the estimate's, as pilot_factors
-    does. The transmit roots are taken in the eigenbasis V of the hop's
-    transmit matrix, which diagonalizes both: their spectra are
-    diag(V^H T V), with rounding below zero on the error side clamped.
+    error with, built per call and kept nowhere.
+
+    The receive roots are CentroRoots: the real half-size blocks of the
+    |r| matrix's roots, built from half the rows of its eigenvectors, and
+    the row phase of r (none for r >= 0). They hold half the memory of
+    dense roots (2.5 MiB for the two models at N = 256, M = 512; 40 MiB at
+    N = 1024) and meet each chunk as two real GEMMs of half size, at any
+    r. The error's receive root is None, and never built, where the error
+    is zero (c = 0); it is formed first, then the blocks are scaled in
+    place into the estimate's. The transmit roots are taken in the
+    eigenbasis V of the hop's transmit matrix, which diagonalizes both:
+    their spectra are diag(V^H T V), with rounding below zero on the error
+    side clamped. The pilot chain (pilot_factors) and Lemma 1's oracle keep
+    dense roots: a split pilot chain ran mse-sweep slower under its
+    one-thread hold.
     """
     hop, (f, g) = model.hop, model.split
-    u = exponential_basis(hop.r, hop.spectrum[1])
-    err = _root(g, u) if model.obs[1] else None
-    receive = _root(f, u, overwrite=True), err
+    halves, phase = exponential_half_basis(hop.r, hop.spectrum[1])
+    err = _centro_root(g, halves, phase) if model.obs[1] else None
+    receive = _centro_root(f, halves, phase, overwrite=True), err
     v = hop.tx_spectrum[1]
     spectra = (np.einsum("ij,ij->j", v.conj(), t @ v).real
                for t in (model.transmit_hat, model.transmit_err))
@@ -251,14 +267,6 @@ def _pilot_draws(hop, adc):
     the ADC is ideal; each real parts first, then imaginary parts."""
     n, k = hop.shape
     return [(n, k)] * 2 + [(n, hop.tau)] * (2 if adc.is_ideal else 4)
-
-
-def _sum_abs2(x, kept):
-    """Sums of |x|^2 over the axes of a three-axis complex stack that the
-    einsum labels kept (of "ijk") leave out, read as real and imaginary
-    parts."""
-    parts = x.view(np.float64)
-    return np.einsum(f"ijk,ijk->{kept}", parts, parts)
 
 
 def simulate_pilot(hop, adc, power, parts, factors):

@@ -13,16 +13,20 @@ draw (quadratic forms against the diagonal AQNM covariances), never drawn.
 
 Trials run through channel.sample, each trial's row of normals from its
 own substream (seed, "rate-trial", index). _channel_stacks draws each
-hop's estimate and error from a chunk of rows by channel.draw_hop, each
-receive square root meeting all its trials as one GEMM; _combine reads
-those four stacks alone and returns the raw fields that sample stacks.
+hop's estimate and error from a chunk of rows by channel.draw_hop. Each
+receive square root is a channel.CentroRoot, two real half-size blocks
+and a row phase, and meets all the chunk's trials as two real GEMMs
+between two butterflies: half the flops and memory of a dense root, and
+the same draw to within about n * 1e-16 (3.4e-13 relative at n = 2048).
+_combine reads those four stacks alone and returns the raw fields that
+sample stacks, each squared magnitude taken once from a float64 view.
 """
 
 import numpy as np
 
 from . import analysis, estimation
 from . import config as cfg
-from .channel import complex_stack, draw_hop, mean_and_stderr, sample, substream
+from .channel import _sum_abs2, complex_stack, draw_hop, mean_and_stderr, sample, substream
 
 
 def _trial_draws(scn):
@@ -51,8 +55,18 @@ def _channel_stacks(factors, parts):
                  for (root, tx_sqrt, gain), re, im in zip(factors, parts[0::2], parts[1::2]))
 
 
+def _abs2(z):
+    """|z|^2 of a complex array whose last axis is contiguous, as re^2 + im^2
+    of its float64 view."""
+    parts = z.view(np.float64)
+    square = parts * parts
+    return square[..., 0::2] + square[..., 1::2]
+
+
 def _combine(scn, f_hat, f_err, g_hat, g_err):
-    """Combine stage: the raw fields, (b, K), of a chunk's channel stacks."""
+    """Combine stage: the raw fields, (b, K), of a chunk's channel stacks.
+    Each squared magnitude is taken once, from the float64 view (_abs2,
+    channel._sum_abs2), and summed by einsum."""
     f_full = f_hat + f_err
     g_full = g_hat + g_err
 
@@ -64,27 +78,29 @@ def _combine(scn, f_hat, f_err, g_hat, g_err):
     half_chain = gram_g @ f_hat_h               # k x n
     chain_full = half_chain @ f_full            # k x k: g_hat_k^H G F_hat^H f_j
 
-    est_diag = np.diagonal(chain_est, axis1=1, axis2=2)
-    desired_raw = np.abs(est_diag) ** 2
-    leakage_raw = np.abs(np.diagonal(chain_full, axis1=1, axis2=2) - est_diag) ** 2
-    cross_abs = np.abs(chain_full) ** 2
-    cross_raw = cross_abs.sum(axis=2) - np.diagonal(cross_abs, axis1=1, axis2=2)
-    chain_raw = np.sum(np.abs(half_chain) ** 2, axis=2)
-    bs_vector_raw = np.sum(np.abs(g_hat) ** 2, axis=1)
+    desired_raw = np.einsum("bkk->bk", _abs2(chain_est))
+    leakage_raw = _abs2(np.einsum("bkk->bk", chain_full) - np.einsum("bkk->bk", chain_est))
+    cross_abs = _abs2(chain_full)
+    cross_raw = np.einsum("bkj->bk", cross_abs) - np.einsum("bkk->bk", cross_abs)
+    half_chain_abs = _abs2(half_chain)
+    chain_raw = np.einsum("bkn->bk", half_chain_abs)
+    g_hat_abs = _abs2(g_hat)
+    bs_vector_raw = np.einsum("bmk->bk", g_hat_abs)
 
     # the first hop's powers of the relay's combined signal F_hat^H r
-    kappa_signal_raw = np.sum(np.abs(f_hat_h @ f_full) ** 2, axis=2)
-    f_row_energy = np.sum(np.abs(f_full) ** 2, axis=2)
-    kappa_quant_raw = (np.abs(f_hat_h) ** 2 @ f_row_energy[..., None])[..., 0]
-    kappa_noise_raw = np.sum(np.abs(f_hat) ** 2, axis=1)
+    kappa_signal_raw = _sum_abs2(f_hat_h @ f_full, "ij")
+    f_row_energy = _sum_abs2(f_full, "ij")
+    f_hat_abs = _abs2(f_hat)
+    kappa_quant_raw = (f_hat_abs.swapaxes(1, 2) @ f_row_energy[..., None])[..., 0]
+    kappa_noise_raw = np.einsum("bnk->bk", f_hat_abs)
 
     adc1, adc2 = scn.adc1, scn.adc2
     relay_row_power = scn.P_U * f_row_energy + scn.sigma_R2
-    bs_row_power = (scn.P_R / scn.K) * np.sum(np.abs(g_full) ** 2, axis=2) + scn.sigma_B2
+    bs_row_power = (scn.P_R / scn.K) * _sum_abs2(g_full, "ij") + scn.sigma_B2
     relay_var = adc1.alpha * adc1.rho * relay_row_power
     bs_var = adc2.alpha * adc2.rho * bs_row_power
-    relay_quant_raw = (np.abs(half_chain) ** 2 @ relay_var[..., None])[..., 0]
-    bs_quant_raw = (np.abs(g_hat.swapaxes(1, 2)) ** 2 @ bs_var[..., None])[..., 0]
+    relay_quant_raw = (half_chain_abs @ relay_var[..., None])[..., 0]
+    bs_quant_raw = (g_hat_abs.swapaxes(1, 2) @ bs_var[..., None])[..., 0]
 
     return dict(
         desired_raw=desired_raw, leakage_raw=leakage_raw, cross_raw=cross_raw,

@@ -363,9 +363,10 @@ def _count_eigh(monkeypatch):
 def _count_spectra(monkeypatch):
     """Array size of every call to the eigenvalue part and the basis part
     of the closed-form spectrum."""
-    sizes = {"eigenvalues": [], "basis": []}
+    sizes = {"eigenvalues": [], "basis": [], "half_basis": []}
     for part, name, size in (("eigenvalues", "exponential_eigenvalues", int),
-                             ("basis", "exponential_basis", len)):
+                             ("basis", "exponential_basis", len),
+                             ("half_basis", "exponential_half_basis", len)):
         def counting(r, arg, _original=getattr(corr, name), _part=part, _size=size):
             sizes[_part].append(_size(arg))
             return _original(r, arg)
@@ -383,14 +384,15 @@ def test_closed_form_decomposes_each_receive_array_once(monkeypatch):
     spectra = _count_spectra(monkeypatch)
     analysis.sum_rate_approx(scn)
     assert sorted(spectra["eigenvalues"]) == [scn.N, scn.M]
-    assert spectra["basis"] == []
+    assert spectra["basis"] == spectra["half_basis"] == []
     assert calls == [("eigh", scn.K, False)] * 2
 
 
 def test_monte_carlo_builds_each_receive_basis_once(monkeypatch):
     # the Monte Carlo engine builds the models' square-root factors once
     # per call, before its first chunk: each run on one model pair builds
-    # each receive array's eigenvectors once, however many chunks it has,
+    # each receive array's half-size eigenvector blocks once, and no full
+    # basis, however many chunks it has,
     # the models' eigenvalues are reused and the transmit roots are taken
     # in the eigenbasis the models refused by; one-trial chunks make each
     # run several chunks
@@ -402,16 +404,17 @@ def test_monte_carlo_builds_each_receive_basis_once(monkeypatch):
     for _ in range(2):
         link.ergodic_sum_rate_mc(scn, models=models)
     link.trial_outcomes(scn, models)
-    assert spectra["eigenvalues"] == []
-    assert sorted(spectra["basis"]) == [scn.N] * 3 + [scn.M] * 3
+    assert spectra["eigenvalues"] == spectra["basis"] == []
+    assert sorted(spectra["half_basis"]) == [scn.N] * 3 + [scn.M] * 3
     assert calls == []
 
 
 def test_model_factor_build_keeps_no_basis():
-    # each model builds its receive eigenbasis for its factors alone and
-    # scales it in place into the estimate's: at N = 256 (M = 512) the
-    # M-size build holds the basis, one scaled copy and the error's root at
-    # most, beside the two N-size factors kept, and neither hop keeps a basis
+    # each model builds the half-size blocks of its receive eigenbasis for
+    # its factors alone and scales them in place into the estimate's: at
+    # N = 256 (M = 512) the M-size build holds the blocks, one scaled copy
+    # and the error's root at most, each half an M x M matrix, beside the
+    # two N-size factors kept, and neither hop keeps a basis
     scn = cfg.table_defaults().with_updates(N=256)
     models = cfg.scenario_models(scn)
     tracemalloc.start()
@@ -421,7 +424,7 @@ def test_model_factor_build_keeps_no_basis():
     finally:
         tracemalloc.stop()
     assert [model.hop.n for model in models] == [scn.N, scn.M]
-    assert peak < 3 * scn.M ** 2 * 8 + 2 * scn.N ** 2 * 8 + 2 ** 18
+    assert peak < (3 * scn.M ** 2 * 8 + 2 * scn.N ** 2 * 8) / 2 + 2 ** 18
     assert not any("basis" in model.hop.__dict__ for model in models)
 
 
@@ -436,7 +439,7 @@ def test_large_closed_form_builds_no_eigenvectors(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spectra["basis"] == []
+    assert spectra["basis"] == spectra["half_basis"] == []
     assert sorted(spectra["eigenvalues"]) == [scn.N, scn.M]
     assert peak < 4 * 2 ** 20
     assert np.isfinite(report.sum_rate) and report.sum_rate > 0.0

@@ -541,11 +541,16 @@ def test_sinr_whose_every_term_underflows_exits_two(tmp_path, capsys, engine):
      "field d_users: path-loss gain (100 / 1e-300) ** 3.8 overflows a float"),
     ('{"d_RB": 1e-300}', "field d_RB: path-loss gain (100 / 1e-300) ** 3.8 overflows a float"),
     ('{"d_ref": 1e300}', "field d_users: path-loss gain (1e+300 / 182) ** 3.8 overflows a float"),
-], ids=["user-distance", "relay-distance", "reference-distance"])
+    ('{"d_users": [1e300, 1, 1, 1, 1, 1, 1, 1, 1, 1]}',
+     "field d_users: path-loss gain (100 / 1e+300) ** 3.8 underflows to zero"),
+    ('{"d_RB": 1e300}', "field d_RB: path-loss gain (100 / 1e+300) ** 3.8 underflows to zero"),
+    ('{"nu": 1e6}', "field d_users: path-loss gain (100 / 182) ** 1e+06 underflows to zero"),
+], ids=["user-distance", "relay-distance", "reference-distance", "user-distance-underflow",
+        "relay-distance-underflow", "exponent-underflow"])
 def test_path_loss_gain_past_the_float_range_exits_one(tmp_path, capsys, monkeypatch,
                                                        config, message):
-    # the gain (d_ref / d) ** nu itself has no float: bad input, refused
-    # with the field named before any point runs
+    # the gain (d_ref / d) ** nu itself has no float, or underflows to zero:
+    # bad input, refused with the field named before any point runs
     calls = []
     monkeypatch.setattr(cli, "sum_rate_approx", lambda *args, **kwargs: calls.append(args))
     scn, out = tmp_path / "far.json", tmp_path / "far.csv"
@@ -556,14 +561,23 @@ def test_path_loss_gain_past_the_float_range_exits_one(tmp_path, capsys, monkeyp
     assert calls == [] and not out.exists()
 
 
-def test_path_loss_gain_that_is_still_a_float_is_a_model_refusal(tmp_path, capsys):
-    # nu = 1000 gives gains of about 1e-260, still floats: the weak users
-    # leave the error model indefinite, a numerical failure
+@pytest.mark.parametrize("config, message", [
+    ('{"nu": 800}', "amplification denominator is non-positive"),
+    ('{"d_users": [1e30, 1, 1, 1, 1, 1, 1, 1, 1, 1]}', "error-side transmit matrix is indefinite"),
+], ids=["steep-exponent", "far-user"])
+def test_path_loss_gain_that_is_still_a_float_is_a_model_refusal(tmp_path, capsys, config,
+                                                                 message):
+    # nu = 800 gives gains from about 1e-319 (the relay) to 1e-209, and a
+    # user at 1e30 m one of about 1e-106: still floats, so the scenario is
+    # built and its model refused, a numerical failure. The users' gains
+    # leave kappa no power in the first case; in the second the far user
+    # leaves the error model indefinite
     scn, out = tmp_path / "steep.json", tmp_path / "steep.csv"
-    scn.write_text('{"nu": 1000}')
+    scn.write_text(config)
     assert _run(["rate-vs-n", "--n-values", "64", "--bits", "2", "--trials", "8",
                  "--config", str(scn), "--out", str(out)]) == 2
-    assert "indefinite" in capsys.readouterr().err and not out.exists()
+    assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+    assert not out.exists()
 
 
 def test_validate_subcommand(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from relaysim import channel, estimation as est
 from relaysim import config as cfg
 from relaysim import correlation as corr
 
@@ -124,6 +125,33 @@ def test_exponential_spectrum_matches_dense_eigh(r, n):
     assert np.abs((u * lam) @ u.conj().T - mat).max() <= 1e-12
     assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-12
     assert np.iscomplexobj(u) == (complex(r).imag != 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 200])
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.8, -0.9, 0.5 + 0.3j, 0.7j, 0.999])
+def test_half_block_root_is_the_dense_root(r, n):
+    # a CentroRoot built from the half-size blocks is U diag(sqrt(s)) U^H,
+    # applied to the identity, to 1e-12 of the largest eigenvalue, for the
+    # correlation's own spectrum and for an estimate-like split of it; a
+    # channel drawn through it is the dense root's draw to 1e-12 relative
+    lam, theta = corr.exponential_eigenvalues(r, n)
+    u = corr.exponential_basis(r, theta)
+    halves, phase = corr.exponential_half_basis(r, theta)
+    (plus, _), (minus, _) = halves
+    assert plus.shape == (n - n // 2,) * 2 and minus.shape == (n // 2,) * 2
+    assert np.isrealobj(plus) and np.isrealobj(minus)
+    normals = channel.substream(7, "half-root").standard_normal((2, 3, n, 4))
+    h = channel.complex_stack(*normals)
+    tx_sqrt = np.diag([1.0, 0.5, 2.0, 0.7])
+    for s in (lam, lam * lam / (lam + 0.5)):
+        dense = (u * np.sqrt(s)) @ u.conj().T
+        root = est._centro_root(s, halves, phase)
+        assert np.abs(channel.left_multiply(root, np.eye(n)) - dense).max() \
+            <= 1e-12 * lam.max()
+        want = channel.draw_hop(dense, tx_sqrt, 0.3, h)
+        got = channel.draw_hop(root, tx_sqrt, 0.3, h)
+        assert got.shape == want.shape == (n, 3, 4)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_exponential_eigenvalues_match_dense_eigvalsh_at_large_n():

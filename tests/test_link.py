@@ -216,9 +216,9 @@ _PERFECT = _SCN.with_updates(csi="perfect")
 
 def test_genie_error_receive_factor_is_none_and_never_built(monkeypatch):
     # c = 0 makes the error exactly zero, so its square root is not formed
-    # at all. An estimated model forms the error's root first, from a basis
-    # it then scales in place into the estimate's; the two transmit roots
-    # follow
+    # at all. An estimated model forms the error's root first, one Gram
+    # product per half-size block, from blocks it then scales in place into
+    # the estimate's; the two transmit roots follow
     roots = []
     original = est._root
 
@@ -230,15 +230,17 @@ def test_genie_error_receive_factor_is_none_and_never_built(monkeypatch):
     for model in cfg.scenario_models(_PERFECT):
         (_, root_err), _ = est.model_factors(model)
         assert root_err is None
-        (hat, overwrite), *transmit = roots
-        assert hat is model.split[0] and overwrite and len(transmit) == 2
+        f = model.split[0]
+        assert [(s.base is f, overwrite) for s, overwrite in roots] == \
+            [(True, True)] * 2 + [(False, False)] * 2
+        assert [len(s) for s, _ in roots[:2]] == [len(f) - len(f) // 2, len(f) // 2]
         roots.clear()
     for model in cfg.scenario_models(_SCN):
         (_, root_err), _ = est.model_factors(model)
-        assert root_err is not None and root_err.any()
-        (err, err_overwrite), (hat, hat_overwrite), *transmit = roots
-        assert err is model.split[1] and hat is model.split[0]
-        assert (err_overwrite, hat_overwrite) == (False, True) and len(transmit) == 2
+        assert root_err is not None and root_err.plus.any() and root_err.minus.any()
+        f, g = model.split
+        assert [(s.base is g, s.base is f, overwrite) for s, overwrite in roots] == \
+            [(True, False, False)] * 2 + [(False, True, True)] * 2 + [(False, False, False)] * 2
         roots.clear()
 
 
@@ -262,14 +264,14 @@ def test_skipped_error_products_equal_products_with_zero(monkeypatch):
     # each of the multiplied run also the two all-zero error roots after them
     factors, original = est.model_factors, channel.left_multiply
     nonzero = []
-    monkeypatch.setattr(channel, "left_multiply",
-                        lambda mat, x: nonzero.append(bool(mat.any())) or original(mat, x))
+    monkeypatch.setattr(channel, "left_multiply", lambda root, x: nonzero.append(
+        bool(root.plus.any() or root.minus.any())) or original(root, x))
 
     def with_zero_errors(model):
         # the factor the error would have were it not skipped
         (root_hat, _), transmit = factors(model)
-        u = corr.exponential_basis(model.hop.r, model.hop.spectrum[1])
-        return (root_hat, est._root(model.split[1], u)), transmit
+        halves, phase = corr.exponential_half_basis(model.hop.r, model.hop.spectrum[1])
+        return (root_hat, est._centro_root(model.split[1], halves, phase)), transmit
 
     models = cfg.scenario_models(_PERFECT)
     skipped = _outcomes(models, 12, seed=4, scn=_PERFECT)
@@ -284,24 +286,27 @@ def test_skipped_error_products_equal_products_with_zero(monkeypatch):
 
 def test_no_record_keeps_a_draw_factor(monkeypatch):
     # the rate draw's square roots are built per call and dropped when it
-    # returns: at N = 256 (M = 512) the four receive roots take about
-    # 5 MiB, and a model keeps no matrix beyond its K x K transmit ones.
-    # A small run first makes the one-time imports and lookups of a
-    # process's first run, which would read as kept memory
+    # returns: at N = 256 (M = 512) the four receive roots, held as half-size
+    # blocks, take 2.5 MiB (5 MiB as dense matrices), and a model keeps no
+    # matrix beyond its K x K transmit ones. The whole point peaks at about
+    # 4.8 MiB of traced memory, 7.2 MiB with dense roots. A small run first
+    # makes the one-time imports and lookups of a process's first run, which
+    # would read as kept memory
     _outcomes(cfg.scenario_models(_SCN), 2)
     scn = cfg.table_defaults().with_updates(N=256, trials=4)
     models = cfg.scenario_models(scn)
-    sizes, basis = [], est.exponential_basis
-    monkeypatch.setattr(est, "exponential_basis",
+    sizes, basis = [], est.exponential_half_basis
+    monkeypatch.setattr(est, "exponential_half_basis",
                         lambda r, theta: sizes.append(len(theta)) or basis(r, theta))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         link.ergodic_sum_rate_mc(scn, models)
-        kept = tracemalloc.get_traced_memory()[0] - start
+        kept, peak = (size - start for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert kept < 0.5 * 2 ** 20
+    assert peak < 6 * 2 ** 20
     assert sizes == [scn.N, scn.M]
     link.ergodic_sum_rate_mc(scn, models)
     assert sizes == [scn.N, scn.M] * 2
@@ -312,24 +317,48 @@ def test_no_record_keeps_a_draw_factor(monkeypatch):
         assert len(matrices) == 2 and all(m.shape == (scn.K, scn.K) for m in matrices)
 
 
+class _Gemms(np.ndarray):
+    """A block that logs the shape of each matmul it is an operand of."""
+
+    log = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Gemms.log.append(self.shape)
+        inputs = [x.view(np.ndarray) if isinstance(x, _Gemms) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 @pytest.mark.parametrize("scn, per_chunk", [(_SCN, 4), (_PERFECT, 2)],
                          ids=["estimated", "perfect"])
 def test_receive_gemms_per_chunk(monkeypatch, scn, per_chunk):
-    # every receive square root meets a chunk as one GEMM; the perfect-CSI
-    # error factors are zero and meet it not at all
+    # every receive square root meets a chunk as exactly two GEMMs, its
+    # half-size blocks of ceil(n/2) and floor(n/2) rows, on all the chunk's
+    # columns; the perfect-CSI error factors are zero and meet it not at all
     models = cfg.scenario_models(scn)
     _budget_for(monkeypatch, scn, 4)
     calls = []
-    original = channel.left_multiply
+    original, factors = channel.left_multiply, est.model_factors
 
-    def counting(mat, x):
-        calls.append((mat.shape, x.shape))
-        return original(mat, x)
+    def counting(root, x):
+        _Gemms.log = []
+        out = original(root, x)
+        calls.append((_Gemms.log, x.shape))
+        return out
+
+    def logged(model):
+        receive, transmit = factors(model)
+        return tuple(None if root is None else root._replace(
+            plus=root.plus.view(_Gemms), minus=root.minus.view(_Gemms))
+            for root in receive), transmit
 
     monkeypatch.setattr(channel, "left_multiply", counting)
+    monkeypatch.setattr(est, "model_factors", logged)
     _outcomes(models, 10, scn=scn)
     assert len(calls) == 3 * per_chunk
-    assert all(x_shape[1] == 4 for _, x_shape in calls)
+    for gemms, x_shape in calls:
+        n = x_shape[0]
+        assert gemms == [(n - n // 2,) * 2, (n // 2,) * 2] and x_shape[1] == 4
 
 
 def test_report_fields_and_reproducibility():
@@ -448,21 +477,31 @@ def _scenarios(draw):
 
 
 def _check_receive_factors(model):
-    """Each receive factor times its conjugate transpose gives its side of
-    the split, U f U^H and U g U^H, to 1e-12 of the largest eigenvalue; a
-    real coefficient gives exactly symmetric factors. A factor that is not
+    """Each receive factor, applied to the identity, times its conjugate
+    transpose gives its side of the split, U f U^H and U g U^H, to 1e-12 of
+    the largest eigenvalue. Its half-size blocks are real and exactly
+    symmetric at any coefficient, whose phase the factor's row phase alone
+    carries: none for r >= 0, +-1 for a negative r. A factor that is not
     built (genie CSI's error) stands for an error spectrum of zeros."""
     hop = model.hop
     lam, theta = hop.spectrum
     u = corr.exponential_basis(hop.r, theta)
+    r = complex(hop.r)
     for root, s in zip(est.model_factors(model)[0], model.split):
         if root is None:
             assert not s.any()
             continue
-        np.testing.assert_allclose(root @ root.conj().T, (u * s) @ u.conj().T,
+        dense = channel.left_multiply(root, np.eye(hop.n))
+        np.testing.assert_allclose(dense @ dense.conj().T, (u * s) @ u.conj().T,
                                    rtol=0, atol=1e-12 * float(lam.max()))
-        if complex(hop.r).imag == 0.0:
-            assert np.isrealobj(root) and np.array_equal(root, root.T)
+        assert [block.shape for block in root[:2]] == [(hop.n - hop.n // 2,) * 2,
+                                                       (hop.n // 2,) * 2]
+        for block in root[:2]:
+            assert np.isrealobj(block) and np.array_equal(block, block.T)
+        if r.imag == 0.0 and r.real >= 0.0:
+            assert root.phase is None
+        else:
+            assert np.iscomplexobj(root.phase) == (r.imag != 0.0)
 
 
 def _error_transmit_eigenvalues(hop, adc, power):
