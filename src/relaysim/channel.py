@@ -79,10 +79,11 @@ def _one_blas_thread(draws):
 
     Under it, sample fills the next chunk on a second thread. Where a chunk
     holds several trials its GEMMs are small and a second BLAS thread adds
-    nothing; where it holds one (large N), they gain from it more than the
-    filler does. Only the pilot chain (estimation.pilot_mse) enters it: the
-    rate trials' and their models' last digits depend on the thread count
-    at some sizes (N = 200), and their CSVs would change.
+    nothing; where it holds one (large N: rate trials from N = 512 at
+    M = 2N, K = 10), they gain from it more than the filler does. Both
+    Monte Carlo engines enter it around their factor build and their
+    trials (estimation.pilot_mse, link.trial_outcomes): built threaded,
+    the factors would leave OpenBLAS's worker spinning into the trials.
     """
     blas = _openblas_threads() if chunk_size(draws) > 1 else None
     if blas is None:
@@ -112,14 +113,15 @@ def sample(draws, trials, fill, stage):
 
     Chunks are filled strictly in order and none past the last, into two
     buffers. While numpy's OpenBLAS runs one thread (as _one_blas_thread
-    holds it), a one-worker executor fills them, queued two ahead: chunks 0
-    and 1 at the start, chunk i + 2 once chunk i's rows are stacked; so
-    chunk i + 1 fills while stage runs on chunk i. Otherwise the calling
-    thread fills each chunk before its stage, since a second BLAS thread's
-    worker spins after every GEMM on the core the filler needs. So a fill
-    must share no state with stage; a generator the fills share sees the
-    draws of a serial loop either way. An exception in fill or stage
-    propagates; no queued fill starts after it, and the worker is joined.
+    holds it for both engines' chunks of several trials), a one-worker
+    executor fills them, queued two ahead: chunks 0 and 1 at the start,
+    chunk i + 2 once chunk i's rows are stacked; so chunk i + 1 fills
+    while stage runs on chunk i. Otherwise the calling thread fills each
+    chunk before its stage, since a second BLAS thread's worker spins
+    after every GEMM on the core the filler needs. So a fill must share no
+    state with stage; a generator the fills share sees the draws of a
+    serial loop either way. An exception in fill or stage propagates; no
+    queued fill starts after it, and the worker is joined.
     """
     if trials < 1 or not float(trials).is_integer():
         raise ConfigError(f"trials must be >= 1 and whole, got {trials!r}")

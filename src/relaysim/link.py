@@ -12,21 +12,29 @@ quantization noise enter in conditional expectation given the channel
 draw (quadratic forms against the diagonal AQNM covariances), never drawn.
 
 Trials run through channel.sample, each trial's row of normals from its
-own substream (seed, "rate-trial", index). _channel_stacks draws each
-hop's estimate and error from a chunk of rows by channel.draw_hop. Each
-receive square root is a channel.CentroRoot, two real half-size blocks
-and a row phase, and meets all the chunk's trials as two real GEMMs
-between two butterflies: half the flops and memory of a dense root, and
-the same draw to within about n * 1e-16 (3.4e-13 relative at n = 2048).
-_combine reads those four stacks alone and returns the raw fields that
-sample stacks, each squared magnitude taken once from a float64 view.
+own substream (seed, "rate-trial", index). Where a chunk holds several
+trials (N < 512 at M = 2N, K = 10), trial_outcomes builds the factors
+and runs the trials under channel._one_blas_thread, as the pilot chain
+does, so that sample fills the next chunk on its worker while the calling
+thread stages this one; from N = 512 the GEMMs keep the process's BLAS
+thread count.
+
+_channel_stacks draws each hop's estimate and error from a chunk of rows
+by channel.draw_hop. Each receive square root is a channel.CentroRoot,
+two real half-size blocks and a row phase, and meets all the chunk's
+trials as two real GEMMs between two butterflies: half the flops and
+memory of a dense root, and the same draw to within about n * 1e-16
+(3.4e-13 relative at n = 2048). _combine reads those four stacks alone
+and returns the raw fields that sample stacks, each squared magnitude
+taken once from a float64 view.
 """
 
 import numpy as np
 
 from . import analysis, estimation
 from . import config as cfg
-from .channel import _sum_abs2, complex_stack, draw_hop, mean_and_stderr, sample, substream
+from .channel import (_one_blas_thread, _sum_abs2, complex_stack, draw_hop, mean_and_stderr,
+                      sample, substream)
 
 
 def _trial_draws(scn):
@@ -120,11 +128,16 @@ def trial_outcomes(scenario, models):
     returns under their own names.
     """
     kappa = analysis.amplification_factor(scenario, analysis.moments(*models, scenario))
-    # built here, not in the first chunk's stage, which raised peak RSS 0.6 MB
-    factors = [(root, tx_sqrt, model.hop.gain) for model in models
-               for root, tx_sqrt in zip(*estimation.model_factors(model))]
-    raw = sample(_trial_draws(scenario), scenario.trials, _substreams(scenario.seed),
-                 lambda *parts: _combine(scenario, *_channel_stacks(factors, parts)))
+    draws = _trial_draws(scenario)
+    # the factors are built under the pin too: threaded, their GEMMs would
+    # leave OpenBLAS's worker spinning into the trials, on the core that
+    # sample's fill worker needs; built here, not in the first chunk's
+    # stage, which raised peak RSS 0.6 MB
+    with _one_blas_thread(draws):
+        factors = [(root, tx_sqrt, model.hop.gain) for model in models
+                   for root, tx_sqrt in zip(*estimation.model_factors(model))]
+        raw = sample(draws, scenario.trials, _substreams(scenario.seed),
+                     lambda *parts: _combine(scenario, *_channel_stacks(factors, parts)))
     return dict(raw, **analysis.sinr_terms(raw, scenario, kappa), kappa=kappa)
 
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from relaysim import channel, cli, config as cfg, estimation
+from relaysim import channel, cli, config as cfg, estimation, link
 from relaysim.correlation import exponential_correlation
 from relaysim.errors import ConfigError
 from relaysim.estimation import HopStatistics
@@ -259,8 +259,8 @@ def test_blas_pin_holds_pilot_chunks_of_several_trials_and_restores_the_count(
                 with channel._one_blas_thread(draws):
                     assert get() == inside
                 assert get() == before
-            # sample itself leaves the count alone: rate trials run with it,
-            # filled on the calling thread unless that count is 1
+            # sample itself leaves the count alone, and fills on the calling
+            # thread unless that count is 1
             seen, fillers = [], []
 
             def fill(rows, start):
@@ -273,5 +273,48 @@ def test_blas_pin_holds_pilot_chunks_of_several_trials_and_restores_the_count(
             builds.clear()
             assert cli.main(argv) == 0 and get() == before
             assert builds == [1]
+    finally:
+        put(original)
+
+
+def test_blas_pin_holds_chunked_rate_trials_and_their_factor_build(tmp_path, monkeypatch):
+    # trial_outcomes holds one BLAS thread, as pilot_mse does, around its
+    # factor build and its trials where a chunk holds several trials
+    # (N = 64), and leaves the count alone where it holds one (N = 512)
+    blas = channel._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy ships no OpenBLAS here")
+    get, put = blas
+    original, builds, stages = get(), [], []
+    model_factors, combine = estimation.model_factors, link._combine
+    monkeypatch.setattr(estimation, "model_factors",
+                        lambda model: builds.append(get()) or model_factors(model))
+    monkeypatch.setattr(link, "_combine",
+                        lambda *args: stages.append(get()) or combine(*args))
+    out = str(tmp_path / "rate.csv")
+    try:
+        for before in (2, 1):
+            put(before)
+            for grid, inside in ((["--n-values", "64", "--trials", "3"], 1),
+                                 (["--n-values", "512", "--bits", "2", "--trials", "1"], before)):
+                builds.clear()
+                stages.clear()
+                assert cli.main(["rate-vs-n", "--mc-only", *grid, "--out", out]) == 0
+                assert get() == before
+                assert builds and stages and set(builds) == set(stages) == {inside}
+
+        put(2)
+        scn = cfg.table_defaults().with_updates(N=64, trials=30)
+        models, threads = cfg.scenario_models(scn), threading.active_count()
+        err = _Refused("combine")
+
+        def refuse(*args):
+            raise err
+
+        monkeypatch.setattr(link, "_combine", refuse)
+        with pytest.raises(_Refused) as raised:
+            link.trial_outcomes(scn, models)
+        assert raised.value is err
+        assert get() == 2 and threading.active_count() == threads
     finally:
         put(original)

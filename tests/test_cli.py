@@ -649,17 +649,23 @@ sys.exit(relaysim.cli.main(sys.argv[2:]))
 """
 
 
-def test_mse_sweep_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["mse-sweep", "--trials", "40"],
+    ["correlation-impact", "--trials", "40"],
+], ids=["mse-sweep", "correlation-impact"])
+def test_csv_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path, argv):
     # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it; the
-    # pilot chain runs under a one-thread pin (channel._one_blas_thread)
+    # pilot chain and the rate trials (N = 200 here) run under a one-thread
+    # pin (channel._one_blas_thread), and what runs outside it, the models
+    # and the closed form, rounds alike on one BLAS thread and on two
     written = []
     for name, threads in (("one.csv", "1"), ("default.csv", None)):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / name
-        done = subprocess.run([sys.executable, "-c", _MAIN, _package_parent(), "mse-sweep",
-                               "--trials", "40", "--out", str(out)],
+        done = subprocess.run([sys.executable, "-c", _MAIN, _package_parent(), *argv,
+                               "--out", str(out)],
                               capture_output=True, text=True, env=env)
         assert done.returncode == 0, done.stderr
         written.append(out.read_bytes())
@@ -690,11 +696,13 @@ def test_closed_stdout_stops_quietly_with_sigpipe_status(argv, unbuffered):
 @pytest.mark.parametrize("argv", [
     ["correlation-impact", "--deltas", "2", "--coefficients", "0.8:0", "--trials", "20"],
     ["mse-sweep", "--bits", "1,ideal", "--powers-db", "0,30", "--trials", "20"],
+    ["rate-vs-n", "--n-values", "64,128", "--bits", "1,ideal", "--trials", "20"],
 ])
 def test_blas_pin_changes_no_number(tmp_path, monkeypatch, argv):
-    # at N = 200 the estimate models' and the rate trials' last digits
-    # depend on the BLAS thread count, so nothing on the rate engine's path
-    # runs pinned; the pilot chain's do not at these sizes
+    # the rate trials and their factor build (N < 512 here) and the pilot
+    # chain run pinned to one BLAS thread; without the pin they run on the
+    # count the process started with and fill on the calling thread, and
+    # write the same bytes
     pinned, free = tmp_path / "pinned.csv", tmp_path / "free.csv"
     assert cli.main(argv + ["--out", str(pinned)]) == 0
     monkeypatch.setattr(channel, "_openblas_threads", lambda: None)
